@@ -54,7 +54,6 @@ from .surface import (
     delaunay_weights,
     euler_characteristic,
     validate,
-    validate_combinatorics,
 )
 
 log = logging.getLogger("hypflow")
@@ -113,10 +112,10 @@ def parse_phm(path: str):
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if n is None:
         raise ParseError(f"{path}: missing 'v' record")
-    errors = validate_combinatorics(n, faces)
-    if errors:
-        raise ParseError(f"{path}: " + "; ".join(errors))
-    surf = MarkedSurface(n, faces)
+    try:
+        surf = MarkedSurface(n, faces)
+    except SurfaceError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     missing = [e for e in surf.edges if e not in lengths]
     if missing:
         raise ParseError(f"{path}: missing 'e' record for edge {missing[0]}")
@@ -132,8 +131,8 @@ def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
         fh.write(f"v {surf.vertex_count}\n")
         for f in surf.faces:
             fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
-        for e in surf.edges:
-            fh.write(f"e {e[0]} {e[1]} {m.length[e]:.17g}\n")
+        for e, l in zip(surf.edges, m.length.tolist()):
+            fh.write(f"e {e[0]} {e[1]} {l:.17g}\n")
 
 
 def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
@@ -275,9 +274,6 @@ def cmd_newton(args) -> int:
     except (ParseError, SurfaceError, OSError) as exc:
         print(f"invalid: {exc}")
         return EXIT_INVALID
-    if np.any(args.alpha * target > 0) and not args.force:
-        print("refused: alpha * target > 0 at some vertex (use --force to override)")
-        return EXIT_REGIME
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-0.1, 0.1, surf.vertex_count) if args.seed is not None else None
     try:
@@ -285,7 +281,10 @@ def cmd_newton(args) -> int:
             surf, m, args.alpha, target,
             tol=args.tol, max_iter=args.max_iter, u0=u0, force=args.force,
         )
-    except (NewtonError, RegimeError, SurfaceError, OverflowError) as exc:
+    except RegimeError as exc:
+        print(f"refused: {exc} (use --force to override)")
+        return EXIT_REGIME
+    except (NewtonError, SurfaceError, OverflowError) as exc:
         print(f"failure: {exc}")
         return EXIT_RUNTIME
     if args.log:

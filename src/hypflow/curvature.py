@@ -15,9 +15,9 @@ import numpy as np
 from .surface import (
     MarkedSurface,
     PHMetric,
+    angle_defect,
     euler_characteristic,
     face_angles,
-    face_corner_lengths,
 )
 
 __all__ = [
@@ -64,22 +64,14 @@ class JacobianL:
     matrix: np.ndarray
 
 
-def _scatter_angle_sums(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
-    total = np.zeros(surf.vertex_count)
-    np.add.at(total, surf.face_array.ravel(), angles.ravel())
-    return total
-
-
 def curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """Angle defect K_i = 2*pi - sum of inner angles at vertex i."""
-    angles = face_angles(surf, m, strict=True)
-    return 2.0 * math.pi - _scatter_angle_sums(surf, angles)
+    return angle_defect(surf, face_angles(surf, m, strict=True))
 
 
 def extended_curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """Angle defect with constant-extended angles; defined for any lengths."""
-    angles = face_angles(surf, m, strict=False)
-    return 2.0 * math.pi - _scatter_angle_sums(surf, angles)
+    return angle_defect(surf, face_angles(surf, m, strict=False))
 
 
 def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.ndarray:
@@ -90,17 +82,17 @@ def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.nd
 def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     angles = face_angles(surf, m, strict=True)
     asum = angles.sum(axis=1)
-    t1 = 0.5 * (asum[surf._ef_f1] - 2.0 * angles[surf._ef_f1, surf._ef_c1])
-    t2 = 0.5 * (asum[surf._ef_f2] - 2.0 * angles[surf._ef_f2, surf._ef_c2])
+    f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
+    t1 = 0.5 * (asum[f1] - 2.0 * angles[f1, c1])
+    t2 = 0.5 * (asum[f2] - 2.0 * angles[f2, c2])
     if np.any(np.abs(np.abs(t1) - 0.5 * math.pi) < 5e-13) or np.any(
         np.abs(np.abs(t2) - 0.5 * math.pi) < 5e-13
     ):
         raise ValueError("tan pole in edge-weight assembly; corrupted angles")
-    larr = m.length_array(surf)
-    B = (np.tan(t1) + np.tan(t2)) / np.cosh(0.5 * larr) ** 2
+    B = (np.tan(t1) + np.tan(t2)) / np.cosh(0.5 * m.length) ** 2
 
     i_idx, j_idx = surf.edge_endpoints()
-    coshm1 = np.cosh(larr) - 1.0
+    coshm1 = np.cosh(m.length) - 1.0
     A = np.zeros(surf.vertex_count)
     np.add.at(A, i_idx, B * coshm1)
     np.add.at(A, j_idx, B * coshm1)
@@ -159,6 +151,6 @@ def energy_increment(
 def gauss_bonnet_residual(surf: MarkedSurface, m: PHMetric) -> float:
     """sum K_i - sum_faces Area(face) - 2*pi*chi; zero up to rounding."""
     angles = face_angles(surf, m, strict=False)
-    K = 2.0 * math.pi - _scatter_angle_sums(surf, angles)
+    K = angle_defect(surf, angles)
     area = (math.pi - angles.sum(axis=1)).sum()
     return float(K.sum() - area - 2.0 * math.pi * euler_characteristic(surf))

@@ -27,6 +27,7 @@ from .surface import (
     PHMetric,
     SurfaceError,
     advance_conformal,
+    euler_characteristic,
 )
 
 __all__ = [
@@ -408,18 +409,20 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton iteration on g(u) = F(u) - target * w^alpha.
 
-    Requires alpha * target <= 0 componentwise, where the curvature energy is
-    strictly convex and the system matrix L - alpha*diag(target*w^alpha) is
-    positive definite.  Re-Delaunays after every accepted update.
+    Raises RegimeError before iterating unless ``regime_check`` passes
+    (``force`` skips the check).  Inside the regime alpha * target <= 0
+    componentwise, so the curvature energy is strictly convex and the system
+    matrix L - alpha*diag(target*w^alpha) is positive definite.  Re-Delaunays
+    after every accepted update.
     """
     n = surf.vertex_count
     target = np.asarray(target, dtype=float)
     if target.ndim == 0:
         target = np.full(n, float(target))
-    if not force and np.any(alpha * target > 0):
-        raise RegimeError(
-            "alpha * target > 0 at some vertex: outside the convexity regime"
-        )
+    if not force:
+        ok, reason = regime_check(alpha, target, euler_characteristic(surf))
+        if not ok:
+            raise RegimeError(reason)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
     max_jump = 0.0
 

@@ -16,7 +16,6 @@ from .triangle import (
     TriLengths,
     admissible_mask,
     angles_from_length_array,
-    scaled_length,
     tri_angles,
 )
 
@@ -103,16 +102,19 @@ def validate_combinatorics(vertex_count: int, faces) -> list:
 class MarkedSurface:
     """Closed oriented triangulated surface over vertices 0..N-1.
 
-    Faces are oriented vertex triples.  Derived adjacency arrays are rebuilt
-    after each mutation; vertex indices are stable across flips.
+    Faces are oriented vertex triples.  ``edges`` lists the undirected edges
+    as sorted vertex pairs and ``edge_index`` maps each pair to its position;
+    ``edge_faces[e]`` holds the two (face, corner) pairs at edge e, the corner
+    being the one opposite the edge, and ``FE[f, c]`` is the index of the edge
+    opposite corner c of face f.  Edges start out in sorted order.  A flip
+    rewrites the two faces and five edges it touches in place: vertex, face
+    and edge indices are stable across flips, the new diagonal taking the
+    flipped edge's slot, so after a flip ``edges`` is no longer sorted.
     """
 
     def __init__(self, vertex_count: int, faces):
         self.vertex_count = int(vertex_count)
         self.faces = [tuple(int(v) for v in f) for f in faces]
-        self._refresh()
-
-    def _refresh(self):
         errors = validate_combinatorics(self.vertex_count, self.faces)
         if errors:
             raise SurfaceError("; ".join(errors))
@@ -124,32 +126,32 @@ class MarkedSurface:
         self.edges = sorted(incid)
         self.edge_index = {e: idx for idx, e in enumerate(self.edges)}
         self.face_array = np.array(self.faces, dtype=np.int64)
-        ne, nf = len(self.edges), len(self.faces)
-        self.edge_faces = [incid[e] for e in self.edges]
-        # FE[f, c] = index of the edge opposite corner c of face f
-        self.FE = np.empty((nf, 3), dtype=np.int64)
-        for idx, pairs in enumerate(self.edge_faces):
-            for fi, c in pairs:
-                self.FE[fi, c] = idx
-        ef = np.array(
-            [[pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1]] for pairs in self.edge_faces],
-            dtype=np.int64,
-        )
-        self._ef_f1, self._ef_c1 = ef[:, 0], ef[:, 1]
-        self._ef_f2, self._ef_c2 = ef[:, 2], ef[:, 3]
-        earr = np.array(self.edges, dtype=np.int64).reshape(ne, 2)
-        self._edge_i, self._edge_j = earr[:, 0], earr[:, 1]
+        ne = len(self.edges)
+        self.edge_faces = np.array([incid[e] for e in self.edges], dtype=np.int64).reshape(ne, 2, 2)
+        self.FE = np.empty((len(self.faces), 3), dtype=np.int64)
+        self.FE[self.edge_faces[..., 0], self.edge_faces[..., 1]] = np.arange(ne)[:, None]
+        ends = np.array(self.edges, dtype=np.int64).reshape(ne, 2)
+        self._edge_i, self._edge_j = ends[:, 0], ends[:, 1]
+
+    def copy(self) -> "MarkedSurface":
+        s = object.__new__(MarkedSurface)
+        s.vertex_count = self.vertex_count
+        s.faces = list(self.faces)
+        s.edges = list(self.edges)
+        s.edge_index = dict(self.edge_index)
+        for name in ("face_array", "edge_faces", "FE", "_edge_i", "_edge_j"):
+            setattr(s, name, getattr(self, name).copy())
+        return s
 
     def edge_endpoints(self):
         return self._edge_i, self._edge_j
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero((self._edge_i == v) | (self._edge_j == v)))
 
 
 class PHMetric:
     """Edge lengths of the current triangulation plus epoch data for scaling.
 
+    ``length`` and ``base_length`` are float arrays aligned with
+    ``surf.edges``; the constructor takes a ``{edge: length}`` mapping.
     ``base_length``/``epoch_u`` snapshot the state at the start of the current
     triangulation epoch: current lengths are the vertex scaling of the base
     lengths by ``current_u - epoch_u``.  Each flip starts a new epoch, which
@@ -161,24 +163,22 @@ class PHMetric:
         missing = [e for e in surf.edges if e not in length]
         if missing:
             raise SurfaceError(f"missing edge lengths: {missing[:5]}")
-        self.length = {e: float(length[e]) for e in surf.edges}
-        for e, l in self.length.items():
-            if not (l > 0.0 and math.isfinite(l)):
-                raise SurfaceError(f"edge {e} has non-positive length {l}")
-        self.base_length = dict(self.length)
+        self.length = np.array([float(length[e]) for e in surf.edges])
+        bad = np.flatnonzero(~((self.length > 0.0) & np.isfinite(self.length)))
+        if bad.size:
+            idx = int(bad[0])
+            raise SurfaceError(f"edge {surf.edges[idx]} has non-positive length {self.length[idx]}")
+        self.base_length = self.length.copy()
         self.epoch_u = np.zeros(surf.vertex_count)
         self.current_u = np.zeros(surf.vertex_count)
 
     def copy(self) -> "PHMetric":
         m = object.__new__(PHMetric)
-        m.length = dict(self.length)
-        m.base_length = dict(self.base_length)
+        m.length = self.length.copy()
+        m.base_length = self.base_length.copy()
         m.epoch_u = self.epoch_u.copy()
         m.current_u = self.current_u.copy()
         return m
-
-    def length_array(self, surf: MarkedSurface) -> np.ndarray:
-        return np.array([self.length[e] for e in surf.edges])
 
 
 @dataclass
@@ -187,6 +187,9 @@ class FlipEvent:
     new_edge: Edge
     time: float
     pre_weight: float
+    # sup-norm change of the curvature across the flip; rounding level for a
+    # geometric flip
+    k_jump: float
 
 
 @dataclass
@@ -208,16 +211,15 @@ def clone_state(surf: MarkedSurface, m: PHMetric):
     """Independent copy of a surface/metric pair.
 
     Surfaces and metrics mutate together under flips, so they must be cloned
-    together; a metric copy alone would go stale after surgery.
+    together; a metric copy alone would go stale after surgery.  The copy
+    keeps the edge order, to which the length arrays are aligned.
     """
-    surf2 = MarkedSurface(surf.vertex_count, surf.faces)
-    m2 = m.copy()
-    return surf2, m2
+    return surf.copy(), m.copy()
 
 
 def face_corner_lengths(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """(F, 3) lengths; entry [f, c] is the length of the edge opposite corner c."""
-    return m.length_array(surf)[surf.FE]
+    return m.length[surf.FE]
 
 
 def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.ndarray:
@@ -244,6 +246,13 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
         angles[fi] = 0.0
         angles[fi, big] = math.pi
     return angles
+
+
+def angle_defect(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
+    """K_i = 2*pi - sum of the corner ``angles`` at vertex i."""
+    total = np.zeros(surf.vertex_count)
+    np.add.at(total, surf.face_array.ravel(), angles.ravel())
+    return 2.0 * math.pi - total
 
 
 def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
@@ -277,12 +286,10 @@ def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
     du = u - m.epoch_u
     i_idx, j_idx = surf.edge_endpoints()
     s = du[i_idx] + du[j_idx]
-    base = np.array([m.base_length[e] for e in surf.edges])
-    half = np.sinh(0.5 * base)
+    half = np.sinh(0.5 * m.base_length)
     if np.any(np.log(half) + s > 350.0):
         raise OverflowError("conformal factor out of representable range")
-    new = 2.0 * np.arcsinh(half * np.exp(s))
-    m.length = dict(zip(surf.edges, new.tolist()))
+    m.length = 2.0 * np.arcsinh(half * np.exp(s))
     m.current_u = u.copy()
 
 
@@ -294,9 +301,8 @@ def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None
     if angles is None:
         angles = face_angles(surf, m)
     asum = angles.sum(axis=1)
-    a1 = angles[surf._ef_f1, surf._ef_c1]
-    a2 = angles[surf._ef_f2, surf._ef_c2]
-    return asum[surf._ef_f1] - 2.0 * a1 + asum[surf._ef_f2] - 2.0 * a2
+    f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
+    return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
 
 
 def delaunay_weight(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
@@ -304,42 +310,31 @@ def delaunay_weight(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
 
 
 def _quad_around(surf: MarkedSurface, e: Edge):
-    """Return (i, j, k, l, face_ij, face_ji) for the quad around edge e.
+    """The quad around edge e: vertices (i, j, k, l), faces (fa, fb) and the
+    indices of its edges [ij, ik, jk, il, jl].
 
-    face_ij contains the directed edge (i, j) with opposite vertex k;
-    face_ji contains (j, i) with opposite vertex l.
+    fa contains the directed edge (i, j) with opposite vertex k;
+    fb contains (j, i) with opposite vertex l.
     """
     i, j = _edge(*e)
-    (f1, c1), (f2, c2) = surf.edge_faces[surf.edge_index[(i, j)]]
-    if f1 == f2:
-        raise FlipError(f"edge {e} bounds a single face twice")
-
-    def directed(fi, c):
-        f = surf.faces[fi]
-        a, b = f[(c + 1) % 3], f[(c + 2) % 3]
-        return (a, b), f[c]
-
-    (a1, b1), k1 = directed(f1, c1)
-    (a2, b2), k2 = directed(f2, c2)
-    if (a1, b1) == (i, j):
-        return i, j, k1, k2, f1, f2
-    return i, j, k2, k1, f2, f1
-
-
-def _tri_lengths_for(m: PHMetric, va: int, vb: int, vc: int) -> TriLengths:
-    """TriLengths for triangle (va, vb, vc) read off the current metric."""
-    return TriLengths(
-        l_ij=m.length[_edge(va, vb)],
-        l_ik=m.length[_edge(va, vc)],
-        l_jk=m.length[_edge(vb, vc)],
-    )
+    ij = surf.edge_index[(i, j)]
+    (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
+    if surf.faces[fa][(ca + 1) % 3] != i:
+        fa, ca, fb, cb = fb, cb, fa, ca
+    ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
+    edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
+    return (i, j, surf.faces[fa][ca], surf.faces[fb][cb]), (fa, fb), edges
 
 
 def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
-    """New diagonal length computed independently from both ends of e."""
-    i, j, k, l, _, _ = _quad_around(surf, e)
-    ang1 = tri_angles(_tri_lengths_for(m, i, j, k))  # (i, j, k): a_i at vertex i
-    ang2 = tri_angles(_tri_lengths_for(m, i, j, l))
+    """New diagonal length computed independently from both ends of e.
+
+    Returns ``(from_i, from_j, quad)`` with ``quad`` as from ``_quad_around``.
+    """
+    quad = _quad_around(surf, e)
+    d_ij, d_ik, d_jk, d_il, d_jl = m.length[quad[2]].tolist()
+    ang1 = tri_angles(TriLengths(d_ij, d_ik, d_jk))  # (i, j, k): a_i at vertex i
+    ang2 = tri_angles(TriLengths(d_ij, d_il, d_jl))
 
     def from_side(theta, d_a, d_b):
         x = math.cosh(d_a) * math.cosh(d_b) - math.sinh(d_a) * math.sinh(d_b) * math.cos(theta)
@@ -347,11 +342,9 @@ def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
             raise FlipError(f"flip of edge {e} produces degenerate triangle")
         return math.acosh(x)
 
-    d_ik, d_il = m.length[_edge(i, k)], m.length[_edge(i, l)]
-    d_jk, d_jl = m.length[_edge(j, k)], m.length[_edge(j, l)]
     from_i = from_side(ang1.a_i + ang2.a_i, d_ik, d_il)
     from_j = from_side(ang1.a_j + ang2.a_j, d_jk, d_jl)
-    return from_i, from_j, (i, j, k, l)
+    return from_i, from_j, quad
 
 
 def diagonal_length(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
@@ -369,37 +362,49 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> F
 
     The flip is an isometry of the piecewise hyperbolic metric: the new
     diagonal length is computed inside the glued quadrilateral and a new
-    scaling epoch starts.  Refused (no mutation) if the result would be a
-    multi-edge or a degenerate triangle.
+    scaling epoch starts.  The two faces keep their indices and the new
+    diagonal takes e's slot in ``surf.edges`` and ``m.length``.  Refused (no
+    mutation) if the result would be a multi-edge or a degenerate triangle.
     """
     e = _edge(*e)
     if e not in surf.edge_index:
         raise FlipError(f"no such edge {e}")
-    pre_weight = delaunay_weight(surf, m, e)
-    from_i, from_j, (i, j, k, l) = _diagonal_both(surf, m, e)
+    angles = face_angles(surf, m)
+    d_kl, _, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl)) = _diagonal_both(surf, m, e)
     if k == l:
         raise FlipError(f"flip of edge {e} would create a self-loop at vertex {k}")
-    if _edge(k, l) in surf.edge_index:
-        raise FlipError(f"flip of edge {e} would create a multi-edge {_edge(k, l)}")
-    d_kl = from_i
-    new1 = (m.length[_edge(i, k)], m.length[_edge(i, l)], d_kl)
-    new2 = (m.length[_edge(j, k)], m.length[_edge(j, l)], d_kl)
-    for tri in (new1, new2):
+    kl = _edge(k, l)
+    if kl in surf.edge_index:
+        raise FlipError(f"flip of edge {e} would create a multi-edge {kl}")
+    for a, b in ((ik, il), (jk, jl)):
+        tri = (m.length[a], m.length[b], d_kl)
         if sum(tri) - 2.0 * max(tri) <= 0.0:
             raise FlipError(f"flip of edge {e} produces degenerate triangle")
+    pre_weight = float(delaunay_weights(surf, m, angles)[ij])
+    K_pre = angle_defect(surf, angles)
 
-    fa, fb = surf.edge_faces[surf.edge_index[e]]
-    keep = [f for fi, f in enumerate(surf.faces) if fi not in (fa[0], fb[0])]
-    keep.append((k, i, l))
-    keep.append((l, j, k))
-    surf.faces = keep
-    del m.length[e]
-    m.length[_edge(k, l)] = d_kl
-    surf._refresh()
+    # fa becomes (k, i, l) and fb becomes (l, j, k); FE rows list the edges
+    # opposite corners 0, 1, 2, and kl sits at corner 1 of both
+    surf.faces[fa], surf.faces[fb] = (k, i, l), (l, j, k)
+    surf.face_array[[fa, fb]] = surf.faces[fa], surf.faces[fb]
+    surf.FE[[fa, fb]] = (il, ij, ik), (jk, ij, jl)
+    del surf.edge_index[e]
+    surf.edge_index[kl] = ij
+    surf.edges[ij] = kl
+    surf._edge_i[ij], surf._edge_j[ij] = kl
+    surf.edge_faces[ij] = ((fa, 1), (fb, 1))
+    for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
+        pairs = surf.edge_faces[q]
+        pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
+    m.length[ij] = d_kl
     # new epoch: base lengths are the post-flip lengths at the current u
-    m.base_length = dict(m.length)
+    m.base_length = m.length.copy()
     m.epoch_u = m.current_u.copy()
-    return FlipEvent(old_edge=e, new_edge=_edge(k, l), time=time, pre_weight=pre_weight)
+    K_post = angle_defect(surf, face_angles(surf, m))
+    return FlipEvent(
+        old_edge=e, new_edge=kl, time=time, pre_weight=pre_weight,
+        k_jump=float(np.max(np.abs(K_post - K_pre))),
+    )
 
 
 def advance_conformal(
@@ -420,55 +425,18 @@ def advance_conformal(
     Flipping after overshooting a wall would instead leave a residue of the
     path in the lengths.
 
-    Returns ``(events, max_jump)`` where ``max_jump`` is the largest sup-norm
-    change of the curvature across any single flip (a rounding-level
-    isometry-continuity diagnostic).
+    Returns ``(events, max_jump)`` where ``max_jump`` is the largest
+    ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic).
 
     Raises AdmissibilityError if the segment leaves the admissible cone away
     from any wall (the obstruction is then a degenerating face, not a flip).
     """
     u = np.asarray(u, dtype=float)
     cap = max_flips if max_flips is not None else 100 * len(surf.edges)
-    events: list = []
-    max_jump = 0.0
-
-    def K_of():
-        ang = face_angles(surf, m, strict=True)
-        K = np.full(surf.vertex_count, 2.0 * math.pi)
-        np.add.at(K, surf.face_array.ravel(), -ang.ravel())
-        return K
-
-    def flip_with_jump(e):
-        K_pre = K_of()
-        ev = flip_edge(surf, m, e, time=time)
-        K_post = K_of()
-        return ev, float(np.max(np.abs(K_post - K_pre)))
-
     # normalize the starting state: flips here happen at whatever weights the
     # given initial data has (initial normalization, not a scaling path)
     apply_conformal(surf, m, m.current_u)
-    pending = delaunay_weights(surf, m)
-    while pending.min() < -tol:
-        if len(events) >= cap:
-            raise SurfaceError(f"advance_conformal exceeded {cap} flips")
-        order = np.argsort(pending, kind="stable")
-        flipped = False
-        for idx in order:
-            if pending[idx] >= -tol:
-                break
-            try:
-                ev, jump = flip_with_jump(surf.edges[idx])
-            except FlipError:
-                continue
-            events.append(ev)
-            max_jump = max(max_jump, jump)
-            flipped = True
-            break
-        if not flipped:
-            raise SurfaceError(
-                f"no non-Delaunay edge is flippable; min weight {pending.min():.3e}"
-            )
-        pending = delaunay_weights(surf, m)
+    events = make_delaunay(surf, m, tol=tol, time=time, max_flips=cap)
 
     while True:
         if len(events) > cap:
@@ -486,7 +454,7 @@ def advance_conformal(
                 return True
 
         if not bad(1.0):
-            return events, max_jump
+            return events, max((ev.k_jump for ev in events), default=0.0)
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -505,9 +473,7 @@ def advance_conformal(
                 "conformal segment leaves the admissible cone away from any "
                 f"Delaunay wall (s in ({lo:.6g}, {hi:.6g}])"
             )
-        ev, jump = flip_with_jump(surf.edges[idx])
-        events.append(ev)
-        max_jump = max(max_jump, jump)
+        events.append(flip_edge(surf, m, surf.edges[idx], time=time))
 
 
 def make_delaunay(
@@ -523,24 +489,20 @@ def make_delaunay(
     while True:
         w = delaunay_weights(surf, m)
         order = np.argsort(w, kind="stable")
-        candidates = [idx for idx in order if w[idx] < -tol]
-        if not candidates:
+        candidates = order[w[order] < -tol]
+        if not candidates.size:
             return events
         if len(events) >= cap:
             raise SurfaceError(
-                f"make_delaunay exceeded {cap} flips; "
-                f"remaining min weight {w.min():.3e}, lengths={m.length}"
+                f"make_delaunay exceeded {cap} flips; remaining min weight {w.min():.3e}"
             )
-        flipped = False
         for idx in candidates:
             try:
                 events.append(flip_edge(surf, m, surf.edges[idx], time=time))
-                flipped = True
                 break
             except FlipError:
                 continue
-        if not flipped:
+        else:
             raise SurfaceError(
-                "no non-Delaunay edge is flippable; "
-                f"min weight {w.min():.3e}, lengths={m.length}"
+                f"no non-Delaunay edge is flippable; min weight {w.min():.3e}"
             )

@@ -213,7 +213,8 @@ def angles_from_length_array(L: np.ndarray) -> np.ndarray:
     """
     ch = np.cosh(L)
     sh = np.sinh(L)
-    c1, c2 = np.roll(ch, -1, axis=-1), np.roll(ch, -2, axis=-1)
-    s1, s2 = np.roll(sh, -1, axis=-1), np.roll(sh, -2, axis=-1)
+    # the two other corners of each corner c: (c + 1) % 3 and (c + 2) % 3
+    c1, c2 = ch[..., [1, 2, 0]], ch[..., [2, 0, 1]]
+    s1, s2 = sh[..., [1, 2, 0]], sh[..., [2, 0, 1]]
     cos_a = np.clip((c1 * c2 - ch) / (s1 * s2), -1.0, 1.0)
     return np.arccos(cos_a)

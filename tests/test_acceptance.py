@@ -149,7 +149,7 @@ def test_criterion_2_jacobian(announce):
             )
 
         i_idx, j_idx = surf.edge_endpoints()
-        larr = m.length_array(surf)
+        larr = m.length
         A = np.zeros(n)
         np.add.at(A, i_idx, J.B * (np.cosh(larr) - 1.0))
         np.add.at(A, j_idx, J.B * (np.cosh(larr) - 1.0))
@@ -201,7 +201,7 @@ def test_criterion_3_flip_duality(announce):
             continue
 
         gb(surf, m)
-        before = dict(m.length)
+        before = dict(zip(surf.edges, m.length))
         K0 = curvature(surf, m)
         flip_edge(surf, m, (0, 1))
         K1 = curvature(surf, m)
@@ -213,7 +213,7 @@ def test_criterion_3_flip_duality(announce):
             float(np.max(np.abs(K2 - K0))),
         )
         worst_restore = max(
-            worst_restore, max(abs(m.length[e] - l) for e, l in before.items())
+            worst_restore, max(abs(m.length[surf.edge_index[e]] - l) for e, l in before.items())
         )
         flips_done += 1
     ok = sign_ok and worst_diag <= 1e-10 and worst_restore <= 1e-9 and worst_K <= 1e-9

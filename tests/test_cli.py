@@ -36,14 +36,14 @@ class TestFormat:
     def test_roundtrip_preserves_state(self, tmp_path):
         surf = genus2()
         m = unit_metric(surf)
-        m.length[surf.edges[0]] = 1.2345678901234567
+        m.length[surf.edge_index[surf.edges[0]]] = 1.2345678901234567
         path = str(tmp_path / "g.phm")
         write_phm(path, surf, m)
         surf2, m2 = parse_phm(path)
         assert surf2.faces == surf.faces
         assert surf2.vertex_count == surf.vertex_count
         for e in surf.edges:
-            assert m2.length[e] == m.length[e]  # exact through %.17g
+            assert m2.length[surf2.edge_index[e]] == m.length[surf.edge_index[e]]  # exact through %.17g
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.phm"
@@ -153,6 +153,14 @@ class TestCommands:
         rc = main([
             "newton", genus2_file, "--alpha", "1.0", "--target-const", "1.0",
         ])
+        assert rc == EXIT_REGIME
+        assert "refused" in capsys.readouterr().out
+
+    def test_newton_infeasible_torus_refused(self, tmp_path, capsys):
+        surf = grid_torus(4, 4)
+        path = str(tmp_path / "torus4.phm")
+        write_phm(path, surf, unit_metric(surf))
+        rc = main(["newton", path, "--alpha", "0", "--target-const", "0"])
         assert rc == EXIT_REGIME
         assert "refused" in capsys.readouterr().out
 

@@ -112,7 +112,7 @@ class TestJacobian:
         make_delaunay(surf, m)
         J = jacobian(surf, m)
         i_idx, j_idx = surf.edge_endpoints()
-        larr = m.length_array(surf)
+        larr = m.length
         A = np.zeros(surf.vertex_count)
         np.add.at(A, i_idx, J.B * (np.cosh(larr) - 1.0))
         np.add.at(A, j_idx, J.B * (np.cosh(larr) - 1.0))

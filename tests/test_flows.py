@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypflow import flows
 from hypflow.curvature import ConformalState, curvature
 from hypflow.flows import (
     FlowConfig,
@@ -165,6 +166,19 @@ class TestNewton:
         surf, m = genus2_unit
         with pytest.raises(RegimeError):
             newton_solve(surf, m, 1.0, 1.0)
+
+    def test_infeasible_target_refused_before_iterating(self, monkeypatch):
+        # Gauss-Bonnet: sum(target) = 0 is not > 2*pi*chi = 0 on a torus
+        surf = grid_torus(4, 4)
+        m = unit_metric(surf)
+
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("newton_solve iterated outside the regime")
+
+        monkeypatch.setattr(flows, "advance_conformal", no_iteration)
+        monkeypatch.setattr(flows, "jacobian", no_iteration)
+        with pytest.raises(RegimeError, match="sum"):
+            newton_solve(surf, m, 0.0, 0.0)
 
     def test_force_flag_does_not_break_feasible_solve(self, torus_unit):
         surf, m = torus_unit

@@ -18,6 +18,7 @@ from hypflow.surface import (
     diagonal_length,
     euler_characteristic,
     face_angles,
+    face_corner_lengths,
     flip_edge,
     make_delaunay,
     validate,
@@ -109,17 +110,17 @@ class TestMetric:
         flip_edge(s2, m2, (0, 1))
         assert (0, 1) in surf.edge_index
         assert (0, 1) not in s2.edge_index
-        assert m.length != m2.length
+        assert not np.array_equal(m.length, m2.length)
 
 
 class TestConformal:
     def test_matches_scalar_kernel(self, torus_unit, rng):
         surf, m = torus_unit
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        base = dict(m.length)
+        base = dict(zip(surf.edges, m.length))
         apply_conformal(surf, m, u)
         for (i, j), d in base.items():
-            assert m.length[(i, j)] == pytest.approx(
+            assert m.length[surf.edge_index[(i, j)]] == pytest.approx(
                 scaled_length(d, u[i], u[j]), abs=1e-14
             )
         assert np.array_equal(m.current_u, u)
@@ -134,7 +135,7 @@ class TestConformal:
         surf2, m2 = clone_state(grid_torus(3, 3), unit_metric(grid_torus(3, 3)))
         apply_conformal(surf2, m2, u2)
         for e in surf.edges:
-            assert m.length[e] == pytest.approx(m2.length[e], abs=1e-14)
+            assert m.length[surf.edge_index[e]] == pytest.approx(m2.length[surf2.edge_index[e]], abs=1e-14)
 
     def test_shape_checked(self, torus_unit):
         surf, m = torus_unit
@@ -201,14 +202,14 @@ class TestFlip:
         surf, m = octa_unit
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
-        before = dict(m.length)
+        before = dict(zip(surf.edges, m.length))
         ev = flip_edge(surf, m, (0, 1))
         assert ev.old_edge == (0, 1) and ev.new_edge == (2, 3)
         assert (0, 1) not in surf.edge_index and (2, 3) in surf.edge_index
         ev2 = flip_edge(surf, m, (2, 3))
         assert ev2.new_edge == (0, 1)
         for e, l in before.items():
-            assert m.length[e] == pytest.approx(l, abs=1e-12)
+            assert m.length[surf.edge_index[e]] == pytest.approx(l, abs=1e-12)
 
     def test_flip_is_curvature_isometry(self, octa_unit, rng):
         surf, m = octa_unit
@@ -224,14 +225,14 @@ class TestFlip:
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         flip_edge(surf, m, (0, 1))
-        assert m.base_length == m.length
+        assert np.array_equal(m.base_length, m.length)
         assert np.array_equal(m.epoch_u, u)
         # scaling onward from the new epoch still matches the scalar kernel
         u2 = u + 0.05
-        base = dict(m.length)
+        base = dict(zip(surf.edges, m.length))
         apply_conformal(surf, m, u2)
         for (i, j), d in base.items():
-            assert m.length[(i, j)] == pytest.approx(
+            assert m.length[surf.edge_index[(i, j)]] == pytest.approx(
                 scaled_length(d, 0.05, 0.05), abs=1e-14
             )
 
@@ -273,10 +274,10 @@ class TestFlip:
                 out.append(f[k:] + f[:k])
             return sorted(out)
 
-        assert s1.edges == s2.edges
+        assert sorted(s1.edges) == sorted(s2.edges)
         assert canon(s1.faces) == canon(s2.faces)
         for e in s1.edges:
-            assert m1.length[e] == pytest.approx(m2.length[e], abs=1e-10)
+            assert m1.length[s1.edge_index[e]] == pytest.approx(m2.length[s2.edge_index[e]], abs=1e-10)
 
     def test_advance_flip_jump_is_rounding_level(self, genus2_unit, rng):
         from hypflow.surface import advance_conformal
@@ -285,12 +286,61 @@ class TestFlip:
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
         events, jump = advance_conformal(surf, m, u)
         assert jump <= 1e-10
+        assert all(ev.k_jump <= 1e-10 for ev in events)
 
     def test_state_unchanged_after_refused_flip(self):
         surf = tetrahedron()
         m = unit_metric(surf)
         faces = list(surf.faces)
-        lengths = dict(m.length)
+        lengths = m.length.copy()
         with pytest.raises(FlipError):
             flip_edge(surf, m, (0, 1))
-        assert surf.faces == faces and m.length == lengths
+        assert surf.faces == faces and np.array_equal(m.length, lengths)
+
+
+FLIP_FIXTURES = [octahedron, lambda: grid_torus(5, 5), lambda: genus2(3, 3)]
+
+
+def random_flips(surf, m, rng, attempts=60):
+    """Flip randomly chosen edges, skipping refused flips; yields after each flip."""
+    for _ in range(attempts):
+        e = surf.edges[rng.integers(len(surf.edges))]
+        try:
+            flip_edge(surf, m, e)
+        except FlipError:
+            continue
+        yield
+
+
+class TestInPlaceFlip:
+    @pytest.mark.parametrize("builder", FLIP_FIXTURES)
+    def test_flips_agree_with_rebuilt_surface(self, builder):
+        surf = builder()
+        rng = np.random.default_rng(5)
+        m = perturbed_metric(surf, rng, spread=0.1)
+        flips = 0
+        for _ in random_flips(surf, m, rng):
+            flips += 1
+            ref = MarkedSurface(surf.vertex_count, surf.faces)
+            assert sorted(surf.edges) == ref.edges
+            assert surf.edge_index == {e: idx for idx, e in enumerate(surf.edges)}
+            assert list(zip(*surf.edge_endpoints())) == surf.edges
+            assert np.array_equal(surf.face_array, ref.face_array)
+            assert [surf.edges[i] for i in surf.FE.ravel()] == [ref.edges[i] for i in ref.FE.ravel()]
+            for e in ref.edges:
+                pairs = sorted(map(tuple, surf.edge_faces[surf.edge_index[e]].tolist()))
+                assert pairs == sorted(map(tuple, ref.edge_faces[ref.edge_index[e]].tolist()))
+            m_ref = PHMetric(ref, {e: m.length[surf.edge_index[e]] for e in ref.edges})
+            assert np.array_equal(face_corner_lengths(ref, m_ref), face_corner_lengths(surf, m))
+        assert flips >= 15
+
+    @pytest.mark.parametrize("builder", FLIP_FIXTURES)
+    def test_clone_after_flips_is_bitwise_equal(self, builder):
+        surf = builder()
+        rng = np.random.default_rng(6)
+        m = perturbed_metric(surf, rng, spread=0.1)
+        for _ in random_flips(surf, m, rng):
+            pass
+        s2, m2 = clone_state(surf, m)
+        assert np.array_equal(curvature(s2, m2), curvature(surf, m))
+        assert np.array_equal(delaunay_weights(s2, m2), delaunay_weights(surf, m))
