@@ -15,13 +15,11 @@ from .flows import (
     FlowConfig,
     FlowRun,
     NewtonResult,
-    calabi_rhs,
     decay_slope,
     monitor_max_principle,
     newton_solve,
     regime_check,
     run_flow,
-    yamabe_rhs,
 )
 from .surface import (
     AdmissibilityError,

@@ -54,13 +54,15 @@ class JacobianL:
     """dK/du assembled as L_ii = A_i + sum_j B_ij, L_ij = -B_ij for j ~ i.
 
     ``A`` is the per-vertex area-derivative diagonal, ``B`` the per-edge
-    weights in the order of ``edges``.  On a Delaunay state A_i > 0 and
-    B_ij >= 0, so ``matrix`` is symmetric positive definite.
+    weights of the edges with endpoint indices ``i`` and ``j``.  On a
+    Delaunay state A_i > 0 and B_ij >= 0, so ``matrix`` is symmetric
+    positive definite.
     """
 
     A: np.ndarray
     B: np.ndarray
-    edges: list
+    i: np.ndarray
+    j: np.ndarray
     matrix: np.ndarray
 
 
@@ -105,7 +107,7 @@ def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     np.add.at(diag, i_idx, B)
     np.add.at(diag, j_idx, B)
     L[np.arange(n), np.arange(n)] = diag
-    return JacobianL(A=A, B=B, edges=list(surf.edges), matrix=L)
+    return JacobianL(A=A, B=B, i=i_idx.copy(), j=j_idx.copy(), matrix=L)
 
 
 def alpha_laplacian_apply(
@@ -117,8 +119,7 @@ def alpha_laplacian_apply(
     if f.shape != (n,):
         raise ValueError(f"f has shape {f.shape}, expected ({n},)")
     out = -Lmat.A * f
-    earr = np.array(Lmat.edges, dtype=np.int64)
-    i_idx, j_idx = earr[:, 0], earr[:, 1]
+    i_idx, j_idx = Lmat.i, Lmat.j
     np.add.at(out, i_idx, Lmat.B * (f[j_idx] - f[i_idx]))
     np.add.at(out, j_idx, Lmat.B * (f[i_idx] - f[j_idx]))
     return out / state.w ** alpha

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import (
-    ConformalState,
-    alpha_curvature,
-    alpha_laplacian_apply,
-    curvature,
-    energy_increment,
-    jacobian,
-)
+from .curvature import ConformalState, alpha_laplacian_apply, energy_increment, jacobian
 from .surface import (
     AdmissibilityError,
     FlipError,
@@ -27,7 +20,9 @@ from .surface import (
     PHMetric,
     SurfaceError,
     advance_conformal,
+    angle_defect,
     euler_characteristic,
+    make_delaunay,
 )
 
 __all__ = [
@@ -37,8 +32,6 @@ __all__ = [
     "FlowIntegrator",
     "NewtonResult",
     "MaxPrincipleReport",
-    "yamabe_rhs",
-    "calabi_rhs",
     "run_flow",
     "newton_solve",
     "monitor_max_principle",
@@ -138,31 +131,16 @@ def regime_check(alpha: float, target: np.ndarray, chi: int):
 def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
     """Operational curvature map: advance to u with surgery, then measure.
 
-    Returns (F_alpha, K, flip events, sup-norm K jump across any flip).
-    Flips happen at Delaunay walls, where they commute with vertex scaling,
-    so the value depends on u alone and not on the path taken to reach it;
-    the jump is a rounding-level continuity diagnostic.
+    Returns (F_alpha, K, flip events, sup-norm K jump across any flip).  The
+    state must be Delaunay at ``m.current_u`` and is left Delaunay at u; K
+    comes from the angles ``advance_conformal`` measured at u, one angle pass
+    per u.  Flips happen at Delaunay walls, where they commute with vertex
+    scaling, so the value depends on u alone and not on the path taken to
+    reach it; the jump is a rounding-level continuity diagnostic.
     """
-    flips, jump = advance_conformal(surf, m, u)
-    K = curvature(surf, m)
+    flips, jump, angles = advance_conformal(surf, m, u)
+    K = angle_defect(surf, angles)
     return K / np.exp(alpha * u), K, flips, jump
-
-
-def yamabe_rhs(
-    state: ConformalState, surf: MarkedSurface, m: PHMetric, alpha: float, target: np.ndarray
-) -> np.ndarray:
-    """du/dt = target - F_alpha(u)."""
-    F_a, _, _, _ = _F_alpha(surf, m, state.u, alpha)
-    return np.asarray(target, dtype=float) - F_a
-
-
-def calabi_rhs(
-    state: ConformalState, surf: MarkedSurface, m: PHMetric, alpha: float, target: np.ndarray
-) -> np.ndarray:
-    """du/dt = Delta_alpha (F_alpha(u) - target)."""
-    F_a, _, _, _ = _F_alpha(surf, m, state.u, alpha)
-    J = jacobian(surf, m)
-    return alpha_laplacian_apply(J, state, alpha, F_a - np.asarray(target, dtype=float))
 
 
 class FlowIntegrator:
@@ -183,14 +161,14 @@ class FlowIntegrator:
         self.dt = cfg.dt_init
         self.energy = 0.0
         self._accept_streak = 0
-        self.max_flip_jump = 0.0
+        entry = make_delaunay(surf, m)
         F_a, K, flips, jump = _F_alpha(surf, m, self.u, cfg.alpha)
-        self.max_flip_jump = max(self.max_flip_jump, jump)
+        self.max_flip_jump = max([jump] + [ev.k_jump for ev in entry])
         self.K = K
         self.M = F_a - self.target
         self.initial_F_alpha = F_a.copy()
         self.initial_M = self.M.copy()
-        self.initial_flips = len(flips)
+        self.initial_flips = len(entry) + len(flips)
 
     def _rhs(self, u: np.ndarray) -> np.ndarray:
         F_a, _, _, jump = _F_alpha(self.surf, self.m, u, self.cfg.alpha)
@@ -412,8 +390,8 @@ def newton_solve(
     Raises RegimeError before iterating unless ``regime_check`` passes
     (``force`` skips the check).  Inside the regime alpha * target <= 0
     componentwise, so the curvature energy is strictly convex and the system
-    matrix L - alpha*diag(target*w^alpha) is positive definite.  Re-Delaunays
-    after every accepted update.
+    matrix L - alpha*diag(target*w^alpha) is positive definite.  The state
+    is made Delaunay once on entry and is left at the returned u.
     """
     n = surf.vertex_count
     target = np.asarray(target, dtype=float)
@@ -424,7 +402,7 @@ def newton_solve(
         if not ok:
             raise RegimeError(reason)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
-    max_jump = 0.0
+    max_jump = max((ev.k_jump for ev in make_delaunay(surf, m)), default=0.0)
 
     def residual(uv):
         nonlocal max_jump
@@ -436,8 +414,8 @@ def newton_solve(
     residuals = [float(np.max(np.abs(g)))]
     it = 0
     while residuals[-1] > tol and it < max_iter:
-        J = jacobian(surf, m)
-        H = J.matrix - alpha * np.diag(target * np.exp(alpha * u))
+        H = jacobian(surf, m).matrix
+        H[np.diag_indices(n)] -= alpha * (target * np.exp(alpha * u))
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
@@ -446,13 +424,14 @@ def newton_solve(
         lam = 1.0
         best = None
         while lam >= 2.0 ** -30:
+            u_trial = u + lam * delta
             try:
-                g_trial = residual(u + lam * delta)
+                g_trial = residual(u_trial)
             except (AdmissibilityError, OverflowError, SurfaceError):
                 lam *= 0.5
                 continue
             if np.max(np.abs(g_trial)) < residuals[-1]:
-                best = (u + lam * delta, g_trial)
+                best = (u_trial, g_trial)
                 break
             lam *= 0.5
         if best is None:
@@ -463,8 +442,6 @@ def newton_solve(
         u, g = best
         residuals.append(float(np.max(np.abs(g))))
         it += 1
-    # leave the metric at the returned state
-    _F_alpha(surf, m, u, alpha)
     return NewtonResult(
         state=ConformalState(u),
         residuals=residuals,

@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .triangle import (
-    TriLengths,
-    admissible_mask,
-    angles_from_length_array,
-    tri_angles,
-)
+from .triangle import admissible_mask, angles_from_length_array
 
 __all__ = [
     "SurfaceError",
@@ -310,7 +305,7 @@ def delaunay_weight(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
 
 
 def _quad_around(surf: MarkedSurface, e: Edge):
-    """The quad around edge e: vertices (i, j, k, l), faces (fa, fb) and the
+    """The quad around edge e: vertices (i, j, k, l), faces [fa, fb] and the
     indices of its edges [ij, ik, jk, il, jl].
 
     fa contains the directed edge (i, j) with opposite vertex k;
@@ -323,18 +318,30 @@ def _quad_around(surf: MarkedSurface, e: Edge):
         fa, ca, fb, cb = fb, cb, fa, ca
     ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
     edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
-    return (i, j, surf.faces[fa][ca], surf.faces[fb][cb]), (fa, fb), edges
+    return (i, j, surf.faces[fa][ca], surf.faces[fb][cb]), [fa, fb], edges
+
+
+def _corner_sums(surf: MarkedSurface, m: PHMetric, faces: list, verts) -> np.ndarray:
+    """Sums of the corner angles at each of ``verts`` over ``faces``."""
+    angles = angles_from_length_array(m.length[surf.FE[faces]])
+    at = surf.face_array[faces]
+    return np.array([angles[at == v].sum() for v in verts])
 
 
 def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
     """New diagonal length computed independently from both ends of e.
 
-    Returns ``(from_i, from_j, quad)`` with ``quad`` as from ``_quad_around``.
+    Returns ``(from_i, from_j, quad)`` with ``quad`` the vertices, faces and
+    edges from ``_quad_around`` followed by the angle sums at (i, j, k, l)
+    over the quad's two faces.  Raises AdmissibilityError if either face is
+    inadmissible.
     """
-    quad = _quad_around(surf, e)
-    d_ij, d_ik, d_jk, d_il, d_jl = m.length[quad[2]].tolist()
-    ang1 = tri_angles(TriLengths(d_ij, d_ik, d_jk))  # (i, j, k): a_i at vertex i
-    ang2 = tri_angles(TriLengths(d_ij, d_il, d_jl))
+    verts, faces, edges = _quad_around(surf, e)
+    L = m.length[surf.FE[faces]]
+    if not admissible_mask(L).all():
+        raise AdmissibilityError(f"a face at edge {e} is inadmissible with opposite lengths {L.tolist()}")
+    sums = _corner_sums(surf, m, faces, verts)
+    _, d_ik, d_jk, d_il, d_jl = m.length[edges].tolist()
 
     def from_side(theta, d_a, d_b):
         x = math.cosh(d_a) * math.cosh(d_b) - math.sinh(d_a) * math.sinh(d_b) * math.cos(theta)
@@ -342,9 +349,7 @@ def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
             raise FlipError(f"flip of edge {e} produces degenerate triangle")
         return math.acosh(x)
 
-    from_i = from_side(ang1.a_i + ang2.a_i, d_ik, d_il)
-    from_j = from_side(ang1.a_j + ang2.a_j, d_jk, d_jl)
-    return from_i, from_j, quad
+    return from_side(sums[0], d_ik, d_il), from_side(sums[1], d_jk, d_jl), (verts, faces, edges, sums)
 
 
 def diagonal_length(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
@@ -363,14 +368,17 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> F
     The flip is an isometry of the piecewise hyperbolic metric: the new
     diagonal length is computed inside the glued quadrilateral and a new
     scaling epoch starts.  The two faces keep their indices and the new
-    diagonal takes e's slot in ``surf.edges`` and ``m.length``.  Refused (no
-    mutation) if the result would be a multi-edge or a degenerate triangle.
+    diagonal takes e's slot in ``surf.edges`` and ``m.length``.  Only the
+    quad is measured: ``pre_weight`` and ``k_jump`` come from the angle sums
+    at its vertices i, j, k, l over its two faces before and after the flip,
+    the only angle sums a flip changes.  Refused (no mutation) with
+    FlipError if the result would be a multi-edge or a degenerate triangle,
+    and with AdmissibilityError if a face of the quad is inadmissible.
     """
     e = _edge(*e)
     if e not in surf.edge_index:
         raise FlipError(f"no such edge {e}")
-    angles = face_angles(surf, m)
-    d_kl, _, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl)) = _diagonal_both(surf, m, e)
+    d_kl, _, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal_both(surf, m, e)
     if k == l:
         raise FlipError(f"flip of edge {e} would create a self-loop at vertex {k}")
     kl = _edge(k, l)
@@ -380,8 +388,6 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> F
         tri = (m.length[a], m.length[b], d_kl)
         if sum(tri) - 2.0 * max(tri) <= 0.0:
             raise FlipError(f"flip of edge {e} produces degenerate triangle")
-    pre_weight = float(delaunay_weights(surf, m, angles)[ij])
-    K_pre = angle_defect(surf, angles)
 
     # fa becomes (k, i, l) and fb becomes (l, j, k); FE rows list the edges
     # opposite corners 0, 1, 2, and kl sits at corner 1 of both
@@ -400,24 +406,22 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> F
     # new epoch: base lengths are the post-flip lengths at the current u
     m.base_length = m.length.copy()
     m.epoch_u = m.current_u.copy()
-    K_post = angle_defect(surf, face_angles(surf, m))
+    after = _corner_sums(surf, m, [fa, fb], (i, j, k, l))
     return FlipEvent(
-        old_edge=e, new_edge=kl, time=time, pre_weight=pre_weight,
-        k_jump=float(np.max(np.abs(K_post - K_pre))),
+        old_edge=e, new_edge=kl, time=time,
+        # e's Delaunay weight: the four angles at i and j minus those at k and l
+        pre_weight=float(before[0] + before[1] - before[2] - before[3]),
+        k_jump=float(np.max(np.abs(after - before))),
     )
 
 
-def advance_conformal(
-    surf: MarkedSurface,
-    m: PHMetric,
-    u: np.ndarray,
-    tol: float = TOL_DELAUNAY,
-    time: float = 0.0,
-    max_flips: int | None = None,
-    wall_weight_cap: float = 1e-8,
-):
+def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray, time: float = 0.0):
     """Move the state to conformal factors ``u`` along a straight segment,
     flipping exactly at the walls where a Delaunay weight vanishes.
+
+    The state must be Delaunay at ``m.current_u``: ``make_delaunay`` makes it
+    so, and every call leaves it so at its endpoint.  Segment points are
+    ``(1 - s) * u_from + s * u``, so the state ends at ``u`` exactly.
 
     Vertex scaling and geometric flips commute only at co-circular
     configurations, so flipping at the walls (found by bisection) makes the
@@ -425,48 +429,49 @@ def advance_conformal(
     Flipping after overshooting a wall would instead leave a residue of the
     path in the lengths.
 
-    Returns ``(events, max_jump)`` where ``max_jump`` is the largest
-    ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic).
+    Returns ``(events, max_jump, angles)`` where ``max_jump`` is the largest
+    ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic)
+    and ``angles`` are the (F, 3) corner angles at ``u``.
 
     Raises AdmissibilityError if the segment leaves the admissible cone away
     from any wall (the obstruction is then a degenerating face, not a flip).
     """
     u = np.asarray(u, dtype=float)
-    cap = max_flips if max_flips is not None else 100 * len(surf.edges)
-    # normalize the starting state: flips here happen at whatever weights the
-    # given initial data has (initial normalization, not a scaling path)
-    apply_conformal(surf, m, m.current_u)
-    events = make_delaunay(surf, m, tol=tol, time=time, max_flips=cap)
-
+    cap = 100 * len(surf.edges)
+    events = []
     while True:
         if len(events) > cap:
             raise SurfaceError(f"advance_conformal exceeded {cap} flips")
         u_from = m.current_u.copy()
 
-        def weights_at(s):
-            apply_conformal(surf, m, u_from + s * (u - u_from))
-            return delaunay_weights(surf, m)
+        def move(s):
+            apply_conformal(surf, m, (1.0 - s) * u_from + s * u)
 
-        def bad(s):
+        def probe(s):
+            """Angles at segment point s, or None past a wall or outside the cone."""
             try:
-                return bool(weights_at(s).min() < -tol)
+                move(s)
+                angles = face_angles(surf, m)
             except (AdmissibilityError, OverflowError):
-                return True
+                return None
+            return None if delaunay_weights(surf, m, angles).min() < -TOL_DELAUNAY else angles
 
-        if not bad(1.0):
-            return events, max((ev.k_jump for ev in events), default=0.0)
+        angles = probe(1.0)
+        if angles is not None:
+            return events, max((ev.k_jump for ev in events), default=0.0), angles
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if bad(mid):
+            if probe(mid) is None:
                 hi = mid
             else:
                 lo = mid
             if hi - lo < 1e-15:
                 break
-        w_lo = weights_at(lo)
+        move(lo)
+        w_lo = delaunay_weights(surf, m)
         idx = int(np.argmin(w_lo))
-        if w_lo[idx] > wall_weight_cap:
+        if w_lo[idx] > 1e-8:
             # the obstruction along the segment is a degenerating face, not a
             # Delaunay wall; report it so callers can shorten the move
             raise AdmissibilityError(
@@ -476,20 +481,18 @@ def advance_conformal(
         events.append(flip_edge(surf, m, surf.edges[idx], time=time))
 
 
-def make_delaunay(
-    surf: MarkedSurface,
-    m: PHMetric,
-    tol: float = TOL_DELAUNAY,
-    time: float = 0.0,
-    max_flips: int | None = None,
-) -> list:
-    """Flip non-Delaunay edges (most negative weight first) until none remain."""
-    cap = max_flips if max_flips is not None else 100 * len(surf.edges)
+def make_delaunay(surf: MarkedSurface, m: PHMetric, time: float = 0.0) -> list:
+    """Flip non-Delaunay edges (most negative weight first) until none remain.
+
+    This leaves the state Delaunay at ``m.current_u``, as
+    ``advance_conformal`` requires of its starting state.
+    """
+    cap = 100 * len(surf.edges)
     events = []
     while True:
         w = delaunay_weights(surf, m)
         order = np.argsort(w, kind="stable")
-        candidates = order[w[order] < -tol]
+        candidates = order[w[order] < -TOL_DELAUNAY]
         if not candidates.size:
             return events
         if len(events) >= cap:

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from hypflow import flows
-from hypflow.curvature import ConformalState, curvature
+from hypflow.curvature import curvature
 from hypflow.flows import (
     FlowConfig,
+    FlowIntegrator,
     RegimeError,
-    calabi_rhs,
     decay_slope,
     monitor_max_principle,
     newton_solve,
     regime_check,
     run_flow,
-    yamabe_rhs,
 )
 from hypflow.meshes import genus2, grid_torus, unit_metric
 from hypflow.surface import apply_conformal, clone_state, make_delaunay
@@ -61,7 +60,7 @@ class TestRhs:
         n = surf.vertex_count
         u = np.zeros(n)
         target = np.full(n, -1.0)
-        rhs = yamabe_rhs(ConformalState(u), surf, m, 0.0, target)
+        rhs = FlowIntegrator(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=target))._rhs(u)
         s2, m2 = clone_state(genus2(), unit_metric(genus2()))
         K = curvature(s2, m2)
         assert np.allclose(rhs, target - K)
@@ -69,7 +68,8 @@ class TestRhs:
     def test_calabi_rhs_finite(self, genus2_unit):
         surf, m = genus2_unit
         n = surf.vertex_count
-        rhs = calabi_rhs(ConformalState(np.zeros(n)), surf, m, 0.0, np.zeros(n))
+        cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n))
+        rhs = FlowIntegrator(surf, m, cfg)._rhs(np.zeros(n))
         assert np.all(np.isfinite(rhs))
 
 
@@ -120,6 +120,14 @@ class TestFlows:
         assert run.converged
         assert run.total_flips >= 1
         assert run.max_flip_jump <= 1e-9
+
+
+    def test_entry_flips_counted(self, genus2_perturbed):
+        surf, m = genus2_perturbed
+        entry = make_delaunay(*clone_state(surf, m))
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0, max_steps=1))
+        assert len(entry) >= 1
+        assert run.records[0].flips == len(entry)
 
 
 class TestMonitor:
@@ -184,6 +192,12 @@ class TestNewton:
         surf, m = torus_unit
         res = newton_solve(surf, m, 0.0, 0.1, force=True)
         assert res.converged
+
+    def test_state_left_at_returned_u(self, genus2_perturbed):
+        surf, m = genus2_perturbed
+        res = newton_solve(surf, m, 1.0, -1.0)
+        assert res.converged
+        assert np.array_equal(m.current_u, res.state.u)
 
     def test_seeded_start(self, genus2_unit, rng):
         surf, m = genus2_unit

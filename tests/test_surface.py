@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypflow import surface
 from hypflow.curvature import curvature
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import (
@@ -260,7 +261,7 @@ class TestFlip:
         u_end = rng.uniform(-0.3, 0.3, surf.vertex_count)
 
         s1, m1 = clone_state(surf, m)
-        ev_direct, _ = advance_conformal(s1, m1, u_end)
+        ev_direct, _, _ = advance_conformal(s1, m1, u_end)
         assert len(ev_direct) >= 1  # the segment does cross a wall
 
         s2, m2 = clone_state(surf, m)
@@ -284,9 +285,46 @@ class TestFlip:
 
         surf, m = genus2_unit
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        events, jump = advance_conformal(surf, m, u)
+        events, jump, _ = advance_conformal(surf, m, u)
         assert jump <= 1e-10
         assert all(ev.k_jump <= 1e-10 for ev in events)
+
+    def test_advance_ends_exactly_at_u(self, genus2_unit, rng):
+        # a chain of stops, some crossing walls: each leg ends at its u bitwise
+        surf, m = genus2_unit
+        for _ in range(6):
+            u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+            surface.advance_conformal(surf, m, u)
+            assert np.array_equal(m.current_u, u)
+
+    def test_one_angle_pass_per_advance_and_none_per_flip(self, octa_unit, rng, monkeypatch):
+        surf, m = octa_unit
+        calls = {"face_angles": 0, "apply_conformal": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(surface, name, counted(name, getattr(surface, name)))
+        events, _, _ = surface.advance_conformal(surf, m, rng.uniform(-0.01, 0.01, surf.vertex_count))
+        assert events == []
+        assert calls == {"face_angles": 1, "apply_conformal": 1}
+        flip_edge(surf, m, (0, 1))
+        assert calls == {"face_angles": 1, "apply_conformal": 1}
+
+    def test_inadmissible_quad_face_refused_unmodified(self, octa_unit):
+        surf, m = octa_unit
+        (fa, _), _ = surf.edge_faces[surf.edge_index[(0, 1)]]
+        other = next(q for q in surf.FE[fa] if surf.edges[q] != (0, 1))
+        m.length[other] = 10.0
+        faces, lengths, FE = list(surf.faces), m.length.copy(), surf.FE.copy()
+        with pytest.raises(AdmissibilityError):
+            flip_edge(surf, m, (0, 1))
+        assert surf.faces == faces and np.array_equal(m.length, lengths)
+        assert np.array_equal(surf.FE, FE) and (0, 1) in surf.edge_index
 
     def test_state_unchanged_after_refused_flip(self):
         surf = tetrahedron()
@@ -332,6 +370,25 @@ class TestInPlaceFlip:
                 assert pairs == sorted(map(tuple, ref.edge_faces[ref.edge_index[e]].tolist()))
             m_ref = PHMetric(ref, {e: m.length[surf.edge_index[e]] for e in ref.edges})
             assert np.array_equal(face_corner_lengths(ref, m_ref), face_corner_lengths(surf, m))
+        assert flips >= 15
+
+    @pytest.mark.parametrize("builder", FLIP_FIXTURES)
+    def test_flip_diagnostics_match_whole_mesh(self, builder):
+        surf = builder()
+        rng = np.random.default_rng(7)
+        m = perturbed_metric(surf, rng, spread=0.1)
+        flips = 0
+        for _ in range(60):
+            e = surf.edges[rng.integers(len(surf.edges))]
+            weight = delaunay_weights(surf, m)[surf.edge_index[e]]
+            K0 = curvature(surf, m)
+            try:
+                ev = flip_edge(surf, m, e)
+            except FlipError:
+                continue
+            flips += 1
+            assert abs(ev.pre_weight - weight) <= 1e-12
+            assert abs(ev.k_jump - np.max(np.abs(curvature(surf, m) - K0))) <= 1e-12
         assert flips >= 15
 
     @pytest.mark.parametrize("builder", FLIP_FIXTURES)
