@@ -61,7 +61,6 @@ class FlowConfig:
     tol_converge: float = 1e-10
     max_steps: int = 5000
     step_atol: float = 1e-8
-    monitors: bool = True
     u_abort: float = 50.0
 
     def __post_init__(self):

@@ -143,15 +143,15 @@ class MarkedSurface:
 
 
 class PHMetric:
-    """Edge lengths of the current triangulation plus epoch data for scaling.
+    """Edge lengths of the current triangulation and their scaling invariant.
 
-    ``length`` and ``base_length`` are float arrays aligned with
-    ``surf.edges``; the constructor takes a ``{edge: length}`` mapping.
-    ``base_length``/``epoch_u`` snapshot the state at the start of the current
-    triangulation epoch: current lengths are the vertex scaling of the base
-    lengths by ``current_u - epoch_u``.  Each flip starts a new epoch, which
-    reproduces restarting the flow with the post-surgery metric as initial
-    data while keeping cumulative conformal factors (u(0) = 0) well defined.
+    ``length`` and ``lam`` are float arrays aligned with ``surf.edges``; the
+    constructor takes a ``{edge: length}`` mapping at ``current_u = 0``.
+    Vertex scaling, sinh(l_ij/2) = e^(u_i + u_j) sinh(L_ij/2), keeps
+    ``lam[e] = log sinh(l_e/2) - u_i - u_j`` fixed for every edge, so the
+    lengths at any u follow from ``lam`` alone.  A flip changes ``lam`` only
+    at the new diagonal, which keeps cumulative conformal factors (u(0) = 0)
+    well defined across surgery.
     """
 
     def __init__(self, surf: MarkedSurface, length: dict):
@@ -163,15 +163,13 @@ class PHMetric:
         if bad.size:
             idx = int(bad[0])
             raise SurfaceError(f"edge {surf.edges[idx]} has non-positive length {self.length[idx]}")
-        self.base_length = self.length.copy()
-        self.epoch_u = np.zeros(surf.vertex_count)
+        self.lam = np.log(np.sinh(0.5 * self.length))
         self.current_u = np.zeros(surf.vertex_count)
 
     def copy(self) -> "PHMetric":
         m = object.__new__(PHMetric)
         m.length = self.length.copy()
-        m.base_length = self.base_length.copy()
-        m.epoch_u = self.epoch_u.copy()
+        m.lam = self.lam.copy()
         m.current_u = self.current_u.copy()
         return m
 
@@ -180,7 +178,6 @@ class PHMetric:
 class FlipEvent:
     old_edge: Edge
     new_edge: Edge
-    time: float
     pre_weight: float
     # sup-norm change of the curvature across the flip; rounding level for a
     # geometric flip
@@ -221,8 +218,10 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
     """(F, 3) inner angles at each corner of each face.
 
     With ``strict`` the first inadmissible face raises AdmissibilityError;
-    otherwise inadmissible rows get the constant extension (pi opposite the
-    longest edge, ties broken by smallest opposite vertex index).
+    otherwise inadmissible rows get the constant extension of
+    ``extended_angles``: pi at the corner opposite the longest edge, 0 at the
+    other two.  Tied longest edges are admissible, so a tie can only come
+    from rounding; it goes to the first corner, as in ``extended_angles``.
     """
     L = face_corner_lengths(surf, m)
     ok = admissible_mask(L)
@@ -234,12 +233,9 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
         raise AdmissibilityError(
             f"face {bad} {surf.faces[bad]} is inadmissible with opposite lengths {L[bad]}"
         )
-    for fi in np.flatnonzero(~ok):
-        row = L[fi]
-        verts = surf.faces[fi]
-        big = max(range(3), key=lambda c: (row[c], -verts[c]))
-        angles[fi] = 0.0
-        angles[fi, big] = math.pi
+    rows = np.flatnonzero(~ok)
+    angles[rows] = 0.0
+    angles[rows, L[rows].argmax(axis=1)] = math.pi
     return angles
 
 
@@ -272,19 +268,17 @@ def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
 
 
 def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
-    """Set current lengths to the vertex scaling of the epoch base by u."""
+    """Set the lengths to those of conformal factors u: l = 2 asinh(e^(lam + u_i + u_j))."""
     u = np.asarray(u, dtype=float)
     if u.shape != (surf.vertex_count,):
         raise ValueError(f"u has shape {u.shape}, expected ({surf.vertex_count},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factors must be finite")
-    du = u - m.epoch_u
     i_idx, j_idx = surf.edge_endpoints()
-    s = du[i_idx] + du[j_idx]
-    half = np.sinh(0.5 * m.base_length)
-    if np.any(np.log(half) + s > 350.0):
+    x = m.lam + u[i_idx] + u[j_idx]
+    if x.max() > 350.0:
         raise OverflowError("conformal factor out of representable range")
-    m.length = 2.0 * np.arcsinh(half * np.exp(s))
+    m.length = 2.0 * np.arcsinh(np.exp(x))
     m.current_u = u.copy()
 
 
@@ -362,18 +356,19 @@ def diagonal_length(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
     return from_i
 
 
-def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> FlipEvent:
+def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge) -> FlipEvent:
     """Replace the two faces at e by the two faces of the other diagonal.
 
     The flip is an isometry of the piecewise hyperbolic metric: the new
-    diagonal length is computed inside the glued quadrilateral and a new
-    scaling epoch starts.  The two faces keep their indices and the new
-    diagonal takes e's slot in ``surf.edges`` and ``m.length``.  Only the
-    quad is measured: ``pre_weight`` and ``k_jump`` come from the angle sums
-    at its vertices i, j, k, l over its two faces before and after the flip,
-    the only angle sums a flip changes.  Refused (no mutation) with
-    FlipError if the result would be a multi-edge or a degenerate triangle,
-    and with AdmissibilityError if a face of the quad is inadmissible.
+    diagonal length is computed inside the glued quadrilateral, and ``lam``
+    changes only at the new diagonal, set from its length at ``m.current_u``.
+    The two faces keep their indices and the new diagonal takes e's slot in
+    ``surf.edges``, ``m.length`` and ``m.lam``.  Only the quad is measured:
+    ``pre_weight`` and ``k_jump`` come from the angle sums at its vertices
+    i, j, k, l over its two faces before and after the flip, the only angle
+    sums a flip changes.  Refused (no mutation) with FlipError if the result
+    would be a multi-edge or a degenerate triangle, and with
+    AdmissibilityError if a face of the quad is inadmissible.
     """
     e = _edge(*e)
     if e not in surf.edge_index:
@@ -403,38 +398,40 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge, time: float = 0.0) -> F
         pairs = surf.edge_faces[q]
         pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
     m.length[ij] = d_kl
-    # new epoch: base lengths are the post-flip lengths at the current u
-    m.base_length = m.length.copy()
-    m.epoch_u = m.current_u.copy()
+    m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
     after = _corner_sums(surf, m, [fa, fb], (i, j, k, l))
     return FlipEvent(
-        old_edge=e, new_edge=kl, time=time,
+        old_edge=e, new_edge=kl,
         # e's Delaunay weight: the four angles at i and j minus those at k and l
         pre_weight=float(before[0] + before[1] - before[2] - before[3]),
         k_jump=float(np.max(np.abs(after - before))),
     )
 
 
-def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray, time: float = 0.0):
+def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     """Move the state to conformal factors ``u`` along a straight segment,
-    flipping exactly at the walls where a Delaunay weight vanishes.
+    flipping with ``make_delaunay`` at the walls where a Delaunay weight
+    vanishes.
 
     The state must be Delaunay at ``m.current_u``: ``make_delaunay`` makes it
     so, and every call leaves it so at its endpoint.  Segment points are
     ``(1 - s) * u_from + s * u``, so the state ends at ``u`` exactly.
 
     Vertex scaling and geometric flips commute only at co-circular
-    configurations, so flipping at the walls (found by bisection) makes the
-    final metric a function of ``u`` alone, independent of the path taken.
-    Flipping after overshooting a wall would instead leave a residue of the
-    path in the lengths.
+    configurations, so flipping at the walls (found by bisection to within
+    1e-15 in s) makes the final metric a function of ``u`` alone, independent
+    of the path taken.  Flipping after overshooting a wall would instead
+    leave a residue of the path in the lengths.
 
     Returns ``(events, max_jump, angles)`` where ``max_jump`` is the largest
     ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic)
     and ``angles`` are the (F, 3) corner angles at ``u``.
 
-    Raises AdmissibilityError if the segment leaves the admissible cone away
-    from any wall (the obstruction is then a degenerating face, not a flip).
+    Raises FlipError if a wall cannot be crossed by flips, AdmissibilityError
+    if the segment leaves the admissible cone (a degenerating face rather
+    than a wall) and OverflowError if the lengths leave the representable
+    range.  On any of these the state is left Delaunay at the last segment
+    point before the obstruction.
     """
     u = np.asarray(u, dtype=float)
     cap = 100 * len(surf.edges)
@@ -468,24 +465,21 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray, time: flo
                 lo = mid
             if hi - lo < 1e-15:
                 break
-        move(lo)
-        w_lo = delaunay_weights(surf, m)
-        idx = int(np.argmin(w_lo))
-        if w_lo[idx] > 1e-8:
-            # the obstruction along the segment is a degenerating face, not a
-            # Delaunay wall; report it so callers can shorten the move
-            raise AdmissibilityError(
-                "conformal segment leaves the admissible cone away from any "
-                f"Delaunay wall (s in ({lo:.6g}, {hi:.6g}])"
-            )
-        events.append(flip_edge(surf, m, surf.edges[idx], time=time))
+        try:
+            move(hi)
+            events += make_delaunay(surf, m)
+        except (SurfaceError, OverflowError):
+            move(lo)
+            raise
 
 
-def make_delaunay(surf: MarkedSurface, m: PHMetric, time: float = 0.0) -> list:
-    """Flip non-Delaunay edges (most negative weight first) until none remain.
+def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
+    """The one flip loop: flip non-Delaunay edges (most negative weight
+    first) until none remain.
 
     This leaves the state Delaunay at ``m.current_u``, as
-    ``advance_conformal`` requires of its starting state.
+    ``advance_conformal`` requires of its starting state and does at each
+    wall it crosses.  Raises FlipError if no non-Delaunay edge is flippable.
     """
     cap = 100 * len(surf.edges)
     events = []
@@ -501,11 +495,11 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric, time: float = 0.0) -> list:
             )
         for idx in candidates:
             try:
-                events.append(flip_edge(surf, m, surf.edges[idx], time=time))
+                events.append(flip_edge(surf, m, surf.edges[idx]))
                 break
             except FlipError:
                 continue
         else:
-            raise SurfaceError(
+            raise FlipError(
                 f"no non-Delaunay edge is flippable; min weight {w.min():.3e}"
             )

@@ -358,7 +358,7 @@ def test_criterion_8_maximum_principle(announce):
 
     s, m = clone_state(surf0, m0)
     cfg = FlowConfig(
-        kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12, monitors=True,
+        kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12,
         max_steps=40000,
     )
     run = run_flow(s, m, cfg, u0=prep.state.u)

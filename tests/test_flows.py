@@ -136,7 +136,7 @@ class TestMonitor:
         prep = newton_solve(surf, m, 1.0, -0.5)
         s2, m2 = clone_state(genus2(), unit_metric(genus2()))
         cfg = FlowConfig(
-            kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12, monitors=True
+            kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12
         )
         run = run_flow(s2, m2, cfg, u0=prep.state.u)
         assert run.converged

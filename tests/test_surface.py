@@ -11,6 +11,7 @@ from hypflow.surface import (
     FlipError,
     MarkedSurface,
     PHMetric,
+    TOL_DELAUNAY,
     SurfaceError,
     apply_conformal,
     clone_state,
@@ -25,7 +26,7 @@ from hypflow.surface import (
     validate,
     validate_combinatorics,
 )
-from hypflow.triangle import scaled_length
+from hypflow.triangle import TriLengths, admissible_mask, extended_angles, scaled_length
 
 
 class TestCombinatorics:
@@ -126,8 +127,8 @@ class TestConformal:
             )
         assert np.array_equal(m.current_u, u)
 
-    def test_composition_via_epochs(self, torus_unit, rng):
-        # applying u then u' from the same epoch equals applying u' directly
+    def test_composition_of_scalings(self, torus_unit, rng):
+        # applying u then u' equals applying u' directly
         surf, m = torus_unit
         u1 = rng.uniform(-0.2, 0.2, surf.vertex_count)
         u2 = rng.uniform(-0.2, 0.2, surf.vertex_count)
@@ -161,6 +162,21 @@ class TestConformal:
         ang = face_angles(surf, m, strict=False)
         assert np.all((ang >= 0) & (ang <= math.pi))
 
+    def test_extension_matches_scalar_reference(self, torus_unit):
+        # the inadmissible state of test_strict_angles_raise_on_inadmissible
+        surf, m = torus_unit
+        u = np.zeros(surf.vertex_count)
+        u[0], u[1] = 2.5, -2.5
+        apply_conformal(surf, m, u)
+        L = face_corner_lengths(surf, m)
+        ang = face_angles(surf, m, strict=False)
+        bad = np.flatnonzero(~admissible_mask(L))
+        assert bad.size
+        for fi in bad:
+            # corners (0, 1, 2) are (i, j, k); L[f, c] is opposite corner c
+            ref = extended_angles(TriLengths(l_ij=L[fi, 2], l_ik=L[fi, 1], l_jk=L[fi, 0]))
+            assert tuple(ang[fi]) == (ref.a_i, ref.a_j, ref.a_k)
+
 
 class TestDelaunay:
     def test_unit_fixtures_are_delaunay(self):
@@ -192,6 +208,14 @@ class TestDelaunay:
         for ev in events:
             assert ev.pre_weight < 0
 
+    def test_make_delaunay_refuses_unflippable(self):
+        # every flip of a tetrahedron edge would make a multi-edge
+        surf = tetrahedron()
+        m = PHMetric(surf, {e: 1.9 if e == (0, 1) else 1.0 for e in surf.edges})
+        assert delaunay_weight(surf, m, (0, 1)) < -TOL_DELAUNAY
+        with pytest.raises(FlipError):
+            make_delaunay(surf, m)
+
 
 class TestFlip:
     def test_diagonal_agrees_from_both_sides(self, octa_unit):
@@ -221,14 +245,19 @@ class TestFlip:
         K1 = curvature(surf, m)
         assert np.max(np.abs(K1 - K0)) < 1e-12
 
-    def test_flip_starts_new_epoch(self, octa_unit, rng):
+    def test_flip_sets_invariant_of_new_diagonal_only(self, octa_unit, rng):
         surf, m = octa_unit
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
+        lam = m.lam.copy()
         flip_edge(surf, m, (0, 1))
-        assert np.array_equal(m.base_length, m.length)
-        assert np.array_equal(m.epoch_u, u)
-        # scaling onward from the new epoch still matches the scalar kernel
+        slot = surf.edge_index[(2, 3)]
+        changed = np.flatnonzero(m.lam != lam)
+        assert changed.tolist() == [slot]
+        assert m.lam[slot] == pytest.approx(
+            math.log(math.sinh(0.5 * m.length[slot])) - u[2] - u[3], abs=1e-14
+        )
+        # scaling onward from the flipped state still matches the scalar kernel
         u2 = u + 0.05
         base = dict(zip(surf.edges, m.length))
         apply_conformal(surf, m, u2)
@@ -296,6 +325,19 @@ class TestFlip:
             u = rng.uniform(-0.3, 0.3, surf.vertex_count)
             surface.advance_conformal(surf, m, u)
             assert np.array_equal(m.current_u, u)
+
+    def test_refused_wall_flip_leaves_state_delaunay_on_segment(self):
+        # the unit tetrahedron has no flippable edge, so the first wall stops
+        # the move; the state stays Delaunay at a point of the segment
+        surf = tetrahedron()
+        m = unit_metric(surf)
+        u = np.array([0.8, 0.8, -0.8, -0.8])
+        with pytest.raises(FlipError):
+            surface.advance_conformal(surf, m, u)
+        s = m.current_u[0] / u[0]
+        assert 0.0 < s < 1.0
+        assert np.allclose(m.current_u, s * u, rtol=0.0, atol=1e-15)
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
 
     def test_one_angle_pass_per_advance_and_none_per_flip(self, octa_unit, rng, monkeypatch):
         surf, m = octa_unit
