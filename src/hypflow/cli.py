@@ -15,6 +15,10 @@ take the command-line constant (targets) or zero (factors).
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
+Newton logs have one record per iteration with keys iteration, sup_residual
+and linsolve_iters (the conjugate-gradient iterations of the step that led
+to it; null for iteration 0), plus a terminal record with status,
+iterations and u.
 
 Exit codes: 0 converged/valid, 1 not converged/invalid input, 2 runtime
 failure, 3 regime refusal.
@@ -289,8 +293,11 @@ def cmd_newton(args) -> int:
         return EXIT_RUNTIME
     if args.log:
         with open(args.log, "w") as fh:
+            cg = [None] + result.linsolve_iters
             for it, res in enumerate(result.residuals):
-                fh.write(json.dumps({"iteration": it, "sup_residual": res}) + "\n")
+                fh.write(json.dumps({
+                    "iteration": it, "sup_residual": res, "linsolve_iters": cg[it],
+                }) + "\n")
             fh.write(json.dumps({
                 "status": "converged" if result.converged else "max_iter",
                 "iterations": result.iterations,

@@ -49,21 +49,59 @@ class ConformalState:
         return np.exp(self.u)
 
 
+def _end_sums(i: np.ndarray, j: np.ndarray, at_i, at_j, n: int) -> np.ndarray:
+    """Per-vertex sums of edge values, ``at_i`` scattered to the endpoints
+    ``i`` and ``at_j`` to the endpoints ``j``.  Each vertex accumulates in the
+    same order (the ``i`` ends in edge order, then the ``j`` ends), so a
+    state with equal edge values stays bitwise symmetric."""
+    return np.bincount(
+        np.concatenate((i, j)), np.concatenate((at_i, at_j)), minlength=n
+    )
+
+
 @dataclass
 class JacobianL:
-    """dK/du assembled as L_ii = A_i + sum_j B_ij, L_ij = -B_ij for j ~ i.
+    """dK/du in edge form: L_ii = A_i + sum_j B_ij, L_ij = -B_ij for j ~ i.
 
     ``A`` is the per-vertex area-derivative diagonal, ``B`` the per-edge
-    weights of the edges with endpoint indices ``i`` and ``j``.  On a
-    Delaunay state A_i > 0 and B_ij >= 0, so ``matrix`` is symmetric
-    positive definite.
+    weights of the edges with endpoint indices ``i`` and ``j``.  No n x n
+    array is stored: ``apply`` multiplies by L in O(E), and ``matrix`` builds
+    the dense form on demand for inspection only.  On a Delaunay state
+    A_i > 0 and B_ij >= 0, so L is symmetric, strictly diagonally dominant
+    and positive definite.
     """
 
     A: np.ndarray
     B: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    matrix: np.ndarray
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """L f = A f + sum over edges of B (f_i - f_j), scattered to both
+        ends with opposite signs; O(E)."""
+        flux = self.B * (f[self.i] - f[self.j])
+        return self.A * f + _end_sums(self.i, self.j, flux, -flux, self.A.shape[0])
+
+    def diagonal(self) -> np.ndarray:
+        """L_ii = A_i + sum_j B_ij."""
+        return self.A + _end_sums(self.i, self.j, self.B, self.B, self.A.shape[0])
+
+    def dominance_margin(self, shift: np.ndarray) -> np.ndarray:
+        """Row-wise diagonal dominance of L - diag(shift):
+        A_i + sum_j (B_ij - |B_ij|) - shift_i.  By Gershgorin's theorem a
+        positive margin at every vertex certifies positive definiteness."""
+        neg = self.B - np.abs(self.B)
+        return self.A - shift + _end_sums(self.i, self.j, neg, neg, self.A.shape[0])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n form of L, built on each access."""
+        n = self.A.shape[0]
+        L = np.zeros((n, n))
+        L[self.i, self.j] = -self.B
+        L[self.j, self.i] = -self.B
+        L[np.diag_indices(n)] = self.diagonal()
+        return L
 
 
 def curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
@@ -82,6 +120,9 @@ def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.nd
 
 
 def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
+    """L = dK/du at the current lengths, in edge form: O(E) arrays, no n x n
+    matrix.  B comes from the tan half-angle formula on each edge's two
+    faces and A_i = sum_j B_ij (cosh l_ij - 1)."""
     angles = face_angles(surf, m, strict=True)
     asum = angles.sum(axis=1)
     f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
@@ -94,35 +135,21 @@ def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     B = (np.tan(t1) + np.tan(t2)) / np.cosh(0.5 * m.length) ** 2
 
     i_idx, j_idx = surf.edge_endpoints()
-    coshm1 = np.cosh(m.length) - 1.0
-    A = np.zeros(surf.vertex_count)
-    np.add.at(A, i_idx, B * coshm1)
-    np.add.at(A, j_idx, B * coshm1)
-
-    n = surf.vertex_count
-    L = np.zeros((n, n))
-    L[i_idx, j_idx] = -B
-    L[j_idx, i_idx] = -B
-    diag = A.copy()
-    np.add.at(diag, i_idx, B)
-    np.add.at(diag, j_idx, B)
-    L[np.arange(n), np.arange(n)] = diag
-    return JacobianL(A=A, B=B, i=i_idx.copy(), j=j_idx.copy(), matrix=L)
+    a = B * (np.cosh(m.length) - 1.0)
+    A = _end_sums(i_idx, j_idx, a, a, surf.vertex_count)
+    return JacobianL(A=A, B=B, i=i_idx.copy(), j=j_idx.copy())
 
 
 def alpha_laplacian_apply(
     Lmat: JacobianL, state: ConformalState, alpha: float, f: np.ndarray
 ) -> np.ndarray:
-    """(Delta_alpha f)_i = sum_j B_ij/w_i^a (f_j - f_i) - A_i/w_i^a f_i."""
+    """(Delta_alpha f)_i = sum_j B_ij/w_i^a (f_j - f_i) - A_i/w_i^a f_i,
+    that is -(L f) / w^alpha, applied in O(E) by ``JacobianL.apply``."""
     f = np.asarray(f, dtype=float)
     n = Lmat.A.shape[0]
     if f.shape != (n,):
         raise ValueError(f"f has shape {f.shape}, expected ({n},)")
-    out = -Lmat.A * f
-    i_idx, j_idx = Lmat.i, Lmat.j
-    np.add.at(out, i_idx, Lmat.B * (f[j_idx] - f[i_idx]))
-    np.add.at(out, j_idx, Lmat.B * (f[i_idx] - f[j_idx]))
-    return out / state.w ** alpha
+    return -Lmat.apply(f) / state.w ** alpha
 
 
 def energy_increment(

@@ -479,12 +479,15 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
 
     This leaves the state Delaunay at ``m.current_u``, as
     ``advance_conformal`` requires of its starting state and does at each
-    wall it crosses.  Raises FlipError if no non-Delaunay edge is flippable.
+    wall it crosses.  The angles are measured once on entry; after a flip
+    only its quad is re-measured (``_remeasure_flip``).
+    Raises FlipError if no non-Delaunay edge is flippable.
     """
     cap = 100 * len(surf.edges)
     events = []
+    angles = face_angles(surf, m)
+    w = delaunay_weights(surf, m, angles)
     while True:
-        w = delaunay_weights(surf, m)
         order = np.argsort(w, kind="stable")
         candidates = order[w[order] < -TOL_DELAUNAY]
         if not candidates.size:
@@ -503,3 +506,16 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
             raise FlipError(
                 f"no non-Delaunay edge is flippable; min weight {w.min():.3e}"
             )
+        _remeasure_flip(surf, m, angles, w, idx)
+
+
+def _remeasure_flip(surf: MarkedSurface, m: PHMetric, angles: np.ndarray, w: np.ndarray, idx: int):
+    """After a flip into edge slot ``idx``, re-measure in place the angles of
+    its two faces and the weights of the five edges they bound, the only
+    angles and weights the flip changes."""
+    faces = surf.edge_faces[idx, :, 0]
+    angles[faces] = angles_from_length_array(m.length[surf.FE[faces]])
+    quad = surf.FE[faces].ravel()
+    # the expression of delaunay_weights, on the quad's rows only
+    f1, c1, f2, c2 = surf.edge_faces[quad].reshape(-1, 4).T
+    w[quad] = angles[f1].sum(axis=1) - 2.0 * angles[f1, c1] + angles[f2].sum(axis=1) - 2.0 * angles[f2, c2]

@@ -149,6 +149,21 @@ class TestCommands:
         assert "status converged" in out
         assert sum(1 for l in out.splitlines() if l.startswith("u ")) == 15
 
+    def test_newton_log_records_linsolve_iters(self, tmp_path, capsys, genus2_file):
+        log = tmp_path / "newton.jsonl"
+        rc = main([
+            "newton", genus2_file, "--alpha", "1.0", "--target-const", "-1.0",
+            "--log", str(log),
+        ])
+        assert rc == EXIT_OK
+        lines = [json.loads(l) for l in open(log)]
+        records, final = lines[:-1], lines[-1]
+        assert final["status"] == "converged"
+        assert [r["iteration"] for r in records] == list(range(final["iterations"] + 1))
+        assert records[0]["linsolve_iters"] is None
+        assert all(isinstance(r["linsolve_iters"], int) and r["linsolve_iters"] >= 1
+                   for r in records[1:])
+
     def test_newton_regime_refusal(self, capsys, genus2_file):
         rc = main([
             "newton", genus2_file, "--alpha", "1.0", "--target-const", "1.0",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hypflow import flows
-from hypflow.curvature import curvature
+from hypflow.curvature import JacobianL, curvature, gauss_bonnet_residual, jacobian
 from hypflow.flows import (
     FlowConfig,
     FlowIntegrator,
+    NewtonError,
     RegimeError,
     decay_slope,
     monitor_max_principle,
@@ -13,8 +14,14 @@ from hypflow.flows import (
     regime_check,
     run_flow,
 )
-from hypflow.meshes import genus2, grid_torus, unit_metric
-from hypflow.surface import apply_conformal, clone_state, make_delaunay
+from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
+from hypflow.surface import (
+    TOL_DELAUNAY,
+    apply_conformal,
+    clone_state,
+    delaunay_weights,
+    make_delaunay,
+)
 
 
 class TestConfig:
@@ -204,3 +211,54 @@ class TestNewton:
         u0 = rng.uniform(-0.1, 0.1, surf.vertex_count)
         res = newton_solve(surf, m, 1.0, -1.0, u0=u0)
         assert res.converged
+
+    @pytest.mark.parametrize(
+        "fixture, alpha, target",
+        [("genus2_perturbed", 1.0, -1.0), ("torus_unit", 0.0, 0.1)],
+    )
+    def test_linear_solve_matches_dense_solve(self, fixture, alpha, target, request, rng):
+        surf, m = request.getfixturevalue(fixture)
+        u = rng.uniform(-0.1, 0.1, surf.vertex_count)
+        apply_conformal(surf, m, u)
+        make_delaunay(surf, m)
+        J = jacobian(surf, m)
+        shift = alpha * target * np.exp(alpha * u)
+        g = curvature(surf, m) - target * np.exp(alpha * u)
+        delta, iters = flows._newton_step(J, shift, -g)
+        dense = np.linalg.solve(J.matrix - np.diag(shift), -g)
+        assert iters >= 1
+        assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_no_dense_matrix_formed(self, genus2_perturbed, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve path formed or factored a dense matrix")
+
+        monkeypatch.setattr(JacobianL, "matrix", property(refuse))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        surf, m = genus2_perturbed
+        res = newton_solve(surf, m, 1.0, -1.0)
+        assert res.converged
+        assert len(res.linsolve_iters) == res.iterations
+        assert all(k >= 1 for k in res.linsolve_iters)
+
+    def test_uncertified_system_refused(self):
+        # alpha * target > 0 moves the diagonal below the off-diagonal sums
+        surf = genus2(3, 3)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        with pytest.raises(NewtonError, match="not certified positive definite"):
+            newton_solve(surf, m, 1.0, 5.0, force=True)
+
+    def test_linear_solve_iteration_cap(self, genus2_perturbed, monkeypatch):
+        monkeypatch.setattr(flows, "PCG_MAX_ITER_PER_VERTEX", 0)
+        surf, m = genus2_perturbed
+        with pytest.raises(NewtonError, match="conjugate gradients stopped .* at residual"):
+            newton_solve(surf, m, 1.0, -1.0)
+
+    def test_ten_thousand_vertices(self, rng):
+        surf = grid_torus(100, 100)
+        m = perturbed_metric(surf, rng, spread=0.02)
+        res = newton_solve(surf, m, 0.0, 0.1)
+        assert res.converged and res.residuals[-1] <= 1e-10
+        assert abs(gauss_bonnet_residual(surf, m)) <= 1e-9
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY

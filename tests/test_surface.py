@@ -208,6 +208,28 @@ class TestDelaunay:
         for ev in events:
             assert ev.pre_weight < 0
 
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(5, 5), lambda: genus2(3, 3)])
+    def test_make_delaunay_quad_updates_match_whole_mesh(self, builder, monkeypatch):
+        # after every flip, the angles and weights make_delaunay keeps equal a
+        # whole-mesh pass on the flipped state
+        remeasure = surface._remeasure_flip
+        checked = []
+
+        def checked_remeasure(surf, m, angles, w, idx):
+            remeasure(surf, m, angles, w, idx)
+            assert np.max(np.abs(angles - face_angles(surf, m))) <= 1e-15
+            assert np.max(np.abs(w - delaunay_weights(surf, m))) <= 1e-15
+            checked.append(idx)
+
+        monkeypatch.setattr(surface, "_remeasure_flip", checked_remeasure)
+        flips = 0
+        for seed in range(10):
+            surf = builder()
+            m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
+            flips += len(make_delaunay(surf, m))
+            assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
+        assert len(checked) == flips >= 15
+
     def test_make_delaunay_refuses_unflippable(self):
         # every flip of a tetrahedron edge would make a multi-edge
         surf = tetrahedron()
