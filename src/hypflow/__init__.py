@@ -7,7 +7,6 @@ from .curvature import (
     alpha_laplacian_apply,
     curvature,
     energy_increment,
-    extended_curvature,
     gauss_bonnet_residual,
     jacobian,
 )
@@ -31,25 +30,11 @@ from .surface import (
     advance_conformal,
     apply_conformal,
     clone_state,
-    delaunay_weight,
     delaunay_weights,
-    diagonal_length,
     euler_characteristic,
     flip_edge,
     make_delaunay,
     validate,
-)
-from .triangle import (
-    TriAngles,
-    TriLengths,
-    dangle_du_diag,
-    dangle_du_offdiag,
-    darea_du,
-    extended_angles,
-    half_angle_identity_check,
-    scaled_length,
-    tri_angles,
-    tri_area,
 )
 
 __version__ = "0.1.0"

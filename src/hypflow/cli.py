@@ -50,6 +50,7 @@ from .flows import (
     run_flow,
 )
 from .surface import (
+    TOL_DELAUNAY,
     MarkedSurface,
     PHMetric,
     SurfaceError,
@@ -186,7 +187,7 @@ def cmd_validate(args) -> int:
         print(f"invalid: {exc}")
         return EXIT_INVALID
     report = validate(surf, m)
-    n_delaunay = int(np.count_nonzero(delaunay_weights(surf, m) >= -1e-12)) \
+    n_delaunay = int(np.count_nonzero(delaunay_weights(surf, m) >= -TOL_DELAUNAY)) \
         if report.ok else 0
     print(f"chi = {report.chi}")
     print(f"|V| = {report.n_vertices}, |E| = {report.n_edges}, |F| = {report.n_faces}")
@@ -222,7 +223,7 @@ def cmd_report(args) -> int:
     for i in range(surf.vertex_count):
         print(f"{i} {K[i]:.17g} {R[i]:.17g}")
     print(f"gauss_bonnet_residual {gauss_bonnet_residual(surf, m):.3e}")
-    bad = np.flatnonzero(w < -1e-12)
+    bad = np.flatnonzero(w < -TOL_DELAUNAY)
     if bad.size:
         print("delaunay no")
         for idx in bad:

@@ -18,13 +18,14 @@ from .surface import (
     angle_defect,
     euler_characteristic,
     face_angles,
+    face_corner_lengths,
 )
+from .triangle import angle_derivatives
 
 __all__ = [
     "ConformalState",
     "JacobianL",
     "curvature",
-    "extended_curvature",
     "alpha_curvature",
     "jacobian",
     "alpha_laplacian_apply",
@@ -109,11 +110,6 @@ def curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     return angle_defect(surf, face_angles(surf, m, strict=True))
 
 
-def extended_curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
-    """Angle defect with constant-extended angles; defined for any lengths."""
-    return angle_defect(surf, face_angles(surf, m, strict=False))
-
-
 def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.ndarray:
     """R_alpha = K / w^alpha with w = e^u; alpha = 0 recovers K."""
     return np.asarray(K, dtype=float) / state.w ** alpha
@@ -121,18 +117,11 @@ def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.nd
 
 def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     """L = dK/du at the current lengths, in edge form: O(E) arrays, no n x n
-    matrix.  B comes from the tan half-angle formula on each edge's two
-    faces and A_i = sum_j B_ij (cosh l_ij - 1)."""
-    angles = face_angles(surf, m, strict=True)
-    asum = angles.sum(axis=1)
+    matrix.  B_ij sums ``angle_derivatives`` over the two faces at the edge
+    and A_i = sum_j B_ij (cosh l_ij - 1)."""
+    W = angle_derivatives(face_corner_lengths(surf, m), face_angles(surf, m, strict=True))
     f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
-    t1 = 0.5 * (asum[f1] - 2.0 * angles[f1, c1])
-    t2 = 0.5 * (asum[f2] - 2.0 * angles[f2, c2])
-    if np.any(np.abs(np.abs(t1) - 0.5 * math.pi) < 5e-13) or np.any(
-        np.abs(np.abs(t2) - 0.5 * math.pi) < 5e-13
-    ):
-        raise ValueError("tan pole in edge-weight assembly; corrupted angles")
-    B = (np.tan(t1) + np.tan(t2)) / np.cosh(0.5 * m.length) ** 2
+    B = W[f1, c1] + W[f2, c2]
 
     i_idx, j_idx = surf.edge_endpoints()
     a = B * (np.cosh(m.length) - 1.0)

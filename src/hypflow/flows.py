@@ -21,6 +21,7 @@ from .surface import (
     SurfaceError,
     advance_conformal,
     angle_defect,
+    clone_state,
     euler_characteristic,
     make_delaunay,
 )
@@ -142,6 +143,16 @@ def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
     return K / np.exp(alpha * u), K, flips, jump
 
 
+def _restore(surf: MarkedSurface, m: PHMetric, saved) -> None:
+    """Put the ``clone_state`` snapshot ``saved`` back into ``surf`` and ``m``
+    in place, so that every holder of the two objects sees it.  A trial that
+    raises leaves the state parked at the obstruction, and a retry from there
+    would meet the same obstruction."""
+    s, mm = clone_state(*saved)
+    vars(surf).update(vars(s))
+    vars(m).update(vars(mm))
+
+
 class FlowIntegrator:
     """Owns a (surface, metric) pair for the duration of one flow run."""
 
@@ -188,8 +199,12 @@ class FlowIntegrator:
         return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def step(self) -> StepRecord:
-        """One accepted RK4 step (with step-doubling error control) + surgery."""
+        """One accepted RK4 step (with step-doubling error control) + surgery.
+
+        A trial that raises is rejected and the state is restored in place
+        to the snapshot taken at the accepted u."""
         cfg = self.cfg
+        saved = clone_state(self.surf, self.m)
         while True:
             try:
                 k1 = self._rhs(self.u)
@@ -197,18 +212,20 @@ class FlowIntegrator:
                 half = self._rk4(self.u, 0.5 * self.dt, k1=k1)
                 fine = self._rk4(half, 0.5 * self.dt)
                 err = float(np.max(np.abs(coarse - fine))) / 15.0
-            except (AdmissibilityError, FlipError, OverflowError):
+                rejection = f"local error {err:.3e} > step_atol {cfg.step_atol:.3e}"
+            except (AdmissibilityError, FlipError, OverflowError) as exc:
                 # trial point left the admissible cone or requested a flip the
                 # combinatorics cannot honor; reject the trial and shrink dt
-                err = math.inf
+                _restore(self.surf, self.m, saved)
+                err, rejection = math.inf, f"{type(exc).__name__}: {exc}"
             if err <= cfg.step_atol:
                 break
             self.dt *= 0.5
             self._accept_streak = 0
             if self.dt < cfg.dt_min:
                 raise FlowStepFailure(
-                    f"dt underflow below {cfg.dt_min} at t={self.t}; "
-                    f"persistent face degeneration (u={self.u.tolist()})"
+                    f"dt underflow below {cfg.dt_min} at t={self.t}; last rejection: "
+                    f"{rejection} (u={self.u.tolist()})"
                 )
         u_new = fine
         if np.max(np.abs(u_new)) > cfg.u_abort:
@@ -228,13 +245,17 @@ class FlowIntegrator:
         if self._accept_streak >= self.GROW_AFTER:
             self.dt = min(self.dt * self.GROW_FACTOR, cfg.dt_max)
             self._accept_streak = 0
+        return self._record(self.dt, len(flips))
+
+    def _record(self, dt: float, flips: int) -> StepRecord:
+        """The record of the current state, reached with ``flips`` flips."""
         return StepRecord(
             t=self.t,
-            dt=self.dt,
+            dt=dt,
             sup_err=float(np.max(np.abs(self.M))),
             min_M=float(self.M.min()),
             max_M=float(self.M.max()),
-            flips=len(flips),
+            flips=flips,
             energy=self.energy,
         )
 
@@ -255,17 +276,7 @@ def run_flow(
         initial_F_alpha=integ.initial_F_alpha,
         initial_M=integ.initial_M,
     )
-    run.records.append(
-        StepRecord(
-            t=0.0,
-            dt=0.0,
-            sup_err=float(np.max(np.abs(integ.M))),
-            min_M=float(integ.M.min()),
-            max_M=float(integ.M.max()),
-            flips=integ.initial_flips,
-            energy=0.0,
-        )
-    )
+    run.records.append(integ._record(0.0, integ.initial_flips))
     run.total_flips = integ.initial_flips
     while True:
         sup = float(np.max(np.abs(integ.M)))
@@ -443,7 +454,8 @@ def newton_solve(
     raising NewtonError where it fails, and solves H delta = -g by
     Jacobi-preconditioned conjugate gradients on the edge form of L; no
     n x n matrix is formed.  The state is made Delaunay once on entry and is
-    left at the returned u.
+    left at the returned u; a line-search trial that raises is undone by
+    restoring the state at the current iterate.
     """
     n = surf.vertex_count
     target = np.asarray(target, dtype=float)
@@ -471,6 +483,7 @@ def newton_solve(
             jacobian(surf, m), alpha * (target * np.exp(alpha * u)), -g
         )
         linsolve_iters.append(cg_iters)
+        saved = clone_state(surf, m)
         lam = 1.0
         best = None
         while lam >= 2.0 ** -30:
@@ -478,6 +491,7 @@ def newton_solve(
             try:
                 g_trial = residual(u_trial)
             except (AdmissibilityError, OverflowError, SurfaceError):
+                _restore(surf, m, saved)
                 lam *= 0.5
                 continue
             if np.max(np.abs(g_trial)) < residuals[-1]:

@@ -29,8 +29,6 @@ __all__ = [
     "face_corner_lengths",
     "face_angles",
     "delaunay_weights",
-    "delaunay_weight",
-    "diagonal_length",
     "flip_edge",
     "advance_conformal",
     "make_delaunay",
@@ -218,10 +216,10 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
     """(F, 3) inner angles at each corner of each face.
 
     With ``strict`` the first inadmissible face raises AdmissibilityError;
-    otherwise inadmissible rows get the constant extension of
-    ``extended_angles``: pi at the corner opposite the longest edge, 0 at the
-    other two.  Tied longest edges are admissible, so a tie can only come
-    from rounding; it goes to the first corner, as in ``extended_angles``.
+    otherwise inadmissible rows get the constant extension of the angles
+    across the admissibility boundary: pi at the corner opposite the longest
+    edge, 0 at the other two.  Tied longest edges are admissible, so a tie
+    can only come from rounding; it goes to the first corner.
     """
     L = face_corner_lengths(surf, m)
     ok = admissible_mask(L)
@@ -294,10 +292,6 @@ def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None
     return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
 
 
-def delaunay_weight(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
-    return float(delaunay_weights(surf, m)[surf.edge_index[_edge(*e)]])
-
-
 def _quad_around(surf: MarkedSurface, e: Edge):
     """The quad around edge e: vertices (i, j, k, l), faces [fa, fb] and the
     indices of its edges [ij, ik, jk, il, jl].
@@ -322,12 +316,14 @@ def _corner_sums(surf: MarkedSurface, m: PHMetric, faces: list, verts) -> np.nda
     return np.array([angles[at == v].sum() for v in verts])
 
 
-def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
-    """New diagonal length computed independently from both ends of e.
+def _diagonal(surf: MarkedSurface, m: PHMetric, e: Edge):
+    """Length of the quad diagonal {k, l} that a flip of e would insert,
+    by the cosine law in the triangle (k, i, l) with angle at i the sum of
+    i's corners in the quad.
 
-    Returns ``(from_i, from_j, quad)`` with ``quad`` the vertices, faces and
-    edges from ``_quad_around`` followed by the angle sums at (i, j, k, l)
-    over the quad's two faces.  Raises AdmissibilityError if either face is
+    Returns ``(length, quad)`` with ``quad`` the vertices, faces and edges
+    from ``_quad_around`` followed by the angle sums at (i, j, k, l) over the
+    quad's two faces.  Raises AdmissibilityError if either face is
     inadmissible.
     """
     verts, faces, edges = _quad_around(surf, e)
@@ -335,25 +331,11 @@ def _diagonal_both(surf: MarkedSurface, m: PHMetric, e: Edge):
     if not admissible_mask(L).all():
         raise AdmissibilityError(f"a face at edge {e} is inadmissible with opposite lengths {L.tolist()}")
     sums = _corner_sums(surf, m, faces, verts)
-    _, d_ik, d_jk, d_il, d_jl = m.length[edges].tolist()
-
-    def from_side(theta, d_a, d_b):
-        x = math.cosh(d_a) * math.cosh(d_b) - math.sinh(d_a) * math.sinh(d_b) * math.cos(theta)
-        if x <= 1.0:
-            raise FlipError(f"flip of edge {e} produces degenerate triangle")
-        return math.acosh(x)
-
-    return from_side(sums[0], d_ik, d_il), from_side(sums[1], d_jk, d_jl), (verts, faces, edges, sums)
-
-
-def diagonal_length(surf: MarkedSurface, m: PHMetric, e: Edge) -> float:
-    """Length of the quad diagonal {k, l} that a flip of e would insert."""
-    from_i, from_j, _ = _diagonal_both(surf, m, e)
-    if abs(from_i - from_j) > 1e-8 * max(1.0, from_i):
-        raise SurfaceError(
-            f"two-sided diagonal computations disagree at edge {e}: {from_i} vs {from_j}"
-        )
-    return from_i
+    _, d_ik, _, d_il, _ = m.length[edges].tolist()
+    x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(sums[0])
+    if x <= 1.0:
+        raise FlipError(f"flip of edge {e} produces degenerate triangle")
+    return math.acosh(x), (verts, faces, edges, sums)
 
 
 def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge) -> FlipEvent:
@@ -373,7 +355,7 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge) -> FlipEvent:
     e = _edge(*e)
     if e not in surf.edge_index:
         raise FlipError(f"no such edge {e}")
-    d_kl, _, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal_both(surf, m, e)
+    d_kl, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal(surf, m, e)
     if k == l:
         raise FlipError(f"flip of edge {e} would create a self-loop at vertex {k}")
     kl = _edge(k, l)

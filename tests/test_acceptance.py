@@ -28,7 +28,6 @@ from hypflow.flows import (
 )
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, unit_metric
 from hypflow.surface import (
-    _diagonal_both,
     apply_conformal,
     clone_state,
     delaunay_weights,
@@ -36,15 +35,10 @@ from hypflow.surface import (
     flip_edge,
     make_delaunay,
 )
-from hypflow.triangle import (
-    dangle_du_diag,
-    dangle_du_offdiag,
-    darea_du,
-    half_angle_identity_check,
-    tri_angles,
-)
+from hypflow.triangle import angle_derivatives, angles_from_length_array
 
 from fd import fd_dangle, fd_darea, random_admissible_lengths, rel_err
+from reference import flip_diagonal_from_j, half_angle_residual
 
 # gauss-bonnet residuals collected at states encountered across the suite;
 # criterion 10 asserts over all of them
@@ -93,20 +87,27 @@ def runs():
 
 
 def test_criterion_1_derivative_calculus(announce):
+    # the library kernel on 1000 triangles in one call; corners (i, j, k) are
+    # (0, 1, 2) and W[f, c] is the derivative across the edge opposite c
     rng = np.random.default_rng(101)
+    tris = [random_admissible_lengths(rng) for _ in range(1000)]
+    L = np.array([l.row() for l in tris])
+    angles = angles_from_length_array(L)
+    W = angle_derivatives(L, angles)
+    S, T = W * np.cosh(L), W * (np.cosh(L) - 1.0)
+    diag = S - S.sum(axis=1, keepdims=True)  # d a_c/d u_c
+    darea = T.sum(axis=1, keepdims=True) - T  # d Area/d u_c
     worst_d, worst_h = 0.0, 0.0
-    for _ in range(1000):
-        l = random_admissible_lengths(rng)
-        a = tri_angles(l)
+    for f, l in enumerate(tris):
         worst_d = max(
             worst_d,
-            rel_err(fd_dangle(l, "i", "j"), dangle_du_offdiag(l, a)),
-            rel_err(fd_dangle(l, "i", "i"), dangle_du_diag(l)),
-            rel_err(fd_darea(l, "i"), darea_du(l, a, "i")),
-            rel_err(fd_darea(l, "j"), darea_du(l, a, "j")),
-            rel_err(fd_darea(l, "k"), darea_du(l, a, "k")),
+            rel_err(fd_dangle(l, "i", "j"), W[f, 2]),
+            rel_err(fd_dangle(l, "i", "i"), diag[f, 0]),
+            rel_err(fd_darea(l, "i"), darea[f, 0]),
+            rel_err(fd_darea(l, "j"), darea[f, 1]),
+            rel_err(fd_darea(l, "k"), darea[f, 2]),
         )
-        worst_h = max(worst_h, half_angle_identity_check(l, a))
+        worst_h = max(worst_h, half_angle_residual(l, angles[f]))
     ok = worst_d <= 1e-6 and worst_h <= 1e-10
     announce(
         f"ACCEPTANCE 1 derivative calculus: {'PASS' if ok else 'FAIL'} "
@@ -185,9 +186,6 @@ def test_criterion_3_flip_duality(announce):
         if not np.all(np.sign(w[mask]) == np.sign(B[mask])):
             sign_ok = False
 
-        from_i, from_j, _ = _diagonal_both(surf, m, (0, 1))
-        worst_diag = max(worst_diag, abs(from_i - from_j))
-
         # flips are geometric (hence involutive) only when the quad hinge is
         # convex: the two angle sums at the diagonal endpoints stay below pi
         ang = face_angles(surf, m)
@@ -203,7 +201,11 @@ def test_criterion_3_flip_duality(announce):
         gb(surf, m)
         before = dict(zip(surf.edges, m.length))
         K0 = curvature(surf, m)
+        # flip_edge measures the new diagonal from the end 0, the reference
+        # from the end 1
+        from_j = flip_diagonal_from_j(surf, m, (0, 1))
         flip_edge(surf, m, (0, 1))
+        worst_diag = max(worst_diag, abs(m.length[surf.edge_index[(2, 3)]] - from_j))
         K1 = curvature(surf, m)
         flip_edge(surf, m, (2, 3))
         K2 = curvature(surf, m)

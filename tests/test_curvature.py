@@ -9,18 +9,24 @@ from hypflow.curvature import (
     alpha_laplacian_apply,
     curvature,
     energy_increment,
-    extended_curvature,
     gauss_bonnet_residual,
     jacobian,
 )
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, unit_metric
 from hypflow.surface import (
     AdmissibilityError,
+    angle_defect,
     apply_conformal,
     clone_state,
     delaunay_weights,
+    face_angles,
     make_delaunay,
 )
+
+
+def extended_curvature(surf, m):
+    """Angle defect with constant-extended angles; defined for any lengths."""
+    return angle_defect(surf, face_angles(surf, m, strict=False))
 
 
 def fd_jacobian(surf, m, h=1e-6):

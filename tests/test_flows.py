@@ -14,9 +14,10 @@ from hypflow.flows import (
     regime_check,
     run_flow,
 )
-from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
+from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import (
     TOL_DELAUNAY,
+    AdmissibilityError,
     apply_conformal,
     clone_state,
     delaunay_weights,
@@ -135,6 +136,67 @@ class TestFlows:
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0, max_steps=1))
         assert len(entry) >= 1
         assert run.records[0].flips == len(entry)
+
+
+def calabi_seed17():
+    """alpha-Calabi on genus2(3,3), seed 17: the first trial step meets a
+    wall whose flip is refused."""
+    surf = genus2(3, 3)
+    m = perturbed_metric(surf, np.random.default_rng(17), spread=0.28)
+    return surf, m, FlowConfig(kind="calabi", alpha=1.0, target=-1.0)
+
+
+class TestRejectedTrials:
+    def test_refused_trial_restores_accepted_state(self, monkeypatch):
+        surf, m, cfg = calabi_seed17()
+        integ = FlowIntegrator(surf, m, cfg)
+        u0, edges0, FE0, length0 = integ.u.copy(), list(surf.edges), surf.FE.copy(), m.length.copy()
+        restore = flows._restore
+        moved = []
+
+        def checked_restore(s, mm, saved):
+            moved.append(s.edges != edges0)
+            restore(s, mm, saved)
+            assert s is surf and mm is m
+            assert np.array_equal(m.current_u, u0)
+            assert surf.edges == edges0 and np.array_equal(surf.FE, FE0)
+            assert np.array_equal(m.length, length0)
+
+        monkeypatch.setattr(flows, "_restore", checked_restore)
+        integ.step()
+        # some refused trial had flipped edges before it was refused, and the
+        # step then succeeded from the restored state
+        assert any(moved)
+        assert np.array_equal(m.current_u, integ.u)
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
+
+    def test_newton_line_search_restores_state(self, genus2_perturbed, monkeypatch):
+        surf, m = genus2_perturbed
+        expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
+        advance = flows.advance_conformal
+        calls = []
+
+        def refuse_first_trial(s, mm, u):
+            calls.append(mm.current_u.copy())
+            out = advance(s, mm, u)
+            if len(calls) == 2:  # the full step of the first line search
+                raise AdmissibilityError("refused for the test")
+            return out
+
+        monkeypatch.setattr(flows, "advance_conformal", refuse_first_trial)
+        res = newton_solve(surf, m, 1.0, -1.0)
+        # the half step starts from the state at the iterate, not at the refused point
+        assert np.array_equal(calls[2], calls[1])
+        assert res.converged
+        assert np.max(np.abs(res.state.u - expected.state.u)) <= 1e-12
+
+    def test_dt_underflow_names_error_estimate(self):
+        surf = tetrahedron()
+        m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
+        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=1.0, dt_init=0.1, dt_min=0.1,
+                         dt_max=0.1, step_atol=1e-300)
+        with pytest.raises(flows.FlowStepFailure, match=r"local error .* > step_atol"):
+            FlowIntegrator(surf, m, cfg).step()
 
 
 class TestMonitor:

@@ -15,9 +15,7 @@ from hypflow.surface import (
     SurfaceError,
     apply_conformal,
     clone_state,
-    delaunay_weight,
     delaunay_weights,
-    diagonal_length,
     euler_characteristic,
     face_angles,
     face_corner_lengths,
@@ -26,7 +24,9 @@ from hypflow.surface import (
     validate,
     validate_combinatorics,
 )
-from hypflow.triangle import TriLengths, admissible_mask, extended_angles, scaled_length
+from hypflow.triangle import admissible_mask
+
+from reference import TriLengths, extended_angles, flip_diagonal_from_j, scaled_length
 
 
 class TestCombinatorics:
@@ -175,7 +175,7 @@ class TestConformal:
         for fi in bad:
             # corners (0, 1, 2) are (i, j, k); L[f, c] is opposite corner c
             ref = extended_angles(TriLengths(l_ij=L[fi, 2], l_ik=L[fi, 1], l_jk=L[fi, 0]))
-            assert tuple(ang[fi]) == (ref.a_i, ref.a_j, ref.a_k)
+            assert tuple(ang[fi]) == ref
 
 
 class TestDelaunay:
@@ -188,8 +188,8 @@ class TestDelaunay:
     def test_weight_matches_angle_sum(self, octa_unit):
         surf, m = octa_unit
         ang = face_angles(surf, m)
-        w = delaunay_weight(surf, m, (0, 1))
         idx = surf.edge_index[(0, 1)]
+        w = delaunay_weights(surf, m)[idx]
         (f1, c1), (f2, c2) = surf.edge_faces[idx]
         expected = (
             ang[f1].sum() - 2 * ang[f1, c1] + ang[f2].sum() - 2 * ang[f2, c2]
@@ -234,16 +234,22 @@ class TestDelaunay:
         # every flip of a tetrahedron edge would make a multi-edge
         surf = tetrahedron()
         m = PHMetric(surf, {e: 1.9 if e == (0, 1) else 1.0 for e in surf.edges})
-        assert delaunay_weight(surf, m, (0, 1)) < -TOL_DELAUNAY
+        assert delaunay_weights(surf, m)[surf.edge_index[(0, 1)]] < -TOL_DELAUNAY
         with pytest.raises(FlipError):
             make_delaunay(surf, m)
 
 
 class TestFlip:
-    def test_diagonal_agrees_from_both_sides(self, octa_unit):
+    def test_diagonal_agrees_from_both_sides(self, octa_unit, rng):
         surf, m = octa_unit
-        d = diagonal_length(surf, m, (0, 1))
+        apply_conformal(surf, m, rng.uniform(-0.15, 0.15, surf.vertex_count))
+        # flip_edge measures the new diagonal from the end 0; the reference
+        # measures it from the end 1
+        d_from_j = flip_diagonal_from_j(surf, m, (0, 1))
+        flip_edge(surf, m, (0, 1))
+        d = m.length[surf.edge_index[(2, 3)]]
         assert d > 0
+        assert abs(d - d_from_j) <= 1e-8 * max(1.0, d)
 
     def test_flip_and_flip_back_restores_metric(self, octa_unit, rng):
         surf, m = octa_unit
