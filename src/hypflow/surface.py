@@ -273,11 +273,17 @@ def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factors must be finite")
     i_idx, j_idx = surf.edge_endpoints()
-    x = m.lam + u[i_idx] + u[j_idx]
+    m.length = _scaled_lengths(m.lam, u[i_idx], u[j_idx])
+    m.current_u = u.copy()
+
+
+def _scaled_lengths(lam: np.ndarray, u_i: np.ndarray, u_j: np.ndarray) -> np.ndarray:
+    """Lengths 2 asinh(e^(lam + u_i + u_j)) of edges with invariants ``lam``
+    and end factors ``u_i``, ``u_j``; OverflowError out of range."""
+    x = lam + u_i + u_j
     if x.max() > 350.0:
         raise OverflowError("conformal factor out of representable range")
-    m.length = 2.0 * np.arcsinh(np.exp(x))
-    m.current_u = u.copy()
+    return 2.0 * np.arcsinh(np.exp(x))
 
 
 def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None) -> np.ndarray:
@@ -287,8 +293,14 @@ def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None
     """
     if angles is None:
         angles = face_angles(surf, m)
+    return _weights(angles, surf.edge_faces)
+
+
+def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Delaunay weights of the edges whose two (face, corner) pairs are
+    ``pairs`` (n, 2, 2), the faces being rows of ``angles``."""
     asum = angles.sum(axis=1)
-    f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
+    f1, c1, f2, c2 = pairs.reshape(-1, 4).T
     return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
 
 
@@ -400,10 +412,12 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     ``(1 - s) * u_from + s * u``, so the state ends at ``u`` exactly.
 
     Vertex scaling and geometric flips commute only at co-circular
-    configurations, so flipping at the walls (found by bisection to within
-    1e-15 in s) makes the final metric a function of ``u`` alone, independent
-    of the path taken.  Flipping after overshooting a wall would instead
-    leave a residue of the path in the lengths.
+    configurations, so flipping at the walls (bracketed to within 1e-15 in s
+    by ``_bracket_wall``, a regula falsi on the weights of every edge at
+    once) makes the final metric a function of ``u`` alone, independent of
+    the path taken.  Flipping after overshooting a wall would instead leave a
+    residue of the path in the lengths.  A segment that crosses no wall is
+    measured once, at ``u``.
 
     Returns ``(events, max_jump, angles)`` where ``max_jump`` is the largest
     ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic)
@@ -423,36 +437,123 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
             raise SurfaceError(f"advance_conformal exceeded {cap} flips")
         u_from = m.current_u.copy()
 
-        def move(s):
-            apply_conformal(surf, m, (1.0 - s) * u_from + s * u)
+        def at(s):
+            return (1.0 - s) * u_from + s * u
 
-        def probe(s):
-            """Angles at segment point s, or None past a wall or outside the cone."""
-            try:
-                move(s)
-                angles = face_angles(surf, m)
-            except (AdmissibilityError, OverflowError):
-                return None
-            return None if delaunay_weights(surf, m, angles).min() < -TOL_DELAUNAY else angles
-
-        angles = probe(1.0)
-        if angles is not None:
+        angles, w = _probe(surf, m, at(1.0))
+        if not _past_wall(w):
             return events, max((ev.k_jump for ev in events), default=0.0), angles
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if probe(mid) is None:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-15:
-                break
+        lo, hi = _bracket_wall(surf, m, at, _probe(surf, m, at(0.0))[1], w)
         try:
-            move(hi)
+            apply_conformal(surf, m, at(hi))
             events += make_delaunay(surf, m)
         except (SurfaceError, OverflowError):
-            move(lo)
+            apply_conformal(surf, m, at(lo))
             raise
+
+
+def _probe(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
+    """Move the state to ``u`` and measure it: ``(angles, weights)``, or
+    ``(None, None)`` outside the admissible cone or the representable range."""
+    try:
+        apply_conformal(surf, m, u)
+        angles = face_angles(surf, m)
+    except (AdmissibilityError, OverflowError):
+        return None, None
+    return angles, delaunay_weights(surf, m, angles)
+
+
+def _past_wall(w) -> bool:
+    """Whether Delaunay weights ``w`` (None where there are none) are past a
+    wall.  NaN weights, from lengths so long that the cosine law overflows,
+    are not."""
+    return w is None or bool(w.min() < -TOL_DELAUNAY)
+
+
+def _bracket_wall(surf: MarkedSurface, m: PHMetric, at, w_lo: np.ndarray, w_hi):
+    """Bracket the first wall on the segment ``at(s)``, 0 <= s <= 1.
+
+    ``w_lo`` are the Delaunay weights at s = 0, where the state is Delaunay,
+    and ``w_hi`` those at s = 1, where it is not (None where there are none).
+    Returns ``(lo, hi)`` with ``hi - lo < 1e-15``, the state whole-mesh
+    Delaunay and admissible at ``lo`` and not at ``hi``; the state is left
+    at a probed point.
+
+    Without weights at hi the bracket is bisected on the whole mesh.  With
+    them, the edges below the tolerance at hi are the candidates, and
+    ``_secant`` closes in on their first crossing measuring only their
+    faces.  One whole-mesh probe then confirms lo; if another edge or face
+    failed first, that probe becomes hi and the search goes on.
+    """
+    lo, hi = 0.0, 1.0
+    g_lo = w_lo + TOL_DELAUNAY
+    g_hi = None if w_hi is None else w_hi + TOL_DELAUNAY
+    while True:
+        if g_hi is None:
+            if hi - lo < 1e-15:
+                return lo, hi
+            mid = 0.5 * (lo + hi)
+            w = _probe(surf, m, at(mid))[1]
+            if _past_wall(w):
+                hi, g_hi = mid, None if w is None else w + TOL_DELAUNAY
+            else:
+                lo, g_lo = mid, w + TOL_DELAUNAY
+            continue
+        edges = np.flatnonzero(g_hi < 0.0)
+        s, hi = _secant(surf, m, at, edges, lo, hi, g_lo[edges], g_hi[edges])
+        if s == lo:
+            return lo, hi
+        w = _probe(surf, m, at(s))[1]
+        if not _past_wall(w):
+            return s, hi
+        hi, g_hi = s, None if w is None else w + TOL_DELAUNAY
+
+
+def _secant(surf: MarkedSurface, m: PHMetric, at, edges: np.ndarray, lo: float, hi: float,
+            g_lo: np.ndarray, g_hi: np.ndarray):
+    """Shrink ``[lo, hi]`` below 1e-15 around the first zero of the weights
+    plus TOL_DELAUNAY of ``edges``, given as ``g_lo`` and ``g_hi`` at the
+    ends, measuring only the faces at those edges.  Returns ``(lo, hi)``.
+
+    Each step probes the earliest per-edge regula falsi estimate of a zero.
+    The Illinois rule halves the values at an end kept twice running, so the
+    bracket shrinks from both sides.  A probe where one of the faces is
+    inadmissible or a length overflows counts as past the wall, without
+    values, and the next step bisects.
+    """
+    # the two faces of edges[k] are measured as rows 2k and 2k + 1
+    pairs = surf.edge_faces[edges]
+    fe = surf.FE[pairs[..., 0].flatten()]
+    pairs[..., 0] = np.arange(fe.shape[0]).reshape(-1, 2)
+    i_idx, j_idx = surf.edge_endpoints()
+    vi, vj, lam = i_idx[fe], j_idx[fe], m.lam[fe]
+    kept = 0  # 1 after a step that kept lo, -1 after one that kept hi
+    while hi - lo >= 1e-15:
+        s = 0.5 * (lo + hi)
+        if g_hi is not None:
+            past = g_hi < 0.0
+            a, b = g_lo[past], g_hi[past]
+            t = lo + (hi - lo) * float(np.min(a / (a - b)))
+            if lo < t < hi:
+                s = t
+        us = at(s)
+        try:
+            L = _scaled_lengths(lam, us[vi], us[vj])
+            ok = bool(admissible_mask(L).all())
+        except OverflowError:
+            ok = False
+        w = _weights(angles_from_length_array(L), pairs) if ok else None
+        if _past_wall(w):
+            hi, g_hi = s, None if w is None else w + TOL_DELAUNAY
+            if kept == 1:
+                g_lo = 0.5 * g_lo
+            kept = 1
+        else:
+            lo, g_lo = s, w + TOL_DELAUNAY
+            if kept == -1 and g_hi is not None:
+                g_hi = 0.5 * g_hi
+            kept = -1
+    return lo, hi
 
 
 def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
@@ -498,6 +599,4 @@ def _remeasure_flip(surf: MarkedSurface, m: PHMetric, angles: np.ndarray, w: np.
     faces = surf.edge_faces[idx, :, 0]
     angles[faces] = angles_from_length_array(m.length[surf.FE[faces]])
     quad = surf.FE[faces].ravel()
-    # the expression of delaunay_weights, on the quad's rows only
-    f1, c1, f2, c2 = surf.edge_faces[quad].reshape(-1, 4).T
-    w[quad] = angles[f1].sum(axis=1) - 2.0 * angles[f1, c1] + angles[f2].sum(axis=1) - 2.0 * angles[f2, c2]
+    w[quad] = _weights(angles, surf.edge_faces[quad])

@@ -1,15 +1,29 @@
-"""Independent scalar reference for one hyperbolic triangle.
+"""Independent references that the tests compare the library against.
 
 Plain ``math`` formulas for a single triangle with vertices (i, j, k): the
 cosine-law angles, their constant extension across the admissibility
 boundary, the area, vertex-scaled edge lengths, the half-angle identity and
-the quad diagonal a flip inserts.  None of it is used by the library; the
-tests compare the library's vectorised kernel in ``hypflow.triangle`` and the
-mesh-level code against it.
+the quad diagonal a flip inserts.  The tests compare the library's
+vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
+them.  ``advance_by_bisection`` is the wall search by plain bisection that
+``hypflow.surface.advance_conformal`` is compared against.  None of it is
+used by the library.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from hypflow.surface import (
+    TOL_DELAUNAY,
+    AdmissibilityError,
+    SurfaceError,
+    apply_conformal,
+    delaunay_weights,
+    face_angles,
+    make_delaunay,
+)
 
 
 @dataclass(frozen=True)
@@ -133,3 +147,42 @@ def flip_diagonal_from_j(surf, m, e) -> float:
     return math.acosh(
         math.cosh(d_a) * math.cosh(d_b) - math.sinh(d_a) * math.sinh(d_b) * math.cos(theta)
     )
+
+
+def advance_by_bisection(surf, m, u):
+    """``hypflow.surface.advance_conformal`` with its walls found by plain
+    bisection: each wall costs about 50 whole-mesh probes, halving [lo, hi]
+    until it is narrower than 1e-15 in s, then the state flips at hi by
+    ``make_delaunay``.  Returns the flip events; on an error the state is left
+    at lo and the error is raised."""
+    u = np.asarray(u, dtype=float)
+    events = []
+    while True:
+        u_from = m.current_u.copy()
+
+        def move(s):
+            apply_conformal(surf, m, (1.0 - s) * u_from + s * u)
+
+        def good(s):
+            try:
+                move(s)
+                angles = face_angles(surf, m)
+            except (AdmissibilityError, OverflowError):
+                return False
+            return not delaunay_weights(surf, m, angles).min() < -TOL_DELAUNAY
+
+        if good(1.0):
+            return events
+        lo, hi = 0.0, 1.0
+        while hi - lo >= 1e-15:
+            mid = 0.5 * (lo + hi)
+            if good(mid):
+                lo = mid
+            else:
+                hi = mid
+        try:
+            move(hi)
+            events += make_delaunay(surf, m)
+        except (SurfaceError, OverflowError):
+            move(lo)
+            raise

@@ -5,6 +5,7 @@ import pytest
 
 from hypflow import surface
 from hypflow.curvature import curvature
+from hypflow.flows import newton_solve
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import (
     AdmissibilityError,
@@ -26,7 +27,13 @@ from hypflow.surface import (
 )
 from hypflow.triangle import admissible_mask
 
-from reference import TriLengths, extended_angles, flip_diagonal_from_j, scaled_length
+from reference import (
+    TriLengths,
+    advance_by_bisection,
+    extended_angles,
+    flip_diagonal_from_j,
+    scaled_length,
+)
 
 
 class TestCombinatorics:
@@ -404,6 +411,156 @@ class TestFlip:
         with pytest.raises(FlipError):
             flip_edge(surf, m, (0, 1))
         assert surf.faces == faces and np.array_equal(m.length, lengths)
+
+
+def _outcome(advance, surf, m, u):
+    """Flip sequence (None if the advance raised), error type and final state
+    of ``advance`` on a clone of the state."""
+    s, mm = clone_state(surf, m)
+    try:
+        out = advance(s, mm, u)
+    except SurfaceError as exc:
+        return None, type(exc), s, mm
+    events = out[0] if isinstance(out, tuple) else out
+    return [(ev.old_edge, ev.new_edge) for ev in events], None, s, mm
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestWallSearch:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(5, 5), lambda: genus2(3, 3)],
+                             ids=["torus5x5", "genus2_3x3"])
+    def test_matches_bisection_reference(self, builder, seed):
+        surf = builder()
+        rng = np.random.default_rng(seed)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        make_delaunay(surf, m)
+        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
+        ref_flips, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
+        assert (flips, err) == (ref_flips, ref_err)
+        assert s1.faces == s2.faces and s1.edges == s2.edges
+        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
+        assert np.max(np.abs(m1.current_u - m2.current_u)) <= 1e-14
+
+    def test_passes_per_wall_on_newton_surgery_inputs(self, monkeypatch):
+        # the inputs of pass 0 of bench/run.py's newton-surgery workload,
+        # seeds 1-3; plain bisection makes 51 passes per wall
+        calls = {"apply_conformal": 0, "make_delaunay": 0}
+        for name in calls:
+            monkeypatch.setattr(surface, name, _counted(calls, name, getattr(surface, name)))
+        for seed in (1, 2, 3):
+            surf = grid_torus(20, 20)
+            m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=0.28)
+            assert newton_solve(surf, m, 0.0, 0.1).converged
+        # make_delaunay is called through surface only at a wall
+        walls = calls["make_delaunay"]
+        assert walls >= 60
+        assert calls["apply_conformal"] <= 8 * walls
+
+    def test_far_end_without_weights_bisects_then_flips(self, genus2_unit, rng, monkeypatch):
+        # twice the segment of test_advance_is_path_independent: its end is
+        # outside the admissible cone, its walls come first, and a flip there
+        # is refused
+        surf, m = genus2_unit
+        u = 2.0 * rng.uniform(-0.3, 0.3, surf.vertex_count)
+        s, mm = clone_state(surf, m)
+        apply_conformal(s, mm, u)
+        with pytest.raises(AdmissibilityError):
+            face_angles(s, mm)
+        visited = []
+        monkeypatch.setattr(surface, "apply_conformal",
+                            lambda s_, m_, x: (visited.append(np.copy(x)), apply_conformal(s_, m_, x)))
+        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
+        assert err is FlipError
+        assert any(np.array_equal(x, 0.5 * u) for x in visited)  # a bisection step
+        assert set(s1.edges) != set(surf.edges)  # walls were flipped first
+        t = m1.current_u[0] / u[0]
+        assert 0.0 < t < 1.0
+        assert np.allclose(m1.current_u, t * u, rtol=0.0, atol=1e-15)
+        assert delaunay_weights(s1, m1, face_angles(s1, m1)).min() >= -TOL_DELAUNAY
+        monkeypatch.undo()
+        _, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
+        assert ref_err is FlipError and s1.faces == s2.faces
+        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
+
+    @staticmethod
+    def crossings_at_end(surf, m, u):
+        """A clone of the state, and the edges past their walls at u with the
+        first s at which each is, along the segment from u = 0 without flips."""
+        s, mm = clone_state(surf, m)
+        apply_conformal(s, mm, u)
+        late = np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)
+
+        def crossing(e):
+            lo, hi = 0.0, 1.0
+            while hi - lo >= 1e-15:
+                mid = 0.5 * (lo + hi)
+                apply_conformal(s, mm, mid * u)
+                if delaunay_weights(s, mm)[e] < -TOL_DELAUNAY:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        return (s, mm), {int(e): crossing(e) for e in late}
+
+    def test_earlier_of_two_crossings_flips_first(self, genus2_unit, rng, monkeypatch):
+        surf, m = genus2_unit
+        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+        _, crossings = self.crossings_at_end(surf, m, u)
+        assert len(crossings) >= 2  # several edges cross inside the first bracket
+        first = surf.edges[min(crossings, key=crossings.get)]
+        brackets = []
+        real = surface._bracket_wall
+
+        def recorded(*args):
+            lo, hi = real(*args)
+            at = args[2]
+            brackets.append((clone_state(*args[:2]), at(lo), at(hi), hi - lo))
+            return lo, hi
+
+        monkeypatch.setattr(surface, "_bracket_wall", recorded)
+        events, _, _ = surface.advance_conformal(surf, m, u)
+        assert events[0].old_edge == first
+        assert len(brackets) >= 2
+        for (s_, m_), u_lo, u_hi, width in brackets:
+            assert width < 1e-15
+            apply_conformal(s_, m_, u_lo)
+            assert delaunay_weights(s_, m_, face_angles(s_, m_)).min() >= -TOL_DELAUNAY
+            apply_conformal(s_, m_, u_hi)
+            assert delaunay_weights(s_, m_).min() < -TOL_DELAUNAY
+
+    def test_whole_mesh_check_finds_a_crossing_the_candidates_miss(self, genus2_unit, rng):
+        # far-end weights that hide the first crossing edge: the candidate
+        # search closes in on a later wall, and the whole-mesh probe at its
+        # near end must send the search back to the first one
+        surf, m = genus2_unit
+        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+        (s, mm), crossings = self.crossings_at_end(surf, m, u)
+        first = min(crossings, key=crossings.get)
+        zero = np.zeros(surf.vertex_count)
+
+        def at(t):
+            return (1.0 - t) * zero + t * u
+
+        apply_conformal(s, mm, at(0.0))
+        w_lo = delaunay_weights(s, mm)
+        apply_conformal(s, mm, at(1.0))
+        w_hi = delaunay_weights(s, mm)
+        w_hi[first] = 1.0
+        lo, hi = surface._bracket_wall(s, mm, at, w_lo, w_hi)
+        assert hi - lo < 1e-15 and abs(hi - crossings[first]) < 1e-14
+        apply_conformal(s, mm, at(lo))
+        assert delaunay_weights(s, mm).min() >= -TOL_DELAUNAY
+        apply_conformal(s, mm, at(hi))
+        assert delaunay_weights(s, mm)[first] < -TOL_DELAUNAY
 
 
 FLIP_FIXTURES = [octahedron, lambda: grid_torus(5, 5), lambda: genus2(3, 3)]
