@@ -50,14 +50,12 @@ class ConformalState:
         return np.exp(self.u)
 
 
-def _end_sums(i: np.ndarray, j: np.ndarray, at_i, at_j, n: int) -> np.ndarray:
-    """Per-vertex sums of edge values, ``at_i`` scattered to the endpoints
-    ``i`` and ``at_j`` to the endpoints ``j``.  Each vertex accumulates in the
-    same order (the ``i`` ends in edge order, then the ``j`` ends), so a
-    state with equal edge values stays bitwise symmetric."""
-    return np.bincount(
-        np.concatenate((i, j)), np.concatenate((at_i, at_j)), minlength=n
-    )
+def _end_sums(ends: np.ndarray, at_i, at_j, n: int) -> np.ndarray:
+    """Per-vertex sums of edge values, ``at_i`` scattered to the ``i`` ends
+    and ``at_j`` to the ``j`` ends, ``ends`` listing all ``i`` ends in edge
+    order and then all ``j`` ends.  Each vertex accumulates in that order, so
+    a state with equal edge values stays bitwise symmetric."""
+    return np.bincount(ends, np.concatenate((at_i, at_j)), minlength=n)
 
 
 @dataclass
@@ -65,7 +63,8 @@ class JacobianL:
     """dK/du in edge form: L_ii = A_i + sum_j B_ij, L_ij = -B_ij for j ~ i.
 
     ``A`` is the per-vertex area-derivative diagonal, ``B`` the per-edge
-    weights of the edges with endpoint indices ``i`` and ``j``.  No n x n
+    weights and ``ends`` the edges' endpoint indices, the ``i`` ends followed
+    by the ``j`` ends, gathered and scattered at once.  No n x n
     array is stored: ``apply`` multiplies by L in O(E), and ``matrix`` builds
     the dense form on demand for inspection only.  On a Delaunay state
     A_i > 0 and B_ij >= 0, so L is symmetric, strictly diagonally dominant
@@ -74,33 +73,34 @@ class JacobianL:
 
     A: np.ndarray
     B: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    ends: np.ndarray
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """L f = A f + sum over edges of B (f_i - f_j), scattered to both
         ends with opposite signs; O(E)."""
-        flux = self.B * (f[self.i] - f[self.j])
-        return self.A * f + _end_sums(self.i, self.j, flux, -flux, self.A.shape[0])
+        fe = f[self.ends]
+        ne = self.B.shape[0]
+        flux = self.B * (fe[:ne] - fe[ne:])
+        return self.A * f + _end_sums(self.ends, flux, -flux, self.A.shape[0])
 
     def diagonal(self) -> np.ndarray:
         """L_ii = A_i + sum_j B_ij."""
-        return self.A + _end_sums(self.i, self.j, self.B, self.B, self.A.shape[0])
+        return self.A + _end_sums(self.ends, self.B, self.B, self.A.shape[0])
 
     def dominance_margin(self, shift: np.ndarray) -> np.ndarray:
         """Row-wise diagonal dominance of L - diag(shift):
         A_i + sum_j (B_ij - |B_ij|) - shift_i.  By Gershgorin's theorem a
         positive margin at every vertex certifies positive definiteness."""
         neg = self.B - np.abs(self.B)
-        return self.A - shift + _end_sums(self.i, self.j, neg, neg, self.A.shape[0])
+        return self.A - shift + _end_sums(self.ends, neg, neg, self.A.shape[0])
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n form of L, built on each access."""
         n = self.A.shape[0]
         L = np.zeros((n, n))
-        L[self.i, self.j] = -self.B
-        L[self.j, self.i] = -self.B
+        i, j = np.split(self.ends, 2)
+        L[i, j] = L[j, i] = -self.B
         L[np.diag_indices(n)] = self.diagonal()
         return L
 
@@ -123,10 +123,9 @@ def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
     B = W[f1, c1] + W[f2, c2]
 
-    i_idx, j_idx = surf.edge_endpoints()
+    ends = np.concatenate(surf.edge_endpoints())
     a = B * (np.cosh(m.length) - 1.0)
-    A = _end_sums(i_idx, j_idx, a, a, surf.vertex_count)
-    return JacobianL(A=A, B=B, i=i_idx.copy(), j=j_idx.copy())
+    return JacobianL(A=_end_sums(ends, a, a, surf.vertex_count), B=B, ends=ends)
 
 
 def alpha_laplacian_apply(
@@ -141,28 +140,17 @@ def alpha_laplacian_apply(
     return -Lmat.apply(f) / state.w ** alpha
 
 
-def energy_increment(
-    F_prev: np.ndarray,
-    F_curr: np.ndarray,
-    u_prev: np.ndarray,
-    u_curr: np.ndarray,
-    target: np.ndarray,
-    alpha: float,
-) -> float:
+def energy_increment(F_prev: np.ndarray, F_curr: np.ndarray, u_prev: np.ndarray,
+                     u_curr: np.ndarray, target: np.ndarray, alpha: float) -> float:
     """Trapezoidal increment of the curvature energy line integral.
 
     Integrates sum_i (F_i - target_i * w_i^alpha) du_i between two states;
     accumulated along a trajectory this realizes the convex energy whose
     gradient is the curvature field, up to an additive constant.
     """
-    g_prev = np.asarray(F_prev, dtype=float) - np.asarray(target, dtype=float) * np.exp(
-        alpha * np.asarray(u_prev, dtype=float)
-    )
-    g_curr = np.asarray(F_curr, dtype=float) - np.asarray(target, dtype=float) * np.exp(
-        alpha * np.asarray(u_curr, dtype=float)
-    )
-    du = np.asarray(u_curr, dtype=float) - np.asarray(u_prev, dtype=float)
-    return float(0.5 * np.dot(g_prev + g_curr, du))
+    g_prev = F_prev - target * np.exp(alpha * u_prev)
+    g_curr = F_curr - target * np.exp(alpha * u_curr)
+    return float(0.5 * np.dot(g_prev + g_curr, u_curr - u_prev))
 
 
 def gauss_bonnet_residual(surf: MarkedSurface, m: PHMetric) -> float:

@@ -172,23 +172,27 @@ class FlowIntegrator:
         self.energy = 0.0
         self._accept_streak = 0
         entry = make_delaunay(surf, m)
-        F_a, K, flips, jump = _F_alpha(surf, m, self.u, cfg.alpha)
-        self.max_flip_jump = max([jump] + [ev.k_jump for ev in entry])
+        self.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
+        self._k1, F_a, K, flips = self._eval(self.u)
         self.K = K
         self.M = F_a - self.target
         self.initial_F_alpha = F_a.copy()
         self.initial_M = self.M.copy()
         self.initial_flips = len(entry) + len(flips)
 
-    def _rhs(self, u: np.ndarray) -> np.ndarray:
-        F_a, _, _, jump = _F_alpha(self.surf, self.m, u, self.cfg.alpha)
+    def _eval(self, u: np.ndarray):
+        """The flow's right-hand side at u with what it was computed from:
+        ``(rhs, F_alpha, K, flip events)``; the state is left at u."""
+        F_a, K, flips, jump = _F_alpha(self.surf, self.m, u, self.cfg.alpha)
         self.max_flip_jump = max(self.max_flip_jump, jump)
         if self.cfg.kind == "yamabe":
-            return self.target - F_a
+            return self.target - F_a, F_a, K, flips
         J = jacobian(self.surf, self.m)
-        return alpha_laplacian_apply(
-            J, ConformalState(u), self.cfg.alpha, F_a - self.target
-        )
+        rhs = alpha_laplacian_apply(J, ConformalState(u), self.cfg.alpha, F_a - self.target)
+        return rhs, F_a, K, flips
+
+    def _rhs(self, u: np.ndarray) -> np.ndarray:
+        return self._eval(u)[0]
 
     def _rk4(self, u: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
         if k1 is None:
@@ -201,13 +205,14 @@ class FlowIntegrator:
     def step(self) -> StepRecord:
         """One accepted RK4 step (with step-doubling error control) + surgery.
 
-        A trial that raises is rejected and the state is restored in place
-        to the snapshot taken at the accepted u."""
+        The first stage is the right-hand side kept from the acceptance of u
+        (first same as last).  A trial that raises is rejected and the state
+        is restored in place to the snapshot taken at the accepted u."""
         cfg = self.cfg
         saved = clone_state(self.surf, self.m)
+        k1 = self._k1
         while True:
             try:
-                k1 = self._rhs(self.u)
                 coarse = self._rk4(self.u, self.dt, k1=k1)
                 half = self._rk4(self.u, 0.5 * self.dt, k1=k1)
                 fine = self._rk4(half, 0.5 * self.dt)
@@ -232,8 +237,7 @@ class FlowIntegrator:
             raise FlowStepFailure(
                 f"|u| exceeded {cfg.u_abort} at t={self.t}; target likely mis-posed"
             )
-        F_a, K_new, flips, jump = _F_alpha(self.surf, self.m, u_new, cfg.alpha)
-        self.max_flip_jump = max(self.max_flip_jump, jump)
+        self._k1, F_a, K_new, flips = self._eval(u_new)
         self.energy += energy_increment(
             self.K, K_new, self.u, u_new, self.target, cfg.alpha
         )

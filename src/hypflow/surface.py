@@ -40,6 +40,10 @@ __all__ = [
 # co-circular configurations (the Delaunay condition itself is non-strict)
 TOL_DELAUNAY = 1e-12
 
+# largest lam + u_i + u_j admitted: the cosine law's cosh(l_a) cosh(l_b),
+# about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354
+MAX_SCALED_X = 175.0
+
 
 class SurfaceError(RuntimeError):
     pass
@@ -239,8 +243,7 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
 
 def angle_defect(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
     """K_i = 2*pi - sum of the corner ``angles`` at vertex i."""
-    total = np.zeros(surf.vertex_count)
-    np.add.at(total, surf.face_array.ravel(), angles.ravel())
+    total = np.bincount(surf.face_array.ravel(), angles.ravel(), minlength=surf.vertex_count)
     return 2.0 * math.pi - total
 
 
@@ -281,7 +284,7 @@ def _scaled_lengths(lam: np.ndarray, u_i: np.ndarray, u_j: np.ndarray) -> np.nda
     """Lengths 2 asinh(e^(lam + u_i + u_j)) of edges with invariants ``lam``
     and end factors ``u_i``, ``u_j``; OverflowError out of range."""
     x = lam + u_i + u_j
-    if x.max() > 350.0:
+    if x.max() > MAX_SCALED_X:
         raise OverflowError("conformal factor out of representable range")
     return 2.0 * np.arcsinh(np.exp(x))
 
@@ -298,10 +301,13 @@ def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None
 
 def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Delaunay weights of the edges whose two (face, corner) pairs are
-    ``pairs`` (n, 2, 2), the faces being rows of ``angles``."""
-    asum = angles.sum(axis=1)
-    f1, c1, f2, c2 = pairs.reshape(-1, 4).T
-    return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
+    ``pairs`` (n, 2, 2), the faces being rows of ``angles``: the sums over
+    both pairs of theta_a + theta_b - theta_c, c being the pair's corner."""
+    q = np.empty_like(angles)
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.add(angles[:, a], angles[:, b], out=q[:, c])
+    q = (q - angles).ravel()[3 * pairs[..., 0] + pairs[..., 1]]
+    return q[:, 0] + q[:, 1]
 
 
 def _quad_around(surf: MarkedSurface, e: Edge):
@@ -432,6 +438,7 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     u = np.asarray(u, dtype=float)
     cap = 100 * len(surf.edges)
     events = []
+    w_from = None  # weights at the segment start, handed over at each wall
     while True:
         if len(events) > cap:
             raise SurfaceError(f"advance_conformal exceeded {cap} flips")
@@ -443,10 +450,12 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
         angles, w = _probe(surf, m, at(1.0))
         if not _past_wall(w):
             return events, max((ev.k_jump for ev in events), default=0.0), angles
-        lo, hi = _bracket_wall(surf, m, at, _probe(surf, m, at(0.0))[1], w)
+        if w_from is None:
+            w_from = _probe(surf, m, at(0.0))[1]
+        lo, hi = _bracket_wall(surf, m, at, w_from, w)
         try:
             apply_conformal(surf, m, at(hi))
-            events += make_delaunay(surf, m)
+            events += make_delaunay(surf, m, weights_out=w_from)
         except (SurfaceError, OverflowError):
             apply_conformal(surf, m, at(lo))
             raise
@@ -556,14 +565,15 @@ def _secant(surf: MarkedSurface, m: PHMetric, at, edges: np.ndarray, lo: float, 
     return lo, hi
 
 
-def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
+def make_delaunay(surf: MarkedSurface, m: PHMetric, *, weights_out: np.ndarray | None = None) -> list:
     """The one flip loop: flip non-Delaunay edges (most negative weight
     first) until none remain.
 
     This leaves the state Delaunay at ``m.current_u``, as
     ``advance_conformal`` requires of its starting state and does at each
     wall it crosses.  The angles are measured once on entry; after a flip
-    only its quad is re-measured (``_remeasure_flip``).
+    only its quad is re-measured (``_remeasure_flip``).  The final weights
+    go into ``weights_out`` if given, to start the next segment.
     Raises FlipError if no non-Delaunay edge is flippable.
     """
     cap = 100 * len(surf.edges)
@@ -574,6 +584,8 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
         order = np.argsort(w, kind="stable")
         candidates = order[w[order] < -TOL_DELAUNAY]
         if not candidates.size:
+            if weights_out is not None:
+                weights_out[:] = w
             return events
         if len(events) >= cap:
             raise SurfaceError(

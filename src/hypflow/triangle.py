@@ -22,7 +22,8 @@ __all__ = [
 
 def admissible_mask(L: np.ndarray) -> np.ndarray:
     """Strict triangle inequality mask for an (..., 3) array of lengths."""
-    return L.sum(axis=-1) - 2.0 * L.max(axis=-1) > 0.0
+    a, b, c = L[..., 0], L[..., 1], L[..., 2]
+    return a + b + c - 2.0 * np.maximum(np.maximum(a, b), c) > 0.0
 
 
 def angles_from_length_array(L: np.ndarray) -> np.ndarray:
@@ -30,15 +31,18 @@ def angles_from_length_array(L: np.ndarray) -> np.ndarray:
 
     L[..., c] is the length opposite corner c; the returned array holds the
     inner angle at each corner.  Cosines are clamped to [-1, 1].  No
-    admissibility check is performed here.
+    admissibility check is made.  Columns are combined in place, not permuted.
     """
-    ch = np.cosh(L)
-    sh = np.sinh(L)
-    # the two other corners of each corner c: (c + 1) % 3 and (c + 2) % 3
-    c1, c2 = ch[..., [1, 2, 0]], ch[..., [2, 0, 1]]
-    s1, s2 = sh[..., [1, 2, 0]], sh[..., [2, 0, 1]]
-    cos_a = np.clip((c1 * c2 - ch) / (s1 * s2), -1.0, 1.0)
-    return np.arccos(cos_a)
+    ch, sh = np.cosh(L), np.sinh(L)
+    cos, den = np.empty_like(ch), np.empty_like(sh)
+    # the two other corners of corner c are (c + 1) % 3 and (c + 2) % 3
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(ch[..., a], ch[..., b], out=cos[..., c])
+        np.multiply(sh[..., a], sh[..., b], out=den[..., c])
+    cos -= ch
+    cos /= den
+    np.maximum(cos, -1.0, out=cos)
+    return np.arccos(np.minimum(cos, 1.0, out=cos), out=cos)
 
 
 def angle_derivatives(L: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ boundary, the area, vertex-scaled edge lengths, the half-angle identity and
 the quad diagonal a flip inserts.  The tests compare the library's
 vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
 them.  ``advance_by_bisection`` is the wall search by plain bisection that
-``hypflow.surface.advance_conformal`` is compared against.  None of it is
-used by the library.
+``hypflow.surface.advance_conformal`` is compared against.
+``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
+row-wise array formulas that the library's column-form kernels replaced.
+None of it is used by the library.
 """
 
 import math
@@ -100,7 +102,8 @@ def scaled_length(d: float, u_a: float, u_b: float) -> float:
     if not math.isfinite(s):
         raise ValueError("conformal factors must be finite")
     half = math.sinh(0.5 * d)
-    if math.log(half) + s > 350.0:
+    # the library's MAX_SCALED_X, below which the cosine law cannot overflow
+    if math.log(half) + s > 175.0:
         raise OverflowError(
             f"conformal factor out of representable range: d={d}, u_a+u_b={s}"
         )
@@ -186,3 +189,25 @@ def advance_by_bisection(surf, m, u):
         except (SurfaceError, OverflowError):
             move(lo)
             raise
+
+
+def permuted_angles(L: np.ndarray) -> np.ndarray:
+    """Cosine-law angles of an (..., 3) length array, each corner's two
+    neighbours taken by permuting the corners with fancy indexing."""
+    ch, sh = np.cosh(L), np.sinh(L)
+    c1, c2 = ch[..., [1, 2, 0]], ch[..., [2, 0, 1]]
+    s1, s2 = sh[..., [1, 2, 0]], sh[..., [2, 0, 1]]
+    return np.arccos(np.clip((c1 * c2 - ch) / (s1 * s2), -1.0, 1.0))
+
+
+def reduced_mask(L: np.ndarray) -> np.ndarray:
+    """Strict triangle inequality mask by reductions over the last axis."""
+    return L.sum(axis=-1) - 2.0 * L.max(axis=-1) > 0.0
+
+
+def four_minus_two_weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Delaunay weights as each face's angle sum minus twice the angle
+    opposite the edge, summed over the edge's two (face, corner) ``pairs``."""
+    asum = angles.sum(axis=1)
+    f1, c1, f2, c2 = pairs.reshape(-1, 4).T
+    return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]

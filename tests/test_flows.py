@@ -146,6 +146,29 @@ def calabi_seed17():
     return surf, m, FlowConfig(kind="calabi", alpha=1.0, target=-1.0)
 
 
+class TestFirstSameAsLast:
+    def test_eleven_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch):
+        # the right-hand side at an accepted u is the next step's first stage
+        surf, m = genus2_perturbed
+        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, dt_init=0.01)
+        integ = FlowIntegrator(surf, m, cfg)
+        curvature_map = flows._F_alpha
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return curvature_map(*args)
+
+        monkeypatch.setattr(flows, "_F_alpha", counted)
+        for _ in range(3):
+            dt, before = integ.dt, len(calls)
+            integ.step()
+            assert integ.dt == dt  # no trial rejected, dt not yet grown
+            assert len(calls) - before == 11
+            F_a = curvature_map(*clone_state(surf, m), integ.u, cfg.alpha)[0]
+            assert np.array_equal(integ._k1, integ.target - F_a)
+
+
 class TestRejectedTrials:
     def test_refused_trial_restores_accepted_state(self, monkeypatch):
         surf, m, cfg = calabi_seed17()

@@ -25,13 +25,14 @@ from hypflow.surface import (
     validate,
     validate_combinatorics,
 )
-from hypflow.triangle import admissible_mask
+from hypflow.triangle import admissible_mask, angles_from_length_array
 
 from reference import (
     TriLengths,
     advance_by_bisection,
     extended_angles,
     flip_diagonal_from_j,
+    four_minus_two_weights,
     scaled_length,
 )
 
@@ -156,6 +157,25 @@ class TestConformal:
         with pytest.raises(OverflowError):
             apply_conformal(surf, m, np.full(surf.vertex_count, 200.0))
 
+    def test_cosine_law_finite_up_to_overflow_guard(self):
+        x = np.full(3, 0.5 * surface.MAX_SCALED_X)
+        L = surface._scaled_lengths(np.zeros(3), x, x)
+        assert np.all(np.isfinite(angles_from_length_array(L[None, :])))
+        with pytest.raises(OverflowError):
+            surface._scaled_lengths(np.zeros(3), x, x + 1e-9)
+
+    def test_far_advance_ends_typed_without_overflow(self, genus2_unit):
+        # lengths long enough to overflow the cosine law are refused as out
+        # of range, so the wall search meets a typed error and no NaN angles
+        surf, m = genus2_unit
+        make_delaunay(surf, m)
+        u = 1000.0 * np.random.default_rng(20260823).uniform(-0.3, 0.3, surf.vertex_count)
+        with pytest.raises(FlipError):
+            surface.advance_conformal(surf, m, u)
+        angles = face_angles(surf, m)
+        assert np.all(np.isfinite(angles))
+        assert delaunay_weights(surf, m, angles).min() >= -TOL_DELAUNAY
+
     def test_strict_angles_raise_on_inadmissible(self, torus_unit, rng):
         surf, m = torus_unit
         u = np.zeros(surf.vertex_count)
@@ -202,6 +222,28 @@ class TestDelaunay:
             ang[f1].sum() - 2 * ang[f1, c1] + ang[f2].sum() - 2 * ang[f2, c2]
         )
         assert w == pytest.approx(expected, abs=1e-14)
+
+    def test_angle_defect_matches_unbuffered_add(self, genus2_perturbed):
+        surf, m = genus2_perturbed
+        angles = face_angles(surf, m)
+        total = np.zeros(surf.vertex_count)
+        np.add.at(total, surf.face_array.ravel(), angles.ravel())
+        assert np.array_equal(surface.angle_defect(surf, angles), 2.0 * math.pi - total)
+
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(20, 20), lambda: genus2(6, 6)])
+    def test_weights_match_four_minus_two(self, builder):
+        for seed in range(5):
+            surf = builder()
+            m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
+            angles = face_angles(surf, m)
+            w = delaunay_weights(surf, m, angles)
+            assert np.max(np.abs(w - four_minus_two_weights(angles, surf.edge_faces))) <= 2e-15
+
+    def test_make_delaunay_hands_over_weights(self, genus2_perturbed):
+        surf, m = genus2_perturbed
+        w = np.full(len(surf.edges), np.nan)
+        assert make_delaunay(surf, m, weights_out=w)
+        assert np.max(np.abs(w - delaunay_weights(surf, m))) <= 1e-15
 
     def test_make_delaunay_idempotent_on_delaunay_state(self, genus2_unit):
         surf, m = genus2_unit
@@ -463,6 +505,29 @@ class TestWallSearch:
         walls = calls["make_delaunay"]
         assert walls >= 60
         assert calls["apply_conformal"] <= 8 * walls
+
+    def test_segment_after_a_wall_starts_from_handed_over_weights(self, genus2_unit, rng, monkeypatch):
+        # the flip loop's weights start the segment after each wall, so no
+        # whole-mesh probe measures that start again
+        surf, m = genus2_unit
+        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+        starts, probes = [], []
+        flip_loop, probe = surface.make_delaunay, surface._probe
+
+        def recorded_flip_loop(s, mm, **kwargs):
+            out = flip_loop(s, mm, **kwargs)
+            starts.append(mm.current_u.copy())
+            return out
+
+        def recorded_probe(s, mm, x):
+            probes.append(np.copy(x))
+            return probe(s, mm, x)
+
+        monkeypatch.setattr(surface, "make_delaunay", recorded_flip_loop)
+        monkeypatch.setattr(surface, "_probe", recorded_probe)
+        surface.advance_conformal(surf, m, u)
+        assert len(starts) >= 2
+        assert not any(np.array_equal(x, start) for x in probes for start in starts)
 
     def test_far_end_without_weights_bisects_then_flips(self, genus2_unit, rng, monkeypatch):
         # twice the segment of test_advance_is_path_independent: its end is

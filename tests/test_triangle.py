@@ -12,6 +12,8 @@ from reference import (
     TriLengths,
     extended_angles,
     half_angle_residual,
+    permuted_angles,
+    reduced_mask,
     scaled_length,
     tri_angles,
     tri_area,
@@ -218,3 +220,39 @@ class TestVectorized:
             # row convention: entry c is the length opposite corner c
             a = angles_from_length_array(np.array([l.row()]))[0]
             assert np.allclose(a, tri_angles(l), atol=1e-14)
+
+
+class TestColumnKernels:
+    """The column-form kernels against the row-wise formulas they replaced:
+    the same operations in the same order, so the results are bitwise equal."""
+
+    @staticmethod
+    def rows(rng):
+        random = rng.uniform(0.05, 3.0, size=(1000, 3))
+        ties = np.array([
+            [1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0, 2.0],
+            [1.0, 1.0, 2.0], [0.5, 1.5, 1.0], [3.0, 1.0, 2.0],  # zero slack
+            [0.25, 0.125, 0.125], [1.0, 1.0, 1e-300], [5.0, 1.0, 1.0],
+        ])
+        # rounded flat triangles, longest edge in each position: their slack
+        # is a rounding error whose sign depends on the order of the sum
+        ab = rng.uniform(0.05, 1.5, size=(999, 2))
+        flat = np.column_stack([ab, ab.sum(axis=1)]).reshape(3, 333, 3)
+        flat = np.concatenate([np.roll(part, k, axis=1) for k, part in enumerate(flat)])
+        return np.concatenate([random, ties, ties[:, ::-1], flat])
+
+    def test_mask_matches_reduction(self, rng):
+        L = self.rows(rng)
+        assert np.array_equal(admissible_mask(L), reduced_mask(L))
+        assert not admissible_mask(L[1004:1007]).any()  # the zero-slack rows
+
+    def test_angles_match_permuted_formula(self, rng):
+        L = self.rows(rng)
+        assert np.array_equal(angles_from_length_array(L), permuted_angles(L))
+
+    def test_leading_axes(self, rng):
+        L = self.rows(rng)[:2000].reshape(1000, 2, 3)
+        assert np.array_equal(admissible_mask(L), reduced_mask(L))
+        angles = angles_from_length_array(L)
+        assert angles.shape == L.shape
+        assert np.array_equal(angles, permuted_angles(L))
