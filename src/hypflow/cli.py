@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -61,8 +59,6 @@ from .surface import (
     validate,
 )
 
-log = logging.getLogger("hypflow")
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RUNTIME = 2
@@ -71,14 +67,6 @@ EXIT_REGIME = 3
 
 class ParseError(ValueError):
     pass
-
-
-def _setup_logging():
-    level = os.environ.get("HYPFLOW_LOG_LEVEL", "info").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        level = "info"
-    logging.basicConfig(level=levels[level], format="%(levelname)s %(message)s")
 
 
 def parse_phm(path: str):
@@ -121,10 +109,11 @@ def parse_phm(path: str):
         surf = MarkedSurface(n, faces)
     except SurfaceError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    missing = [e for e in surf.edges if e not in lengths]
+    index = surf.edge_index
+    missing = [e for e in index if e not in lengths]
     if missing:
         raise ParseError(f"{path}: missing 'e' record for edge {missing[0]}")
-    extra = [e for e in lengths if e not in surf.edge_index]
+    extra = [e for e in lengths if e not in index]
     if extra:
         raise ParseError(f"{path}: 'e' record for nonexistent edge {extra[0]}")
     return surf, PHMetric(surf, lengths)
@@ -227,7 +216,7 @@ def cmd_report(args) -> int:
     if bad.size:
         print("delaunay no")
         for idx in bad:
-            print(f"non_delaunay_edge {surf.edges[idx]} weight {w[idx]:.6g}")
+            print(f"non_delaunay_edge {tuple(surf.ends[:, idx].tolist())} weight {w[idx]:.6g}")
     else:
         print("delaunay yes")
     return EXIT_OK
@@ -250,7 +239,7 @@ def cmd_flow(args) -> int:
         return EXIT_INVALID
     ok, msg = regime_check(args.alpha, target, euler_characteristic(surf))
     if not ok:
-        log.warning("target outside convergence regime: %s", msg)
+        print(f"warning: target outside convergence regime: {msg}", file=sys.stderr)
     cfg = FlowConfig(
         kind=args.flow,
         alpha=args.alpha,
@@ -355,12 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
-        log.error("unexpected failure: %s", exc)
+        print(f"error: unexpected failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

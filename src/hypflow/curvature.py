@@ -123,7 +123,7 @@ def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
     f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
     B = W[f1, c1] + W[f2, c2]
 
-    ends = np.concatenate(surf.edge_endpoints())
+    ends = surf.ends.ravel()
     a = B * (np.cosh(m.length) - 1.0)
     return JacobianL(A=_end_sums(ends, a, a, surf.vertex_count), B=B, ends=ends)
 

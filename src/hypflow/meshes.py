@@ -54,8 +54,9 @@ def genus2(n: int = 3, m: int = 3) -> MarkedSurface:
     t1 = grid_torus(n, m)
     t2 = grid_torus(n, m)
     n1 = t1.vertex_count
-    fa = t1.faces[0]          # (p, q, r) removed from the first torus
-    fb = t2.faces[-1]         # (x, y, z) removed from the second
+    faces1, faces2 = t1.faces, t2.faces
+    fa = faces1[0]            # (p, q, r) removed from the first torus
+    fb = faces2[-1]           # (x, y, z) removed from the second
     p, q, r = fa
     x, y, z = fb
     # gluing map chosen so each glued edge keeps one face on each side with
@@ -69,8 +70,8 @@ def genus2(n: int = 3, m: int = 3) -> MarkedSurface:
         else:
             remap[vold] = nxt
             nxt += 1
-    faces = [f for f in t1.faces if f != fa]
-    faces += [tuple(remap[v] for v in f) for f in t2.faces[:-1]]
+    faces = [f for f in faces1 if f != fa]
+    faces += [tuple(remap[v] for v in f) for f in faces2[:-1]]
     return MarkedSurface(nxt, faces)
 
 

@@ -99,56 +99,61 @@ def validate_combinatorics(vertex_count: int, faces) -> list:
 class MarkedSurface:
     """Closed oriented triangulated surface over vertices 0..N-1.
 
-    Faces are oriented vertex triples.  ``edges`` lists the undirected edges
-    as sorted vertex pairs and ``edge_index`` maps each pair to its position;
-    ``edge_faces[e]`` holds the two (face, corner) pairs at edge e, the corner
-    being the one opposite the edge, and ``FE[f, c]`` is the index of the edge
-    opposite corner c of face f.  Edges start out in sorted order.  A flip
-    rewrites the two faces and five edges it touches in place: vertex, face
-    and edge indices are stable across flips, the new diagonal taking the
-    flipped edge's slot, so after a flip ``edges`` is no longer sorted.
+    The state is four int64 arrays over faces 0..F-1 and edge slots 0..E-1:
+    ``face_array`` (F, 3) the oriented faces, ``ends`` (2, E) each slot's
+    vertex pair, smaller end first, ``edge_faces[e]`` the two (face, corner)
+    pairs at slot e, the corner being the one opposite the edge, and
+    ``FE[f, c]`` the slot of the edge opposite corner c of face f.  Slots
+    start in sorted vertex-pair order.  A flip rewrites its two faces and
+    five edges in place, the new diagonal taking the flipped edge's slot.
+    ``faces``, ``edges`` and ``edge_index`` are tuple views built on access.
     """
 
     def __init__(self, vertex_count: int, faces):
         self.vertex_count = int(vertex_count)
-        self.faces = [tuple(int(v) for v in f) for f in faces]
-        errors = validate_combinatorics(self.vertex_count, self.faces)
+        faces = [tuple(int(v) for v in f) for f in faces]
+        errors = validate_combinatorics(self.vertex_count, faces)
         if errors:
             raise SurfaceError("; ".join(errors))
-        incid = {}
-        for fi, (a, b, c) in enumerate(self.faces):
-            incid.setdefault(_edge(b, c), []).append((fi, 0))
-            incid.setdefault(_edge(a, c), []).append((fi, 1))
-            incid.setdefault(_edge(a, b), []).append((fi, 2))
-        self.edges = sorted(incid)
-        self.edge_index = {e: idx for idx, e in enumerate(self.edges)}
-        self.face_array = np.array(self.faces, dtype=np.int64)
-        ne = len(self.edges)
-        self.edge_faces = np.array([incid[e] for e in self.edges], dtype=np.int64).reshape(ne, 2, 2)
-        self.FE = np.empty((len(self.faces), 3), dtype=np.int64)
-        self.FE[self.edge_faces[..., 0], self.edge_faces[..., 1]] = np.arange(ne)[:, None]
-        ends = np.array(self.edges, dtype=np.int64).reshape(ne, 2)
-        self._edge_i, self._edge_j = ends[:, 0], ends[:, 1]
+        self.face_array = np.array(faces, dtype=np.int64).reshape(-1, 3)
+        # half-edge 3 f + c is opposite corner c of face f; a stable sort by
+        # vertex pair puts each edge's two half-edges together, in face order
+        s, t = self.face_array[:, [1, 2, 0]].ravel(), self.face_array[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        order = np.argsort(lo * self.vertex_count + hi, kind="stable")
+        self.ends = np.stack((lo[order[::2]], hi[order[::2]]))
+        self.edge_faces = np.stack(np.divmod(order, 3), axis=-1).reshape(-1, 2, 2)
+        self.FE = np.empty(self.face_array.shape, dtype=np.int64)
+        self.FE.ravel()[order] = np.arange(order.size) // 2
+
+    @property
+    def faces(self) -> list:
+        """The faces as vertex triples."""
+        return list(map(tuple, self.face_array.tolist()))
+
+    @property
+    def edges(self) -> list:
+        """The vertex pair of each edge slot, in slot order."""
+        return list(zip(*self.ends.tolist()))
+
+    @property
+    def edge_index(self) -> dict:
+        """The slot of each vertex pair."""
+        return {e: idx for idx, e in enumerate(self.edges)}
 
     def copy(self) -> "MarkedSurface":
         s = object.__new__(MarkedSurface)
         s.vertex_count = self.vertex_count
-        s.faces = list(self.faces)
-        s.edges = list(self.edges)
-        s.edge_index = dict(self.edge_index)
-        for name in ("face_array", "edge_faces", "FE", "_edge_i", "_edge_j"):
+        for name in ("face_array", "ends", "edge_faces", "FE"):
             setattr(s, name, getattr(self, name).copy())
         return s
-
-    def edge_endpoints(self):
-        return self._edge_i, self._edge_j
 
 
 class PHMetric:
     """Edge lengths of the current triangulation and their scaling invariant.
 
-    ``length`` and ``lam`` are float arrays aligned with ``surf.edges``; the
-    constructor takes a ``{edge: length}`` mapping at ``current_u = 0``.
+    ``length`` and ``lam`` are float arrays indexed by edge slot; the
+    constructor takes a ``{vertex pair: length}`` mapping at ``current_u = 0``.
     Vertex scaling, sinh(l_ij/2) = e^(u_i + u_j) sinh(L_ij/2), keeps
     ``lam[e] = log sinh(l_e/2) - u_i - u_j`` fixed for every edge, so the
     lengths at any u follow from ``lam`` alone.  A flip changes ``lam`` only
@@ -157,14 +162,15 @@ class PHMetric:
     """
 
     def __init__(self, surf: MarkedSurface, length: dict):
-        missing = [e for e in surf.edges if e not in length]
+        edges = surf.edges
+        missing = [e for e in edges if e not in length]
         if missing:
             raise SurfaceError(f"missing edge lengths: {missing[:5]}")
-        self.length = np.array([float(length[e]) for e in surf.edges])
+        self.length = np.array([float(length[e]) for e in edges])
         bad = np.flatnonzero(~((self.length > 0.0) & np.isfinite(self.length)))
         if bad.size:
             idx = int(bad[0])
-            raise SurfaceError(f"edge {surf.edges[idx]} has non-positive length {self.length[idx]}")
+            raise SurfaceError(f"edge {edges[idx]} has non-positive length {self.length[idx]}")
         self.lam = np.log(np.sinh(0.5 * self.length))
         self.current_u = np.zeros(surf.vertex_count)
 
@@ -198,7 +204,7 @@ class ValidationReport:
 
 
 def euler_characteristic(surf: MarkedSurface) -> int:
-    return surf.vertex_count - len(surf.edges) + len(surf.faces)
+    return surf.vertex_count - surf.ends.shape[1] + surf.face_array.shape[0]
 
 
 def clone_state(surf: MarkedSurface, m: PHMetric):
@@ -206,7 +212,7 @@ def clone_state(surf: MarkedSurface, m: PHMetric):
 
     Surfaces and metrics mutate together under flips, so they must be cloned
     together; a metric copy alone would go stale after surgery.  The copy
-    keeps the edge order, to which the length arrays are aligned.
+    keeps the edge slots, which index the length arrays.
     """
     return surf.copy(), m.copy()
 
@@ -233,7 +239,7 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
     if strict:
         bad = int(np.flatnonzero(~ok)[0])
         raise AdmissibilityError(
-            f"face {bad} {surf.faces[bad]} is inadmissible with opposite lengths {L[bad]}"
+            f"face {bad} {surf.face_array[bad].tolist()} is inadmissible with opposite lengths {L[bad]}"
         )
     rows = np.flatnonzero(~ok)
     angles[rows] = 0.0
@@ -256,13 +262,13 @@ def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
     L = face_corner_lengths(surf, m)
     slack = L.sum(axis=1) - 2.0 * L.max(axis=1)
     for fi in np.flatnonzero(slack <= 0.0):
-        errors.append(f"inadmissible face {int(fi)} {surf.faces[int(fi)]}")
+        errors.append(f"inadmissible face {int(fi)} {surf.face_array[fi].tolist()}")
     return ValidationReport(
         ok=not errors,
         chi=chi,
         n_vertices=surf.vertex_count,
-        n_edges=len(surf.edges),
-        n_faces=len(surf.faces),
+        n_edges=surf.ends.shape[1],
+        n_faces=surf.face_array.shape[0],
         min_slack=float(slack.min()),
         errors=errors,
     )
@@ -275,8 +281,8 @@ def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
         raise ValueError(f"u has shape {u.shape}, expected ({surf.vertex_count},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factors must be finite")
-    i_idx, j_idx = surf.edge_endpoints()
-    m.length = _scaled_lengths(m.lam, u[i_idx], u[j_idx])
+    u_i, u_j = u[surf.ends]
+    m.length = _scaled_lengths(m.lam, u_i, u_j)
     m.current_u = u.copy()
 
 
@@ -310,21 +316,21 @@ def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return q[:, 0] + q[:, 1]
 
 
-def _quad_around(surf: MarkedSurface, e: Edge):
-    """The quad around edge e: vertices (i, j, k, l), faces [fa, fb] and the
-    indices of its edges [ij, ik, jk, il, jl].
+def _quad_around(surf: MarkedSurface, ij: int):
+    """The quad around edge slot ij: vertices (i, j, k, l), faces [fa, fb]
+    and the slots of its edges [ij, ik, jk, il, jl].
 
-    fa contains the directed edge (i, j) with opposite vertex k;
-    fb contains (j, i) with opposite vertex l.
+    i < j are the slot's ends; fa contains the directed edge (i, j) with
+    opposite vertex k, and fb contains (j, i) with opposite vertex l.
     """
-    i, j = _edge(*e)
-    ij = surf.edge_index[(i, j)]
+    i, j = surf.ends[:, ij].tolist()
     (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
-    if surf.faces[fa][(ca + 1) % 3] != i:
-        fa, ca, fb, cb = fb, cb, fa, ca
+    va, vb = surf.face_array[[fa, fb]].tolist()
+    if va[(ca + 1) % 3] != i:
+        fa, ca, va, fb, cb, vb = fb, cb, vb, fa, ca, va
     ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
     edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
-    return (i, j, surf.faces[fa][ca], surf.faces[fb][cb]), [fa, fb], edges
+    return (i, j, va[ca], vb[cb]), [fa, fb], edges
 
 
 def _corner_sums(surf: MarkedSurface, m: PHMetric, faces: list, verts) -> np.ndarray:
@@ -334,8 +340,8 @@ def _corner_sums(surf: MarkedSurface, m: PHMetric, faces: list, verts) -> np.nda
     return np.array([angles[at == v].sum() for v in verts])
 
 
-def _diagonal(surf: MarkedSurface, m: PHMetric, e: Edge):
-    """Length of the quad diagonal {k, l} that a flip of e would insert,
+def _diagonal(surf: MarkedSurface, m: PHMetric, ij: int):
+    """Length of the quad diagonal {k, l} that a flip of slot ij would insert,
     by the cosine law in the triangle (k, i, l) with angle at i the sum of
     i's corners in the quad.
 
@@ -344,55 +350,53 @@ def _diagonal(surf: MarkedSurface, m: PHMetric, e: Edge):
     quad's two faces.  Raises AdmissibilityError if either face is
     inadmissible.
     """
-    verts, faces, edges = _quad_around(surf, e)
+    verts, faces, edges = _quad_around(surf, ij)
     L = m.length[surf.FE[faces]]
     if not admissible_mask(L).all():
-        raise AdmissibilityError(f"a face at edge {e} is inadmissible with opposite lengths {L.tolist()}")
+        raise AdmissibilityError(f"a face at edge {verts[:2]} is inadmissible with opposite lengths {L.tolist()}")
     sums = _corner_sums(surf, m, faces, verts)
     _, d_ik, _, d_il, _ = m.length[edges].tolist()
     x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(sums[0])
     if x <= 1.0:
-        raise FlipError(f"flip of edge {e} produces degenerate triangle")
+        raise FlipError(f"flip of edge {verts[:2]} produces degenerate triangle")
     return math.acosh(x), (verts, faces, edges, sums)
 
 
-def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge) -> FlipEvent:
-    """Replace the two faces at e by the two faces of the other diagonal.
+def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
+    """Replace the two faces at edge slot e by the two faces of the other
+    diagonal.
 
     The flip is an isometry of the piecewise hyperbolic metric: the new
     diagonal length is computed inside the glued quadrilateral, and ``lam``
     changes only at the new diagonal, set from its length at ``m.current_u``.
-    The two faces keep their indices and the new diagonal takes e's slot in
-    ``surf.edges``, ``m.length`` and ``m.lam``.  Only the quad is measured:
-    ``pre_weight`` and ``k_jump`` come from the angle sums at its vertices
-    i, j, k, l over its two faces before and after the flip, the only angle
-    sums a flip changes.  Refused (no mutation) with FlipError if the result
-    would be a multi-edge or a degenerate triangle, and with
+    The two faces keep their indices and the new diagonal takes slot e: the
+    flip writes the two faces' rows of ``face_array`` and ``FE``,
+    ``ends[:, e]``, the quad's ``edge_faces`` and slot e of ``m.length`` and
+    ``m.lam``.  Only the quad is measured: ``pre_weight`` and ``k_jump``
+    come from the angle sums at its vertices i, j, k, l over its two faces
+    before and after the flip, the only angle sums a flip changes.  Refused
+    (no mutation) with FlipError if e is not a slot or the result would be
+    a self-loop, a multi-edge or a degenerate triangle, and with
     AdmissibilityError if a face of the quad is inadmissible.
     """
-    e = _edge(*e)
-    if e not in surf.edge_index:
-        raise FlipError(f"no such edge {e}")
+    if not 0 <= e < surf.ends.shape[1]:
+        raise FlipError(f"no edge slot {e}")
     d_kl, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal(surf, m, e)
     if k == l:
-        raise FlipError(f"flip of edge {e} would create a self-loop at vertex {k}")
+        raise FlipError(f"flip of edge {(i, j)} would create a self-loop at vertex {k}")
     kl = _edge(k, l)
-    if kl in surf.edge_index:
-        raise FlipError(f"flip of edge {e} would create a multi-edge {kl}")
+    if ((surf.ends[0] == kl[0]) & (surf.ends[1] == kl[1])).any():
+        raise FlipError(f"flip of edge {(i, j)} would create a multi-edge {kl}")
     for a, b in ((ik, il), (jk, jl)):
         tri = (m.length[a], m.length[b], d_kl)
         if sum(tri) - 2.0 * max(tri) <= 0.0:
-            raise FlipError(f"flip of edge {e} produces degenerate triangle")
+            raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
 
     # fa becomes (k, i, l) and fb becomes (l, j, k); FE rows list the edges
     # opposite corners 0, 1, 2, and kl sits at corner 1 of both
-    surf.faces[fa], surf.faces[fb] = (k, i, l), (l, j, k)
-    surf.face_array[[fa, fb]] = surf.faces[fa], surf.faces[fb]
+    surf.face_array[[fa, fb]] = (k, i, l), (l, j, k)
     surf.FE[[fa, fb]] = (il, ij, ik), (jk, ij, jl)
-    del surf.edge_index[e]
-    surf.edge_index[kl] = ij
-    surf.edges[ij] = kl
-    surf._edge_i[ij], surf._edge_j[ij] = kl
+    surf.ends[:, ij] = kl
     surf.edge_faces[ij] = ((fa, 1), (fb, 1))
     for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
         pairs = surf.edge_faces[q]
@@ -401,8 +405,8 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: Edge) -> FlipEvent:
     m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
     after = _corner_sums(surf, m, [fa, fb], (i, j, k, l))
     return FlipEvent(
-        old_edge=e, new_edge=kl,
-        # e's Delaunay weight: the four angles at i and j minus those at k and l
+        old_edge=(i, j), new_edge=kl,
+        # the old edge's Delaunay weight: the four angles at i and j minus those at k and l
         pre_weight=float(before[0] + before[1] - before[2] - before[3]),
         k_jump=float(np.max(np.abs(after - before))),
     )
@@ -436,7 +440,7 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     point before the obstruction.
     """
     u = np.asarray(u, dtype=float)
-    cap = 100 * len(surf.edges)
+    cap = 100 * surf.ends.shape[1]
     events = []
     w_from = None  # weights at the segment start, handed over at each wall
     while True:
@@ -530,12 +534,9 @@ def _secant(surf: MarkedSurface, m: PHMetric, at, edges: np.ndarray, lo: float, 
     inadmissible or a length overflows counts as past the wall, without
     values, and the next step bisects.
     """
-    # the two faces of edges[k] are measured as rows 2k and 2k + 1
-    pairs = surf.edge_faces[edges]
-    fe = surf.FE[pairs[..., 0].flatten()]
-    pairs[..., 0] = np.arange(fe.shape[0]).reshape(-1, 2)
-    i_idx, j_idx = surf.edge_endpoints()
-    vi, vj, lam = i_idx[fe], j_idx[fe], m.lam[fe]
+    faces, pairs = _local_pairs(surf, edges)
+    fe = surf.FE[faces]
+    (vi, vj), lam = surf.ends[:, fe], m.lam[fe]
     kept = 0  # 1 after a step that kept lo, -1 after one that kept hi
     while hi - lo >= 1e-15:
         s = 0.5 * (lo + hi)
@@ -576,13 +577,12 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric, *, weights_out: np.ndarray |
     go into ``weights_out`` if given, to start the next segment.
     Raises FlipError if no non-Delaunay edge is flippable.
     """
-    cap = 100 * len(surf.edges)
+    cap = 100 * surf.ends.shape[1]
     events = []
     angles = face_angles(surf, m)
     w = delaunay_weights(surf, m, angles)
     while True:
-        order = np.argsort(w, kind="stable")
-        candidates = order[w[order] < -TOL_DELAUNAY]
+        candidates = np.flatnonzero(w < -TOL_DELAUNAY)
         if not candidates.size:
             if weights_out is not None:
                 weights_out[:] = w
@@ -591,9 +591,9 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric, *, weights_out: np.ndarray |
             raise SurfaceError(
                 f"make_delaunay exceeded {cap} flips; remaining min weight {w.min():.3e}"
             )
-        for idx in candidates:
+        for idx in candidates[np.argsort(w[candidates], kind="stable")]:
             try:
-                events.append(flip_edge(surf, m, surf.edges[idx]))
+                events.append(flip_edge(surf, m, idx))
                 break
             except FlipError:
                 continue
@@ -611,4 +611,14 @@ def _remeasure_flip(surf: MarkedSurface, m: PHMetric, angles: np.ndarray, w: np.
     faces = surf.edge_faces[idx, :, 0]
     angles[faces] = angles_from_length_array(m.length[surf.FE[faces]])
     quad = surf.FE[faces].ravel()
-    w[quad] = _weights(angles, surf.edge_faces[quad])
+    rows, pairs = _local_pairs(surf, quad)
+    w[quad] = _weights(angles[rows], pairs)
+
+
+def _local_pairs(surf: MarkedSurface, edges: np.ndarray):
+    """The faces of ``edges``, those of ``edges[k]`` as rows 2k and 2k + 1,
+    and the edges' (face, corner) pairs renumbered to those rows."""
+    pairs = surf.edge_faces[edges]
+    faces = pairs[..., 0].flatten()
+    pairs[..., 0] = np.arange(faces.size).reshape(-1, 2)
+    return faces, pairs

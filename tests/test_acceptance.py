@@ -149,7 +149,7 @@ def test_criterion_2_jacobian(announce):
                 float(np.max(np.abs(col - J.matrix[:, j]) / np.maximum(1.0, np.abs(col)))),
             )
 
-        i_idx, j_idx = surf.edge_endpoints()
+        i_idx, j_idx = surf.ends
         larr = m.length
         A = np.zeros(n)
         np.add.at(A, i_idx, J.B * (np.cosh(larr) - 1.0))
@@ -204,10 +204,10 @@ def test_criterion_3_flip_duality(announce):
         # flip_edge measures the new diagonal from the end 0, the reference
         # from the end 1
         from_j = flip_diagonal_from_j(surf, m, (0, 1))
-        flip_edge(surf, m, (0, 1))
+        flip_edge(surf, m, surf.edge_index[(0, 1)])
         worst_diag = max(worst_diag, abs(m.length[surf.edge_index[(2, 3)]] - from_j))
         K1 = curvature(surf, m)
-        flip_edge(surf, m, (2, 3))
+        flip_edge(surf, m, surf.edge_index[(2, 3)])
         K2 = curvature(surf, m)
         worst_K = max(
             worst_K,

@@ -13,7 +13,8 @@ from hypflow.cli import (
     parse_vertex_values,
     write_phm,
 )
-from hypflow.meshes import genus2, grid_torus, unit_metric
+from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
+from hypflow.surface import TOL_DELAUNAY, delaunay_weights
 
 
 @pytest.fixture
@@ -114,6 +115,21 @@ class TestCommands:
         # 15 per-vertex lines
         assert sum(1 for l in out.splitlines() if l and l[0].isdigit()) == 15
 
+    def test_report_names_non_delaunay_edges(self, tmp_path, capsys):
+        surf = genus2()
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        path = str(tmp_path / "g.phm")
+        write_phm(path, surf, m)
+        assert main(["report", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "delaunay no" in out
+        w = delaunay_weights(surf, m)
+        edges = surf.edges
+        expected = [str(edges[idx]) for idx in np.flatnonzero(w < -TOL_DELAUNAY)]
+        named = [l.split(" weight ")[0][len("non_delaunay_edge "):]
+                 for l in out.splitlines() if l.startswith("non_delaunay_edge ")]
+        assert named == expected and named
+
     def test_report_with_factors(self, tmp_path, capsys, genus2_file):
         uf = tmp_path / "u.txt"
         uf.write_text("t 0 0.05\n")
@@ -139,6 +155,10 @@ class TestCommands:
             "--max-steps", "2",
         ])
         assert rc == EXIT_INVALID
+
+    def test_flow_outside_regime_warns_on_stderr(self, capsys, genus2_file):
+        main(["flow", genus2_file, "--alpha", "1.0", "--target-const", "1.0", "--max-steps", "2"])
+        assert "warning: target outside convergence regime" in capsys.readouterr().err
 
     def test_newton_converges(self, capsys, genus2_file):
         rc = main([

@@ -117,7 +117,7 @@ class TestJacobian:
         surf, m = genus2_perturbed
         make_delaunay(surf, m)
         J = jacobian(surf, m)
-        i_idx, j_idx = surf.edge_endpoints()
+        i_idx, j_idx = surf.ends
         larr = m.length
         A = np.zeros(surf.vertex_count)
         np.add.at(A, i_idx, J.B * (np.cosh(larr) - 1.0))

@@ -18,6 +18,7 @@ from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, un
 from hypflow.surface import (
     TOL_DELAUNAY,
     AdmissibilityError,
+    MarkedSurface,
     apply_conformal,
     clone_state,
     delaunay_weights,
@@ -326,6 +327,20 @@ class TestNewton:
         assert res.converged
         assert len(res.linsolve_iters) == res.iterations
         assert all(k >= 1 for k in res.linsolve_iters)
+
+    def test_solve_paths_build_no_tuple_view(self, genus2_perturbed, monkeypatch):
+        # the flows, Newton and their surgery read the index arrays alone; the
+        # tuple views are built in O(E) on every access, for I/O only
+        def refuse(self):
+            raise AssertionError("a solve path built a tuple view of the combinatorics")
+
+        surf, m = genus2_perturbed
+        s2, m2 = clone_state(surf, m)
+        for name in ("faces", "edges", "edge_index"):
+            monkeypatch.setattr(MarkedSurface, name, property(refuse))
+        assert newton_solve(surf, m, 1.0, -1.0).converged
+        run = run_flow(s2, m2, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
+        assert run.converged and run.total_flips >= 1
 
     def test_uncertified_system_refused(self):
         # alpha * target > 0 moves the diagonal below the off-diagonal sums

@@ -117,7 +117,7 @@ class TestMetric:
     def test_clone_state_is_independent(self, octa_unit):
         surf, m = octa_unit
         s2, m2 = clone_state(surf, m)
-        flip_edge(s2, m2, (0, 1))
+        flip_edge(s2, m2, s2.edge_index[(0, 1)])
         assert (0, 1) in surf.edge_index
         assert (0, 1) not in s2.edge_index
         assert not np.array_equal(m.length, m2.length)
@@ -279,6 +279,42 @@ class TestDelaunay:
             assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
         assert len(checked) == flips >= 15
 
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(10, 10), lambda: genus2(6, 6)])
+    def test_make_delaunay_flips_the_least_weight_first(self, builder, monkeypatch):
+        # on inputs where no flip is refused, each flip is of the edge of least
+        # weight: replayed on the input, every event's pre_weight is the
+        # whole-mesh minimum before that flip
+        refused = []
+
+        def counted_flip(surf, m, e, flip=surface.flip_edge):
+            try:
+                return flip(surf, m, e)
+            except FlipError:
+                refused.append(e)
+                raise
+
+        monkeypatch.setattr(surface, "flip_edge", counted_flip)
+        replayed = 0
+        for seed in range(10):
+            surf = builder()
+            m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
+            s, mm = clone_state(surf, m)
+            refused.clear()
+            try:
+                events = make_delaunay(s, mm)
+            except FlipError:
+                continue
+            if refused:
+                continue
+            for ev in events:
+                w = delaunay_weights(surf, m)
+                slot = surf.edge_index[ev.old_edge]
+                assert abs(ev.pre_weight - w.min()) <= 1e-12
+                flip_edge(surf, m, slot)
+                replayed += 1
+            assert np.array_equal(surf.face_array, s.face_array)
+        assert replayed >= 40
+
     def test_make_delaunay_refuses_unflippable(self):
         # every flip of a tetrahedron edge would make a multi-edge
         surf = tetrahedron()
@@ -295,7 +331,7 @@ class TestFlip:
         # flip_edge measures the new diagonal from the end 0; the reference
         # measures it from the end 1
         d_from_j = flip_diagonal_from_j(surf, m, (0, 1))
-        flip_edge(surf, m, (0, 1))
+        flip_edge(surf, m, surf.edge_index[(0, 1)])
         d = m.length[surf.edge_index[(2, 3)]]
         assert d > 0
         assert abs(d - d_from_j) <= 1e-8 * max(1.0, d)
@@ -305,10 +341,10 @@ class TestFlip:
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         before = dict(zip(surf.edges, m.length))
-        ev = flip_edge(surf, m, (0, 1))
+        ev = flip_edge(surf, m, surf.edge_index[(0, 1)])
         assert ev.old_edge == (0, 1) and ev.new_edge == (2, 3)
         assert (0, 1) not in surf.edge_index and (2, 3) in surf.edge_index
-        ev2 = flip_edge(surf, m, (2, 3))
+        ev2 = flip_edge(surf, m, surf.edge_index[(2, 3)])
         assert ev2.new_edge == (0, 1)
         for e, l in before.items():
             assert m.length[surf.edge_index[e]] == pytest.approx(l, abs=1e-12)
@@ -318,7 +354,7 @@ class TestFlip:
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         K0 = curvature(surf, m)
-        flip_edge(surf, m, (0, 1))
+        flip_edge(surf, m, surf.edge_index[(0, 1)])
         K1 = curvature(surf, m)
         assert np.max(np.abs(K1 - K0)) < 1e-12
 
@@ -327,7 +363,7 @@ class TestFlip:
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         lam = m.lam.copy()
-        flip_edge(surf, m, (0, 1))
+        flip_edge(surf, m, surf.edge_index[(0, 1)])
         slot = surf.edge_index[(2, 3)]
         changed = np.flatnonzero(m.lam != lam)
         assert changed.tolist() == [slot]
@@ -350,12 +386,13 @@ class TestFlip:
         surf_t = tetrahedron()
         m_t = unit_metric(surf_t)
         with pytest.raises(FlipError):
-            flip_edge(surf_t, m_t, (0, 1))
+            flip_edge(surf_t, m_t, surf_t.edge_index[(0, 1)])
 
     def test_flip_unknown_edge(self, octa_unit):
         surf, m = octa_unit
-        with pytest.raises(FlipError):
-            flip_edge(surf, m, (0, 5))  # antipodal pair, not an edge
+        for slot in (surf.ends.shape[1], -1):
+            with pytest.raises(FlipError, match="no edge slot"):
+                flip_edge(surf, m, slot)
 
     def test_advance_is_path_independent(self, genus2_unit, rng):
         # reaching the same u through different intermediate stops must give
@@ -431,7 +468,7 @@ class TestFlip:
         events, _, _ = surface.advance_conformal(surf, m, rng.uniform(-0.01, 0.01, surf.vertex_count))
         assert events == []
         assert calls == {"face_angles": 1, "apply_conformal": 1}
-        flip_edge(surf, m, (0, 1))
+        flip_edge(surf, m, surf.edge_index[(0, 1)])
         assert calls == {"face_angles": 1, "apply_conformal": 1}
 
     def test_inadmissible_quad_face_refused_unmodified(self, octa_unit):
@@ -441,7 +478,7 @@ class TestFlip:
         m.length[other] = 10.0
         faces, lengths, FE = list(surf.faces), m.length.copy(), surf.FE.copy()
         with pytest.raises(AdmissibilityError):
-            flip_edge(surf, m, (0, 1))
+            flip_edge(surf, m, surf.edge_index[(0, 1)])
         assert surf.faces == faces and np.array_equal(m.length, lengths)
         assert np.array_equal(surf.FE, FE) and (0, 1) in surf.edge_index
 
@@ -451,7 +488,7 @@ class TestFlip:
         faces = list(surf.faces)
         lengths = m.length.copy()
         with pytest.raises(FlipError):
-            flip_edge(surf, m, (0, 1))
+            flip_edge(surf, m, surf.edge_index[(0, 1)])
         assert surf.faces == faces and np.array_equal(m.length, lengths)
 
 
@@ -634,9 +671,8 @@ FLIP_FIXTURES = [octahedron, lambda: grid_torus(5, 5), lambda: genus2(3, 3)]
 def random_flips(surf, m, rng, attempts=60):
     """Flip randomly chosen edges, skipping refused flips; yields after each flip."""
     for _ in range(attempts):
-        e = surf.edges[rng.integers(len(surf.edges))]
         try:
-            flip_edge(surf, m, e)
+            flip_edge(surf, m, rng.integers(surf.ends.shape[1]))
         except FlipError:
             continue
         yield
@@ -651,16 +687,16 @@ class TestInPlaceFlip:
         flips = 0
         for _ in random_flips(surf, m, rng):
             flips += 1
+            edges, index = surf.edges, surf.edge_index
             ref = MarkedSurface(surf.vertex_count, surf.faces)
-            assert sorted(surf.edges) == ref.edges
-            assert surf.edge_index == {e: idx for idx, e in enumerate(surf.edges)}
-            assert list(zip(*surf.edge_endpoints())) == surf.edges
+            ref_edges, ref_index = ref.edges, ref.edge_index
+            assert sorted(edges) == ref_edges
             assert np.array_equal(surf.face_array, ref.face_array)
-            assert [surf.edges[i] for i in surf.FE.ravel()] == [ref.edges[i] for i in ref.FE.ravel()]
-            for e in ref.edges:
-                pairs = sorted(map(tuple, surf.edge_faces[surf.edge_index[e]].tolist()))
-                assert pairs == sorted(map(tuple, ref.edge_faces[ref.edge_index[e]].tolist()))
-            m_ref = PHMetric(ref, {e: m.length[surf.edge_index[e]] for e in ref.edges})
+            assert [edges[i] for i in surf.FE.ravel()] == [ref_edges[i] for i in ref.FE.ravel()]
+            for e in ref_edges:
+                pairs = sorted(map(tuple, surf.edge_faces[index[e]].tolist()))
+                assert pairs == sorted(map(tuple, ref.edge_faces[ref_index[e]].tolist()))
+            m_ref = PHMetric(ref, {e: m.length[index[e]] for e in ref_edges})
             assert np.array_equal(face_corner_lengths(ref, m_ref), face_corner_lengths(surf, m))
         assert flips >= 15
 
@@ -671,8 +707,8 @@ class TestInPlaceFlip:
         m = perturbed_metric(surf, rng, spread=0.1)
         flips = 0
         for _ in range(60):
-            e = surf.edges[rng.integers(len(surf.edges))]
-            weight = delaunay_weights(surf, m)[surf.edge_index[e]]
+            e = rng.integers(surf.ends.shape[1])
+            weight = delaunay_weights(surf, m)[e]
             K0 = curvature(surf, m)
             try:
                 ev = flip_edge(surf, m, e)
