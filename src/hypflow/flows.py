@@ -19,6 +19,7 @@ from .surface import (
     MarkedSurface,
     PHMetric,
     SurfaceError,
+    _restore,
     advance_conformal,
     angle_defect,
     clone_state,
@@ -133,24 +134,14 @@ def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
 
     Returns (F_alpha, K, flip events, sup-norm K jump across any flip).  The
     state must be Delaunay at ``m.current_u`` and is left Delaunay at u; K
-    comes from the angles ``advance_conformal`` measured at u, one angle pass
-    per u.  Flips happen at Delaunay walls, where they commute with vertex
-    scaling, so the value depends on u alone and not on the path taken to
-    reach it; the jump is a rounding-level continuity diagnostic.
+    comes from the angles ``advance_conformal`` measured at u, with no angle
+    pass of its own.  Flips happen at Delaunay walls, where they commute
+    with vertex scaling, so the value depends on u alone and not on the path
+    taken to reach it; the jump is a rounding-level continuity diagnostic.
     """
     flips, jump, angles = advance_conformal(surf, m, u)
     K = angle_defect(surf, angles)
     return K / np.exp(alpha * u), K, flips, jump
-
-
-def _restore(surf: MarkedSurface, m: PHMetric, saved) -> None:
-    """Put the ``clone_state`` snapshot ``saved`` back into ``surf`` and ``m``
-    in place, so that every holder of the two objects sees it.  A trial that
-    raises leaves the state parked at the obstruction, and a retry from there
-    would meet the same obstruction."""
-    s, mm = clone_state(*saved)
-    vars(surf).update(vars(s))
-    vars(m).update(vars(mm))
 
 
 class FlowIntegrator:

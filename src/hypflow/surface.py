@@ -7,6 +7,7 @@ Delaunay re-triangulation.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -217,6 +218,15 @@ def clone_state(surf: MarkedSurface, m: PHMetric):
     return surf.copy(), m.copy()
 
 
+def _restore(surf: MarkedSurface, m: PHMetric, saved) -> None:
+    """Put the ``clone_state`` snapshot ``saved`` back into ``surf`` and ``m``
+    in place, so that every holder of the two objects sees it: a trial that
+    raised is parked at its obstruction, where a retry would meet it again."""
+    s, mm = clone_state(*saved)
+    vars(surf).update(vars(s))
+    vars(m).update(vars(mm))
+
+
 def face_corner_lengths(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """(F, 3) lengths; entry [f, c] is the length of the edge opposite corner c."""
     return m.length[surf.FE]
@@ -254,8 +264,9 @@ def angle_defect(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
 
 
 def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
-    """Closed-manifold, orientation and admissibility report for a state."""
-    errors = validate_combinatorics(surf.vertex_count, surf.faces)
+    """Euler characteristic and admissibility report for a state; the
+    constructor checked the combinatorics, and flips keep them valid."""
+    errors = []
     chi = euler_characteristic(surf)
     if chi % 2 != 0 or chi > 2:
         errors.append(f"Euler characteristic {chi} is not an even integer <= 2")
@@ -413,169 +424,168 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
 
 
 def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
-    """Move the state to conformal factors ``u`` along a straight segment,
-    flipping with ``make_delaunay`` at the walls where a Delaunay weight
-    vanishes.
+    """Move the state to conformal factors ``u`` along the segment
+    ``(1 - s) * u_from + s * u``, flipping by ``flip_edge`` at the walls
+    where a Delaunay weight crosses -TOL_DELAUNAY; flips there commute with
+    scaling, so the result depends on ``u`` alone.  The state must be
+    Delaunay at ``m.current_u`` (``make_delaunay``) and is left so at ``u``.
 
-    The state must be Delaunay at ``m.current_u``: ``make_delaunay`` makes it
-    so, and every call leaves it so at its endpoint.  Segment points are
-    ``(1 - s) * u_from + s * u``, so the state ends at ``u`` exactly.
+    The walls are kinetic events.  An angle pass at ``u`` finds the edges
+    past their walls and the edges of inadmissible faces; with none it is
+    the only whole-mesh pass.  Each one's first wall is found on its quad
+    alone (``_first_wall``, ``_quad_weight``: the algebraic test P), a heap
+    orders the walls by s, then weight, and each flip re-searches its
+    quad's five edges.  A second pass at ``u`` returns the angles; an edge
+    still past there starts another round.  An edge that dips below its wall
+    and back is no candidate (its flip and flip back would cancel); a flip
+    or failure that meets one in its dip crosses the segment again in two
+    parts, split there.  See README.md.
 
-    Vertex scaling and geometric flips commute only at co-circular
-    configurations, so flipping at the walls (bracketed to within 1e-15 in s
-    by ``_bracket_wall``, a regula falsi on the weights of every edge at
-    once) makes the final metric a function of ``u`` alone, independent of
-    the path taken.  Flipping after overshooting a wall would instead leave a
-    residue of the path in the lengths.  A segment that crosses no wall is
-    measured once, at ``u``.
-
-    Returns ``(events, max_jump, angles)`` where ``max_jump`` is the largest
-    ``FlipEvent.k_jump`` (a rounding-level isometry-continuity diagnostic)
-    and ``angles`` are the (F, 3) corner angles at ``u``.
-
-    Raises FlipError if a wall cannot be crossed by flips, AdmissibilityError
-    if the segment leaves the admissible cone (a degenerating face rather
-    than a wall) and OverflowError if the lengths leave the representable
-    range.  On any of these the state is left Delaunay at the last segment
-    point before the obstruction.
+    Returns ``(events, max_jump, angles)``: the largest ``FlipEvent.k_jump``
+    and the (F, 3) corner angles at ``u``.  Raises FlipError if a wall flip
+    is refused, AdmissibilityError if a face degenerates before a wall and
+    OverflowError if a length leaves the representable range, leaving the
+    state Delaunay at the last segment point before the obstruction.
     """
     u = np.asarray(u, dtype=float)
-    cap = 100 * surf.ends.shape[1]
-    events = []
-    w_from = None  # weights at the segment start, handed over at each wall
+    u_from = m.current_u.copy()
+    n = surf.ends.shape[1]
+    events, heap, start = [], [], None
+    last = (0.0, 0.0)  # (lo, hi) of the last wall crossed
+
+    def at(s):
+        return (1.0 - s) * u_from + s * u
+
+    def schedule(e, past_at_u):
+        stamp[e] += 1
+        wall = _first_wall(_quad_weight(surf, m, e, u0, u1), *last, past_at_u)
+        due[e] = math.inf if wall is None else wall[0]
+        if wall is not None:
+            heapq.heappush(heap, (*wall, stamp[e], e))
+
+    def split(s):
+        _restore(surf, m, start)
+        m.current_u = u_from
+        head = advance_conformal(surf, m, at(s))
+        tail = advance_conformal(surf, m, u)
+        return head[0] + tail[0], max(head[1], tail[1]), tail[2]
+
     while True:
-        if len(events) > cap:
-            raise SurfaceError(f"advance_conformal exceeded {cap} flips")
-        u_from = m.current_u.copy()
-
-        def at(s):
-            return (1.0 - s) * u_from + s * u
-
-        angles, w = _probe(surf, m, at(1.0))
-        if not _past_wall(w):
-            return events, max((ev.k_jump for ev in events), default=0.0), angles
-        if w_from is None:
-            w_from = _probe(surf, m, at(0.0))[1]
-        lo, hi = _bracket_wall(surf, m, at, w_from, w)
         try:
-            apply_conformal(surf, m, at(hi))
-            events += make_delaunay(surf, m, weights_out=w_from)
-        except (SurfaceError, OverflowError):
-            apply_conformal(surf, m, at(lo))
-            raise
-
-
-def _probe(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
-    """Move the state to ``u`` and measure it: ``(angles, weights)``, or
-    ``(None, None)`` outside the admissible cone or the representable range."""
-    try:
-        apply_conformal(surf, m, u)
-        angles = face_angles(surf, m)
-    except (AdmissibilityError, OverflowError):
-        return None, None
-    return angles, delaunay_weights(surf, m, angles)
-
-
-def _past_wall(w) -> bool:
-    """Whether Delaunay weights ``w`` (None where there are none) are past a
-    wall.  NaN weights, from lengths so long that the cosine law overflows,
-    are not."""
-    return w is None or bool(w.min() < -TOL_DELAUNAY)
-
-
-def _bracket_wall(surf: MarkedSurface, m: PHMetric, at, w_lo: np.ndarray, w_hi):
-    """Bracket the first wall on the segment ``at(s)``, 0 <= s <= 1.
-
-    ``w_lo`` are the Delaunay weights at s = 0, where the state is Delaunay,
-    and ``w_hi`` those at s = 1, where it is not (None where there are none).
-    Returns ``(lo, hi)`` with ``hi - lo < 1e-15``, the state whole-mesh
-    Delaunay and admissible at ``lo`` and not at ``hi``; the state is left
-    at a probed point.
-
-    Without weights at hi the bracket is bisected on the whole mesh.  With
-    them, the edges below the tolerance at hi are the candidates, and
-    ``_secant`` closes in on their first crossing measuring only their
-    faces.  One whole-mesh probe then confirms lo; if another edge or face
-    failed first, that probe becomes hi and the search goes on.
-    """
-    lo, hi = 0.0, 1.0
-    g_lo = w_lo + TOL_DELAUNAY
-    g_hi = None if w_hi is None else w_hi + TOL_DELAUNAY
-    while True:
-        if g_hi is None:
-            if hi - lo < 1e-15:
-                return lo, hi
-            mid = 0.5 * (lo + hi)
-            w = _probe(surf, m, at(mid))[1]
-            if _past_wall(w):
-                hi, g_hi = mid, None if w is None else w + TOL_DELAUNAY
-            else:
-                lo, g_lo = mid, w + TOL_DELAUNAY
-            continue
-        edges = np.flatnonzero(g_hi < 0.0)
-        s, hi = _secant(surf, m, at, edges, lo, hi, g_lo[edges], g_hi[edges])
-        if s == lo:
-            return lo, hi
-        w = _probe(surf, m, at(s))[1]
-        if not _past_wall(w):
-            return s, hi
-        hi, g_hi = s, None if w is None else w + TOL_DELAUNAY
-
-
-def _secant(surf: MarkedSurface, m: PHMetric, at, edges: np.ndarray, lo: float, hi: float,
-            g_lo: np.ndarray, g_hi: np.ndarray):
-    """Shrink ``[lo, hi]`` below 1e-15 around the first zero of the weights
-    plus TOL_DELAUNAY of ``edges``, given as ``g_lo`` and ``g_hi`` at the
-    ends, measuring only the faces at those edges.  Returns ``(lo, hi)``.
-
-    Each step probes the earliest per-edge regula falsi estimate of a zero.
-    The Illinois rule halves the values at an end kept twice running, so the
-    bracket shrinks from both sides.  A probe where one of the faces is
-    inadmissible or a length overflows counts as past the wall, without
-    values, and the next step bisects.
-    """
-    faces, pairs = _local_pairs(surf, edges)
-    fe = surf.FE[faces]
-    (vi, vj), lam = surf.ends[:, fe], m.lam[fe]
-    kept = 0  # 1 after a step that kept lo, -1 after one that kept hi
-    while hi - lo >= 1e-15:
-        s = 0.5 * (lo + hi)
-        if g_hi is not None:
-            past = g_hi < 0.0
-            a, b = g_lo[past], g_hi[past]
-            t = lo + (hi - lo) * float(np.min(a / (a - b)))
-            if lo < t < hi:
-                s = t
-        us = at(s)
-        try:
-            L = _scaled_lengths(lam, us[vi], us[vj])
-            ok = bool(admissible_mask(L).all())
-        except OverflowError:
-            ok = False
-        w = _weights(angles_from_length_array(L), pairs) if ok else None
-        if _past_wall(w):
-            hi, g_hi = s, None if w is None else w + TOL_DELAUNAY
-            if kept == 1:
-                g_lo = 0.5 * g_lo
-            kept = 1
+            apply_conformal(surf, m, u)
+        except OverflowError:  # no lengths at u: each edge is measured on its quad
+            past, measured = np.ones(n, dtype=bool), False
         else:
-            lo, g_lo = s, w + TOL_DELAUNAY
-            if kept == -1 and g_hi is not None:
-                g_hi = 0.5 * g_hi
-            kept = -1
-    return lo, hi
+            angles = face_angles(surf, m, strict=False)
+            past = delaunay_weights(surf, m, angles) < -TOL_DELAUNAY
+            if not past.any():
+                return events, max((ev.k_jump for ev in events), default=0.0), angles
+            # extended angles can hide the walls of an inadmissible face's
+            # edges on the way, and its degeneration is an obstruction too
+            past[surf.FE[~admissible_mask(face_corner_lengths(surf, m))]] = True
+            measured = True
+        if start is None:  # walls ahead: a snapshot, and lists for the quad measure
+            start, u0, u1 = clone_state(surf, m), u_from.tolist(), u.tolist()
+            stamp, due = [0] * n, [math.inf] * n
+        for e in np.flatnonzero(past).tolist():
+            schedule(e, measured)
+        while heap:
+            hi, _, lo, st, e = heapq.heappop(heap)
+            if st != stamp[e]:
+                continue
+            if len(events) >= 100 * n:
+                raise SurfaceError(f"advance_conformal exceeded {100 * n} flips")
+            quad = surf.FE[surf.edge_faces[e, :, 0]].ravel()  # kept by the flip
+            if 0.0 < hi < 1.0 and any(due[q] > hi and _quad_weight(surf, m, q, u0, u1)(hi)[0]
+                                      < -TOL_DELAUNAY for q in set(quad.tolist()) - {e}):
+                return split(hi)
+            try:
+                m.current_u = at(hi)
+                m.length[quad] = _scaled_lengths(m.lam[quad], *m.current_u[surf.ends[:, quad]])
+                events.append(flip_edge(surf, m, e))
+            except (SurfaceError, OverflowError):
+                apply_conformal(surf, m, at(lo))
+                w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
+                if 0.0 < lo and any(due[q] > hi for q in np.flatnonzero(w < -2.0 * TOL_DELAUNAY)):
+                    return split(lo)
+                raise
+            last = (lo, hi)
+            for q in set(quad.tolist()):
+                schedule(q, False)
 
 
-def make_delaunay(surf: MarkedSurface, m: PHMetric, *, weights_out: np.ndarray | None = None) -> list:
-    """The one flip loop: flip non-Delaunay edges (most negative weight
-    first) until none remain.
+def _quad_weight(surf: MarkedSurface, m: PHMetric, e: int, u_from: list, u: list):
+    """Edge slot e's Delaunay weight plus TOL_DELAUNAY on the segment from
+    ``u_from`` to ``u`` (lists), from its two faces alone: a function of s
+    returning ``(value, derivative)``, or ``(-inf, nan)`` where a face is
+    inadmissible or a length out of range.
 
-    This leaves the state Delaunay at ``m.current_u``, as
-    ``advance_conformal`` requires of its starting state and does at each
-    wall it crosses.  The angles are measured once on entry; after a flip
-    only its quad is re-measured (``_remeasure_flip``).  The final weights
-    go into ``weights_out`` if given, to start the next segment.
-    Raises FlipError if no non-Delaunay edge is flippable.
+    With x = sinh(l/2) = e^(lam + u_i + u_j), exponents linear in s and at 1
+    bitwise those of ``apply_conformal(u)``, the Delaunay test is P_e = sum
+    over e's faces of (x_a^2 + x_b^2 - x_e^2) / (x_a x_b x_e).  A face's term
+    times x_e / (2 cosh(l_e/2)) is S = sin(q/2), q its two angles at e minus
+    the one opposite, so P_e = 2 coth(l_e/2) (S_1 + S_2) has the sign of the
+    weight 2 (asin S_1 + asin S_2); |S| < 1 is the triangle inequality."""
+    _, _, slots = _quad_around(surf, e)  # e, then each face's other two
+    vi, vj = surf.ends[:, slots].tolist()
+    lam = m.lam[slots].tolist()
+    x0 = [lm + u_from[i] + u_from[j] for lm, i, j in zip(lam, vi, vj)]
+    x1 = [lm + u[i] + u[j] for lm, i, j in zip(lam, vi, vj)]
+    rate = [b - a for a, b in zip(x0, x1)]
+
+    def weight(s):
+        X = [(1.0 - s) * a + s * b for a, b in zip(x0, x1)]
+        if max(X) > MAX_SCALED_X:
+            return -math.inf, math.nan
+        x = [math.exp(v) for v in X]
+        C = x[0] * x[0]
+        g, dg = TOL_DELAUNAY, 0.0
+        for a, b in ((1, 2), (3, 4)):
+            A, B = x[a] * x[a], x[b] * x[b]
+            D = 2.0 * x[a] * x[b] * math.sqrt(1.0 + C)
+            S = (A + B - C) / D
+            if not -1.0 < S < 1.0:
+                return -math.inf, math.nan
+            dS = (2.0 * (rate[a] * A + rate[b] * B - rate[0] * C) / D
+                  - S * (rate[a] + rate[b] + rate[0] * C / (1.0 + C)))
+            g += 2.0 * math.asin(S)
+            dg += 2.0 * dS / math.sqrt(1.0 - S * S)
+        return g, dg
+
+    return weight
+
+
+def _first_wall(weight, lo: float, hi: float, past_at_u: bool):
+    """The first wall of a ``_quad_weight`` after the bracket ``[lo, hi]``:
+    ``(hi, value at hi, lo)`` with hi - lo < 1e-15, or None if not past at
+    s = 1 (``past_at_u`` asserts it is).  Newton steps, each carried 3e-16
+    on so that the bracket closes from both sides; bisection where a step
+    leaves the bracket, a point has no value or 50 steps have not closed it."""
+    v = weight(hi)
+    if v[0] < 0.0:
+        return hi, v[0], lo
+    a, b, s, steps = hi, 1.0, 1.0, 0
+    v = v_b = weight(1.0)
+    if not (past_at_u or v[0] < 0.0):
+        return None
+    while b - a >= 1e-15:
+        n = s - v[0] / v[1] if v[1] and steps < 50 else math.nan
+        n += math.copysign(3e-16, n - s)
+        t = n if a < n < b else 0.5 * (a + b)
+        s, v, steps = t, weight(t), steps + 1
+        if v[0] < 0.0:
+            b, v_b = t, v
+        else:
+            a = t
+    return b, v_b[0], a
+
+
+def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
+    """The flip loop at a fixed point: flip non-Delaunay edges (most negative
+    weight first) until none remain, as ``advance_conformal`` requires of its
+    start; the flows and Newton call it on entry.  The angles are measured
+    once, then only each flip's quad (``_remeasure_flip``).  Raises FlipError
+    if no non-Delaunay edge is flippable.
     """
     cap = 100 * surf.ends.shape[1]
     events = []
@@ -584,8 +594,6 @@ def make_delaunay(surf: MarkedSurface, m: PHMetric, *, weights_out: np.ndarray |
     while True:
         candidates = np.flatnonzero(w < -TOL_DELAUNAY)
         if not candidates.size:
-            if weights_out is not None:
-                weights_out[:] = w
             return events
         if len(events) >= cap:
             raise SurfaceError(
@@ -611,14 +619,8 @@ def _remeasure_flip(surf: MarkedSurface, m: PHMetric, angles: np.ndarray, w: np.
     faces = surf.edge_faces[idx, :, 0]
     angles[faces] = angles_from_length_array(m.length[surf.FE[faces]])
     quad = surf.FE[faces].ravel()
-    rows, pairs = _local_pairs(surf, quad)
+    # the quad edges' faces as rows 2k and 2k + 1 of a local angle array
+    pairs = surf.edge_faces[quad]
+    rows = pairs[..., 0].flatten()
+    pairs[..., 0] = np.arange(rows.size).reshape(-1, 2)
     w[quad] = _weights(angles[rows], pairs)
-
-
-def _local_pairs(surf: MarkedSurface, edges: np.ndarray):
-    """The faces of ``edges``, those of ``edges[k]`` as rows 2k and 2k + 1,
-    and the edges' (face, corner) pairs renumbered to those rows."""
-    pairs = surf.edge_faces[edges]
-    faces = pairs[..., 0].flatten()
-    pairs[..., 0] = np.arange(faces.size).reshape(-1, 2)
-    return faces, pairs

@@ -7,6 +7,8 @@ the quad diagonal a flip inserts.  The tests compare the library's
 vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
 them.  ``advance_by_bisection`` is the wall search by plain bisection that
 ``hypflow.surface.advance_conformal`` is compared against.
+``algebraic_delaunay_test`` is the Delaunay test P written on the lengths
+alone, which the quad measure of ``advance_conformal`` is built from.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
 row-wise array formulas that the library's column-form kernels replaced.
 None of it is used by the library.
@@ -189,6 +191,47 @@ def advance_by_bisection(surf, m, u):
         except (SurfaceError, OverflowError):
             move(lo)
             raise
+
+
+def algebraic_delaunay_test(surf, m) -> np.ndarray:
+    """P_e = sum over the two faces at edge e of (x_a^2 + x_b^2 - x_e^2) /
+    (x_a x_b x_e), with x = sinh(l/2) and a, b the face's other edges: no
+    angle and no triangle inequality, and the sign of the Delaunay weight on
+    admissible faces."""
+    x = np.sinh(0.5 * m.length[surf.FE])
+    T = np.empty_like(x)
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        T[:, c] = (x[:, a] ** 2 + x[:, b] ** 2 - x[:, c] ** 2) / (x[:, a] * x[:, b] * x[:, c])
+    terms = T[surf.edge_faces[..., 0], surf.edge_faces[..., 1]]
+    return terms[:, 0] + terms[:, 1]
+
+
+def wall_by_cosine_law(surf, m, e, u_from, u, guess) -> float:
+    """The s at which the Delaunay weight of edge slot e crosses
+    -TOL_DELAUNAY on the segment (1 - s) u_from + s u, from cosine-law
+    angles of e's two faces in 40-digit arithmetic (``mpmath.findroot``
+    from ``guess``)."""
+    import mpmath
+
+    def weight(t):
+        total = mpmath.mpf(0)
+        for f, c in surf.edge_faces[e].tolist():
+            L = []
+            for k in surf.FE[f].tolist():
+                i, j = surf.ends[:, k].tolist()
+                ends = (1 - t) * (mpmath.mpf(u_from[i]) + mpmath.mpf(u_from[j])) + t * (
+                    mpmath.mpf(u[i]) + mpmath.mpf(u[j]))
+                L.append(2 * mpmath.asinh(mpmath.exp(mpmath.mpf(m.lam[k]) + ends)))
+            theta = [
+                mpmath.acos((mpmath.cosh(L[a]) * mpmath.cosh(L[b]) - mpmath.cosh(L[n]))
+                            / (mpmath.sinh(L[a]) * mpmath.sinh(L[b])))
+                for n, (a, b) in enumerate(((1, 2), (2, 0), (0, 1)))
+            ]
+            total += sum(theta) - 2 * theta[c]
+        return total + TOL_DELAUNAY
+
+    with mpmath.workdps(40):
+        return float(mpmath.findroot(weight, mpmath.mpf(guess)))
 
 
 def permuted_angles(L: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypflow import surface
+from hypflow import flows, surface
 from hypflow.curvature import curvature
 from hypflow.flows import newton_solve
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, tetrahedron, unit_metric
@@ -30,10 +30,12 @@ from hypflow.triangle import admissible_mask, angles_from_length_array
 from reference import (
     TriLengths,
     advance_by_bisection,
+    algebraic_delaunay_test,
     extended_angles,
     flip_diagonal_from_j,
     four_minus_two_weights,
     scaled_length,
+    wall_by_cosine_law,
 )
 
 
@@ -239,11 +241,73 @@ class TestDelaunay:
             w = delaunay_weights(surf, m, angles)
             assert np.max(np.abs(w - four_minus_two_weights(angles, surf.edge_faces))) <= 2e-15
 
-    def test_make_delaunay_hands_over_weights(self, genus2_perturbed):
-        surf, m = genus2_perturbed
-        w = np.full(len(surf.edges), np.nan)
-        assert make_delaunay(surf, m, weights_out=w)
-        assert np.max(np.abs(w - delaunay_weights(surf, m))) <= 1e-15
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
+    def test_algebraic_test_has_the_sign_of_the_weights(self, builder):
+        # on every edge whose faces are admissible, P has the sign of the
+        # angle weight and the wall search's quad measure is the weight; an
+        # inadmissible face leaves its edges without a quad measure
+        negatives = inadmissible = 0
+        for seed in range(4):
+            surf = builder()
+            rng = np.random.default_rng(seed)
+            m = perturbed_metric(surf, rng, spread=0.3)
+            u = rng.uniform(-0.5, 0.5, surf.vertex_count)
+            apply_conformal(surf, m, u)
+            ok = admissible_mask(face_corner_lengths(surf, m))[surf.edge_faces[..., 0]].all(axis=1)
+            w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
+            P = algebraic_delaunay_test(surf, m)
+            assert np.array_equal(np.sign(P[ok]), np.sign(w[ok]))
+            for e in range(len(w)):
+                v = surface._quad_weight(surf, m, e, u.tolist(), u.tolist())(1.0)
+                assert (v[0] > -math.inf) == ok[e]
+                if ok[e]:
+                    assert abs(v[0] - TOL_DELAUNAY - w[e]) <= 1e-13
+            negatives += int((w[ok] < 0.0).sum())
+            inadmissible += int((~ok).sum())
+        assert negatives >= 20 and inadmissible >= 1
+
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
+    def test_first_roots_of_the_test_and_the_weight_agree(self, builder):
+        # along segments from a Delaunay state, for each edge past its wall at
+        # the end: P and the angle weight first vanish at the same s, the wall
+        # search brackets the weight's crossing of -TOL_DELAUNAY (to 40 digits;
+        # the float angle weight's own crossing can be 1e-14 off where the
+        # weight is flat), and the quad measure's derivative matches finite
+        # differences
+        roots = 0
+        for seed in range(3):
+            surf = builder()
+            rng = np.random.default_rng(seed)
+            m = perturbed_metric(surf, rng, spread=0.28)
+            make_delaunay(surf, m)
+            u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+            s, mm = clone_state(surf, m)
+
+            def measure(t):
+                apply_conformal(s, mm, t * u)
+                return delaunay_weights(s, mm, face_angles(s, mm, strict=False)), algebraic_delaunay_test(s, mm)
+
+            def first_root(past):
+                lo, hi = 0.0, 1.0
+                while hi - lo >= 1e-15:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if past(mid) else (mid, hi)
+                return hi
+
+            w_end, _ = measure(1.0)
+            for e in np.flatnonzero(w_end < -TOL_DELAUNAY):
+                at_zero = first_root(lambda t: measure(t)[0][e] < 0.0)
+                assert abs(first_root(lambda t: measure(t)[1][e] < 0.0) - at_zero) <= 1e-14
+                weight = surface._quad_weight(surf, m, e, m.current_u.tolist(), u.tolist())
+                hi, _, lo = surface._first_wall(weight, 0.0, 0.0, False)
+                assert hi - lo < 1e-15
+                assert abs(hi - wall_by_cosine_law(surf, m, e, m.current_u, u, hi)) <= 1e-14
+                h = 1e-6
+                g, dg = weight(0.5 * hi)
+                fd = (weight(0.5 * hi + h)[0] - weight(0.5 * hi - h)[0]) / (2.0 * h)
+                assert abs(dg - fd) <= 1e-7 * max(1.0, abs(dg))
+                roots += 1
+        assert roots >= 5
 
     def test_make_delaunay_idempotent_on_delaunay_state(self, genus2_unit):
         surf, m = genus2_unit
@@ -528,45 +592,90 @@ class TestWallSearch:
         assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
         assert np.max(np.abs(m1.current_u - m2.current_u)) <= 1e-14
 
-    def test_passes_per_wall_on_newton_surgery_inputs(self, monkeypatch):
+    @pytest.mark.parametrize("size, seed, scale, crossed_again", [
+        # ends that leave dozens of faces inadmissible: some of their edges
+        # have walls on the way that their extended weights at u do not
+        # show, and the candidates include them
+        (6, [3, 3], 1.2, False), (6, [11, 3], 1.2, False),
+        # an edge dips below its wall and back, unseen, while a wall of its
+        # quad is crossed (the advance succeeds), or while the advance
+        # fails: the segment is crossed again in two parts
+        (10, [101, 11], 0.4, True), (8, [14, 7], 0.5, True),
+    ], ids=["cone-3", "cone-11", "dip-flip", "dip-failure"])
+    def test_matches_bisection_reference_on_long_moves(self, size, seed, scale, crossed_again,
+                                                       monkeypatch):
+        surf = grid_torus(size, size)
+        rng = np.random.default_rng(seed)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        make_delaunay(surf, m)
+        u = rng.uniform(-scale, scale, surf.vertex_count)
+        restores = []
+        monkeypatch.setattr(surface, "_restore", lambda *args, restore=surface._restore: (
+            restores.append(1), restore(*args)))
+        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
+        assert bool(restores) == crossed_again
+        ref_flips, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
+        assert (flips, err) == (ref_flips, ref_err)
+        assert s1.faces == s2.faces and s1.edges == s2.edges
+        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
+        assert np.max(np.abs(m1.current_u - m2.current_u)) <= 1e-14
+
+    def test_whole_mesh_passes_per_advance_on_newton_surgery_inputs(self, monkeypatch):
         # the inputs of pass 0 of bench/run.py's newton-surgery workload,
-        # seeds 1-3; plain bisection makes 51 passes per wall
-        calls = {"apply_conformal": 0, "make_delaunay": 0}
-        for name in calls:
-            monkeypatch.setattr(surface, name, _counted(calls, name, getattr(surface, name)))
+        # seeds 1-3: an advance measures the whole mesh at u alone, at most
+        # twice, however many walls it crosses
+        passes, points, per_advance = {"face_angles": 0}, [], []
+        monkeypatch.setattr(surface, "face_angles", _counted(passes, "face_angles", face_angles))
+        monkeypatch.setattr(surface, "apply_conformal",
+                            lambda s, mm, x: (points.append(np.copy(x)), apply_conformal(s, mm, x)))
+        walls = 0
+
+        def checked(s, mm, u, advance=surface.advance_conformal):
+            nonlocal walls
+            passes["face_angles"] = 0
+            points.clear()
+            out = advance(s, mm, u)
+            walls += len(out[0])
+            per_advance.append(passes["face_angles"])
+            assert len(points) <= 2 and all(np.array_equal(x, u) for x in points)
+            return out
+
+        monkeypatch.setattr(flows, "advance_conformal", checked)
         for seed in (1, 2, 3):
             surf = grid_torus(20, 20)
             m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=0.28)
             assert newton_solve(surf, m, 0.0, 0.1).converged
-        # make_delaunay is called through surface only at a wall
-        walls = calls["make_delaunay"]
         assert walls >= 60
-        assert calls["apply_conformal"] <= 8 * walls
+        assert max(per_advance) <= 2
 
-    def test_segment_after_a_wall_starts_from_handed_over_weights(self, genus2_unit, rng, monkeypatch):
-        # the flip loop's weights start the segment after each wall, so no
-        # whole-mesh probe measures that start again
-        surf, m = genus2_unit
-        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        starts, probes = [], []
-        flip_loop, probe = surface.make_delaunay, surface._probe
+    def test_newton_matches_bisection_reference_on_newton_surgery_input(self, monkeypatch):
+        # the pass-0 input of seed 1 of bench/run.py's newton-surgery workload,
+        # solved with each advance as it is and by plain bisection
+        def solve(advance):
+            flips = []
 
-        def recorded_flip_loop(s, mm, **kwargs):
-            out = flip_loop(s, mm, **kwargs)
-            starts.append(mm.current_u.copy())
-            return out
+            def counted(s, mm, u):
+                out = advance(s, mm, u)
+                flips.append(len(out[0]))
+                return out
 
-        def recorded_probe(s, mm, x):
-            probes.append(np.copy(x))
-            return probe(s, mm, x)
+            monkeypatch.setattr(flows, "advance_conformal", counted)
+            surf = grid_torus(20, 20)
+            m = perturbed_metric(surf, np.random.default_rng([1, 0]), spread=0.28)
+            res = newton_solve(surf, m, 0.0, 0.1)
+            assert res.converged
+            return res.state.u, sum(flips)
 
-        monkeypatch.setattr(surface, "make_delaunay", recorded_flip_loop)
-        monkeypatch.setattr(surface, "_probe", recorded_probe)
-        surface.advance_conformal(surf, m, u)
-        assert len(starts) >= 2
-        assert not any(np.array_equal(x, start) for x in probes for start in starts)
+        def by_bisection(s, mm, u):
+            events = advance_by_bisection(s, mm, u)
+            return events, max((ev.k_jump for ev in events), default=0.0), face_angles(s, mm)
 
-    def test_far_end_without_weights_bisects_then_flips(self, genus2_unit, rng, monkeypatch):
+        u, flips = solve(surface.advance_conformal)
+        u_ref, flips_ref = solve(by_bisection)
+        assert flips == flips_ref >= 20
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+    def test_far_end_without_weights_bisects_then_flips(self, genus2_unit, rng):
         # twice the segment of test_advance_is_path_independent: its end is
         # outside the admissible cone, its walls come first, and a flip there
         # is refused
@@ -576,26 +685,21 @@ class TestWallSearch:
         apply_conformal(s, mm, u)
         with pytest.raises(AdmissibilityError):
             face_angles(s, mm)
-        visited = []
-        monkeypatch.setattr(surface, "apply_conformal",
-                            lambda s_, m_, x: (visited.append(np.copy(x)), apply_conformal(s_, m_, x)))
         flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
         assert err is FlipError
-        assert any(np.array_equal(x, 0.5 * u) for x in visited)  # a bisection step
         assert set(s1.edges) != set(surf.edges)  # walls were flipped first
         t = m1.current_u[0] / u[0]
         assert 0.0 < t < 1.0
         assert np.allclose(m1.current_u, t * u, rtol=0.0, atol=1e-15)
         assert delaunay_weights(s1, m1, face_angles(s1, m1)).min() >= -TOL_DELAUNAY
-        monkeypatch.undo()
         _, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
         assert ref_err is FlipError and s1.faces == s2.faces
         assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
 
     @staticmethod
     def crossings_at_end(surf, m, u):
-        """A clone of the state, and the edges past their walls at u with the
-        first s at which each is, along the segment from u = 0 without flips."""
+        """The edges past their walls at u with the first s at which each is,
+        along the segment from u = 0 without flips."""
         s, mm = clone_state(surf, m)
         apply_conformal(s, mm, u)
         late = np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)
@@ -611,58 +715,60 @@ class TestWallSearch:
                     lo = mid
             return hi
 
-        return (s, mm), {int(e): crossing(e) for e in late}
+        return {int(e): crossing(e) for e in late}
+
+    @staticmethod
+    def checked_walls(surf, m, u, monkeypatch):
+        """The flip events of ``advance_conformal`` from u = 0 to u on a clone
+        of the state, after a whole-mesh check at each wall and at u: in s
+        order, the state before the flip Delaunay everywhere 1e-14 before the
+        wall, the flipped edge past its wall 1e-14 after it, and the final
+        state Delaunay."""
+        s, mm = clone_state(surf, m)
+        walls = []
+
+        def recorded(s_, m_, e, flip=surface.flip_edge):
+            walls.append((clone_state(s_, m_), int(e), float(m_.current_u @ u / (u @ u))))
+            return flip(s_, m_, e)
+
+        monkeypatch.setattr(surface, "flip_edge", recorded)
+        events, _, _ = surface.advance_conformal(s, mm, u)
+        monkeypatch.undo()
+        assert len(walls) == len(events)
+        assert [t for *_, t in walls] == sorted(t for *_, t in walls)
+        for (s_, m_), e, t in walls:
+            apply_conformal(s_, m_, (t - 1e-14) * u)
+            assert delaunay_weights(s_, m_, face_angles(s_, m_)).min() >= -TOL_DELAUNAY
+            apply_conformal(s_, m_, (t + 1e-14) * u)
+            assert delaunay_weights(s_, m_)[e] < -TOL_DELAUNAY
+        assert delaunay_weights(s, mm).min() >= -TOL_DELAUNAY
+        return events
 
     def test_earlier_of_two_crossings_flips_first(self, genus2_unit, rng, monkeypatch):
         surf, m = genus2_unit
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        _, crossings = self.crossings_at_end(surf, m, u)
-        assert len(crossings) >= 2  # several edges cross inside the first bracket
+        crossings = self.crossings_at_end(surf, m, u)
+        assert len(crossings) >= 2  # several edges are past their walls at u
         first = surf.edges[min(crossings, key=crossings.get)]
-        brackets = []
-        real = surface._bracket_wall
-
-        def recorded(*args):
-            lo, hi = real(*args)
-            at = args[2]
-            brackets.append((clone_state(*args[:2]), at(lo), at(hi), hi - lo))
-            return lo, hi
-
-        monkeypatch.setattr(surface, "_bracket_wall", recorded)
-        events, _, _ = surface.advance_conformal(surf, m, u)
+        events = self.checked_walls(surf, m, u, monkeypatch)
         assert events[0].old_edge == first
-        assert len(brackets) >= 2
-        for (s_, m_), u_lo, u_hi, width in brackets:
-            assert width < 1e-15
-            apply_conformal(s_, m_, u_lo)
-            assert delaunay_weights(s_, m_, face_angles(s_, m_)).min() >= -TOL_DELAUNAY
-            apply_conformal(s_, m_, u_hi)
-            assert delaunay_weights(s_, m_).min() < -TOL_DELAUNAY
+        assert len(events) >= 2
 
-    def test_whole_mesh_check_finds_a_crossing_the_candidates_miss(self, genus2_unit, rng):
-        # far-end weights that hide the first crossing edge: the candidate
-        # search closes in on a later wall, and the whole-mesh probe at its
-        # near end must send the search back to the first one
-        surf, m = genus2_unit
+    def test_whole_mesh_check_finds_a_crossing_the_candidates_miss(self, monkeypatch):
+        # the segment of test_matches_bisection_reference[torus5x5-2]: an edge
+        # that is not past its wall at u in the starting triangulation, and so
+        # not a candidate, gets a wall after a flip changes its faces; the
+        # whole-mesh check at every wall finds no crossing missed
+        surf = grid_torus(5, 5)
+        rng = np.random.default_rng(2)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        make_delaunay(surf, m)
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        (s, mm), crossings = self.crossings_at_end(surf, m, u)
-        first = min(crossings, key=crossings.get)
-        zero = np.zeros(surf.vertex_count)
-
-        def at(t):
-            return (1.0 - t) * zero + t * u
-
-        apply_conformal(s, mm, at(0.0))
-        w_lo = delaunay_weights(s, mm)
-        apply_conformal(s, mm, at(1.0))
-        w_hi = delaunay_weights(s, mm)
-        w_hi[first] = 1.0
-        lo, hi = surface._bracket_wall(s, mm, at, w_lo, w_hi)
-        assert hi - lo < 1e-15 and abs(hi - crossings[first]) < 1e-14
-        apply_conformal(s, mm, at(lo))
-        assert delaunay_weights(s, mm).min() >= -TOL_DELAUNAY
-        apply_conformal(s, mm, at(hi))
-        assert delaunay_weights(s, mm)[first] < -TOL_DELAUNAY
+        s, mm = clone_state(surf, m)
+        apply_conformal(s, mm, u)
+        candidates = {surf.edges[e] for e in np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)}
+        events = self.checked_walls(surf, m, u, monkeypatch)
+        assert any(ev.old_edge not in candidates for ev in events)
 
 
 FLIP_FIXTURES = [octahedron, lambda: grid_torus(5, 5), lambda: genus2(3, 3)]
