@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .surface import (
     MarkedSurface,
     PHMetric,
     SurfaceError,
-    _edge,
+    _pair_keys,
     apply_conformal,
     delaunay_weights,
     euler_characteristic,
@@ -70,81 +70,98 @@ class ParseError(ValueError):
 
 
 def parse_phm(path: str):
-    """Parse a .phm file into (MarkedSurface, PHMetric)."""
-    n = None
-    faces = []
-    lengths = {}
-    with open(path) as fh:
-        lines = fh.readlines()
+    """Parse a .phm file into (MarkedSurface, PHMetric): one pass sorts the
+    lines into records, then the f and e records are checked as arrays."""
+    lines = _read_lines(path)
     if not lines or lines[0].split("#")[0].strip() != "phm 1":
         raise ParseError(f"{path}:1: expected header 'phm 1'")
+    tokens, at = {"v": [], "f": [], "e": []}, {"v": [], "f": [], "e": []}
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "v" and len(parts) == 2:
-                n = int(parts[1])
-            elif parts[0] == "f" and len(parts) == 4:
-                faces.append(tuple(int(p) for p in parts[1:]))
-            elif parts[0] == "e" and len(parts) == 4:
-                i, j = int(parts[1]), int(parts[2])
-                val = float(parts[3])
-                e = _edge(i, j)
-                if e in lengths:
-                    raise ParseError(f"{path}:{lineno}: duplicate edge record {e}")
-                if not (val > 0 and math.isfinite(val)):
-                    raise ParseError(f"{path}:{lineno}: edge length must be positive")
-                lengths[e] = val
-            else:
-                raise ParseError(f"{path}:{lineno}: unrecognized record {line!r}")
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if n is None:
+        parts = raw.split("#", 1)[0].split()
+        if parts and parts[0] in tokens and len(parts) == (2 if parts[0] == "v" else 4):
+            tokens[parts[0]] += parts[1:]
+            at[parts[0]].append(lineno)
+        elif parts:
+            raise ParseError(f"{path}:{lineno}: unrecognized record {raw.split('#')[0].strip()!r}")
+    if not at["v"]:
         raise ParseError(f"{path}: missing 'v' record")
+    n = _columns(path, tokens["v"][-1:], at["v"][-1:], (int,))[0][0]
+    faces = np.stack(_columns(path, tokens["f"], at["f"], (int, int, int)), axis=1)
+    i, j, length = _columns(path, tokens["e"], at["e"], (int, int, float))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # the first duplicate or non-positive record, in line order
+    key = _pair_keys(lo, hi, 0)
+    order = np.argsort(key, kind="stable")
+    d = order[1:][key[order[1:]] == key[order[:-1]]].min(initial=lo.size)
+    b = np.flatnonzero(~((length > 0.0) & np.isfinite(length))).min(initial=lo.size)
+    if min(d, b) < lo.size:
+        msg = f"duplicate edge record {(int(lo[d]), int(hi[d]))}" if d <= b else "edge length must be positive"
+        raise ParseError(f"{path}:{at['e'][min(d, b)]}: {msg}")
     try:
         surf = MarkedSurface(n, faces)
     except SurfaceError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    index = surf.edge_index
-    missing = [e for e in index if e not in lengths]
-    if missing:
-        raise ParseError(f"{path}: missing 'e' record for edge {missing[0]}")
-    extra = [e for e in lengths if e not in index]
-    if extra:
-        raise ParseError(f"{path}: 'e' record for nonexistent edge {extra[0]}")
-    return surf, PHMetric(surf, lengths)
+    # a fresh surface's slots are in vertex-pair order, so its keys are sorted
+    E = surf.ends.shape[1]
+    key = _pair_keys(np.concatenate((surf.ends[0], lo)), np.concatenate((surf.ends[1], hi)), n)
+    slot = np.minimum(np.searchsorted(key[:E], key[E:]), E - 1)
+    found = key[slot] == key[E:]
+    hit = np.bincount(slot[found], minlength=E)
+    if not hit.all():
+        raise ParseError(f"{path}: missing 'e' record for edge {tuple(surf.ends[:, np.argmin(hit)].tolist())}")
+    if not found.all():
+        k = np.argmin(found)
+        raise ParseError(f"{path}: 'e' record for nonexistent edge {(int(lo[k]), int(hi[k]))}")
+    return surf, PHMetric(surf, length[np.argsort(slot)])
+
+
+def _columns(path: str, tokens: list, lines: list, kinds: tuple) -> list:
+    """Records of ``len(kinds)`` tokens each, one array per column converted
+    by ``kinds``; a token that does not convert raises a ParseError at its
+    record's line."""
+    try:
+        return [np.array(list(map(kind, tokens[c::len(kinds)])), dtype=kind) for c, kind in enumerate(kinds)]
+    except (ValueError, OverflowError):
+        for k, (tok, kind) in enumerate(zip(tokens, kinds * len(lines))):
+            try:
+                np.array(kind(tok), dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}:{lines[k // len(kinds)]}: {exc}") from exc
+        raise
 
 
 def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
+    """Write the state in the v1 format: faces in face order, then edges in
+    slot order, each length to 17 significant digits."""
     with open(path, "w") as fh:
-        fh.write("phm 1\n")
-        fh.write(f"v {surf.vertex_count}\n")
-        for f in surf.faces:
-            fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
-        for e, l in zip(surf.edges, m.length.tolist()):
-            fh.write(f"e {e[0]} {e[1]} {l:.17g}\n")
+        fh.write(f"phm 1\nv {surf.vertex_count}\n")
+        fh.write("f %d %d %d\n" * surf.face_array.shape[0] % tuple(surf.face_array.ravel().tolist()))
+        records = chain.from_iterable(zip(*surf.ends.tolist(), m.length.tolist()))
+        fh.write("e %d %d %.17g\n" * m.length.size % tuple(records))
 
 
 def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     """Parse ``t <i> <value>`` lines into a length-n vector."""
     out = np.full(n, float(default))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "t" or len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 't <i> <value>'")
-            i = int(parts[1])
-            if not 0 <= i < n:
-                raise ParseError(f"{path}:{lineno}: vertex {i} out of range")
-            out[i] = float(parts[2])
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] != "t" or len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 't <i> <value>'")
+        i = int(parts[1])
+        if not 0 <= i < n:
+            raise ParseError(f"{path}:{lineno}: vertex {i} out of range")
+        out[i] = float(parts[2])
     return out
+
+
+def _read_lines(path: str) -> list:
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _resolve_target(args, n: int) -> np.ndarray:
@@ -170,11 +187,7 @@ def _write_step_log(path: str, run):
 
 
 def cmd_validate(args) -> int:
-    try:
-        surf, m = parse_phm(args.path)
-    except (ParseError, SurfaceError, OSError) as exc:
-        print(f"invalid: {exc}")
-        return EXIT_INVALID
+    surf, m = parse_phm(args.path)
     report = validate(surf, m)
     n_delaunay = int(np.count_nonzero(delaunay_weights(surf, m) >= -TOL_DELAUNAY)) \
         if report.ok else 0
@@ -191,11 +204,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        surf, m = parse_phm(args.path)
-    except (ParseError, SurfaceError, OSError) as exc:
-        print(f"invalid: {exc}")
-        return EXIT_INVALID
+    surf, m = parse_phm(args.path)
     u = np.zeros(surf.vertex_count)
     if args.u:
         u = parse_vertex_values(args.u, surf.vertex_count, default=0.0)
@@ -232,11 +241,7 @@ def _load_for_solver(args):
 
 
 def cmd_flow(args) -> int:
-    try:
-        surf, m, target = _load_for_solver(args)
-    except (ParseError, SurfaceError, OSError) as exc:
-        print(f"invalid: {exc}")
-        return EXIT_INVALID
+    surf, m, target = _load_for_solver(args)
     ok, msg = regime_check(args.alpha, target, euler_characteristic(surf))
     if not ok:
         print(f"warning: target outside convergence regime: {msg}", file=sys.stderr)
@@ -263,11 +268,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    try:
-        surf, m, target = _load_for_solver(args)
-    except (ParseError, SurfaceError, OSError) as exc:
-        print(f"invalid: {exc}")
-        return EXIT_INVALID
+    surf, m, target = _load_for_solver(args)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-0.1, 0.1, surf.vertex_count) if args.seed is not None else None
     try:
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:  # an input file that cannot be read or is invalid
+        print(f"invalid: {exc}")
+        return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         print(f"error: unexpected failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -29,20 +29,20 @@ def octahedron() -> MarkedSurface:
     return MarkedSurface(6, faces)
 
 
-def grid_torus(n: int = 3, m: int = 3) -> MarkedSurface:
-    """n x m grid torus, each cell split along one diagonal; simplicial for n, m >= 3."""
+def _grid_faces(n: int, m: int) -> np.ndarray:
+    """Faces of the n x m grid torus: cell (a, b), row-major, split into
+    (v(a, b), v(a+1, b), v(a+1, b+1)) and (v(a, b), v(a+1, b+1), v(a, b+1))."""
     if n < 3 or m < 3:
         raise ValueError("grid torus needs n, m >= 3 to stay simplicial")
+    a, b = np.divmod(np.arange(n * m), m)
+    v00, v01 = a * m + b, a * m + (b + 1) % m
+    v10, v11 = (a + 1) % n * m + b, (a + 1) % n * m + (b + 1) % m
+    return np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
 
-    def v(a, b):
-        return (a % n) * m + (b % m)
 
-    faces = []
-    for a in range(n):
-        for b in range(m):
-            faces.append((v(a, b), v(a + 1, b), v(a + 1, b + 1)))
-            faces.append((v(a, b), v(a + 1, b + 1), v(a, b + 1)))
-    return MarkedSurface(n * m, faces)
+def grid_torus(n: int = 3, m: int = 3) -> MarkedSurface:
+    """n x m grid torus, each cell split along one diagonal; simplicial for n, m >= 3."""
+    return MarkedSurface(n * m, _grid_faces(n, m))
 
 
 def genus2(n: int = 3, m: int = 3) -> MarkedSurface:
@@ -51,42 +51,31 @@ def genus2(n: int = 3, m: int = 3) -> MarkedSurface:
     One face is removed from each torus and the boundary triangles are glued
     with orientations matched, so the result stays oriented and simplicial.
     """
-    t1 = grid_torus(n, m)
-    t2 = grid_torus(n, m)
-    n1 = t1.vertex_count
-    faces1, faces2 = t1.faces, t2.faces
-    fa = faces1[0]            # (p, q, r) removed from the first torus
-    fb = faces2[-1]           # (x, y, z) removed from the second
-    p, q, r = fa
-    x, y, z = fb
+    faces = _grid_faces(n, m)
+    n1 = n * m
+    (p, q, r), (x, y, z) = faces[0], faces[-1]  # removed from the first and the second torus
     # gluing map chosen so each glued edge keeps one face on each side with
-    # opposite directed traversals
-    relabel = {x: q, y: p, z: r}
-    remap = {}
-    nxt = n1
-    for vold in range(t2.vertex_count):
-        if vold in relabel:
-            remap[vold] = relabel[vold]
-        else:
-            remap[vold] = nxt
-            nxt += 1
-    faces = [f for f in faces1 if f != fa]
-    faces += [tuple(remap[v] for v in f) for f in faces2[:-1]]
-    return MarkedSurface(nxt, faces)
+    # opposite directed traversals; the second torus's other vertices follow
+    # the first's in order
+    remap = n1 + np.arange(n1) - np.searchsorted(np.sort([x, y, z]), np.arange(n1))
+    remap[[x, y, z]] = q, p, r
+    return MarkedSurface(2 * n1 - 3, np.concatenate((faces[1:], remap[faces[:-1]])))
 
 
 def unit_metric(surf: MarkedSurface, length: float = 1.0) -> PHMetric:
-    return PHMetric(surf, {e: length for e in surf.edges})
+    return PHMetric(surf, np.full(surf.ends.shape[1], float(length)))
 
 
 def perturbed_metric(
     surf: MarkedSurface, rng: np.random.Generator, spread: float = 0.1, base: float = 1.0
 ) -> PHMetric:
     """Random admissible lengths base * (1 +/- spread); spread < 1/3 keeps all
-    triples inside the triangle inequalities."""
+    triples inside the triangle inequalities.  The draws go to the edges in
+    sorted vertex-pair order, whatever their slots."""
     if not 0.0 <= spread < 1.0 / 3.0:
         raise ValueError("spread must lie in [0, 1/3) for guaranteed admissibility")
-    lengths = {
-        e: base * (1.0 + rng.uniform(-spread, spread)) for e in sorted(surf.edges)
-    }
-    return PHMetric(surf, lengths)
+    length = np.empty(surf.ends.shape[1])
+    length[np.argsort(surf.ends[0] * surf.vertex_count + surf.ends[1])] = base * (
+        1.0 + rng.uniform(-spread, spread, length.size)
+    )
+    return PHMetric(surf, length)

@@ -58,47 +58,69 @@ class FlipError(SurfaceError):
     """A requested edge flip is refused; the state is left unmodified."""
 
 
-Edge = tuple
+def _pair_keys(lo: np.ndarray, hi: np.ndarray, vertex_count: int) -> np.ndarray:
+    """Keys ordered as the pairs (lo, hi): lo N + hi, widened past 0..N-1."""
+    base = lo.min(initial=0)
+    return (lo - base) * (hi.max(initial=vertex_count - 1) + 1 - base) + (hi - base)
 
 
-def _edge(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
+def _sort_half_edges(vertex_count: int, faces):
+    """``(face_array, pairs, order, errors)``: ``order`` the stable sort by
+    vertex pair of the half-edges, 3 f + c running opposite corner c of face
+    f, which puts each edge's two together, ``pairs`` their (lo, hi) ends and
+    ``errors`` empty for a closed oriented surface: each pair twice, once
+    each way, and each vertex's corners one cycle around it."""
+    try:
+        F = np.array(faces, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return None, None, None, [f"faces are not vertex triples: {exc}"]
+    if F.ndim != 2 or F.shape[1:] != (3,) or not F.size:
+        return F, None, None, [f"faces are not vertex triples: shape {F.shape}"]
+    rep = (F[:, 0] == F[:, 1]) | (F[:, 1] == F[:, 2]) | (F[:, 2] == F[:, 0])
+    errors = [f"face {fi} repeats a vertex: {tuple(F[fi].tolist())}" for fi in np.flatnonzero(rep).tolist()]
+    errors += [f"face {fi} references vertex {F[fi, c]} out of range"
+               for fi, c in np.argwhere(((F < 0) | (F >= vertex_count)) & ~rep[:, None]).tolist()]
+    he = np.flatnonzero(np.repeat(~rep, 3))
+    s, t = F[:, [1, 2, 0]].ravel()[he], F[:, [2, 0, 1]].ravel()[he]
+    pairs = np.stack((np.minimum(s, t), np.maximum(s, t)))
+    key = _pair_keys(*pairs, vertex_count)
+    o = np.argsort(key, kind="stable")
+    order, pairs, key = he[o], pairs[:, o], key[o]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=key.size)
+    n_fwd = np.add.reduceat((s < t)[o], first, dtype=np.int64) if first.size else first
+    # a pair on more than two faces always has two of them the same way
+    for kind, bad in (("boundary", count == 1), ("non-manifold", count > 2),
+                      ("repeated directed", (count > 1) & ((count != 2) | (n_fwd != 1)))):
+        errors += [f"{kind} edge {tuple(pairs[:, k].tolist())} on faces {(order[k:k + c] // 3).tolist()}"
+                   for k, c in zip(first[bad].tolist(), count[bad].tolist())]
+    if errors:
+        return F, pairs, order, errors
+    # corner 3 f + c leaves its vertex along half-edge R[3 f + c]; R of that
+    # half-edge's twin is the vertex's corner in the next face around it
+    twin = np.empty_like(order)
+    twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()
+    corners = np.arange(order.size)
+    R = corners.reshape(-1, 3)[:, [2, 0, 1]].ravel()
+    step, label = R[twin[R]], corners
+    # pointer doubling: each label becomes the least corner of its cycle
+    for _ in range(int(np.bincount(F.ravel()).max()).bit_length()):
+        label, step = np.minimum(label, label[step]), step[step]
+    cycles = np.bincount(F.ravel()[label == corners], minlength=vertex_count)
+    bad = np.flatnonzero(cycles != 1)
+    if bad.size:
+        errors.append(f"vertex {bad[0]} has {cycles[bad[0]]} link cycles, not 1 ({bad.size} such vertices)")
+    return F, pairs, order, errors
 
 
 def validate_combinatorics(vertex_count: int, faces) -> list:
-    """Diagnostics for raw face lists; empty list means valid closed surface."""
-    errors = []
-    directed = {}
-    undirected = {}
-    for fi, f in enumerate(faces):
-        if len(f) != 3:
-            errors.append(f"face {fi} does not have 3 vertices: {tuple(f)}")
-            continue
-        a, b, c = f
-        if len({a, b, c}) != 3:
-            errors.append(f"face {fi} repeats a vertex: {tuple(f)}")
-            continue
-        for v in f:
-            if not (0 <= v < vertex_count):
-                errors.append(f"face {fi} references vertex {v} out of range")
-        for s, t in ((a, b), (b, c), (c, a)):
-            if (s, t) in directed:
-                errors.append(
-                    f"directed edge ({s},{t}) repeated (faces {directed[(s, t)]}, {fi}):"
-                    " inconsistent orientation or non-manifold edge"
-                )
-            directed[(s, t)] = fi
-            undirected.setdefault(_edge(s, t), []).append(fi)
-    for e, fs in undirected.items():
-        if len(fs) == 1:
-            errors.append(f"boundary edge {e} (only face {fs[0]})")
-        elif len(fs) > 2:
-            errors.append(f"non-manifold edge {e} shared by faces {fs}")
-    return errors
+    """Diagnostics for (F, 3) integer faces; empty means a valid surface."""
+    return _sort_half_edges(int(vertex_count), faces)[3]
 
 
 class MarkedSurface:
-    """Closed oriented triangulated surface over vertices 0..N-1.
+    """Closed oriented triangulated surface over vertices 0..N-1, built from
+    an (F, 3) integer array-like of oriented faces (``validate_combinatorics``).
 
     The state is four int64 arrays over faces 0..F-1 and edge slots 0..E-1:
     ``face_array`` (F, 3) the oriented faces, ``ends`` (2, E) each slot's
@@ -112,17 +134,10 @@ class MarkedSurface:
 
     def __init__(self, vertex_count: int, faces):
         self.vertex_count = int(vertex_count)
-        faces = [tuple(int(v) for v in f) for f in faces]
-        errors = validate_combinatorics(self.vertex_count, faces)
+        self.face_array, pairs, order, errors = _sort_half_edges(self.vertex_count, faces)
         if errors:
             raise SurfaceError("; ".join(errors))
-        self.face_array = np.array(faces, dtype=np.int64).reshape(-1, 3)
-        # half-edge 3 f + c is opposite corner c of face f; a stable sort by
-        # vertex pair puts each edge's two half-edges together, in face order
-        s, t = self.face_array[:, [1, 2, 0]].ravel(), self.face_array[:, [2, 0, 1]].ravel()
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        order = np.argsort(lo * self.vertex_count + hi, kind="stable")
-        self.ends = np.stack((lo[order[::2]], hi[order[::2]]))
+        self.ends = np.ascontiguousarray(pairs[:, ::2])
         self.edge_faces = np.stack(np.divmod(order, 3), axis=-1).reshape(-1, 2, 2)
         self.FE = np.empty(self.face_array.shape, dtype=np.int64)
         self.FE.ravel()[order] = np.arange(order.size) // 2
@@ -154,7 +169,7 @@ class PHMetric:
     """Edge lengths of the current triangulation and their scaling invariant.
 
     ``length`` and ``lam`` are float arrays indexed by edge slot; the
-    constructor takes a ``{vertex pair: length}`` mapping at ``current_u = 0``.
+    constructor takes the lengths at ``current_u = 0`` in slot order.
     Vertex scaling, sinh(l_ij/2) = e^(u_i + u_j) sinh(L_ij/2), keeps
     ``lam[e] = log sinh(l_e/2) - u_i - u_j`` fixed for every edge, so the
     lengths at any u follow from ``lam`` alone.  A flip changes ``lam`` only
@@ -162,16 +177,13 @@ class PHMetric:
     well defined across surgery.
     """
 
-    def __init__(self, surf: MarkedSurface, length: dict):
-        edges = surf.edges
-        missing = [e for e in edges if e not in length]
-        if missing:
-            raise SurfaceError(f"missing edge lengths: {missing[:5]}")
-        self.length = np.array([float(length[e]) for e in edges])
+    def __init__(self, surf: MarkedSurface, length):
+        self.length = np.array(length, dtype=float)
+        if self.length.shape != (surf.ends.shape[1],):
+            raise SurfaceError(f"lengths of shape {self.length.shape} for {surf.ends.shape[1]} edge slots")
         bad = np.flatnonzero(~((self.length > 0.0) & np.isfinite(self.length)))
         if bad.size:
-            idx = int(bad[0])
-            raise SurfaceError(f"edge {edges[idx]} has non-positive length {self.length[idx]}")
+            raise SurfaceError(f"edge {tuple(surf.ends[:, bad[0]].tolist())} has non-positive length {self.length[bad[0]]}")
         self.lam = np.log(np.sinh(0.5 * self.length))
         self.current_u = np.zeros(surf.vertex_count)
 
@@ -185,8 +197,8 @@ class PHMetric:
 
 @dataclass
 class FlipEvent:
-    old_edge: Edge
-    new_edge: Edge
+    old_edge: tuple
+    new_edge: tuple
     pre_weight: float
     # sup-norm change of the curvature across the flip; rounding level for a
     # geometric flip
@@ -272,8 +284,7 @@ def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
         errors.append(f"Euler characteristic {chi} is not an even integer <= 2")
     L = face_corner_lengths(surf, m)
     slack = L.sum(axis=1) - 2.0 * L.max(axis=1)
-    for fi in np.flatnonzero(slack <= 0.0):
-        errors.append(f"inadmissible face {int(fi)} {surf.face_array[fi].tolist()}")
+    errors += [f"inadmissible face {fi} {surf.face_array[fi].tolist()}" for fi in np.flatnonzero(slack <= 0.0).tolist()]
     return ValidationReport(
         ok=not errors,
         chi=chi,
@@ -395,7 +406,7 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
     d_kl, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal(surf, m, e)
     if k == l:
         raise FlipError(f"flip of edge {(i, j)} would create a self-loop at vertex {k}")
-    kl = _edge(k, l)
+    kl = (min(k, l), max(k, l))
     if ((surf.ends[0] == kl[0]) & (surf.ends[1] == kl[1])).any():
         raise FlipError(f"flip of edge {(i, j)} would create a multi-edge {kl}")
     for a, b in ((ik, il), (jk, jl)):

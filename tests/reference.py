@@ -11,6 +11,11 @@ them.  ``advance_by_bisection`` is the wall search by plain bisection that
 alone, which the quad measure of ``advance_conformal`` is built from.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
 row-wise array formulas that the library's column-form kernels replaced.
+``combinatorics_by_faces`` is the per-face check of raw faces that the
+half-edge sort of ``hypflow.surface.validate_combinatorics`` replaced, and
+the fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
+``write_phm_by_lines``/``parse_phm_by_lines`` build the benchmark's inputs
+the way the array code in ``hypflow.meshes`` and ``hypflow.cli`` replaced.
 None of it is used by the library.
 """
 
@@ -254,3 +259,106 @@ def four_minus_two_weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     asum = angles.sum(axis=1)
     f1, c1, f2, c2 = pairs.reshape(-1, 4).T
     return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
+
+
+def combinatorics_by_faces(vertex_count: int, faces) -> list:
+    """Diagnostics for raw face lists, one face at a time; empty means every
+    edge has two faces that traverse it in opposite directions."""
+    errors = []
+    directed = {}
+    undirected = {}
+    for fi, f in enumerate(faces):
+        if len(f) != 3:
+            errors.append(f"face {fi} does not have 3 vertices: {tuple(f)}")
+            continue
+        a, b, c = f
+        if len({a, b, c}) != 3:
+            errors.append(f"face {fi} repeats a vertex: {tuple(f)}")
+            continue
+        for v in f:
+            if not (0 <= v < vertex_count):
+                errors.append(f"face {fi} references vertex {v} out of range")
+        for s, t in ((a, b), (b, c), (c, a)):
+            if (s, t) in directed:
+                errors.append(
+                    f"directed edge ({s},{t}) repeated (faces {directed[(s, t)]}, {fi}):"
+                    " inconsistent orientation or non-manifold edge"
+                )
+            directed[(s, t)] = fi
+            undirected.setdefault((min(s, t), max(s, t)), []).append(fi)
+    for e, fs in undirected.items():
+        if len(fs) == 1:
+            errors.append(f"boundary edge {e} (only face {fs[0]})")
+        elif len(fs) > 2:
+            errors.append(f"non-manifold edge {e} shared by faces {fs}")
+    return errors
+
+
+def grid_torus_faces_by_loop(n: int, m: int) -> list:
+    """Faces of ``hypflow.meshes.grid_torus(n, m)``, cell by cell."""
+
+    def v(a, b):
+        return (a % n) * m + (b % m)
+
+    faces = []
+    for a in range(n):
+        for b in range(m):
+            faces.append((v(a, b), v(a + 1, b), v(a + 1, b + 1)))
+            faces.append((v(a, b), v(a + 1, b + 1), v(a, b + 1)))
+    return faces
+
+
+def genus2_faces_by_loop(n: int, m: int) -> tuple:
+    """``(vertex_count, faces)`` of ``hypflow.meshes.genus2(n, m)``: two grid
+    tori, less a face each, glued along the removed faces' boundaries."""
+    faces1 = faces2 = grid_torus_faces_by_loop(n, m)
+    n1 = n * m
+    (p, q, r), (x, y, z) = faces1[0], faces2[-1]
+    relabel = {x: q, y: p, z: r}
+    remap, nxt = {}, n1
+    for vold in range(n1):
+        if vold in relabel:
+            remap[vold] = relabel[vold]
+        else:
+            remap[vold] = nxt
+            nxt += 1
+    faces = [f for f in faces1 if f != faces1[0]]
+    faces += [tuple(remap[v] for v in f) for f in faces2[:-1]]
+    return nxt, faces
+
+
+def perturbed_lengths_by_dict(surf, rng, spread: float, base: float = 1.0) -> dict:
+    """``{vertex pair: length}`` with one scalar draw per edge, in sorted
+    vertex-pair order."""
+    return {e: base * (1.0 + rng.uniform(-spread, spread)) for e in sorted(surf.edges)}
+
+
+def write_phm_by_lines(path: str, surf, m) -> None:
+    """The v1 ``.phm`` file of a state, written line by line."""
+    with open(path, "w") as fh:
+        fh.write("phm 1\n")
+        fh.write(f"v {surf.vertex_count}\n")
+        for f in surf.faces:
+            fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
+        for e, l in zip(surf.edges, m.length.tolist()):
+            fh.write(f"e {e[0]} {e[1]} {l:.17g}\n")
+
+
+def parse_phm_by_lines(path: str) -> tuple:
+    """``(vertex_count, faces, {vertex pair: length})`` of a well-formed v1
+    ``.phm`` file, read line by line."""
+    n, faces, lengths = None, [], {}
+    with open(path) as fh:
+        lines = fh.readlines()
+    for raw in lines[1:]:
+        parts = raw.split("#")[0].split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            n = int(parts[1])
+        elif parts[0] == "f":
+            faces.append(tuple(int(p) for p in parts[1:]))
+        else:
+            i, j = int(parts[1]), int(parts[2])
+            lengths[(min(i, j), max(i, j))] = float(parts[3])
+    return n, faces, lengths

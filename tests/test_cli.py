@@ -13,8 +13,17 @@ from hypflow.cli import (
     parse_vertex_values,
     write_phm,
 )
+from hypflow import meshes
 from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
-from hypflow.surface import TOL_DELAUNAY, delaunay_weights
+from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
+
+from reference import (
+    genus2_faces_by_loop,
+    grid_torus_faces_by_loop,
+    parse_phm_by_lines,
+    perturbed_lengths_by_dict,
+    write_phm_by_lines,
+)
 
 
 @pytest.fixture
@@ -71,6 +80,23 @@ class TestFormat:
         with pytest.raises(ParseError, match="positive"):
             parse_phm(str(p))
 
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ("v 4\nf 0 1 2\nf 0 x 3\n", r":4: invalid literal for int\(\)"),
+            ("v 4\nf 0 1 2\ne 0 1 1.0\ne 0 2 one\n", r":5: could not convert"),
+            ("v 4\nf 0 1 2\ne 0 1 99999999999999999999\ne 0 2 1.0\ne 0 1 1.0\n", r":6: duplicate edge record \(0, 1\)"),
+            ("v 3\nf 0 1 2\nf 0 2 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\n", r"'e' record for nonexistent edge \(1, 3\)"),
+            ("f 0 1 2\nf 0 2 1\n", r"missing 'v' record"),
+            ("v x\n", r":2: invalid literal"),
+        ],
+    )
+    def test_bad_records_named(self, tmp_path, records, match):
+        p = tmp_path / "bad.phm"
+        p.write_text("phm 1\n" + records)
+        with pytest.raises(ParseError, match=match):
+            parse_phm(str(p))
+
     def test_unknown_record_rejected(self, tmp_path):
         p = tmp_path / "bad.phm"
         p.write_text("phm 1\nv 3\nq 1 2 3\n")
@@ -91,6 +117,39 @@ class TestFormat:
         p.write_text("t 9 1.0\n")
         with pytest.raises(ParseError, match="out of range"):
             parse_vertex_values(str(p), 5)
+
+
+# pass 0 of the benchmark's workloads, built as bench/run.py builds them
+BENCH_INPUTS = [
+    ("genus2", (6, 6), 0.28),  # flow-genus2
+    ("grid_torus", (20, 20), 0.28),  # newton-surgery
+    ("grid_torus", (50, 50), 0.02),  # newton-dense
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mesh, size, spread", BENCH_INPUTS)
+def test_bench_inputs_match_line_wise_reference(tmp_path, seed, mesh, size, spread):
+    surf = getattr(meshes, mesh)(*size)
+    write_phm(str(tmp_path / "new.phm"), surf, perturbed_metric(surf, np.random.default_rng([seed, 0]), spread))
+    surf, m = parse_phm(str(tmp_path / "new.phm"))
+    assert validate(surf, m).ok
+
+    if mesh == "genus2":
+        n, faces = genus2_faces_by_loop(*size)
+    else:
+        n, faces = size[0] * size[1], grid_torus_faces_by_loop(*size)
+    ref = MarkedSurface(n, faces)
+    lengths = perturbed_lengths_by_dict(ref, np.random.default_rng([seed, 0]), spread)
+    write_phm_by_lines(str(tmp_path / "ref.phm"), ref, PHMetric(ref, [lengths[e] for e in ref.edges]))
+    n, faces, lengths = parse_phm_by_lines(str(tmp_path / "ref.phm"))
+    ref = MarkedSurface(n, faces)
+    m_ref = PHMetric(ref, [lengths[e] for e in ref.edges])
+
+    assert (tmp_path / "new.phm").read_bytes() == (tmp_path / "ref.phm").read_bytes()
+    for name in ("face_array", "ends", "edge_faces", "FE"):
+        assert np.array_equal(getattr(surf, name), getattr(ref, name)), name
+    assert np.array_equal(m.length, m_ref.length) and np.array_equal(m.lam, m_ref.lam)
 
 
 class TestCommands:

@@ -31,12 +31,18 @@ from reference import (
     TriLengths,
     advance_by_bisection,
     algebraic_delaunay_test,
+    combinatorics_by_faces,
     extended_angles,
     flip_diagonal_from_j,
     four_minus_two_weights,
+    perturbed_lengths_by_dict,
     scaled_length,
     wall_by_cosine_law,
 )
+
+
+# the reference's message for a repeated directed edge ends "or non-manifold edge"
+ERROR_KINDS = ("does not have 3", "repeats a vertex", "out of range", "repeated", "boundary edge", "non-manifold edge (")
 
 
 class TestCombinatorics:
@@ -71,6 +77,51 @@ class TestCombinatorics:
         errs = validate_combinatorics(2, [(0, 1, 5)])
         assert any("out of range" in e for e in errs)
 
+    @pytest.mark.parametrize(
+        "vertex_count, builder, vertex",
+        [
+            # a torus with two vertices in no face would read chi = 2
+            (11, lambda: grid_torus(3, 3).faces, 9),
+            (5, lambda: tetrahedron().faces, 4),
+            # two tetrahedra pinched together at vertex 3
+            (7, lambda: np.concatenate((tetrahedron().face_array, tetrahedron().face_array + 3)), 3),
+        ],
+    )
+    def test_vertex_link_must_be_one_cycle(self, vertex_count, builder, vertex):
+        errs = validate_combinatorics(vertex_count, builder())
+        assert len(errs) == 1 and errs[0].startswith(f"vertex {vertex} has ")
+        with pytest.raises(SurfaceError, match="link cycles"):
+            MarkedSurface(vertex_count, builder())
+
+    @pytest.mark.parametrize("builder", [lambda: genus2(3, 3), lambda: grid_torus(4, 4)])
+    @pytest.mark.parametrize("kind", ["drop", "reverse", "duplicate", "out of range", "repeat"])
+    def test_matches_per_face_reference_on_corrupted_faces(self, builder, kind):
+        surf = builder()
+        n = surf.vertex_count
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            faces = surf.face_array.tolist()
+            fi = int(rng.integers(len(faces)))
+            if kind == "drop":
+                del faces[fi]
+            elif kind == "reverse":
+                faces[fi].reverse()
+            elif kind == "duplicate":
+                faces.insert(int(rng.integers(len(faces) + 1)), list(faces[fi]))
+            elif kind == "out of range":
+                faces[fi][rng.integers(3)] = int(rng.choice([-1 - rng.integers(3), n + rng.integers(3)]))
+            else:
+                c = rng.integers(3)
+                faces[fi][c] = faces[fi][(c + 1) % 3]
+            errs, ref = validate_combinatorics(n, faces), combinatorics_by_faces(n, faces)
+            kinds = {k for k in ERROR_KINDS for e in ref if k in e}
+            assert kinds and kinds == {k for k in ERROR_KINDS for e in errs if k in e}
+
+    @pytest.mark.parametrize("faces", [[], [(0, 1, 2, 3)], [(0, 1, 2), (1, 2)], [("a", 1, 2)]])
+    def test_non_triples_rejected(self, faces):
+        errs = validate_combinatorics(4, faces)
+        assert len(errs) == 1 and "not vertex triples" in errs[0]
+
     def test_bad_surface_rejected_at_construction(self):
         with pytest.raises(SurfaceError):
             MarkedSurface(3, [(0, 1, 2)])
@@ -90,21 +141,23 @@ class TestCombinatorics:
 
 class TestMetric:
     def test_missing_length_rejected(self):
+        # lengths are one per edge slot: too few or too many is a wrong shape
         surf = tetrahedron()
-        with pytest.raises(SurfaceError):
-            PHMetric(surf, {surf.edges[0]: 1.0})
+        for length in (np.ones(5), np.ones(7), np.ones((6, 1))):
+            with pytest.raises(SurfaceError, match="edge slots"):
+                PHMetric(surf, length)
 
     def test_nonpositive_length_rejected(self):
         surf = tetrahedron()
-        lengths = {e: 1.0 for e in surf.edges}
-        lengths[surf.edges[0]] = -2.0
+        lengths = np.ones(6)
+        lengths[0] = -2.0
         with pytest.raises(SurfaceError):
             PHMetric(surf, lengths)
 
     def test_validate_reports_inadmissible_face(self):
         surf = tetrahedron()
-        lengths = {e: 1.0 for e in surf.edges}
-        lengths[surf.edges[0]] = 10.0
+        lengths = np.ones(6)
+        lengths[0] = 10.0
         m = PHMetric(surf, lengths)
         report = validate(surf, m)
         assert not report.ok
@@ -382,7 +435,7 @@ class TestDelaunay:
     def test_make_delaunay_refuses_unflippable(self):
         # every flip of a tetrahedron edge would make a multi-edge
         surf = tetrahedron()
-        m = PHMetric(surf, {e: 1.9 if e == (0, 1) else 1.0 for e in surf.edges})
+        m = PHMetric(surf, [1.9 if e == (0, 1) else 1.0 for e in surf.edges])
         assert delaunay_weights(surf, m)[surf.edge_index[(0, 1)]] < -TOL_DELAUNAY
         with pytest.raises(FlipError):
             make_delaunay(surf, m)
@@ -802,9 +855,22 @@ class TestInPlaceFlip:
             for e in ref_edges:
                 pairs = sorted(map(tuple, surf.edge_faces[index[e]].tolist()))
                 assert pairs == sorted(map(tuple, ref.edge_faces[ref_index[e]].tolist()))
-            m_ref = PHMetric(ref, {e: m.length[index[e]] for e in ref_edges})
+            m_ref = PHMetric(ref, [m.length[index[e]] for e in ref_edges])
             assert np.array_equal(face_corner_lengths(ref, m_ref), face_corner_lengths(surf, m))
         assert flips >= 15
+
+    @pytest.mark.parametrize("builder", FLIP_FIXTURES)
+    def test_perturbed_metric_after_flips_matches_dict_reference(self, builder):
+        surf = builder()
+        rng = np.random.default_rng(8)
+        m = perturbed_metric(surf, rng, spread=0.1)
+        for _ in random_flips(surf, m, rng):
+            pass
+        edges = surf.edges
+        assert edges != sorted(edges)  # slot order is no longer vertex-pair order
+        ref = perturbed_lengths_by_dict(surf, np.random.default_rng(9), spread=0.28)
+        m = perturbed_metric(surf, np.random.default_rng(9), spread=0.28)
+        assert np.array_equal(m.length, [ref[e] for e in edges])
 
     @pytest.mark.parametrize("builder", FLIP_FIXTURES)
     def test_flip_diagnostics_match_whole_mesh(self, builder):
