@@ -65,11 +65,11 @@ def _pair_keys(lo: np.ndarray, hi: np.ndarray, vertex_count: int) -> np.ndarray:
 
 
 def _sort_half_edges(vertex_count: int, faces):
-    """``(face_array, pairs, order, errors)``: ``order`` the stable sort by
-    vertex pair of the half-edges, 3 f + c running opposite corner c of face
-    f, which puts each edge's two together, ``pairs`` their (lo, hi) ends and
-    ``errors`` empty for a closed oriented surface: each pair twice, once
-    each way, and each vertex's corners one cycle around it."""
+    """``(face_array, pairs, order, errors)``: ``order`` the half-edges (3 f + c
+    runs opposite corner c of face f) of the faces without a repeated vertex,
+    stably sorted by vertex pair so that each edge's two come together,
+    ``pairs`` their (lo, hi) ends, and ``errors`` empty for a closed oriented
+    surface: each pair twice, once each way; each vertex's corners one cycle."""
     try:
         F = np.array(faces, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
