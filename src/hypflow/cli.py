@@ -20,6 +20,9 @@ and linsolve_iters (the conjugate-gradient iterations of the step that led
 to it; null for iteration 0), plus a terminal record with status,
 iterations and u.
 
+A flow that fails dumps its state to ``<path>.failed.phm``, a ``.phm`` file
+whose last line is the comment ``# failure: <reason>``.
+
 Exit codes: 0 converged/valid, 1 not converged/invalid input, 2 runtime
 failure, 3 regime refusal.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -141,7 +145,9 @@ def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
 
 
 def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
-    """Parse ``t <i> <value>`` lines into a length-n vector."""
+    """Parse ``t <i> <value>`` lines into a length-n vector; a vertex out of
+    range, a token that does not convert or a value that is not finite
+    raises a ParseError at its line."""
     out = np.full(n, float(default))
     for lineno, raw in enumerate(_read_lines(path), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -149,10 +155,15 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
             continue
         if parts[0] != "t" or len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 't <i> <value>'")
-        i = int(parts[1])
+        try:
+            i, value = int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if not 0 <= i < n:
             raise ParseError(f"{path}:{lineno}: vertex {i} out of range")
-        out[i] = float(parts[2])
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: value {value} is not finite")
+        out[i] = value
     return out
 
 
@@ -262,6 +273,8 @@ def cmd_flow(args) -> int:
         return EXIT_OK
     if run.status == "failed":
         write_phm(args.path + ".failed.phm", surf, m)
+        with open(args.path + ".failed.phm", "a") as fh:
+            fh.write(f"# failure: {' '.join(run.reason.splitlines())}\n")
         print(f"failure: {run.reason}; state dumped to {args.path}.failed.phm")
         return EXIT_RUNTIME
     return EXIT_INVALID

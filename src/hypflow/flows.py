@@ -145,7 +145,12 @@ def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
 
 
 class FlowIntegrator:
-    """Owns a (surface, metric) pair for the duration of one flow run."""
+    """Owns a (surface, metric) pair for the duration of one flow run.
+
+    On construction the state is flipped Delaunay at ``m.current_u`` by
+    ``make_delaunay``, the surgery's advance at a fixed u, then advanced to
+    ``u0``; a flip refused on entry raises FlipError.  The first record's
+    flips count both."""
 
     GROW_AFTER = 5
     GROW_FACTOR = 1.5
@@ -448,9 +453,11 @@ def newton_solve(
     with a positive diagonal.  Each step certifies that dominance in O(E),
     raising NewtonError where it fails, and solves H delta = -g by
     Jacobi-preconditioned conjugate gradients on the edge form of L; no
-    n x n matrix is formed.  The state is made Delaunay once on entry and is
-    left at the returned u; a line-search trial that raises is undone by
-    restoring the state at the current iterate.
+    n x n matrix is formed.  On entry the state is flipped Delaunay at
+    ``m.current_u`` by ``make_delaunay``, the surgery's advance at a fixed
+    u, raising FlipError if a flip there is refused; it is left at the
+    returned u.  A line-search trial that raises is undone by restoring the
+    state at the current iterate.
     """
     n = surf.vertex_count
     target = np.asarray(target, dtype=float)

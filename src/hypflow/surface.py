@@ -339,11 +339,13 @@ def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _quad_around(surf: MarkedSurface, ij: int):
-    """The quad around edge slot ij: vertices (i, j, k, l), faces [fa, fb]
-    and the slots of its edges [ij, ik, jk, il, jl].
+    """The quad around edge slot ij: vertices (i, j, k, l), the (face,
+    corner) pairs [(fa, ca), (fb, cb)] and the slots of its edges
+    [ij, ik, jk, il, jl].
 
-    i < j are the slot's ends; fa contains the directed edge (i, j) with
-    opposite vertex k, and fb contains (j, i) with opposite vertex l.
+    i < j are the slot's ends; fa contains the directed edge (i, j), its
+    corners ca, ca + 1 and ca + 2 (mod 3) at k, i and j, and fb contains
+    (j, i), its corners cb, cb + 1 and cb + 2 at l, j and i.
     """
     i, j = surf.ends[:, ij].tolist()
     (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
@@ -352,58 +354,40 @@ def _quad_around(surf: MarkedSurface, ij: int):
         fa, ca, va, fb, cb, vb = fb, cb, vb, fa, ca, va
     ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
     edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
-    return (i, j, va[ca], vb[cb]), [fa, fb], edges
-
-
-def _corner_sums(surf: MarkedSurface, m: PHMetric, faces: list, verts) -> np.ndarray:
-    """Sums of the corner angles at each of ``verts`` over ``faces``."""
-    angles = angles_from_length_array(m.length[surf.FE[faces]])
-    at = surf.face_array[faces]
-    return np.array([angles[at == v].sum() for v in verts])
-
-
-def _diagonal(surf: MarkedSurface, m: PHMetric, ij: int):
-    """Length of the quad diagonal {k, l} that a flip of slot ij would insert,
-    by the cosine law in the triangle (k, i, l) with angle at i the sum of
-    i's corners in the quad.
-
-    Returns ``(length, quad)`` with ``quad`` the vertices, faces and edges
-    from ``_quad_around`` followed by the angle sums at (i, j, k, l) over the
-    quad's two faces.  Raises AdmissibilityError if either face is
-    inadmissible.
-    """
-    verts, faces, edges = _quad_around(surf, ij)
-    L = m.length[surf.FE[faces]]
-    if not admissible_mask(L).all():
-        raise AdmissibilityError(f"a face at edge {verts[:2]} is inadmissible with opposite lengths {L.tolist()}")
-    sums = _corner_sums(surf, m, faces, verts)
-    _, d_ik, _, d_il, _ = m.length[edges].tolist()
-    x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(sums[0])
-    if x <= 1.0:
-        raise FlipError(f"flip of edge {verts[:2]} produces degenerate triangle")
-    return math.acosh(x), (verts, faces, edges, sums)
+    return (i, j, va[ca], vb[cb]), [(fa, ca), (fb, cb)], edges
 
 
 def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
     """Replace the two faces at edge slot e by the two faces of the other
-    diagonal.
+    diagonal; ``advance_conformal`` calls it at each wall.
 
     The flip is an isometry of the piecewise hyperbolic metric: the new
-    diagonal length is computed inside the glued quadrilateral, and ``lam``
-    changes only at the new diagonal, set from its length at ``m.current_u``.
-    The two faces keep their indices and the new diagonal takes slot e: the
-    flip writes the two faces' rows of ``face_array`` and ``FE``,
-    ``ends[:, e]``, the quad's ``edge_faces`` and slot e of ``m.length`` and
-    ``m.lam``.  Only the quad is measured: ``pre_weight`` and ``k_jump``
-    come from the angle sums at its vertices i, j, k, l over its two faces
-    before and after the flip, the only angle sums a flip changes.  Refused
-    (no mutation) with FlipError if e is not a slot or the result would be
-    a self-loop, a multi-edge or a degenerate triangle, and with
-    AdmissibilityError if a face of the quad is inadmissible.
+    diagonal {k, l} has the cosine-law length in the triangle (k, i, l)
+    whose angle at i is the sum of i's corners in the glued quadrilateral,
+    and ``lam`` changes only at the new diagonal, set from its length at
+    ``m.current_u``.  The two faces keep their indices and the new diagonal
+    takes slot e: the flip writes the two faces' rows of ``face_array`` and
+    ``FE``, ``ends[:, e]``, the quad's ``edge_faces`` and slot e of
+    ``m.length`` and ``m.lam``.  Only the quad is measured: ``pre_weight``
+    and ``k_jump`` come from the angle sums at its vertices i, j, k, l over
+    its two faces before and after the flip, the only angle sums a flip
+    changes.  Refused (no mutation) with FlipError if e is not a slot or the
+    result would be a self-loop, a multi-edge or a degenerate triangle, and
+    with AdmissibilityError if a face of the quad is inadmissible.
     """
     if not 0 <= e < surf.ends.shape[1]:
         raise FlipError(f"no edge slot {e}")
-    d_kl, ((i, j, k, l), (fa, fb), (ij, ik, jk, il, jl), before) = _diagonal(surf, m, e)
+    (i, j, k, l), ((fa, ca), (fb, cb)), (ij, ik, jk, il, jl) = _quad_around(surf, e)
+    L = m.length[surf.FE[[fa, fb]]]
+    if not admissible_mask(L).all():
+        raise AdmissibilityError(f"a face at edge {(i, j)} is inadmissible with opposite lengths {L.tolist()}")
+    A, B = angles_from_length_array(L).tolist()
+    before = (A[(ca + 1) % 3] + B[(cb + 2) % 3], A[(ca + 2) % 3] + B[(cb + 1) % 3], A[ca], B[cb])
+    d_ik, d_il = m.length[ik], m.length[il]
+    x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(before[0])
+    if x <= 1.0:
+        raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
+    d_kl = math.acosh(x)
     if k == l:
         raise FlipError(f"flip of edge {(i, j)} would create a self-loop at vertex {k}")
     kl = (min(k, l), max(k, l))
@@ -425,12 +409,13 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
         pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
     m.length[ij] = d_kl
     m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
-    after = _corner_sums(surf, m, [fa, fb], (i, j, k, l))
+    A, B = angles_from_length_array(m.length[surf.FE[[fa, fb]]]).tolist()
+    after = (A[1], B[1], A[0] + B[2], A[2] + B[0])
     return FlipEvent(
         old_edge=(i, j), new_edge=kl,
         # the old edge's Delaunay weight: the four angles at i and j minus those at k and l
-        pre_weight=float(before[0] + before[1] - before[2] - before[3]),
-        k_jump=float(np.max(np.abs(after - before))),
+        pre_weight=before[0] + before[1] - before[2] - before[3],
+        k_jump=max(abs(a - b) for a, b in zip(after, before)),
     )
 
 
@@ -438,8 +423,9 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     """Move the state to conformal factors ``u`` along the segment
     ``(1 - s) * u_from + s * u``, flipping by ``flip_edge`` at the walls
     where a Delaunay weight crosses -TOL_DELAUNAY; flips there commute with
-    scaling, so the result depends on ``u`` alone.  The state must be
-    Delaunay at ``m.current_u`` (``make_delaunay``) and is left so at ``u``.
+    scaling, so the result depends on ``u`` alone.  Precondition: the
+    state is Delaunay at ``m.current_u``, or ``u`` equal to it
+    (``make_delaunay``); it is left Delaunay at ``u``.
 
     The walls are kinetic events.  An angle pass at ``u`` finds the edges
     past their walls and the edges of inadmissible faces; with none it is
@@ -592,46 +578,11 @@ def _first_wall(weight, lo: float, hi: float, past_at_u: bool):
 
 
 def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
-    """The flip loop at a fixed point: flip non-Delaunay edges (most negative
-    weight first) until none remain, as ``advance_conformal`` requires of its
-    start; the flows and Newton call it on entry.  The angles are measured
-    once, then only each flip's quad (``_remeasure_flip``).  Raises FlipError
-    if no non-Delaunay edge is flippable.
+    """The flip loop at a fixed u: ``advance_conformal`` to ``m.current_u``
+    itself, leaving the state Delaunay there, as ``advance_conformal``
+    requires of a start that is not its end.  On that zero-length segment
+    every wall lies at s = 0, so the heap flips the least weight first.
+    Returns the flip events; raises FlipError at the first refused flip,
+    leaving the flips before it made.
     """
-    cap = 100 * surf.ends.shape[1]
-    events = []
-    angles = face_angles(surf, m)
-    w = delaunay_weights(surf, m, angles)
-    while True:
-        candidates = np.flatnonzero(w < -TOL_DELAUNAY)
-        if not candidates.size:
-            return events
-        if len(events) >= cap:
-            raise SurfaceError(
-                f"make_delaunay exceeded {cap} flips; remaining min weight {w.min():.3e}"
-            )
-        for idx in candidates[np.argsort(w[candidates], kind="stable")]:
-            try:
-                events.append(flip_edge(surf, m, idx))
-                break
-            except FlipError:
-                continue
-        else:
-            raise FlipError(
-                f"no non-Delaunay edge is flippable; min weight {w.min():.3e}"
-            )
-        _remeasure_flip(surf, m, angles, w, idx)
-
-
-def _remeasure_flip(surf: MarkedSurface, m: PHMetric, angles: np.ndarray, w: np.ndarray, idx: int):
-    """After a flip into edge slot ``idx``, re-measure in place the angles of
-    its two faces and the weights of the five edges they bound, the only
-    angles and weights the flip changes."""
-    faces = surf.edge_faces[idx, :, 0]
-    angles[faces] = angles_from_length_array(m.length[surf.FE[faces]])
-    quad = surf.FE[faces].ravel()
-    # the quad edges' faces as rows 2k and 2k + 1 of a local angle array
-    pairs = surf.edge_faces[quad]
-    rows = pairs[..., 0].flatten()
-    pairs[..., 0] = np.arange(rows.size).reshape(-1, 2)
-    w[quad] = _weights(angles[rows], pairs)
+    return advance_conformal(surf, m, m.current_u)[0]

@@ -7,6 +7,8 @@ the quad diagonal a flip inserts.  The tests compare the library's
 vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
 them.  ``advance_by_bisection`` is the wall search by plain bisection that
 ``hypflow.surface.advance_conformal`` is compared against.
+``delaunay_by_least_weight`` is the static flip loop at a fixed u that
+``hypflow.surface.make_delaunay`` replaced.
 ``algebraic_delaunay_test`` is the Delaunay test P written on the lengths
 alone, which the quad measure of ``advance_conformal`` is built from.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
@@ -27,11 +29,12 @@ import numpy as np
 from hypflow.surface import (
     TOL_DELAUNAY,
     AdmissibilityError,
+    FlipError,
     SurfaceError,
     apply_conformal,
     delaunay_weights,
     face_angles,
-    make_delaunay,
+    flip_edge,
 )
 
 
@@ -163,8 +166,8 @@ def advance_by_bisection(surf, m, u):
     """``hypflow.surface.advance_conformal`` with its walls found by plain
     bisection: each wall costs about 50 whole-mesh probes, halving [lo, hi]
     until it is narrower than 1e-15 in s, then the state flips at hi by
-    ``make_delaunay``.  Returns the flip events; on an error the state is left
-    at lo and the error is raised."""
+    ``delaunay_by_least_weight``.  Returns the flip events; on an error the
+    state is left at lo and the error is raised."""
     u = np.asarray(u, dtype=float)
     events = []
     while True:
@@ -192,10 +195,34 @@ def advance_by_bisection(surf, m, u):
                 hi = mid
         try:
             move(hi)
-            events += make_delaunay(surf, m)
+            events += delaunay_by_least_weight(surf, m)
         except (SurfaceError, OverflowError):
             move(lo)
             raise
+
+
+def delaunay_by_least_weight(surf, m) -> list:
+    """Flip the state Delaunay at ``m.current_u`` by a static loop: measure
+    the whole mesh, flip the non-Delaunay edge of least weight whose flip
+    ``flip_edge`` does not refuse, and measure again, until no weight is
+    below -TOL_DELAUNAY.  Returns the flip events; raises FlipError if no
+    non-Delaunay edge is flippable."""
+    events = []
+    while True:
+        w = delaunay_weights(surf, m)
+        candidates = np.flatnonzero(w < -TOL_DELAUNAY)
+        if not candidates.size:
+            return events
+        if len(events) >= 100 * surf.ends.shape[1]:
+            raise SurfaceError(f"{len(events)} flips and still not Delaunay")
+        for e in candidates[np.argsort(w[candidates], kind="stable")].tolist():
+            try:
+                events.append(flip_edge(surf, m, e))
+                break
+            except FlipError:
+                continue
+        else:
+            raise FlipError(f"no non-Delaunay edge is flippable; min weight {w.min():.3e}")
 
 
 def algebraic_delaunay_test(surf, m) -> np.ndarray:

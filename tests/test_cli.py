@@ -7,6 +7,7 @@ from hypflow.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_REGIME,
+    EXIT_RUNTIME,
     ParseError,
     main,
     parse_phm,
@@ -270,6 +271,24 @@ class TestCommands:
             return np.array([float(l.split()[2]) for l in out.splitlines() if l.startswith("u ")])
 
         assert np.max(np.abs(u_of(out1) - u_of(out2))) < 1e-8
+
+    @pytest.mark.parametrize("command, option", [("newton", "--target"), ("report", "--u")])
+    @pytest.mark.parametrize("line", ["t 0 abc", "t x 1.0", "t 0 nan", "t 0 -inf", "t 0 1e400"])
+    def test_bad_vertex_value_is_invalid_at_its_line(self, tmp_path, capsys, genus2_file, command, option, line):
+        values = tmp_path / "values.txt"
+        values.write_text(f"# values\nt 1 0.5\n{line}\n")
+        assert main([command, genus2_file, option, str(values)]) == EXIT_INVALID
+        assert capsys.readouterr().out.startswith(f"invalid: {values}:3: ")
+
+    def test_flow_failure_dump_carries_its_reason(self, tmp_path, capsys):
+        surf = genus2()
+        path = str(tmp_path / "g.phm")
+        write_phm(path, surf, perturbed_metric(surf, np.random.default_rng(0), spread=0.1))
+        assert main(["flow", path, "--alpha", "1", "--target-const", "2"]) == EXIT_RUNTIME
+        last = open(path + ".failed.phm").read().splitlines()[-1]
+        assert last.startswith("# failure: dt underflow")
+        assert f"failure: {last[len('# failure: '):]}; state dumped" in capsys.readouterr().out
+        assert validate(*parse_phm(path + ".failed.phm")).ok
 
     def test_target_file(self, tmp_path, capsys, genus2_file):
         tf = tmp_path / "target.txt"

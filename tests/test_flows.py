@@ -18,6 +18,7 @@ from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, un
 from hypflow.surface import (
     TOL_DELAUNAY,
     AdmissibilityError,
+    FlipError,
     MarkedSurface,
     apply_conformal,
     clone_state,
@@ -354,6 +355,22 @@ class TestNewton:
         surf, m = genus2_perturbed
         with pytest.raises(NewtonError, match="conjugate gradients stopped .* at residual"):
             newton_solve(surf, m, 1.0, -1.0)
+
+    def test_failures_on_two_hundred_genus2_inputs(self):
+        # a refused flip on entry raises at once instead of trying the next
+        # candidate; that never rescued an input, so the same seeds fail in
+        # the same ways: a multi-edge refusal on entry, or the line search
+        # stalling at a structural refusal
+        failed = {}
+        for seed in range(200):
+            surf = genus2(3, 3)
+            m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
+            try:
+                assert newton_solve(surf, m, 1.0, -1.0).converged
+            except (FlipError, NewtonError) as exc:
+                failed[seed] = type(exc)
+        assert failed == {**dict.fromkeys((59, 92, 139, 141, 145, 148), FlipError),
+                          **dict.fromkeys((35, 72, 98), NewtonError)}
 
     def test_ten_thousand_vertices(self, rng):
         surf = grid_torus(100, 100)
