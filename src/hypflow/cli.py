@@ -21,7 +21,10 @@ to it; null for iteration 0), plus a terminal record with status,
 iterations and u.
 
 A flow that fails dumps its state to ``<path>.failed.phm``, a ``.phm`` file
-whose last line is the comment ``# failure: <reason>``.
+whose last line is the comment ``# failure: <reason>``.  A flip refused on
+entry, before the first record, is such a failure: ``status failed`` with
+``steps 0`` and no ``final_sup_err`` line, a step log with only its terminal
+record, and the state dumped as the entry flips left it.
 
 Exit codes: 0 converged/valid, 1 not converged/invalid input, 2 runtime
 failure, 3 regime refusal.
@@ -268,7 +271,8 @@ def cmd_flow(args) -> int:
         _write_step_log(args.log, run)
     print(f"status {run.status}")
     print(f"steps {run.steps}")
-    print(f"final_sup_err {run.records[-1].sup_err:.6e}")
+    if run.records:
+        print(f"final_sup_err {run.records[-1].sup_err:.6e}")
     if run.status == "converged":
         return EXIT_OK
     if run.status == "failed":

@@ -31,7 +31,6 @@ __all__ = [
     "FlowConfig",
     "StepRecord",
     "FlowRun",
-    "FlowIntegrator",
     "NewtonResult",
     "MaxPrincipleReport",
     "run_flow",
@@ -43,6 +42,22 @@ __all__ = [
     "NewtonError",
 ]
 
+# the flows' step size starts at DT_INIT and stays in [DT_MIN, DT_MAX]: it
+# halves on each rejected trial and grows by GROW_FACTOR after GROW_AFTER
+# accepted steps in a row; a run whose |u| passes U_ABORT has diverged
+DT_INIT = 0.1
+DT_MIN = 1e-9
+DT_MAX = 0.5
+GROW_AFTER = 5
+GROW_FACTOR = 1.5
+U_ABORT = 50.0
+
+# monitor_max_principle's tolerance on the sign of M and relative slack on
+# its decay envelope; decay_slope fits the final DECAY_TAIL of a run's time
+SIGN_TOL = 1e-9
+ENVELOPE_SLACK = 0.10
+DECAY_TAIL = 0.5
+
 
 class RegimeError(RuntimeError):
     """Target/alpha combination outside the convexity regime."""
@@ -52,34 +67,33 @@ class NewtonError(RuntimeError):
     pass
 
 
+def _target_vector(target, n: int) -> np.ndarray:
+    """A scalar or length-n target as a new length-n float vector."""
+    t = np.asarray(target, dtype=float)
+    if t.ndim == 0:
+        return np.full(n, float(t))
+    if t.shape != (n,):
+        raise ValueError(f"target has shape {t.shape}, expected ({n},)")
+    return t.copy()
+
+
 @dataclass
 class FlowConfig:
     kind: str = "yamabe"
     alpha: float = 0.0
     target: object = 0.0            # scalar or per-vertex array
-    dt_init: float = 0.1
-    dt_min: float = 1e-9
-    dt_max: float = 0.5
     tol_converge: float = 1e-10
     max_steps: int = 5000
     step_atol: float = 1e-8
-    u_abort: float = 50.0
 
     def __post_init__(self):
         if self.kind not in ("yamabe", "calabi"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.tol_converge <= 0:
             raise ValueError("tol_converge must be positive")
 
     def target_vector(self, n: int) -> np.ndarray:
-        t = np.asarray(self.target, dtype=float)
-        if t.ndim == 0:
-            return np.full(n, float(t))
-        if t.shape != (n,):
-            raise ValueError(f"target has shape {t.shape}, expected ({n},)")
-        return t.copy()
+        return _target_vector(self.target, n)
 
 
 @dataclass
@@ -95,6 +109,9 @@ class StepRecord:
 
 @dataclass
 class FlowRun:
+    """One flow run: ``records`` holds the state on entry, then one record
+    per accepted step; a run refused on entry has none."""
+
     kind: str
     alpha: float
     target: np.ndarray
@@ -103,14 +120,25 @@ class FlowRun:
     reason: str | None = None
     final_u: np.ndarray | None = None
     initial_F_alpha: np.ndarray | None = None
-    initial_M: np.ndarray | None = None
-    steps: int = 0
-    total_flips: int = 0
     max_flip_jump: float = 0.0
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def steps(self) -> int:
+        return max(len(self.records) - 1, 0)
+
+    @property
+    def total_flips(self) -> int:
+        return sum(r.flips for r in self.records)
+
+    @property
+    def initial_M(self) -> np.ndarray | None:
+        if self.initial_F_alpha is None:
+            return None
+        return self.initial_F_alpha - self.target
 
 
 def regime_check(alpha: float, target: np.ndarray, chi: int):
@@ -144,170 +172,119 @@ def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
     return K / np.exp(alpha * u), K, flips, jump
 
 
-class FlowIntegrator:
-    """Owns a (surface, metric) pair for the duration of one flow run.
-
-    On construction the state is flipped Delaunay at ``m.current_u`` by
-    ``make_delaunay``, the surgery's advance at a fixed u, then advanced to
-    ``u0``; a flip refused on entry raises FlipError.  The first record's
-    flips count both."""
-
-    GROW_AFTER = 5
-    GROW_FACTOR = 1.5
-
-    def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, u0=None):
-        self.surf = surf
-        self.m = m
-        self.cfg = cfg
-        self.target = cfg.target_vector(surf.vertex_count)
-        self.u = (
-            m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
-        )
-        self.t = 0.0
-        self.dt = cfg.dt_init
-        self.energy = 0.0
-        self._accept_streak = 0
-        entry = make_delaunay(surf, m)
-        self.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
-        self._k1, F_a, K, flips = self._eval(self.u)
-        self.K = K
-        self.M = F_a - self.target
-        self.initial_F_alpha = F_a.copy()
-        self.initial_M = self.M.copy()
-        self.initial_flips = len(entry) + len(flips)
-
-    def _eval(self, u: np.ndarray):
-        """The flow's right-hand side at u with what it was computed from:
-        ``(rhs, F_alpha, K, flip events)``; the state is left at u."""
-        F_a, K, flips, jump = _F_alpha(self.surf, self.m, u, self.cfg.alpha)
-        self.max_flip_jump = max(self.max_flip_jump, jump)
-        if self.cfg.kind == "yamabe":
-            return self.target - F_a, F_a, K, flips
-        J = jacobian(self.surf, self.m)
-        rhs = alpha_laplacian_apply(J, ConformalState(u), self.cfg.alpha, F_a - self.target)
-        return rhs, F_a, K, flips
-
-    def _rhs(self, u: np.ndarray) -> np.ndarray:
-        return self._eval(u)[0]
-
-    def _rk4(self, u: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
-        if k1 is None:
-            k1 = self._rhs(u)
-        k2 = self._rhs(u + 0.5 * dt * k1)
-        k3 = self._rhs(u + 0.5 * dt * k2)
-        k4 = self._rhs(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def step(self) -> StepRecord:
-        """One accepted RK4 step (with step-doubling error control) + surgery.
-
-        The first stage is the right-hand side kept from the acceptance of u
-        (first same as last).  A trial that raises is rejected and the state
-        is restored in place to the snapshot taken at the accepted u."""
-        cfg = self.cfg
-        saved = clone_state(self.surf, self.m)
-        k1 = self._k1
-        while True:
-            try:
-                coarse = self._rk4(self.u, self.dt, k1=k1)
-                half = self._rk4(self.u, 0.5 * self.dt, k1=k1)
-                fine = self._rk4(half, 0.5 * self.dt)
-                err = float(np.max(np.abs(coarse - fine))) / 15.0
-                rejection = f"local error {err:.3e} > step_atol {cfg.step_atol:.3e}"
-            except (AdmissibilityError, FlipError, OverflowError) as exc:
-                # trial point left the admissible cone or requested a flip the
-                # combinatorics cannot honor; reject the trial and shrink dt
-                _restore(self.surf, self.m, saved)
-                err, rejection = math.inf, f"{type(exc).__name__}: {exc}"
-            if err <= cfg.step_atol:
-                break
-            self.dt *= 0.5
-            self._accept_streak = 0
-            if self.dt < cfg.dt_min:
-                raise FlowStepFailure(
-                    f"dt underflow below {cfg.dt_min} at t={self.t}; last rejection: "
-                    f"{rejection} (u={self.u.tolist()})"
-                )
-        u_new = fine
-        if np.max(np.abs(u_new)) > cfg.u_abort:
-            raise FlowStepFailure(
-                f"|u| exceeded {cfg.u_abort} at t={self.t}; target likely mis-posed"
-            )
-        self._k1, F_a, K_new, flips = self._eval(u_new)
-        self.energy += energy_increment(
-            self.K, K_new, self.u, u_new, self.target, cfg.alpha
-        )
-        self.t += self.dt
-        self.u = u_new
-        self.K = K_new
-        self.M = F_a - self.target
-        self._accept_streak += 1
-        if self._accept_streak >= self.GROW_AFTER:
-            self.dt = min(self.dt * self.GROW_FACTOR, cfg.dt_max)
-            self._accept_streak = 0
-        return self._record(self.dt, len(flips))
-
-    def _record(self, dt: float, flips: int) -> StepRecord:
-        """The record of the current state, reached with ``flips`` flips."""
-        return StepRecord(
-            t=self.t,
-            dt=dt,
-            sup_err=float(np.max(np.abs(self.M))),
-            min_M=float(self.M.min()),
-            max_M=float(self.M.max()),
-            flips=flips,
-            energy=self.energy,
-        )
+def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target: np.ndarray, u: np.ndarray):
+    """The flow's right-hand side at u with what it was computed from:
+    ``(rhs, F_alpha, K, flip events, jump)``; the state is left at u."""
+    F_a, K, flips, jump = _F_alpha(surf, m, u, cfg.alpha)
+    if cfg.kind == "yamabe":
+        return target - F_a, F_a, K, flips, jump
+    J = jacobian(surf, m)
+    rhs = alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target)
+    return rhs, F_a, K, flips, jump
 
 
-class FlowStepFailure(RuntimeError):
-    pass
+class _StepFailure(RuntimeError):
+    """The step size fell below DT_MIN, or |u| passed U_ABORT."""
 
 
 def run_flow(
     surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, u0=None
 ) -> FlowRun:
-    """Iterate the configured flow until convergence, max_steps or failure."""
-    integ = FlowIntegrator(surf, m, cfg, u0=u0)
-    run = FlowRun(
-        kind=cfg.kind,
-        alpha=cfg.alpha,
-        target=integ.target.copy(),
-        initial_F_alpha=integ.initial_F_alpha,
-        initial_M=integ.initial_M,
-    )
-    run.records.append(integ._record(0.0, integ.initial_flips))
-    run.total_flips = integ.initial_flips
-    while True:
-        sup = float(np.max(np.abs(integ.M)))
-        if sup <= cfg.tol_converge and cfg.max_steps > 0:
-            run.status = "converged"
-            break
-        if run.steps >= cfg.max_steps:
-            run.status = "max_steps"
-            break
-        try:
-            rec = integ.step()
-        except (FlowStepFailure, SurfaceError) as exc:
-            run.status = "failed"
-            run.reason = str(exc)
-            break
-        run.records.append(rec)
-        run.steps += 1
-        run.total_flips += rec.flips
-    run.final_u = integ.u.copy()
-    run.max_flip_jump = integ.max_flip_jump
+    """Iterate the configured flow until convergence, max_steps or failure.
+
+    On entry the state is flipped Delaunay at ``m.current_u`` by
+    ``make_delaunay``, the surgery's advance at a fixed u, then advanced to
+    ``u0``; the first record's flips count both.  Each step is adaptive RK4
+    with step doubling; its first stage is the right-hand side kept from the
+    acceptance of u (first same as last).  A trial that raises is rejected
+    and the state is restored in place to the snapshot taken at the accepted
+    u.  A SurfaceError, a flip refused on entry among them, a step size
+    below DT_MIN and |u| above U_ABORT end the run with status ``"failed"``
+    and a reason.
+    """
+    target = cfg.target_vector(surf.vertex_count)
+    run = FlowRun(kind=cfg.kind, alpha=cfg.alpha, target=target)
+    u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
+
+    def rhs(v):
+        out = _rhs(surf, m, cfg, target, v)
+        run.max_flip_jump = max(run.max_flip_jump, out[4])
+        return out
+
+    def rk4(v, dt, k1):
+        k2 = rhs(v + 0.5 * dt * k1)[0]
+        k3 = rhs(v + 0.5 * dt * k2)[0]
+        k4 = rhs(v + dt * k3)[0]
+        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def record(dt, flips):
+        run.records.append(StepRecord(
+            t=t, dt=dt, sup_err=float(np.max(np.abs(M))), min_M=float(M.min()),
+            max_M=float(M.max()), flips=flips, energy=energy,
+        ))
+
+    try:
+        entry = make_delaunay(surf, m)
+        run.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
+        k1, F_a, K, flips, _ = rhs(u)
+        run.initial_F_alpha, M = F_a, F_a - target
+        t, dt, energy, streak = 0.0, DT_INIT, 0.0, 0
+        record(0.0, len(entry) + len(flips))
+        while True:
+            if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
+                run.status = "converged"
+                break
+            if run.steps >= cfg.max_steps:
+                run.status = "max_steps"
+                break
+            saved = clone_state(surf, m)
+            while True:
+                try:
+                    coarse = rk4(u, dt, k1)
+                    half = rk4(u, 0.5 * dt, k1)
+                    fine = rk4(half, 0.5 * dt, rhs(half)[0])
+                    err = float(np.max(np.abs(coarse - fine))) / 15.0
+                    rejection = f"local error {err:.3e} > step_atol {cfg.step_atol:.3e}"
+                except (AdmissibilityError, FlipError, OverflowError) as exc:
+                    # trial point left the admissible cone or requested a flip
+                    # the combinatorics cannot honor; reject it and shrink dt
+                    _restore(surf, m, saved)
+                    err, rejection = math.inf, f"{type(exc).__name__}: {exc}"
+                if err <= cfg.step_atol:
+                    break
+                dt *= 0.5
+                streak = 0
+                if dt < DT_MIN:
+                    raise _StepFailure(
+                        f"dt underflow below {DT_MIN} at t={t}; last rejection: "
+                        f"{rejection} (u={u.tolist()})"
+                    )
+            if np.max(np.abs(fine)) > U_ABORT:
+                raise _StepFailure(f"|u| exceeded {U_ABORT} at t={t}; target likely mis-posed")
+            k1, F_a, K_new, flips, _ = rhs(fine)
+            energy += energy_increment(K, K_new, u, fine, target, cfg.alpha)
+            t += dt
+            u, K, M = fine, K_new, F_a - target
+            streak += 1
+            if streak >= GROW_AFTER:
+                dt = min(dt * GROW_FACTOR, DT_MAX)
+                streak = 0
+            record(dt, len(flips))
+    except (_StepFailure, SurfaceError) as exc:
+        run.status = "failed"
+        run.reason = str(exc)
+    run.final_u = u.copy()
     return run
 
 
-def decay_slope(run: FlowRun, tail: float = 0.5) -> float:
+def decay_slope(run: FlowRun) -> float:
     """Least-squares slope of log sup-error vs t over the final part of a run."""
     pts = [(r.t, r.sup_err) for r in run.records if r.sup_err > 1e-300]
     if len(pts) < 3:
         raise ValueError("not enough nonzero error samples for a decay fit")
     t_end = pts[-1][0]
     t_start = pts[0][0]
-    cut = t_start + (1.0 - tail) * (t_end - t_start)
+    cut = t_start + (1.0 - DECAY_TAIL) * (t_end - t_start)
     tail_pts = [(t, e) for t, e in pts if t >= cut]
     if len(tail_pts) < 3:
         tail_pts = pts[-3:]
@@ -325,23 +302,23 @@ class MaxPrincipleReport:
     max_envelope_ratio: float | None
 
 
-def monitor_max_principle(run: FlowRun, sign_tol: float = 1e-9, envelope_slack: float = 0.10) -> MaxPrincipleReport:
+def monitor_max_principle(run: FlowRun) -> MaxPrincipleReport:
     """Check sign preservation of M = F_alpha - target along a Yamabe run.
 
-    If the initial M is one-signed the sign must persist (up to ``sign_tol``).
+    If the initial M is one-signed the sign must persist (up to SIGN_TOL).
     For alpha > 0 with a constant negative target and M(0) > 0 the decay
     envelope (target * max M(0) / max F_alpha(0)) * e^(alpha*target*t) must
-    dominate max M(t) within ``envelope_slack``.
+    dominate max M(t) within ENVELOPE_SLACK.
     """
     if run.initial_M is None or not run.records:
         raise ValueError("run carries no monitor data")
     m0 = run.initial_M
     if np.all(m0 <= 0):
         hypothesis = "nonpositive"
-        preserved = all(r.max_M <= sign_tol for r in run.records)
+        preserved = all(r.max_M <= SIGN_TOL for r in run.records)
     elif np.all(m0 >= 0):
         hypothesis = "nonnegative"
-        preserved = all(r.min_M >= -sign_tol for r in run.records)
+        preserved = all(r.min_M >= -SIGN_TOL for r in run.records)
     else:
         hypothesis = None
         preserved = None
@@ -366,7 +343,7 @@ def monitor_max_principle(run: FlowRun, sign_tol: float = 1e-9, envelope_slack: 
             env = coef * math.exp(run.alpha * const_target * r.t)
             if env > 1e-300:
                 worst = max(worst, r.max_M / env)
-        env_ok = worst <= 1.0 + envelope_slack
+        env_ok = worst <= 1.0 + ENVELOPE_SLACK
     return MaxPrincipleReport(
         sign_hypothesis=hypothesis,
         sign_preserved=preserved,
@@ -459,10 +436,7 @@ def newton_solve(
     returned u.  A line-search trial that raises is undone by restoring the
     state at the current iterate.
     """
-    n = surf.vertex_count
-    target = np.asarray(target, dtype=float)
-    if target.ndim == 0:
-        target = np.full(n, float(target))
+    target = _target_vector(target, surf.vertex_count)
     if not force:
         ok, reason = regime_check(alpha, target, euler_characteristic(surf))
         if not ok:

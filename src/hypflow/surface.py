@@ -69,7 +69,8 @@ def _sort_half_edges(vertex_count: int, faces):
     runs opposite corner c of face f) of the faces without a repeated vertex,
     stably sorted by vertex pair so that each edge's two come together,
     ``pairs`` their (lo, hi) ends, and ``errors`` empty for a closed oriented
-    surface: each pair twice, once each way; each vertex's corners one cycle."""
+    surface: each pair twice, once each way; each vertex's corners one cycle;
+    the faces one connected component."""
     try:
         F = np.array(faces, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -110,6 +111,20 @@ def _sort_half_edges(vertex_count: int, faces):
     bad = np.flatnonzero(cycles != 1)
     if bad.size:
         errors.append(f"vertex {bad[0]} has {cycles[bad[0]]} link cycles, not 1 ({bad.size} such vertices)")
+        return F, pairs, order, errors
+    # with every link one cycle, the surface's components are its faces'
+    # components across the twins: hook each face's label to its least
+    # neighbour's, then pointer-jump; labels only fall, and stop once each
+    # component carries its least face (``across`` is (3, F) with contiguous
+    # rows, which keeps the gather and the minimum over its rows fast)
+    across, label = np.ascontiguousarray(twin.reshape(-1, 3).T) // 3, np.arange(F.shape[0])
+    while not np.array_equal(hooked := np.minimum(label, label[across].min(axis=0)), label):
+        label = hooked
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    roots = np.flatnonzero(label == np.arange(label.size))
+    if roots.size > 1:
+        errors.append(f"surface has {roots.size} connected components, not 1 (faces {roots.tolist()} in different ones)")
     return F, pairs, order, errors
 
 
@@ -455,7 +470,7 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
 
     def schedule(e, past_at_u):
         stamp[e] += 1
-        wall = _first_wall(_quad_weight(surf, m, e, u0, u1), *last, past_at_u)
+        wall = _first_wall(_quad_weight(surf, m, e, u0, u1), *last, past_at_u, still)
         due[e] = math.inf if wall is None else wall[0]
         if wall is not None:
             heapq.heappush(heap, (*wall, stamp[e], e))
@@ -483,6 +498,7 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
             measured = True
         if start is None:  # walls ahead: a snapshot, and lists for the quad measure
             start, u0, u1 = clone_state(surf, m), u_from.tolist(), u.tolist()
+            still = u0 == u1
             stamp, due = [0] * n, [math.inf] * n
         for e in np.flatnonzero(past).tolist():
             schedule(e, measured)
@@ -552,17 +568,19 @@ def _quad_weight(surf: MarkedSurface, m: PHMetric, e: int, u_from: list, u: list
     return weight
 
 
-def _first_wall(weight, lo: float, hi: float, past_at_u: bool):
+def _first_wall(weight, lo: float, hi: float, past_at_u: bool, still: bool):
     """The first wall of a ``_quad_weight`` after the bracket ``[lo, hi]``:
     ``(hi, value at hi, lo)`` with hi - lo < 1e-15, or None if not past at
     s = 1 (``past_at_u`` asserts it is).  Newton steps, each carried 3e-16
     on so that the bracket closes from both sides; bisection where a step
-    leaves the bracket, a point has no value or 50 steps have not closed it."""
+    leaves the bracket, a point has no value or 50 steps have not closed it.
+    On a zero-length segment (``still``, as in ``make_delaunay``) the weight
+    is the same at every s, so its value at hi stands for s = 1."""
     v = weight(hi)
     if v[0] < 0.0:
         return hi, v[0], lo
     a, b, s, steps = hi, 1.0, 1.0, 0
-    v = v_b = weight(1.0)
+    v = v_b = v if still else weight(1.0)
     if not (past_at_u or v[0] < 0.0):
         return None
     while b - a >= 1e-15:

@@ -290,6 +290,23 @@ class TestCommands:
         assert f"failure: {last[len('# failure: '):]}; state dumped" in capsys.readouterr().out
         assert validate(*parse_phm(path + ".failed.phm")).ok
 
+    def test_flow_entry_refusal_fails_with_dump(self, tmp_path, capsys):
+        # genus2(3,3), seed 59: a flip refused on entry, before any record
+        surf = genus2(3, 3)
+        path, log = str(tmp_path / "g.phm"), tmp_path / "steps.jsonl"
+        write_phm(path, surf, perturbed_metric(surf, np.random.default_rng(59), spread=0.28))
+        rc = main(["flow", path, "--alpha", "1", "--target-const", "-1", "--log", str(log)])
+        assert rc == EXIT_RUNTIME
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["status failed", "steps 0"]
+        assert out[2].startswith("failure: flip of edge") and out[2].endswith("state dumped to " + path + ".failed.phm")
+        last = open(path + ".failed.phm").read().splitlines()[-1]
+        assert last.startswith("# failure: flip of edge")
+        assert validate(*parse_phm(path + ".failed.phm")).ok
+        assert [json.loads(l) for l in open(log)] == [
+            {"status": "failed", "steps": 0, "final_sup_err": None, "u": [0.0] * surf.vertex_count}
+        ]
+
     def test_target_file(self, tmp_path, capsys, genus2_file):
         tf = tmp_path / "target.txt"
         tf.write_text("t 0 -2.0\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from hypflow import flows
 from hypflow.curvature import JacobianL, curvature, gauss_bonnet_residual, jacobian
 from hypflow.flows import (
     FlowConfig,
-    FlowIntegrator,
     NewtonError,
     RegimeError,
     decay_slope,
@@ -32,10 +33,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             FlowConfig(kind="ricci")
 
-    def test_dt_ordering_checked(self):
-        with pytest.raises(ValueError):
-            FlowConfig(dt_init=1.0, dt_max=0.5)
-
     def test_target_vector_broadcast(self):
         cfg = FlowConfig(target=-1.0)
         assert np.array_equal(cfg.target_vector(4), np.full(4, -1.0))
@@ -43,6 +40,16 @@ class TestConfig:
         assert np.array_equal(cfg.target_vector(3), [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             cfg.target_vector(5)
+
+    @pytest.mark.parametrize("target", [np.zeros(3), np.full((15, 1), -1.0)])
+    def test_target_shape_checked_by_both_solvers(self, genus2_unit, target):
+        # one normalisation for both: a wrong-length or column target is
+        # named, not left to fail in NumPy broadcasting
+        surf, m = genus2_unit
+        with pytest.raises(ValueError, match=r"target has shape .*, expected \(15,\)"):
+            newton_solve(surf, m, 1.0, target)
+        with pytest.raises(ValueError, match=r"target has shape .*, expected \(15,\)"):
+            run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=target))
 
 
 class TestRegime:
@@ -70,7 +77,8 @@ class TestRhs:
         n = surf.vertex_count
         u = np.zeros(n)
         target = np.full(n, -1.0)
-        rhs = FlowIntegrator(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=target))._rhs(u)
+        make_delaunay(surf, m)
+        rhs = flows._rhs(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=target), target, u)[0]
         s2, m2 = clone_state(genus2(), unit_metric(genus2()))
         K = curvature(s2, m2)
         assert np.allclose(rhs, target - K)
@@ -79,7 +87,8 @@ class TestRhs:
         surf, m = genus2_unit
         n = surf.vertex_count
         cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n))
-        rhs = FlowIntegrator(surf, m, cfg)._rhs(np.zeros(n))
+        make_delaunay(surf, m)
+        rhs = flows._rhs(surf, m, cfg, cfg.target_vector(n), np.zeros(n))[0]
         assert np.all(np.isfinite(rhs))
 
 
@@ -152,47 +161,61 @@ class TestFirstSameAsLast:
     def test_eleven_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch):
         # the right-hand side at an accepted u is the next step's first stage
         surf, m = genus2_perturbed
-        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, dt_init=0.01)
-        integ = FlowIntegrator(surf, m, cfg)
-        curvature_map = flows._F_alpha
-        calls = []
+        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=3)
+        monkeypatch.setattr(flows, "DT_INIT", 0.01)
+        curvature_map, rhs = flows._F_alpha, flows._rhs
+        calls, evals = [], []
 
         def counted(*args):
             calls.append(1)
             return curvature_map(*args)
 
+        def kept(s, mm, c, target, u):
+            out = rhs(s, mm, c, target, u)
+            evals.append((u.copy(), out[0]))
+            return out
+
         monkeypatch.setattr(flows, "_F_alpha", counted)
-        for _ in range(3):
-            dt, before = integ.dt, len(calls)
-            integ.step()
-            assert integ.dt == dt  # no trial rejected, dt not yet grown
-            assert len(calls) - before == 11
-            F_a = curvature_map(*clone_state(surf, m), integ.u, cfg.alpha)[0]
-            assert np.array_equal(integ._k1, integ.target - F_a)
+        monkeypatch.setattr(flows, "_rhs", kept)
+        run = run_flow(surf, m, cfg)
+        assert run.status == "max_steps" and run.steps == 3
+        # no trial rejected, dt not yet grown
+        assert [r.dt for r in run.records[1:]] == [0.01] * 3
+        assert len(calls) == 1 + 3 * 11
+        for step in range(3):
+            u, k1 = evals[11 * step]
+            F_a = curvature_map(*clone_state(surf, m), u, cfg.alpha)[0]
+            assert np.array_equal(k1, -1.0 - F_a)
+            # the next step's first stage is k1 itself, not a re-evaluation
+            assert np.array_equal(evals[11 * step + 1][0], u + 0.5 * 0.01 * k1)
+        assert np.array_equal(evals[33][0], run.final_u)
 
 
 class TestRejectedTrials:
     def test_refused_trial_restores_accepted_state(self, monkeypatch):
         surf, m, cfg = calabi_seed17()
-        integ = FlowIntegrator(surf, m, cfg)
-        u0, edges0, FE0, length0 = integ.u.copy(), list(surf.edges), surf.FE.copy(), m.length.copy()
+        # the accepted state before the first step: Delaunay at u = 0
+        s0, m0 = clone_state(surf, m)
+        make_delaunay(s0, m0)
         restore = flows._restore
         moved = []
 
         def checked_restore(s, mm, saved):
-            moved.append(s.edges != edges0)
+            moved.append(s.edges != s0.edges)
             restore(s, mm, saved)
             assert s is surf and mm is m
-            assert np.array_equal(m.current_u, u0)
-            assert surf.edges == edges0 and np.array_equal(surf.FE, FE0)
-            assert np.array_equal(m.length, length0)
+            assert np.array_equal(m.current_u, m0.current_u)
+            assert surf.edges == s0.edges and np.array_equal(surf.FE, s0.FE)
+            assert np.array_equal(m.length, m0.length)
 
         monkeypatch.setattr(flows, "_restore", checked_restore)
-        integ.step()
+        cfg.max_steps = 1
+        run = run_flow(surf, m, cfg)
+        assert run.status == "max_steps" and run.steps == 1
         # some refused trial had flipped edges before it was refused, and the
         # step then succeeded from the restored state
         assert any(moved)
-        assert np.array_equal(m.current_u, integ.u)
+        assert np.array_equal(m.current_u, run.final_u)
         assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
 
     def test_newton_line_search_restores_state(self, genus2_perturbed, monkeypatch):
@@ -215,13 +238,16 @@ class TestRejectedTrials:
         assert res.converged
         assert np.max(np.abs(res.state.u - expected.state.u)) <= 1e-12
 
-    def test_dt_underflow_names_error_estimate(self):
+    def test_dt_underflow_names_error_estimate(self, monkeypatch):
         surf = tetrahedron()
         m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
-        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=1.0, dt_init=0.1, dt_min=0.1,
-                         dt_max=0.1, step_atol=1e-300)
-        with pytest.raises(flows.FlowStepFailure, match=r"local error .* > step_atol"):
-            FlowIntegrator(surf, m, cfg).step()
+        for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
+            monkeypatch.setattr(flows, name, 0.1)
+        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=1.0, step_atol=1e-300)
+        run = run_flow(surf, m, cfg)
+        assert run.status == "failed" and run.steps == 0
+        assert run.reason.startswith("dt underflow below 0.1 at t=0.0")
+        assert re.search(r"last rejection: local error .* > step_atol", run.reason)
 
 
 class TestMonitor:

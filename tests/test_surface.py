@@ -94,6 +94,18 @@ class TestCombinatorics:
         with pytest.raises(SurfaceError, match="link cycles"):
             MarkedSurface(vertex_count, builder())
 
+    def test_one_component_required(self):
+        # a genus-2 surface beside a disjoint torus reads chi = -2 in total,
+        # inside alpha > 0's regime, though the torus component is not
+        g, t = genus2(3, 3), grid_torus(3, 3)
+        faces = np.concatenate((g.face_array, t.face_array + g.vertex_count))
+        n = g.vertex_count + t.vertex_count
+        assert validate_combinatorics(n, faces) == [
+            "surface has 2 connected components, not 1 (faces [0, 34] in different ones)"
+        ]
+        with pytest.raises(SurfaceError, match="2 connected components"):
+            MarkedSurface(n, faces)
+
     @pytest.mark.parametrize("builder", [lambda: genus2(3, 3), lambda: grid_torus(4, 4)])
     @pytest.mark.parametrize("kind", ["drop", "reverse", "duplicate", "out of range", "repeat"])
     def test_matches_per_face_reference_on_corrupted_faces(self, builder, kind):
@@ -353,7 +365,7 @@ class TestDelaunay:
                 at_zero = first_root(lambda t: measure(t)[0][e] < 0.0)
                 assert abs(first_root(lambda t: measure(t)[1][e] < 0.0) - at_zero) <= 1e-14
                 weight = surface._quad_weight(surf, m, e, m.current_u.tolist(), u.tolist())
-                hi, _, lo = surface._first_wall(weight, 0.0, 0.0, False)
+                hi, _, lo = surface._first_wall(weight, 0.0, 0.0, False, False)
                 assert hi - lo < 1e-15
                 assert abs(hi - wall_by_cosine_law(surf, m, e, m.current_u, u, hi)) <= 1e-14
                 h = 1e-6
