@@ -15,10 +15,12 @@ take the command-line constant (targets) or zero (factors).
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
-Newton logs have one record per iteration with keys iteration, sup_residual
-and linsolve_iters (the conjugate-gradient iterations of the step that led
-to it; null for iteration 0), plus a terminal record with status,
-iterations and u.
+Newton logs have one record per iteration with keys iteration,
+sup_residual, linsolve_iters, linsolve_stop and step_length, plus a terminal
+record with status, iterations and u.  The last three describe the step that
+led to the iterate, and are null for iteration 0: the conjugate-gradient
+iterations of its linear solve, the 2-norm that solve's residual had to
+reach, and the line-search step length accepted.
 
 A flow that fails dumps its state to ``<path>.failed.phm``, a ``.phm`` file
 whose last line is the comment ``# failure: <reason>``.  A flip refused on
@@ -301,10 +303,12 @@ def cmd_newton(args) -> int:
         return EXIT_RUNTIME
     if args.log:
         with open(args.log, "w") as fh:
-            cg = [None] + result.linsolve_iters
-            for it, res in enumerate(result.residuals):
+            steps = zip([None] + result.linsolve_iters, [None] + result.linsolve_stop,
+                        [None] + result.step_lengths)
+            for it, (res, (cg, stop, lam)) in enumerate(zip(result.residuals, steps)):
                 fh.write(json.dumps({
-                    "iteration": it, "sup_residual": res, "linsolve_iters": cg[it],
+                    "iteration": it, "sup_residual": res, "linsolve_iters": cg,
+                    "linsolve_stop": stop, "step_length": lam,
                 }) + "\n")
             fh.write(json.dumps({
                 "status": "converged" if result.converged else "max_iter",

@@ -115,11 +115,15 @@ def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.nd
     return np.asarray(K, dtype=float) / state.w ** alpha
 
 
-def jacobian(surf: MarkedSurface, m: PHMetric) -> JacobianL:
+def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None) -> JacobianL:
     """L = dK/du at the current lengths, in edge form: O(E) arrays, no n x n
     matrix.  B_ij sums ``angle_derivatives`` over the two faces at the edge
-    and A_i = sum_j B_ij (cosh l_ij - 1)."""
-    W = angle_derivatives(face_corner_lengths(surf, m), face_angles(surf, m, strict=True))
+    and A_i = sum_j B_ij (cosh l_ij - 1).  ``angles`` are the (F, 3) corner
+    angles at the current lengths, as ``advance_conformal`` returns them;
+    without them a strict ``face_angles`` pass measures them."""
+    if angles is None:
+        angles = face_angles(surf, m, strict=True)
+    W = angle_derivatives(face_corner_lengths(surf, m), angles)
     f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
     B = W[f1, c1] + W[f2, c2]
 

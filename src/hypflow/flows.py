@@ -160,25 +160,26 @@ def regime_check(alpha: float, target: np.ndarray, chi: int):
 def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
     """Operational curvature map: advance to u with surgery, then measure.
 
-    Returns (F_alpha, K, flip events, sup-norm K jump across any flip).  The
-    state must be Delaunay at ``m.current_u`` and is left Delaunay at u; K
-    comes from the angles ``advance_conformal`` measured at u, with no angle
-    pass of its own.  Flips happen at Delaunay walls, where they commute
+    Returns (F_alpha, K, flip events, sup-norm K jump across any flip,
+    corner angles at u).  The state must be Delaunay at ``m.current_u`` and
+    is left Delaunay at u; K comes from the angles ``advance_conformal``
+    measured at u, with no angle pass of its own, and a Jacobian at u takes
+    the same angles.  Flips happen at Delaunay walls, where they commute
     with vertex scaling, so the value depends on u alone and not on the path
     taken to reach it; the jump is a rounding-level continuity diagnostic.
     """
     flips, jump, angles = advance_conformal(surf, m, u)
     K = angle_defect(surf, angles)
-    return K / np.exp(alpha * u), K, flips, jump
+    return K / np.exp(alpha * u), K, flips, jump, angles
 
 
 def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target: np.ndarray, u: np.ndarray):
     """The flow's right-hand side at u with what it was computed from:
     ``(rhs, F_alpha, K, flip events, jump)``; the state is left at u."""
-    F_a, K, flips, jump = _F_alpha(surf, m, u, cfg.alpha)
+    F_a, K, flips, jump, angles = _F_alpha(surf, m, u, cfg.alpha)
     if cfg.kind == "yamabe":
         return target - F_a, F_a, K, flips, jump
-    J = jacobian(surf, m)
+    J = jacobian(surf, m, angles)
     rhs = alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target)
     return rhs, F_a, K, flips, jump
 
@@ -360,24 +361,32 @@ class NewtonResult:
     iterations: int
     converged: bool
     max_flip_jump: float = 0.0
-    # conjugate-gradient iterations of each Newton step's linear solve
+    # per Newton step: conjugate-gradient iterations of its linear solve,
+    # the 2-norm its linear residual had to reach, and the accepted
+    # line-search step length
     linsolve_iters: list = field(default_factory=list)
+    linsolve_stop: list = field(default_factory=list)
+    step_lengths: list = field(default_factory=list)
 
 
-# the linear solve stops at ||r|| <= PCG_RTOL * ||rhs||, or fails after
-# PCG_MAX_ITER_PER_VERTEX * n iterations
+# the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
+# after PCG_MAX_ITER_PER_VERTEX * n iterations; newton_solve asks each step
+# for stop = min(FORCING_MAX, |g|_inf) * |g|_inf
 PCG_RTOL = 1e-12
 PCG_MAX_ITER_PER_VERTEX = 10
+FORCING_MAX = 0.1
 
 
-def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray):
+def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float = 0.0):
     """Solve (L - diag(shift)) x = rhs matrix-free; returns (x, iterations).
 
     Positive definiteness is certified before the solve by strict diagonal
     dominance (``JacobianL.dominance_margin``), which holds on every Delaunay
     state inside the regime.  The solve is conjugate gradients (Hestenes and
     Stiefel) preconditioned by the diagonal, with each product by the matrix
-    applied in O(E) from the edge form.
+    applied in O(E) from the edge form.  It stops once the residual's 2-norm
+    is at most ``stop``, floored at PCG_RTOL * ||rhs||; the default of 0
+    solves to that floor.
     """
     margin = J.dominance_margin(shift)
     worst = int(np.argmin(margin))
@@ -391,7 +400,7 @@ def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray):
     x, r = np.zeros(n), rhs.copy()
     p = z = r / diag
     rz = float(r @ z)
-    stop = PCG_RTOL * math.sqrt(float(rhs @ rhs))
+    stop = max(stop, PCG_RTOL * math.sqrt(float(rhs @ rhs)))
     for it in range(PCG_MAX_ITER_PER_VERTEX * n):
         if math.sqrt(float(r @ r)) <= stop:
             return x, it
@@ -430,7 +439,20 @@ def newton_solve(
     with a positive diagonal.  Each step certifies that dominance in O(E),
     raising NewtonError where it fails, and solves H delta = -g by
     Jacobi-preconditioned conjugate gradients on the edge form of L; no
-    n x n matrix is formed.  On entry the state is flipped Delaunay at
+    n x n matrix is formed.  L comes from the angles that the accepted
+    residual evaluation measured at u.
+
+    The solve is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+    Anal. 1982): it stops once ||H delta + g||_2 <= min(FORCING_MAX,
+    |g|_inf) * |g|_inf, floored at PCG_RTOL * ||g||_2.  The stop is taken
+    against the sup-norm that ``tol`` tests: the step's linear error in that
+    norm is below |g|_inf^2, the order of Newton's own quadratic term, so
+    the iteration count is that of exact steps.  A stop relative to
+    ||g||_2, which grows like sqrt(n), costs extra iterations on large
+    meshes.  As |g|_inf <= ||g||_2, every step makes at least one CG
+    iteration.  Convergence is still judged on the true residual g.
+
+    On entry the state is flipped Delaunay at
     ``m.current_u`` by ``make_delaunay``, the surgery's advance at a fixed
     u, raising FlipError if a flip there is refused; it is left at the
     returned u.  A line-search trial that raises is undone by restoring the
@@ -445,33 +467,37 @@ def newton_solve(
     max_jump = max((ev.k_jump for ev in make_delaunay(surf, m)), default=0.0)
 
     def residual(uv):
+        """g at uv, and the corner angles it was measured from."""
         nonlocal max_jump
-        F_a, K, _, jump = _F_alpha(surf, m, uv, alpha)
+        _, K, _, jump, angles = _F_alpha(surf, m, uv, alpha)
         max_jump = max(max_jump, jump)
-        return K - target * np.exp(alpha * uv)
+        return K - target * np.exp(alpha * uv), angles
 
-    g = residual(u)
+    g, angles = residual(u)
     residuals = [float(np.max(np.abs(g)))]
-    linsolve_iters = []
+    linsolve_iters, linsolve_stop, step_lengths = [], [], []
     it = 0
     while residuals[-1] > tol and it < max_iter:
+        stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1],
+                   PCG_RTOL * math.sqrt(float(g @ g)))
         delta, cg_iters = _newton_step(
-            jacobian(surf, m), alpha * (target * np.exp(alpha * u)), -g
+            jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u)), -g, stop
         )
         linsolve_iters.append(cg_iters)
+        linsolve_stop.append(stop)
         saved = clone_state(surf, m)
         lam = 1.0
         best = None
         while lam >= 2.0 ** -30:
             u_trial = u + lam * delta
             try:
-                g_trial = residual(u_trial)
+                g_trial, angles_trial = residual(u_trial)
             except (AdmissibilityError, OverflowError, SurfaceError):
                 _restore(surf, m, saved)
                 lam *= 0.5
                 continue
             if np.max(np.abs(g_trial)) < residuals[-1]:
-                best = (u_trial, g_trial)
+                best = (u_trial, g_trial, angles_trial)
                 break
             lam *= 0.5
         if best is None:
@@ -479,7 +505,8 @@ def newton_solve(
                 f"line search failed at iteration {it}; u={u.tolist()}, "
                 f"residual={residuals[-1]:.3e}"
             )
-        u, g = best
+        u, g, angles = best
+        step_lengths.append(lam)
         residuals.append(float(np.max(np.abs(g))))
         it += 1
     return NewtonResult(
@@ -489,4 +516,6 @@ def newton_solve(
         converged=residuals[-1] <= tol,
         max_flip_jump=max_jump,
         linsolve_iters=linsolve_iters,
+        linsolve_stop=linsolve_stop,
+        step_lengths=step_lengths,
     )

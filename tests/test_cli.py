@@ -243,6 +243,9 @@ class TestCommands:
         assert records[0]["linsolve_iters"] is None
         assert all(isinstance(r["linsolve_iters"], int) and r["linsolve_iters"] >= 1
                    for r in records[1:])
+        # the step's CG stop and accepted line-search length, null at the start
+        assert records[0]["linsolve_stop"] is None and records[0]["step_length"] is None
+        assert all(r["linsolve_stop"] > 0 and 0 < r["step_length"] <= 1 for r in records[1:])
 
     def test_newton_regime_refusal(self, capsys, genus2_file):
         rc = main([

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hypflow import flows
+from hypflow import flows, meshes
 from hypflow.curvature import JacobianL, curvature, gauss_bonnet_residual, jacobian
 from hypflow.flows import (
     FlowConfig,
@@ -341,6 +341,49 @@ class TestNewton:
         dense = np.linalg.solve(J.matrix - np.diag(shift), -g)
         assert iters >= 1
         assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_linear_solve_stops_at_requested_residual(self, genus2_perturbed, rng):
+        surf, m = genus2_perturbed
+        u = rng.uniform(-0.1, 0.1, surf.vertex_count)
+        apply_conformal(surf, m, u)
+        make_delaunay(surf, m)
+        J = jacobian(surf, m)
+        shift = -np.exp(u)  # alpha = 1, target = -1
+        rhs = -(curvature(surf, m) + np.exp(u))
+        stop = 1e-3 * np.linalg.norm(rhs)
+        assert stop > flows.PCG_RTOL * np.linalg.norm(rhs)
+        x, iters = flows._newton_step(J, shift, rhs, stop)
+        _, exact_iters = flows._newton_step(J, shift, rhs)
+        assert np.linalg.norm(J.apply(x) - shift * x - rhs) <= stop
+        assert 1 <= iters < exact_iters
+
+    @pytest.mark.parametrize(
+        "mesh, size, spread, seed, alpha, target",
+        [pytest.param("grid_torus", (20, 20), 0.28, seed, 0.0, 0.1, id=f"newton-surgery-{seed}")
+         for seed in (1, 2, 3)]
+        + [pytest.param("grid_torus", (50, 50), 0.02, seed, 0.0, 0.1, id=f"newton-dense-{seed}")
+           for seed in (1, 2, 3)]
+        + [pytest.param("genus2", (6, 6), 0.28, 1, 1.0, -1.0, id="genus2")],
+    )
+    def test_inexact_steps_keep_exact_iteration_count(
+        self, mesh, size, spread, seed, alpha, target, monkeypatch
+    ):
+        # the benchmark's Newton inputs (pass 0 of a seed) and the paper's
+        # genus-2 fixture: stopping each step's CG at min(FORCING_MAX,
+        # |g|_inf) * |g|_inf changes neither the Newton iteration count nor
+        # the solution beyond rounding
+        surf = getattr(meshes, mesh)(*size)
+        m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=spread)
+        inexact = newton_solve(*clone_state(surf, m), alpha, target)
+        monkeypatch.setattr(flows, "FORCING_MAX", 0.0)
+        exact = newton_solve(surf, m, alpha, target)
+        assert inexact.converged and exact.converged
+        assert inexact.iterations == exact.iterations
+        assert np.max(np.abs(inexact.state.u - exact.state.u)) <= 1e-9
+        assert sum(inexact.linsolve_iters) < sum(exact.linsolve_iters)
+        assert all(a > b for a, b in zip(inexact.linsolve_stop, exact.linsolve_stop))
+        assert len(inexact.step_lengths) == inexact.iterations
+        assert all(0.0 < lam <= 1.0 for lam in inexact.step_lengths)
 
     def test_no_dense_matrix_formed(self, genus2_perturbed, monkeypatch):
         def refuse(*args, **kwargs):
