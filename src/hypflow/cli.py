@@ -28,8 +28,11 @@ entry, before the first record, is such a failure: ``status failed`` with
 ``steps 0`` and no ``final_sup_err`` line, a step log with only its terminal
 record, and the state dumped as the entry flips left it.
 
-Exit codes: 0 converged/valid, 1 not converged/invalid input, 2 runtime
-failure, 3 regime refusal.
+Exit codes: 0 converged/valid, 1 not converged/invalid input (a ``--tol``
+that is not positive and finite among them), 2 runtime failure, 3 regime
+refusal: before any step ``flow`` and ``newton`` refuse an alpha and target
+outside the convergence regime, or not finite.  Only ``newton --force``
+skips the refusal.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .flows import (
     NewtonError,
     RegimeError,
     newton_solve,
-    regime_check,
     run_flow,
 )
 from .surface import (
@@ -64,7 +66,6 @@ from .surface import (
     _pair_keys,
     apply_conformal,
     delaunay_weights,
-    euler_characteristic,
     validate,
 )
 
@@ -258,9 +259,6 @@ def _load_for_solver(args):
 
 def cmd_flow(args) -> int:
     surf, m, target = _load_for_solver(args)
-    ok, msg = regime_check(args.alpha, target, euler_characteristic(surf))
-    if not ok:
-        print(f"warning: target outside convergence regime: {msg}", file=sys.stderr)
     cfg = FlowConfig(
         kind=args.flow,
         alpha=args.alpha,
@@ -290,17 +288,10 @@ def cmd_newton(args) -> int:
     surf, m, target = _load_for_solver(args)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-0.1, 0.1, surf.vertex_count) if args.seed is not None else None
-    try:
-        result = newton_solve(
-            surf, m, args.alpha, target,
-            tol=args.tol, max_iter=args.max_iter, u0=u0, force=args.force,
-        )
-    except RegimeError as exc:
-        print(f"refused: {exc} (use --force to override)")
-        return EXIT_REGIME
-    except (NewtonError, SurfaceError, OverflowError) as exc:
-        print(f"failure: {exc}")
-        return EXIT_RUNTIME
+    result = newton_solve(
+        surf, m, args.alpha, target,
+        tol=args.tol, max_iter=args.max_iter, u0=u0, force=args.force,
+    )
     if args.log:
         with open(args.log, "w") as fh:
             steps = zip([None] + result.linsolve_iters, [None] + result.linsolve_stop,
@@ -369,9 +360,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:  # an input file that cannot be read or is invalid
+    except ValueError as exc:  # an unreadable or invalid input file or value, ParseError among them
         print(f"invalid: {exc}")
         return EXIT_INVALID
+    except RegimeError as exc:
+        print(f"refused: {exc}")
+        return EXIT_REGIME
+    except (NewtonError, SurfaceError, OverflowError) as exc:
+        print(f"failure: {exc}")
+        return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         print(f"error: unexpected failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

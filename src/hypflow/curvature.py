@@ -65,8 +65,7 @@ class JacobianL:
     ``A`` is the per-vertex area-derivative diagonal, ``B`` the per-edge
     weights and ``ends`` the edges' endpoint indices, the ``i`` ends followed
     by the ``j`` ends, gathered and scattered at once.  No n x n
-    array is stored: ``apply`` multiplies by L in O(E), and ``matrix`` builds
-    the dense form on demand for inspection only.  On a Delaunay state
+    array is formed: ``apply`` multiplies by L in O(E).  On a Delaunay state
     A_i > 0 and B_ij >= 0, so L is symmetric, strictly diagonally dominant
     and positive definite.
     """
@@ -93,16 +92,6 @@ class JacobianL:
         positive margin at every vertex certifies positive definiteness."""
         neg = self.B - np.abs(self.B)
         return self.A - shift + _end_sums(self.ends, neg, neg, self.A.shape[0])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n form of L, built on each access."""
-        n = self.A.shape[0]
-        L = np.zeros((n, n))
-        i, j = np.split(self.ends, 2)
-        L[i, j] = L[j, i] = -self.B
-        L[np.diag_indices(n)] = self.diagonal()
-        return L
 
 
 def curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:

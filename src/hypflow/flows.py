@@ -67,16 +67,6 @@ class NewtonError(RuntimeError):
     pass
 
 
-def _target_vector(target, n: int) -> np.ndarray:
-    """A scalar or length-n target as a new length-n float vector."""
-    t = np.asarray(target, dtype=float)
-    if t.ndim == 0:
-        return np.full(n, float(t))
-    if t.shape != (n,):
-        raise ValueError(f"target has shape {t.shape}, expected ({n},)")
-    return t.copy()
-
-
 @dataclass
 class FlowConfig:
     kind: str = "yamabe"
@@ -89,11 +79,6 @@ class FlowConfig:
     def __post_init__(self):
         if self.kind not in ("yamabe", "calabi"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if self.tol_converge <= 0:
-            raise ValueError("tol_converge must be positive")
-
-    def target_vector(self, n: int) -> np.ndarray:
-        return _target_vector(self.target, n)
 
 
 @dataclass
@@ -142,8 +127,11 @@ class FlowRun:
 
 
 def regime_check(alpha: float, target: np.ndarray, chi: int):
-    """Whether (alpha, target, chi) satisfies one of the convergence regimes."""
+    """Whether (alpha, target, chi) satisfies one of the convergence regimes;
+    a non-finite alpha or target satisfies none."""
     target = np.asarray(target, dtype=float)
+    if not (math.isfinite(alpha) and np.all(np.isfinite(target))):
+        return False, "alpha and target must be finite"
     if alpha > 0:
         if chi < 0 and np.all(target <= 0):
             return True, "alpha > 0, chi < 0, target <= 0"
@@ -155,6 +143,23 @@ def regime_check(alpha: float, target: np.ndarray, chi: int):
     if np.all(target < 2 * math.pi) and target.sum() > 2 * math.pi * chi:
         return True, "alpha = 0, target < 2*pi, sum(target) > 2*pi*chi"
     return False, "alpha = 0 requires target < 2*pi and sum(target) > 2*pi*chi"
+
+
+def _entry_check(surf: MarkedSurface, alpha: float, target, tol: float, force: bool = False):
+    """The target, a scalar or an (n,) array, as a new (n,) vector, once both
+    solvers' input passes: ValueError for another shape or a ``tol`` that is
+    not positive and finite, RegimeError unless ``regime_check`` passes."""
+    n = surf.vertex_count
+    t = np.full(n, float(target)) if np.ndim(target) == 0 else np.array(target, dtype=float)
+    if t.shape != (n,):
+        raise ValueError(f"target has shape {t.shape}, expected ({n},)")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not force:
+        ok, reason = regime_check(alpha, t, euler_characteristic(surf))
+        if not ok:
+            raise RegimeError(reason)
+    return t
 
 
 def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
@@ -193,7 +198,8 @@ def run_flow(
 ) -> FlowRun:
     """Iterate the configured flow until convergence, max_steps or failure.
 
-    On entry the state is flipped Delaunay at ``m.current_u`` by
+    ``_entry_check`` raises RegimeError outside the convergence regime before
+    any step.  On entry the state is flipped Delaunay at ``m.current_u`` by
     ``make_delaunay``, the surgery's advance at a fixed u, then advanced to
     ``u0``; the first record's flips count both.  Each step is adaptive RK4
     with step doubling; its first stage is the right-hand side kept from the
@@ -203,7 +209,7 @@ def run_flow(
     below DT_MIN and |u| above U_ABORT end the run with status ``"failed"``
     and a reason.
     """
-    target = cfg.target_vector(surf.vertex_count)
+    target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun(kind=cfg.kind, alpha=cfg.alpha, target=target)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
 
@@ -432,15 +438,15 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton iteration on g(u) = F(u) - target * w^alpha.
 
-    Raises RegimeError before iterating unless ``regime_check`` passes
-    (``force`` skips the check).  Inside the regime alpha * target <= 0
-    componentwise, so the curvature energy is strictly convex and the system
-    matrix H = L - alpha*diag(target*w^alpha) is strictly diagonally dominant
-    with a positive diagonal.  Each step certifies that dominance in O(E),
-    raising NewtonError where it fails, and solves H delta = -g by
-    Jacobi-preconditioned conjugate gradients on the edge form of L; no
-    n x n matrix is formed.  L comes from the angles that the accepted
-    residual evaluation measured at u.
+    ``_entry_check`` raises RegimeError outside the convergence regime before
+    iterating; ``force`` skips only that refusal.  Inside the regime
+    alpha * target <= 0 componentwise, so the curvature energy is strictly
+    convex and the system matrix H = L - alpha*diag(target*w^alpha) is
+    strictly diagonally dominant with a positive diagonal.  Each step
+    certifies that dominance in O(E), raising NewtonError where it fails,
+    and solves H delta = -g by Jacobi-preconditioned conjugate gradients on
+    the edge form of L; no n x n matrix is formed.  L comes from the angles
+    that the accepted residual evaluation measured at u.
 
     The solve is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
     Anal. 1982): it stops once ||H delta + g||_2 <= min(FORCING_MAX,
@@ -458,11 +464,7 @@ def newton_solve(
     returned u.  A line-search trial that raises is undone by restoring the
     state at the current iterate.
     """
-    target = _target_vector(target, surf.vertex_count)
-    if not force:
-        ok, reason = regime_check(alpha, target, euler_characteristic(surf))
-        if not ok:
-            raise RegimeError(reason)
+    target = _entry_check(surf, alpha, target, tol, force)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
     max_jump = max((ev.k_jump for ev in make_delaunay(surf, m)), default=0.0)
 

@@ -13,6 +13,8 @@ them.  ``advance_by_bisection`` is the wall search by plain bisection that
 alone, which the quad measure of ``advance_conformal`` is built from.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
 row-wise array formulas that the library's column-form kernels replaced.
+``dense_jacobian`` is the dense n x n form of ``hypflow.curvature.JacobianL``
+that the tests compare its O(E) products against.
 ``combinatorics_by_faces`` is the per-face check of raw faces that the
 half-edge sort of ``hypflow.surface.validate_combinatorics`` replaced, and
 the fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
@@ -286,6 +288,20 @@ def four_minus_two_weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     asum = angles.sum(axis=1)
     f1, c1, f2, c2 = pairs.reshape(-1, 4).T
     return asum[f1] - 2.0 * angles[f1, c1] + asum[f2] - 2.0 * angles[f2, c2]
+
+
+def dense_jacobian(J) -> np.ndarray:
+    """The dense n x n matrix of a ``JacobianL`` J, entry by entry from its
+    A, B and ends: L_ii = A_i + sum_j B_ij and L_ij = L_ji = -B_ij."""
+    n = J.A.shape[0]
+    i, j = np.split(J.ends, 2)
+    L = np.diag(J.A)
+    for a, b, w in zip(i.tolist(), j.tolist(), J.B.tolist()):
+        L[a, a] += w
+        L[b, b] += w
+        L[a, b] -= w
+        L[b, a] -= w
+    return L
 
 
 def combinatorics_by_faces(vertex_count: int, faces) -> list:

@@ -14,7 +14,7 @@ from hypflow.cli import (
     parse_vertex_values,
     write_phm,
 )
-from hypflow import meshes
+from hypflow import flows, meshes
 from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
 from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
 
@@ -216,9 +216,30 @@ class TestCommands:
         ])
         assert rc == EXIT_INVALID
 
-    def test_flow_outside_regime_warns_on_stderr(self, capsys, genus2_file):
-        main(["flow", genus2_file, "--alpha", "1.0", "--target-const", "1.0", "--max-steps", "2"])
-        assert "warning: target outside convergence regime" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["flow", "newton"])
+    @pytest.mark.parametrize(
+        "options, code, message",
+        [
+            (["--alpha", "1", "--target-const", "1"], EXIT_REGIME,
+             "refused: alpha > 0 requires chi < 0 and a nonpositive target"),
+            (["--alpha", "nan", "--target-const", "-0.5"], EXIT_REGIME,
+             "refused: alpha and target must be finite"),
+            (["--alpha", "inf", "--target-const", "-0.5"], EXIT_REGIME,
+             "refused: alpha and target must be finite"),
+            (["--alpha", "1", "--target-const=-inf"], EXIT_REGIME,
+             "refused: alpha and target must be finite"),
+            (["--alpha", "1", "--target-const", "-1", "--tol", "0"], EXIT_INVALID,
+             "invalid: tol must be positive and finite, got 0.0"),
+            (["--alpha", "1", "--target-const", "-1", "--tol", "nan"], EXIT_INVALID,
+             "invalid: tol must be positive and finite, got nan"),
+        ],
+    )
+    def test_refused_before_any_step(self, tmp_path, capsys, genus2_file, command, options, code, message):
+        log = tmp_path / "run.jsonl"
+        assert main([command, genus2_file, *options, "--log", str(log)]) == code
+        assert capsys.readouterr().out.splitlines() == [message]
+        assert not log.exists()
+        assert not (tmp_path / "genus2.phm.failed.phm").exists()
 
     def test_newton_converges(self, capsys, genus2_file):
         rc = main([
@@ -283,11 +304,14 @@ class TestCommands:
         assert main([command, genus2_file, option, str(values)]) == EXIT_INVALID
         assert capsys.readouterr().out.startswith(f"invalid: {values}:3: ")
 
-    def test_flow_failure_dump_carries_its_reason(self, tmp_path, capsys):
+    def test_flow_failure_dump_carries_its_reason(self, tmp_path, capsys, monkeypatch):
+        # inside the regime, with a first step far too long and no room to shrink it
+        for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
+            monkeypatch.setattr(flows, name, 5.0)
         surf = genus2()
         path = str(tmp_path / "g.phm")
         write_phm(path, surf, perturbed_metric(surf, np.random.default_rng(0), spread=0.1))
-        assert main(["flow", path, "--alpha", "1", "--target-const", "2"]) == EXIT_RUNTIME
+        assert main(["flow", path, "--alpha", "1", "--target-const", "-1"]) == EXIT_RUNTIME
         last = open(path + ".failed.phm").read().splitlines()[-1]
         assert last.startswith("# failure: dt underflow")
         assert f"failure: {last[len('# failure: '):]}; state dumped" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypflow import flows, meshes
-from hypflow.curvature import JacobianL, curvature, gauss_bonnet_residual, jacobian
+from hypflow.curvature import curvature, gauss_bonnet_residual, jacobian
 from hypflow.flows import (
     FlowConfig,
     NewtonError,
@@ -27,19 +27,30 @@ from hypflow.surface import (
     make_delaunay,
 )
 
+from reference import dense_jacobian
+
 
 class TestConfig:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
             FlowConfig(kind="ricci")
 
-    def test_target_vector_broadcast(self):
-        cfg = FlowConfig(target=-1.0)
-        assert np.array_equal(cfg.target_vector(4), np.full(4, -1.0))
-        cfg = FlowConfig(target=np.arange(3.0))
-        assert np.array_equal(cfg.target_vector(3), [0.0, 1.0, 2.0])
+    def test_entry_check_broadcasts_target(self, genus2_unit):
+        surf, _ = genus2_unit
+        assert np.array_equal(flows._entry_check(surf, 1.0, -1.0, 1e-10), np.full(15, -1.0))
+        target = -np.arange(15.0)
+        t = flows._entry_check(surf, 1.0, target, 1e-10)
+        assert np.array_equal(t, target) and not np.shares_memory(t, target)
         with pytest.raises(ValueError):
-            cfg.target_vector(5)
+            flows._entry_check(surf, 1.0, target[:5], 1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_tol_checked_by_both_solvers(self, genus2_unit, tol):
+        surf, m = genus2_unit
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            newton_solve(surf, m, 1.0, -1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, tol_converge=tol))
 
     @pytest.mark.parametrize("target", [np.zeros(3), np.full((15, 1), -1.0)])
     def test_target_shape_checked_by_both_solvers(self, genus2_unit, target):
@@ -70,6 +81,48 @@ class TestRegime:
         assert not regime_check(0.0, np.full(15, -1.0), -2)[0]
         assert not regime_check(0.0, np.full(5, 7.0), -2)[0]
 
+    @pytest.mark.parametrize(
+        "alpha, target",
+        [(np.nan, -0.5), (np.inf, -0.5), (-np.inf, 0.5), (1.0, np.nan), (0.0, np.inf), (0.0, -np.inf)],
+    )
+    def test_non_finite_is_outside_every_regime(self, alpha, target):
+        # a NaN alpha fails both sign tests and would fall through to the
+        # alpha = 0 regime
+        ok, reason = regime_check(alpha, np.full(15, target), -2)
+        assert not ok and reason == "alpha and target must be finite"
+
+    @pytest.mark.parametrize("solver", ["yamabe", "calabi", "newton"])
+    @pytest.mark.parametrize(
+        "mesh, size, alpha, target, match",
+        [
+            ("genus2", (), 1.0, 1.0, "nonpositive"),
+            ("genus2", (), -1.0, -1.0, "strictly positive"),
+            # Gauss-Bonnet: sum(target) = 0 is not > 2*pi*chi = 0 on a torus
+            ("grid_torus", (4, 4), 0.0, 0.0, "sum"),
+            # no metric on a torus has negative curvature everywhere
+            ("grid_torus", (3, 3), 0.0, -1.0, "sum"),
+            ("genus2", (), np.nan, -0.5, "finite"),
+            ("genus2", (), np.inf, -0.5, "finite"),
+            ("genus2", (), 1.0, np.nan, "finite"),
+        ],
+    )
+    def test_refused_before_any_step(self, solver, mesh, size, alpha, target, match, monkeypatch):
+        surf = getattr(meshes, mesh)(*size)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        s0, m0 = clone_state(surf, m)
+
+        def refuse_step(*args, **kwargs):
+            raise AssertionError("a solver stepped outside the regime")
+
+        for name in ("advance_conformal", "make_delaunay", "jacobian"):
+            monkeypatch.setattr(flows, name, refuse_step)
+        with pytest.raises(RegimeError, match=match):
+            if solver == "newton":
+                newton_solve(surf, m, alpha, target)
+            else:
+                run_flow(surf, m, FlowConfig(kind=solver, alpha=alpha, target=target))
+        assert np.array_equal(surf.FE, s0.FE) and np.array_equal(m.length, m0.length)
+
 
 class TestRhs:
     def test_yamabe_rhs_is_target_minus_curvature(self, genus2_unit):
@@ -88,7 +141,8 @@ class TestRhs:
         n = surf.vertex_count
         cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n))
         make_delaunay(surf, m)
-        rhs = flows._rhs(surf, m, cfg, cfg.target_vector(n), np.zeros(n))[0]
+        target = flows._entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
+        rhs = flows._rhs(surf, m, cfg, target, np.zeros(n))[0]
         assert np.all(np.isfinite(rhs))
 
 
@@ -116,16 +170,6 @@ class TestFlows:
         assert run.converged
         energies = [r.energy for r in run.records]
         assert max(np.diff(energies)) <= 1e-12
-
-    def test_infeasible_target_diverges(self, torus_unit):
-        # on a torus no metric attains strictly negative curvature everywhere;
-        # the flow cannot converge and u runs away toward -infinity
-        surf, m = torus_unit
-        run = run_flow(
-            surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=-1.0, max_steps=600)
-        )
-        assert not run.converged
-        assert np.max(run.final_u) < -5.0
 
     def test_max_steps_reported(self, genus2_unit):
         surf, m = genus2_unit
@@ -243,7 +287,7 @@ class TestRejectedTrials:
         m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
         for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
             monkeypatch.setattr(flows, name, 0.1)
-        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=1.0, step_atol=1e-300)
+        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=4.0, step_atol=1e-300)
         run = run_flow(surf, m, cfg)
         assert run.status == "failed" and run.steps == 0
         assert run.reason.startswith("dt underflow below 0.1 at t=0.0")
@@ -290,24 +334,6 @@ class TestNewton:
         # residuals contract fast once in the basin
         assert res.residuals[-1] < 1e-10
 
-    def test_regime_guard(self, genus2_unit):
-        surf, m = genus2_unit
-        with pytest.raises(RegimeError):
-            newton_solve(surf, m, 1.0, 1.0)
-
-    def test_infeasible_target_refused_before_iterating(self, monkeypatch):
-        # Gauss-Bonnet: sum(target) = 0 is not > 2*pi*chi = 0 on a torus
-        surf = grid_torus(4, 4)
-        m = unit_metric(surf)
-
-        def no_iteration(*args, **kwargs):
-            raise AssertionError("newton_solve iterated outside the regime")
-
-        monkeypatch.setattr(flows, "advance_conformal", no_iteration)
-        monkeypatch.setattr(flows, "jacobian", no_iteration)
-        with pytest.raises(RegimeError, match="sum"):
-            newton_solve(surf, m, 0.0, 0.0)
-
     def test_force_flag_does_not_break_feasible_solve(self, torus_unit):
         surf, m = torus_unit
         res = newton_solve(surf, m, 0.0, 0.1, force=True)
@@ -338,7 +364,7 @@ class TestNewton:
         shift = alpha * target * np.exp(alpha * u)
         g = curvature(surf, m) - target * np.exp(alpha * u)
         delta, iters = flows._newton_step(J, shift, -g)
-        dense = np.linalg.solve(J.matrix - np.diag(shift), -g)
+        dense = np.linalg.solve(dense_jacobian(J) - np.diag(shift), -g)
         assert iters >= 1
         assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -389,7 +415,6 @@ class TestNewton:
         def refuse(*args, **kwargs):
             raise AssertionError("a solve path formed or factored a dense matrix")
 
-        monkeypatch.setattr(JacobianL, "matrix", property(refuse))
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
         surf, m = genus2_perturbed
