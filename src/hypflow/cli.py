@@ -5,13 +5,20 @@ Formats
 ``.phm`` surface+metric files::
 
     phm 1
-    v <N>
+    v <N>              # exactly once
     f <i> <j> <k>      # oriented faces, 0-based vertex indices
     e <i> <j> <len>    # each undirected edge exactly once
     # comment
 
 Target / conformal-factor files are lines ``t <i> <value>``; omitted vertices
-take the command-line constant (targets) or zero (factors).
+take the command-line constant (targets) or zero (factors), and a later line
+for a vertex overrides an earlier one.
+
+Both formats are read by ``_records``: one vectorised pass classifies each
+line by its first non-blank character, and one ``np.loadtxt`` call reads each
+record kind.  A kind that loadtxt refuses, or reads only with a warning, is
+converted token by token by Python's ``int`` and ``float`` instead, so what is
+accepted, its values and the error messages are those of a line-by-line read.
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
@@ -39,9 +46,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from itertools import chain
+import warnings
+from itertools import chain, compress
 
 import numpy as np
 
@@ -80,24 +87,16 @@ class ParseError(ValueError):
 
 
 def parse_phm(path: str):
-    """Parse a .phm file into (MarkedSurface, PHMetric): one pass sorts the
-    lines into records, then the f and e records are checked as arrays."""
-    lines = _read_lines(path)
-    if not lines or lines[0].split("#")[0].strip() != "phm 1":
+    """Parse a .phm file into (MarkedSurface, PHMetric): ``_records`` reads
+    the v, f and e records as arrays, which are then checked as arrays."""
+    text = _read_text(path)
+    if text.partition("\n")[0].split("#")[0].strip() != "phm 1":
         raise ParseError(f"{path}:1: expected header 'phm 1'")
-    tokens, at = {"v": [], "f": [], "e": []}, {"v": [], "f": [], "e": []}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("#", 1)[0].split()
-        if parts and parts[0] in tokens and len(parts) == (2 if parts[0] == "v" else 4):
-            tokens[parts[0]] += parts[1:]
-            at[parts[0]].append(lineno)
-        elif parts:
-            raise ParseError(f"{path}:{lineno}: unrecognized record {raw.split('#')[0].strip()!r}")
-    if not at["v"]:
-        raise ParseError(f"{path}: missing 'v' record")
-    n = _columns(path, tokens["v"][-1:], at["v"][-1:], (int,))[0][0]
-    faces = np.stack(_columns(path, tokens["f"], at["f"], (int, int, int)), axis=1)
-    i, j, length = _columns(path, tokens["e"], at["e"], (int, int, float))
+    records = _records(path, text, {"v": (int,), "f": (int, int, int), "e": (int, int, float)},
+                       "unrecognized record {!r}", skip=1, once="v")
+    n = records["v"][1][0][0]
+    faces = np.stack(records["f"][1], axis=1)
+    at, (i, j, length) = records["e"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # the first duplicate or non-positive record, in line order
     key = _pair_keys(lo, hi, 0)
@@ -106,7 +105,7 @@ def parse_phm(path: str):
     b = np.flatnonzero(~((length > 0.0) & np.isfinite(length))).min(initial=lo.size)
     if min(d, b) < lo.size:
         msg = f"duplicate edge record {(int(lo[d]), int(hi[d]))}" if d <= b else "edge length must be positive"
-        raise ParseError(f"{path}:{at['e'][min(d, b)]}: {msg}")
+        raise ParseError(f"{path}:{at[min(d, b)]}: {msg}")
     try:
         surf = MarkedSurface(n, faces)
     except SurfaceError as exc:
@@ -123,6 +122,83 @@ def parse_phm(path: str):
         k = np.argmin(found)
         raise ParseError(f"{path}: 'e' record for nonexistent edge {(int(lo[k]), int(hi[k]))}")
     return surf, PHMetric(surf, length[np.argsort(slot)])
+
+
+# bytes that str.split() takes for whitespace, other than the newline
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, once: str = "") -> dict:
+    """The records of a text file by tag: for each tag of ``kinds``, the
+    1-based line numbers of its records and one array per column, converted
+    by the tag's column types.  The first ``skip`` lines are not read, and
+    each tag in ``once`` must have exactly one record.
+
+    One vectorised pass over the bytes classifies each line by its first
+    non-blank character: blank, ``#``, a tag, or anything else.  The lines
+    of a tag are then read by one ``np.loadtxt``.  Where loadtxt refuses
+    them, warns, or reads a tag that is not theirs, their tokens go through
+    ``_columns``, so Python's ``int`` and ``float`` decide what is accepted,
+    with what value and with what message.  A ParseError names the first
+    line that is no record (``malformed``, formatted with the line's text
+    before any comment), else a missing or second record of a tag in
+    ``once``, else the first token that does not convert.
+    """
+    lines = text.split("\n")
+    b = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
+    # first[k] is the first non-blank byte of line k, a newline if it is blank
+    pos = np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))
+    first = b[pos]
+    todo = np.flatnonzero(_BLANK[first])
+    while todo.size:
+        pos[todo] += 1
+        first[todo] = b[pos[todo]]
+        todo = todo[_BLANK[first[todo]]]
+    first[:skip] = ord("#")
+    known = np.zeros(256, dtype=bool)
+    known[list(("".join(kinds) + "\n#").encode())] = True
+    for k in np.flatnonzero(~known[first]).tolist():
+        # only str.split() knows the non-ASCII blanks; a line that is no record is 0
+        parts = lines[k].split("#", 1)[0].split()
+        first[k] = 10 if not parts else ord(parts[0]) if parts[0] in kinds else 0
+    at = {tag: np.flatnonzero(first == ord(tag)) + 1 for tag in kinds}
+    bad = (np.flatnonzero(first == 0)[:1] + 1).tolist()
+    out, tokens = {}, {}
+    for tag, types in kinds.items():
+        rows = list(compress(lines, (first == ord(tag)).tolist()))
+        columns = _loadtxt(rows, tag, types)
+        if columns is not None:
+            out[tag] = at[tag], columns
+            continue
+        tokens[tag] = [raw.split("#", 1)[0].split() for raw in rows]
+        bad += [int(k) for k, parts in zip(at[tag], tokens[tag])
+                if parts[0] != tag or len(parts) != 1 + len(types)][:1]
+    if bad:
+        k = min(bad)
+        raise ParseError(f"{path}:{k}: " + malformed.format(lines[k - 1].split("#")[0].strip()))
+    for tag in once:
+        if at[tag].size != 1:
+            raise ParseError(f"{path}:{at[tag][1]}: duplicate {tag!r} record" if at[tag].size
+                             else f"{path}: missing {tag!r} record")
+    for tag, parts in tokens.items():
+        out[tag] = at[tag], _columns(path, [t for p in parts for t in p[1:]], at[tag].tolist(), kinds[tag])
+    return out
+
+
+def _loadtxt(rows: list, tag: str, types: tuple):
+    """One array per column of ``rows`` read by ``np.loadtxt``, or None if
+    it refuses or warns, or a row's tag is not ``tag``."""
+    dtype = [("tag", "U2")] + [(f"c{c}", np.int64 if kind is int else np.float64)
+                               for c, kind in enumerate(types)]
+    try:
+        with warnings.catch_warnings():
+            # NumPy 1.24 reads '1.0' as an int with a DeprecationWarning
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, comments="#", ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return [table[name] for name, _ in dtype[1:]] if (table["tag"] == tag).all() else None
 
 
 def _columns(path: str, tokens: list, lines: list, kinds: tuple) -> list:
@@ -151,32 +227,28 @@ def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
 
 
 def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
-    """Parse ``t <i> <value>`` lines into a length-n vector; a vertex out of
-    range, a token that does not convert or a value that is not finite
-    raises a ParseError at its line."""
+    """Parse ``t <i> <value>`` lines into a length-n vector, read as
+    ``parse_phm`` reads its records; a later line for a vertex overrides an
+    earlier one.  A ParseError names the first line that is no such record,
+    else the first token that does not convert, else the first vertex out
+    of range or value that is not finite."""
+    at, (i, value) = _records(path, _read_text(path), {"t": (int, float)}, "expected 't <i> <value>'")["t"]
+    out_of_range = (i < 0) | (i >= n)
+    bad = np.flatnonzero(out_of_range | ~np.isfinite(value))
+    if bad.size:
+        k = bad[0]
+        msg = f"vertex {i[k]} out of range" if out_of_range[k] else f"value {float(value[k])} is not finite"
+        raise ParseError(f"{path}:{at[k]}: {msg}")
+    last = i.size - 1 - np.unique(i[::-1], return_index=True)[1]
     out = np.full(n, float(default))
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] != "t" or len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 't <i> <value>'")
-        try:
-            i, value = int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 <= i < n:
-            raise ParseError(f"{path}:{lineno}: vertex {i} out of range")
-        if not math.isfinite(value):
-            raise ParseError(f"{path}:{lineno}: value {value} is not finite")
-        out[i] = value
+    out[i[last]] = value[last]
     return out
 
 
-def _read_lines(path: str) -> list:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            return fh.readlines()
+            return fh.read()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
 

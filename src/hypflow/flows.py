@@ -377,10 +377,11 @@ class NewtonResult:
 
 # the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
 # after PCG_MAX_ITER_PER_VERTEX * n iterations; newton_solve asks each step
-# for stop = min(FORCING_MAX, |g|_inf) * |g|_inf
+# for stop = min(FORCING_MAX, |g|_inf) * |g|_inf, never below TOL_FRACTION * tol
 PCG_RTOL = 1e-12
 PCG_MAX_ITER_PER_VERTEX = 10
 FORCING_MAX = 0.1
+TOL_FRACTION = 0.1
 
 
 def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float = 0.0):
@@ -450,13 +451,18 @@ def newton_solve(
 
     The solve is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
     Anal. 1982): it stops once ||H delta + g||_2 <= min(FORCING_MAX,
-    |g|_inf) * |g|_inf, floored at PCG_RTOL * ||g||_2.  The stop is taken
-    against the sup-norm that ``tol`` tests: the step's linear error in that
-    norm is below |g|_inf^2, the order of Newton's own quadratic term, so
-    the iteration count is that of exact steps.  A stop relative to
-    ||g||_2, which grows like sqrt(n), costs extra iterations on large
-    meshes.  As |g|_inf <= ||g||_2, every step makes at least one CG
-    iteration.  Convergence is still judged on the true residual g.
+    |g|_inf) * |g|_inf, floored at TOL_FRACTION * tol and at PCG_RTOL *
+    ||g||_2.  The stop is taken against the sup-norm that ``tol`` tests:
+    the step's linear error in that norm is below |g|_inf^2, the order of
+    Newton's own quadratic term, so the iteration count is that of exact
+    steps.  The ``tol`` floor spares the last step the accuracy that the
+    ``tol`` test cannot see: a linear residual below TOL_FRACTION * tol
+    leaves the next residual below ``tol`` up to Newton's quadratic term.
+    A stop relative to ||g||_2, which grows like sqrt(n), costs extra
+    iterations on large meshes.  As TOL_FRACTION * tol < |g|_inf <=
+    ||g||_2 while iterating, every step makes at least one CG iteration.
+    Convergence is still judged on the true residual g, and a residual that
+    is not finite raises NewtonError.
 
     On entry the state is flipped Delaunay at
     ``m.current_u`` by ``make_delaunay``, the surgery's advance at a fixed
@@ -477,10 +483,12 @@ def newton_solve(
 
     g, angles = residual(u)
     residuals = [float(np.max(np.abs(g)))]
+    if not math.isfinite(residuals[0]):
+        raise NewtonError(f"residual {residuals[0]} is not finite at the initial u")
     linsolve_iters, linsolve_stop, step_lengths = [], [], []
     it = 0
     while residuals[-1] > tol and it < max_iter:
-        stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1],
+        stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1], TOL_FRACTION * tol,
                    PCG_RTOL * math.sqrt(float(g @ g)))
         delta, cg_iters = _newton_step(
             jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u)), -g, stop

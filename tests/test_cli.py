@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypflow.cli import (
     EXIT_INVALID,
@@ -90,6 +92,12 @@ class TestFormat:
             ("v 3\nf 0 1 2\nf 0 2 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\n", r"'e' record for nonexistent edge \(1, 3\)"),
             ("f 0 1 2\nf 0 2 1\n", r"missing 'v' record"),
             ("v x\n", r":2: invalid literal"),
+            ("v 3\nf 0 1 2\n  v 4  # again\n", r":4: duplicate 'v' record"),
+            # NumPy 1.24's loadtxt reads '1.0' as an int, with a DeprecationWarning
+            ("v 4\nf 0 1.0 2\n", r":3: invalid literal for int\(\) with base 10: '1.0'"),
+            ("v 4\nf 0 99999999999999999999 2\n", r":3: Python int too large to convert to C long"),
+            ("v 4\nf 0 1 2\nfx 1 2 3\n", r":4: unrecognized record 'fx 1 2 3'"),
+            ("v 4\nf 0 1 2\ne 0 1\nfx 1 2 3\n", r":4: unrecognized record 'e 0 1'"),
         ],
     )
     def test_bad_records_named(self, tmp_path, records, match):
@@ -103,6 +111,19 @@ class TestFormat:
         p.write_text("phm 1\nv 3\nq 1 2 3\n")
         with pytest.raises(ParseError, match="unrecognized"):
             parse_phm(str(p))
+
+    def test_tokens_loadtxt_refuses_read_by_python(self, tmp_path, genus2_file):
+        # '1_0' is int('1_0') == 10 in a line-by-line read, and loadtxt refuses
+        # it, so those records take the token path; a line that starts with
+        # '\u00a0', a non-ASCII blank, is classified by str.split()
+        text = open(genus2_file).read()
+        assert " 10 " in text and text.count("\ne ") > 1
+        p = tmp_path / "g.phm"
+        p.write_text(text.replace(" 10 ", " 1_0 ").replace("\ne ", "\n\u00a0e ", 1))
+        surf, m = parse_phm(genus2_file)
+        surf2, m2 = parse_phm(str(p))
+        assert np.array_equal(surf2.face_array, surf.face_array)
+        assert np.array_equal(m2.length, m.length)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, torus_file):
         text = open(torus_file).read()
@@ -118,6 +139,72 @@ class TestFormat:
         p.write_text("t 9 1.0\n")
         with pytest.raises(ParseError, match="out of range"):
             parse_vertex_values(str(p), 5)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("t 0 1.0\nt 1\n", r":2: expected 't <i> <value>'"),
+            ("t 0 1.0\n\tq 1 2\n", r":2: expected 't <i> <value>'"),
+            ("t 0 1.0\nt 1.0 2\n", r":2: invalid literal for int\(\)"),
+            ("t 0 1.0\nt -1 2\n", r":2: vertex -1 out of range"),
+            ("# c\nt 0 1.0\nt 2 nan\n", r":3: value nan is not finite"),
+        ],
+    )
+    def test_bad_vertex_values_named(self, tmp_path, text, match):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            parse_vertex_values(str(p), 5)
+
+    def test_later_vertex_value_overrides(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("t 1 1.0\n  t\t1 2.0 # again\nt 0 3.0\n\n")
+        assert np.array_equal(parse_vertex_values(str(p), 3), [3.0, 2.0, 0.0])
+        p.write_text("# nothing\n")
+        assert np.array_equal(parse_vertex_values(str(p), 2, default=0.5), [0.5, 0.5])
+
+
+@st.composite
+def phm_files(draw):
+    """A well-formed .phm text of a small fixture: v on any line, f and e
+    records interleaved, edges in any order with either end first, tabs and
+    spaces between tokens and before them, comments and blank lines."""
+    surf = draw(st.sampled_from([(genus2, ()), (grid_torus, (3, 3)), (grid_torus, (4, 3))]))
+    surf = surf[0](*surf[1])
+    m = perturbed_metric(surf, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), spread=0.28)
+    blank = st.text(" \t", max_size=3)
+    comment = st.sampled_from(["", "#", " # f 0 1 2", "\t#e 0 1 -1"])
+
+    def record(tokens):
+        gaps = draw(st.lists(st.text(" \t", min_size=1, max_size=3), min_size=len(tokens) - 1,
+                             max_size=len(tokens) - 1))
+        return draw(blank) + "".join(t + g for t, g in zip(tokens, gaps)) + tokens[-1] + draw(blank) + draw(comment)
+
+    number = st.sampled_from(["%.17g", "%r", "%.17e"])
+    faces = [record(["f", *map(str, f)]) for f in surf.face_array.tolist()]
+    edges = []
+    for k in draw(st.permutations(range(m.length.size))):
+        i, j = surf.ends[:, k].tolist()
+        i, j = (j, i) if draw(st.booleans()) else (i, j)
+        edges.append(record(["e", str(i), str(j), draw(number) % float(m.length[k])]))
+    body = [(faces if kind else edges).pop() for kind in draw(st.permutations([1] * len(faces) + [0] * len(edges)))]
+    body.insert(draw(st.integers(0, len(body))), record(["v", str(surf.vertex_count)]))
+    for _ in range(draw(st.integers(0, 5))):
+        body.insert(draw(st.integers(0, len(body))), draw(blank) + draw(comment))
+    return "\n".join([draw(st.sampled_from(["phm 1", "phm 1  # header", " phm 1\t"])), *body]) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(phm_files())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_matches_line_wise_reference(tmp_path, text):
+    path = str(tmp_path / "random.phm")
+    with open(path, "w") as fh:
+        fh.write(text)
+    surf, m = parse_phm(path)
+    n, faces, lengths = parse_phm_by_lines(path)
+    assert surf.vertex_count == n
+    assert surf.face_array.tolist() == [list(f) for f in faces]
+    assert m.length.tolist() == [lengths[e] for e in zip(*surf.ends.tolist())]
 
 
 # pass 0 of the benchmark's workloads, built as bench/run.py builds them
@@ -267,6 +354,16 @@ class TestCommands:
         # the step's CG stop and accepted line-search length, null at the start
         assert records[0]["linsolve_stop"] is None and records[0]["step_length"] is None
         assert all(r["linsolve_stop"] > 0 and 0 < r["step_length"] <= 1 for r in records[1:])
+
+    def test_newton_non_finite_residual_is_a_failure(self, tmp_path, capsys, genus2_file):
+        # --force lets a NaN alpha past the refusal; its residual is NaN, which
+        # no comparison with tol can end as converged or max_iter
+        log = tmp_path / "newton.jsonl"
+        rc = main(["newton", genus2_file, "--alpha", "nan", "--target-const", "-0.5", "--force",
+                   "--log", str(log)])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().out.splitlines() == ["failure: residual nan is not finite at the initial u"]
+        assert not log.exists()
 
     def test_newton_regime_refusal(self, capsys, genus2_file):
         rc = main([

@@ -396,12 +396,14 @@ class TestNewton:
     ):
         # the benchmark's Newton inputs (pass 0 of a seed) and the paper's
         # genus-2 fixture: stopping each step's CG at min(FORCING_MAX,
-        # |g|_inf) * |g|_inf changes neither the Newton iteration count nor
-        # the solution beyond rounding
+        # |g|_inf) * |g|_inf, floored at TOL_FRACTION * tol, changes neither
+        # the Newton iteration count nor the solution beyond rounding
         surf = getattr(meshes, mesh)(*size)
         m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=spread)
         inexact = newton_solve(*clone_state(surf, m), alpha, target)
+        assert min(inexact.linsolve_stop) >= flows.TOL_FRACTION * 1e-10  # the default tol
         monkeypatch.setattr(flows, "FORCING_MAX", 0.0)
+        monkeypatch.setattr(flows, "TOL_FRACTION", 0.0)
         exact = newton_solve(surf, m, alpha, target)
         assert inexact.converged and exact.converged
         assert inexact.iterations == exact.iterations
