@@ -15,10 +15,11 @@ take the command-line constant (targets) or zero (factors), and a later line
 for a vertex overrides an earlier one.
 
 Both formats are read by ``_records``: one vectorised pass classifies each
-line by its first non-blank character, and one ``np.loadtxt`` call reads each
-record kind.  A kind that loadtxt refuses, or reads only with a warning, is
-converted token by token by Python's ``int`` and ``float`` instead, so what is
-accepted, its values and the error messages are those of a line-by-line read.
+line by its first byte (an indented line by its first token), and one
+``np.loadtxt`` call reads each record kind.  A kind that loadtxt refuses, or
+reads only with a warning, is converted token by token by Python's ``int``
+and ``float`` instead, so what is accepted, its values and the error messages
+are those of a line-by-line read.
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
@@ -124,19 +125,16 @@ def parse_phm(path: str):
     return surf, PHMetric(surf, length[np.argsort(slot)])
 
 
-# bytes that str.split() takes for whitespace, other than the newline
-_BLANK = np.zeros(256, dtype=bool)
-_BLANK[[9, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
 def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, once: str = "") -> dict:
     """The records of a text file by tag: for each tag of ``kinds``, the
     1-based line numbers of its records and one array per column, converted
-    by the tag's column types.  The first ``skip`` lines are not read, and
+    by the tag's column types: ``float``, or an int converter (``int`` or
+    ``_vertex``) read as int64.  The first ``skip`` lines are not read, and
     each tag in ``once`` must have exactly one record.
 
     One vectorised pass over the bytes classifies each line by its first
-    non-blank character: blank, ``#``, a tag, or anything else.  The lines
+    byte: blank, ``#``, a tag, or anything else, which ``str.split()``
+    classifies by its first token, so an indented line is read too.  The lines
     of a tag are then read by one ``np.loadtxt``.  Where loadtxt refuses
     them, warns, or reads a tag that is not theirs, their tokens go through
     ``_columns``, so Python's ``int`` and ``float`` decide what is accepted,
@@ -147,19 +145,13 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
     """
     lines = text.split("\n")
     b = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
-    # first[k] is the first non-blank byte of line k, a newline if it is blank
-    pos = np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))
-    first = b[pos]
-    todo = np.flatnonzero(_BLANK[first])
-    while todo.size:
-        pos[todo] += 1
-        first[todo] = b[pos[todo]]
-        todo = todo[_BLANK[first[todo]]]
+    # first[k] is the first byte of line k, a newline if it is empty
+    first = b[np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))]
     first[:skip] = ord("#")
     known = np.zeros(256, dtype=bool)
     known[list(("".join(kinds) + "\n#").encode())] = True
     for k in np.flatnonzero(~known[first]).tolist():
-        # only str.split() knows the non-ASCII blanks; a line that is no record is 0
+        # an indented line is read by str.split(); a line that is no record is 0
         parts = lines[k].split("#", 1)[0].split()
         first[k] = 10 if not parts else ord(parts[0]) if parts[0] in kinds else 0
     at = {tag: np.flatnonzero(first == ord(tag)) + 1 for tag in kinds}
@@ -189,7 +181,7 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
 def _loadtxt(rows: list, tag: str, types: tuple):
     """One array per column of ``rows`` read by ``np.loadtxt``, or None if
     it refuses or warns, or a row's tag is not ``tag``."""
-    dtype = [("tag", "U2")] + [(f"c{c}", np.int64 if kind is int else np.float64)
+    dtype = [("tag", "U2")] + [(f"c{c}", np.float64 if kind is float else np.int64)
                                for c, kind in enumerate(types)]
     try:
         with warnings.catch_warnings():
@@ -205,12 +197,14 @@ def _columns(path: str, tokens: list, lines: list, kinds: tuple) -> list:
     """Records of ``len(kinds)`` tokens each, one array per column converted
     by ``kinds``; a token that does not convert raises a ParseError at its
     record's line."""
+    dtypes = [np.float64 if kind is float else np.int64 for kind in kinds]
     try:
-        return [np.array(list(map(kind, tokens[c::len(kinds)])), dtype=kind) for c, kind in enumerate(kinds)]
+        return [np.array(list(map(kind, tokens[c::len(kinds)])), dtype=dtype)
+                for c, (kind, dtype) in enumerate(zip(kinds, dtypes))]
     except (ValueError, OverflowError):
-        for k, (tok, kind) in enumerate(zip(tokens, kinds * len(lines))):
+        for k, (tok, kind, dtype) in enumerate(zip(tokens, kinds * len(lines), dtypes * len(lines))):
             try:
-                np.array(kind(tok), dtype=kind)
+                np.array(kind(tok), dtype=dtype)
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lines[k // len(kinds)]}: {exc}") from exc
         raise
@@ -232,7 +226,7 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     earlier one.  A ParseError names the first line that is no such record,
     else the first token that does not convert, else the first vertex out
     of range or value that is not finite."""
-    at, (i, value) = _records(path, _read_text(path), {"t": (int, float)}, "expected 't <i> <value>'")["t"]
+    at, (i, value) = _records(path, _read_text(path), {"t": (_vertex, float)}, "expected 't <i> <value>'")["t"]
     out_of_range = (i < 0) | (i >= n)
     bad = np.flatnonzero(out_of_range | ~np.isfinite(value))
     if bad.size:
@@ -243,6 +237,15 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     out = np.full(n, float(default))
     out[i[last]] = value[last]
     return out
+
+
+def _vertex(token: str) -> int:
+    """``int(token)``, refused as a vertex out of range where it overflows
+    int64, since every vertex count fits in int64."""
+    i = int(token)
+    if not -2**63 <= i < 2**63:
+        raise ValueError(f"vertex {i} out of range")
+    return i
 
 
 def _read_text(path: str) -> str:

@@ -147,6 +147,9 @@ class TestFormat:
             ("t 0 1.0\n\tq 1 2\n", r":2: expected 't <i> <value>'"),
             ("t 0 1.0\nt 1.0 2\n", r":2: invalid literal for int\(\)"),
             ("t 0 1.0\nt -1 2\n", r":2: vertex -1 out of range"),
+            # int64 overflows in loadtxt and in NumPy; Python's int reads it
+            ("t 0 1.0\nt 99999999999999999999 2\n", r":2: vertex 99999999999999999999 out of range"),
+            ("t -99999999999999999999 2\n", r":1: vertex -99999999999999999999 out of range"),
             ("# c\nt 0 1.0\nt 2 nan\n", r":3: value nan is not finite"),
         ],
     )
