@@ -67,6 +67,7 @@ from .flows import (
     run_flow,
 )
 from .surface import (
+    MAX_LENGTH,
     TOL_DELAUNAY,
     MarkedSurface,
     PHMetric,
@@ -103,9 +104,11 @@ def parse_phm(path: str):
     key = _pair_keys(lo, hi, 0)
     order = np.argsort(key, kind="stable")
     d = order[1:][key[order[1:]] == key[order[:-1]]].min(initial=lo.size)
-    b = np.flatnonzero(~((length > 0.0) & np.isfinite(length))).min(initial=lo.size)
+    b = np.flatnonzero(~((length > 0.0) & (length <= MAX_LENGTH))).min(initial=lo.size)
     if min(d, b) < lo.size:
-        msg = f"duplicate edge record {(int(lo[d]), int(hi[d]))}" if d <= b else "edge length must be positive"
+        msg = (f"duplicate edge record {(int(lo[d]), int(hi[d]))}" if d <= b
+               else f"edge length {length[b]} exceeds MAX_LENGTH = {MAX_LENGTH:.6g}" if length[b] > 0.0
+               else "edge length must be positive")
         raise ParseError(f"{path}:{at[min(d, b)]}: {msg}")
     try:
         surf = MarkedSurface(n, faces)

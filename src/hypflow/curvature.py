@@ -64,27 +64,34 @@ class JacobianL:
 
     ``A`` is the per-vertex area-derivative diagonal, ``B`` the per-edge
     weights and ``ends`` the edges' endpoint indices, the ``i`` ends followed
-    by the ``j`` ends, gathered and scattered at once.  No n x n
-    array is formed: ``apply`` multiplies by L in O(E).  On a Delaunay state
-    A_i > 0 and B_ij >= 0, so L is symmetric, strictly diagonally dominant
-    and positive definite.
+    by the ``j`` ends.  No n x n array is formed.  The stencil form is built
+    once per Jacobian: the diagonal ``D = A + sum_j B_ij``, ``cols`` the
+    other end of each half-edge in ``ends`` and ``B2`` the weights listed
+    twice, so ``apply`` is one gather and one scatter in O(E).  On a
+    Delaunay state A_i > 0 and B_ij >= 0, so L is symmetric, strictly
+    diagonally dominant and positive definite.
     """
 
     A: np.ndarray
     B: np.ndarray
     ends: np.ndarray
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f = A f + sum over edges of B (f_i - f_j), scattered to both
-        ends with opposite signs; O(E)."""
-        fe = f[self.ends]
+    def __post_init__(self):
         ne = self.B.shape[0]
-        flux = self.B * (fe[:ne] - fe[ne:])
-        return self.A * f + _end_sums(self.ends, flux, -flux, self.A.shape[0])
+        self.B2 = np.concatenate((self.B, self.B))
+        self.cols = np.concatenate((self.ends[ne:], self.ends[:ne]))
+        self.D = self.A + np.bincount(self.ends, self.B2, minlength=self.A.shape[0])
+
+    def apply(self, f: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+        """L f = D f - sum over the half-edges at each vertex of B times f at
+        the other end; ``diag = D - shift`` in place of D applies
+        L - diag(shift)."""
+        d = self.D if diag is None else diag
+        return d * f - np.bincount(self.ends, self.B2 * f[self.cols], minlength=self.A.shape[0])
 
     def diagonal(self) -> np.ndarray:
-        """L_ii = A_i + sum_j B_ij."""
-        return self.A + _end_sums(self.ends, self.B, self.B, self.A.shape[0])
+        """L_ii = A_i + sum_j B_ij, the array ``D`` itself."""
+        return self.D
 
     def dominance_margin(self, shift: np.ndarray) -> np.ndarray:
         """Row-wise diagonal dominance of L - diag(shift):
@@ -112,9 +119,9 @@ def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None)
     without them a strict ``face_angles`` pass measures them."""
     if angles is None:
         angles = face_angles(surf, m, strict=True)
-    W = angle_derivatives(face_corner_lengths(surf, m), angles)
-    f1, c1, f2, c2 = surf.edge_faces.reshape(-1, 4).T
-    B = W[f1, c1] + W[f2, c2]
+    W = angle_derivatives(face_corner_lengths(surf, m), angles).ravel()
+    at = 3 * surf.edge_faces[..., 0] + surf.edge_faces[..., 1]
+    B = W[at[:, 0]] + W[at[:, 1]]
 
     ends = surf.ends.ravel()
     a = B * (np.cosh(m.length) - 1.0)

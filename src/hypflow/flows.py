@@ -391,9 +391,9 @@ def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float =
     dominance (``JacobianL.dominance_margin``), which holds on every Delaunay
     state inside the regime.  The solve is conjugate gradients (Hestenes and
     Stiefel) preconditioned by the diagonal, with each product by the matrix
-    applied in O(E) from the edge form.  It stops once the residual's 2-norm
-    is at most ``stop``, floored at PCG_RTOL * ||rhs||; the default of 0
-    solves to that floor.
+    applied in O(E) from the stencil form, ``shift`` folded into its
+    diagonal.  It stops once the residual's 2-norm is at most ``stop``,
+    floored at PCG_RTOL * ||rhs||; the default of 0 solves to that floor.
     """
     margin = J.dominance_margin(shift)
     worst = int(np.argmin(margin))
@@ -405,22 +405,24 @@ def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float =
     n = rhs.shape[0]
     diag = J.diagonal() - shift
     x, r = np.zeros(n), rhs.copy()
-    p = z = r / diag
+    z = r / diag
+    p = z.copy()
     rz = float(r @ z)
     stop = max(stop, PCG_RTOL * math.sqrt(float(rhs @ rhs)))
     for it in range(PCG_MAX_ITER_PER_VERTEX * n):
         if math.sqrt(float(r @ r)) <= stop:
             return x, it
-        Hp = J.apply(p) - shift * p
+        Hp = J.apply(p, diag)
         pHp = float(p @ Hp)
         if pHp <= 0.0:
             raise NewtonError(f"system matrix not positive definite: p^T H p = {pHp:.3e}")
         step = rz / pHp
         x += step * p
         r -= step * Hp
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     raise NewtonError(
         f"conjugate gradients stopped after {PCG_MAX_ITER_PER_VERTEX * n} iterations "
         f"at residual {math.sqrt(float(r @ r)):.3e} (target {stop:.3e})"
@@ -446,8 +448,9 @@ def newton_solve(
     strictly diagonally dominant with a positive diagonal.  Each step
     certifies that dominance in O(E), raising NewtonError where it fails,
     and solves H delta = -g by Jacobi-preconditioned conjugate gradients on
-    the edge form of L; no n x n matrix is formed.  L comes from the angles
-    that the accepted residual evaluation measured at u.
+    the stencil form of L, the shift folded into its diagonal; no n x n
+    matrix is formed.  L comes from the angles that the accepted residual
+    evaluation measured at u.
 
     The solve is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
     Anal. 1982): it stops once ||H delta + g||_2 <= min(FORCING_MAX,
@@ -465,14 +468,17 @@ def newton_solve(
     is not finite raises NewtonError.
 
     On entry the state is flipped Delaunay at
-    ``m.current_u`` by ``make_delaunay``, the surgery's advance at a fixed
-    u, raising FlipError if a flip there is refused; it is left at the
+    ``m.current_u`` by the surgery's advance at a fixed u, as in
+    ``make_delaunay``, raising FlipError if a flip there is refused; with
+    ``u0=None`` the angles that advance measures there give the first
+    residual, with no angle pass of its own.  The state is left at the
     returned u.  A line-search trial that raises is undone by restoring the
     state at the current iterate.
     """
     target = _entry_check(surf, alpha, target, tol, force)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
-    max_jump = max((ev.k_jump for ev in make_delaunay(surf, m)), default=0.0)
+    # make_delaunay, keeping the angles that its advance measures at the end
+    _, max_jump, angles = advance_conformal(surf, m, m.current_u)
 
     def residual(uv):
         """g at uv, and the corner angles it was measured from."""
@@ -481,7 +487,10 @@ def newton_solve(
         max_jump = max(max_jump, jump)
         return K - target * np.exp(alpha * uv), angles
 
-    g, angles = residual(u)
+    if u0 is None:  # the entry measured the angles at u
+        g = angle_defect(surf, angles) - target * np.exp(alpha * u)
+    else:
+        g, angles = residual(u)
     residuals = [float(np.max(np.abs(g)))]
     if not math.isfinite(residuals[0]):
         raise NewtonError(f"residual {residuals[0]} is not finite at the initial u")

@@ -44,6 +44,8 @@ TOL_DELAUNAY = 1e-12
 # largest lam + u_i + u_j admitted: the cosine law's cosh(l_a) cosh(l_b),
 # about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354
 MAX_SCALED_X = 175.0
+# longest length admitted: its lam is MAX_SCALED_X at u = 0, where solves start
+MAX_LENGTH = 2.0 * math.asinh(math.exp(MAX_SCALED_X))
 
 
 class SurfaceError(RuntimeError):
@@ -196,9 +198,10 @@ class PHMetric:
         self.length = np.array(length, dtype=float)
         if self.length.shape != (surf.ends.shape[1],):
             raise SurfaceError(f"lengths of shape {self.length.shape} for {surf.ends.shape[1]} edge slots")
-        bad = np.flatnonzero(~((self.length > 0.0) & np.isfinite(self.length)))
+        bad = np.flatnonzero(~((self.length > 0.0) & (self.length <= MAX_LENGTH)))
         if bad.size:
-            raise SurfaceError(f"edge {tuple(surf.ends[:, bad[0]].tolist())} has non-positive length {self.length[bad[0]]}")
+            raise SurfaceError(f"edge {tuple(surf.ends[:, bad[0]].tolist())} has length {self.length[bad[0]]},"
+                               f" not in (0, MAX_LENGTH = {MAX_LENGTH:.6g}]")
         self.lam = np.log(np.sinh(0.5 * self.length))
         self.current_u = np.zeros(surf.vertex_count)
 
@@ -362,14 +365,14 @@ def _quad_around(surf: MarkedSurface, ij: int):
     corners ca, ca + 1 and ca + 2 (mod 3) at k, i and j, and fb contains
     (j, i), its corners cb, cb + 1 and cb + 2 at l, j and i.
     """
-    i, j = surf.ends[:, ij].tolist()
-    (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
-    va, vb = surf.face_array[[fa, fb]].tolist()
-    if va[(ca + 1) % 3] != i:
-        fa, ca, va, fb, cb, vb = fb, cb, vb, fa, ca, va
-    ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
-    edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
-    return (i, j, va[ca], vb[cb]), [(fa, ca), (fb, cb)], edges
+    ef, F, FE = surf.edge_faces, surf.face_array, surf.FE
+    i, j = surf.ends.item(0, ij), surf.ends.item(1, ij)
+    fa, ca, fb, cb = ef.item(ij, 0, 0), ef.item(ij, 0, 1), ef.item(ij, 1, 0), ef.item(ij, 1, 1)
+    if F.item(fa, (ca + 1) % 3) != i:
+        fa, ca, fb, cb = fb, cb, fa, ca
+    edges = [ij, FE.item(fa, (ca + 2) % 3), FE.item(fa, (ca + 1) % 3),
+             FE.item(fb, (cb + 1) % 3), FE.item(fb, (cb + 2) % 3)]
+    return (i, j, F.item(fa, ca), F.item(fb, cb)), [(fa, ca), (fb, cb)], edges
 
 
 def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
@@ -393,12 +396,13 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
     if not 0 <= e < surf.ends.shape[1]:
         raise FlipError(f"no edge slot {e}")
     (i, j, k, l), ((fa, ca), (fb, cb)), (ij, ik, jk, il, jl) = _quad_around(surf, e)
-    L = m.length[surf.FE[[fa, fb]]]
-    if not admissible_mask(L).all():
-        raise AdmissibilityError(f"a face at edge {(i, j)} is inadmissible with opposite lengths {L.tolist()}")
-    A, B = angles_from_length_array(L).tolist()
+    ln, F, FE, ef = m.length, surf.face_array, surf.FE, surf.edge_faces
+    L = [[ln.item(q) for q in FE[f].tolist()] for f in (fa, fb)]
+    if any(a + b + c - 2.0 * max(a, b, c) <= 0.0 for a, b, c in L):
+        raise AdmissibilityError(f"a face at edge {(i, j)} is inadmissible with opposite lengths {L}")
+    A, B = angles_from_length_array(np.array(L)).tolist()
     before = (A[(ca + 1) % 3] + B[(cb + 2) % 3], A[(ca + 2) % 3] + B[(cb + 1) % 3], A[ca], B[cb])
-    d_ik, d_il = m.length[ik], m.length[il]
+    d_ik, d_jk, d_il, d_jl = ln.item(ik), ln.item(jk), ln.item(il), ln.item(jl)
     x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(before[0])
     if x <= 1.0:
         raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
@@ -408,23 +412,21 @@ def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
     kl = (min(k, l), max(k, l))
     if ((surf.ends[0] == kl[0]) & (surf.ends[1] == kl[1])).any():
         raise FlipError(f"flip of edge {(i, j)} would create a multi-edge {kl}")
-    for a, b in ((ik, il), (jk, jl)):
-        tri = (m.length[a], m.length[b], d_kl)
+    for tri in ((d_ik, d_il, d_kl), (d_jk, d_jl, d_kl)):
         if sum(tri) - 2.0 * max(tri) <= 0.0:
             raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
 
     # fa becomes (k, i, l) and fb becomes (l, j, k); FE rows list the edges
     # opposite corners 0, 1, 2, and kl sits at corner 1 of both
-    surf.face_array[[fa, fb]] = (k, i, l), (l, j, k)
-    surf.FE[[fa, fb]] = (il, ij, ik), (jk, ij, jl)
+    F[fa], F[fb] = (k, i, l), (l, j, k)
+    FE[fa], FE[fb] = (il, ij, ik), (jk, ij, jl)
     surf.ends[:, ij] = kl
-    surf.edge_faces[ij] = ((fa, 1), (fb, 1))
+    ef[ij] = (fa, 1), (fb, 1)
     for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
-        pairs = surf.edge_faces[q]
-        pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
-    m.length[ij] = d_kl
-    m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
-    A, B = angles_from_length_array(m.length[surf.FE[[fa, fb]]]).tolist()
+        ef[q, 0 if ef.item(q, 0, 0) in (fa, fb) else 1] = f, c
+    ln[ij] = d_kl
+    m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u.item(k) - m.current_u.item(l)
+    A, B = angles_from_length_array(np.array(((d_il, d_kl, d_ik), (d_jk, d_kl, d_jl)))).tolist()
     after = (A[1], B[1], A[0] + B[2], A[2] + B[0])
     return FlipEvent(
         old_edge=(i, j), new_edge=kl,
@@ -539,12 +541,12 @@ def _quad_weight(surf: MarkedSurface, m: PHMetric, e: int, u_from: list, u: list
     times x_e / (2 cosh(l_e/2)) is S = sin(q/2), q its two angles at e minus
     the one opposite, so P_e = 2 coth(l_e/2) (S_1 + S_2) has the sign of the
     weight 2 (asin S_1 + asin S_2); |S| < 1 is the triangle inequality."""
-    _, _, slots = _quad_around(surf, e)  # e, then each face's other two
-    vi, vj = surf.ends[:, slots].tolist()
-    lam = m.lam[slots].tolist()
-    x0 = [lm + u_from[i] + u_from[j] for lm, i, j in zip(lam, vi, vj)]
-    x1 = [lm + u[i] + u[j] for lm, i, j in zip(lam, vi, vj)]
-    rate = [b - a for a, b in zip(x0, x1)]
+    ends, x0, x1, rate = surf.ends, [], [], []
+    for q in _quad_around(surf, e)[2]:  # e, then each face's other two
+        i, j, lm = ends.item(0, q), ends.item(1, q), m.lam.item(q)
+        x0.append(lm + u_from[i] + u_from[j])
+        x1.append(lm + u[i] + u[j])
+        rate.append(x1[-1] - x0[-1])
 
     def weight(s):
         X = [(1.0 - s) * a + s * b for a, b in zip(x0, x1)]

@@ -56,7 +56,9 @@ def angle_derivatives(L: np.ndarray, angles: np.ndarray) -> np.ndarray:
     pi - sum theta has d Area/d u_a = sum_{c != a} W_c (cosh L_c - 1).
     Raises ValueError at a tan pole, which admissible angles never reach.
     """
-    t = 0.5 * (angles.sum(axis=-1, keepdims=True) - 2.0 * angles)
+    # (a + b) + c is bitwise sum(axis=-1), without its slow length-3 reduction
+    total = angles[..., 0] + angles[..., 1] + angles[..., 2]
+    t = 0.5 * (total[..., None] - 2.0 * angles)
     if np.any(np.abs(np.abs(t) - 0.5 * math.pi) < 5e-13):
         raise ValueError("tan pole in angle derivative; corrupted angles")
     return np.tan(t) / np.cosh(0.5 * L) ** 2

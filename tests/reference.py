@@ -15,6 +15,9 @@ alone, which the quad measure of ``advance_conformal`` is built from.
 row-wise array formulas that the library's column-form kernels replaced.
 ``dense_jacobian`` is the dense n x n form of ``hypflow.curvature.JacobianL``
 that the tests compare its O(E) products against.
+``quad_weight_by_lists`` and ``flip_by_lists`` are the wall search's quad
+measure and the flip read through fancy indexing and ``tolist``, the
+arithmetic that the scalar reads of ``hypflow.surface`` must keep bitwise.
 ``combinatorics_by_faces`` is the per-face check of raw faces that the
 half-edge sort of ``hypflow.surface.validate_combinatorics`` replaced, and
 the fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
@@ -29,15 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypflow.surface import (
+    MAX_SCALED_X,
     TOL_DELAUNAY,
     AdmissibilityError,
     FlipError,
+    FlipEvent,
     SurfaceError,
     apply_conformal,
     delaunay_weights,
     face_angles,
     flip_edge,
 )
+from hypflow.triangle import admissible_mask, angles_from_length_array
 
 
 @dataclass(frozen=True)
@@ -302,6 +308,94 @@ def dense_jacobian(J) -> np.ndarray:
         L[a, b] -= w
         L[b, a] -= w
     return L
+
+
+def _quad_around_by_lists(surf, ij: int):
+    """``hypflow.surface._quad_around`` read by fancy indexing and ``tolist``."""
+    i, j = surf.ends[:, ij].tolist()
+    (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
+    va, vb = surf.face_array[[fa, fb]].tolist()
+    if va[(ca + 1) % 3] != i:
+        fa, ca, va, fb, cb, vb = fb, cb, vb, fa, ca, va
+    ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
+    edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
+    return (i, j, va[ca], vb[cb]), [(fa, ca), (fb, cb)], edges
+
+
+def quad_weight_by_lists(surf, m, e: int, u_from: list, u: list):
+    """``hypflow.surface._quad_weight`` with the quad's ends and ``lam``
+    gathered by fancy indexing and ``tolist``: the weight plus TOL_DELAUNAY
+    of edge slot e as a function of s, returning (value, derivative)."""
+    _, _, slots = _quad_around_by_lists(surf, e)
+    vi, vj = surf.ends[:, slots].tolist()
+    lam = m.lam[slots].tolist()
+    x0 = [lm + u_from[i] + u_from[j] for lm, i, j in zip(lam, vi, vj)]
+    x1 = [lm + u[i] + u[j] for lm, i, j in zip(lam, vi, vj)]
+    rate = [b - a for a, b in zip(x0, x1)]
+
+    def weight(s):
+        X = [(1.0 - s) * a + s * b for a, b in zip(x0, x1)]
+        if max(X) > MAX_SCALED_X:
+            return -math.inf, math.nan
+        x = [math.exp(v) for v in X]
+        C = x[0] * x[0]
+        g, dg = TOL_DELAUNAY, 0.0
+        for a, b in ((1, 2), (3, 4)):
+            A, B = x[a] * x[a], x[b] * x[b]
+            D = 2.0 * x[a] * x[b] * math.sqrt(1.0 + C)
+            S = (A + B - C) / D
+            if not -1.0 < S < 1.0:
+                return -math.inf, math.nan
+            dS = (2.0 * (rate[a] * A + rate[b] * B - rate[0] * C) / D
+                  - S * (rate[a] + rate[b] + rate[0] * C / (1.0 + C)))
+            g += 2.0 * math.asin(S)
+            dg += 2.0 * dS / math.sqrt(1.0 - S * S)
+        return g, dg
+
+    return weight
+
+
+def flip_by_lists(surf, m, e: int) -> FlipEvent:
+    """``hypflow.surface.flip_edge`` with its quad read by fancy indexing
+    and ``tolist`` and its two faces written by fancy indexing."""
+    if not 0 <= e < surf.ends.shape[1]:
+        raise FlipError(f"no edge slot {e}")
+    (i, j, k, l), ((fa, ca), (fb, cb)), (ij, ik, jk, il, jl) = _quad_around_by_lists(surf, e)
+    L = m.length[surf.FE[[fa, fb]]]
+    if not admissible_mask(L).all():
+        raise AdmissibilityError(f"a face at edge {(i, j)} is inadmissible")
+    A, B = angles_from_length_array(L).tolist()
+    before = (A[(ca + 1) % 3] + B[(cb + 2) % 3], A[(ca + 2) % 3] + B[(cb + 1) % 3], A[ca], B[cb])
+    d_ik, d_il = m.length[ik], m.length[il]
+    x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(before[0])
+    if x <= 1.0:
+        raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
+    d_kl = math.acosh(x)
+    if k == l:
+        raise FlipError(f"flip of edge {(i, j)} would create a self-loop at vertex {k}")
+    kl = (min(k, l), max(k, l))
+    if ((surf.ends[0] == kl[0]) & (surf.ends[1] == kl[1])).any():
+        raise FlipError(f"flip of edge {(i, j)} would create a multi-edge {kl}")
+    for a, b in ((ik, il), (jk, jl)):
+        tri = (m.length[a], m.length[b], d_kl)
+        if sum(tri) - 2.0 * max(tri) <= 0.0:
+            raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
+    surf.face_array[[fa, fb]] = (k, i, l), (l, j, k)
+    surf.FE[[fa, fb]] = (il, ij, ik), (jk, ij, jl)
+    surf.ends[:, ij] = kl
+    surf.edge_faces[ij] = ((fa, 1), (fb, 1))
+    for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
+        pairs = surf.edge_faces[q]
+        pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
+    m.length[ij] = d_kl
+    m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
+    A, B = angles_from_length_array(m.length[surf.FE[[fa, fb]]]).tolist()
+    after = (A[1], B[1], A[0] + B[2], A[2] + B[0])
+    return FlipEvent(
+        old_edge=(i, j), new_edge=kl,
+        pre_weight=before[0] + before[1] - before[2] - before[3],
+        k_jump=max(abs(a - b) for a, b in zip(after, before)),
+    )
 
 
 def combinatorics_by_faces(vertex_count: int, faces) -> list:

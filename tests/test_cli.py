@@ -88,7 +88,10 @@ class TestFormat:
         [
             ("v 4\nf 0 1 2\nf 0 x 3\n", r":4: invalid literal for int\(\)"),
             ("v 4\nf 0 1 2\ne 0 1 1.0\ne 0 2 one\n", r":5: could not convert"),
-            ("v 4\nf 0 1 2\ne 0 1 99999999999999999999\ne 0 2 1.0\ne 0 1 1.0\n", r":6: duplicate edge record \(0, 1\)"),
+            # a huge token in the length column reads as a float, refused on its line
+            ("v 4\nf 0 1 2\ne 0 1 99999999999999999999\ne 0 2 1.0\ne 0 1 1.0\n",
+             r":4: edge length 1e\+20 exceeds MAX_LENGTH"),
+            ("v 4\nf 0 1 2\ne 0 1 351\ne 0 2 1.0\ne 0 1 1.0\n", r":6: duplicate edge record \(0, 1\)"),
             ("v 3\nf 0 1 2\nf 0 2 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\n", r"'e' record for nonexistent edge \(1, 3\)"),
             ("f 0 1 2\nf 0 2 1\n", r"missing 'v' record"),
             ("v x\n", r":2: invalid literal"),
@@ -256,6 +259,23 @@ class TestCommands:
 
     def test_validate_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.phm"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("length", [400.0, 2000.0])
+    def test_length_beyond_every_solve_refused(self, tmp_path, capsys, length):
+        # such a file once validated with exit 0, and newton then failed with
+        # "conformal factor out of representable range" (at 2000 after an
+        # overflow warning); it is refused at its first edge record
+        surf = genus2()
+        path = tmp_path / "long.phm"
+        path.write_text("\n".join(["phm 1", f"v {surf.vertex_count}"]
+                                  + [f"f {a} {b} {c}" for a, b, c in surf.faces]
+                                  + [f"e {i} {j} {length}" for i, j in surf.edges]) + "\n")
+        line = 3 + len(surf.faces)
+        with pytest.raises(ParseError, match=rf":{line}: edge length {length} exceeds MAX_LENGTH = 351.386"):
+            parse_phm(str(path))
+        for command in (["validate"], ["newton", "--alpha", "1", "--target-const", "-1"]):
+            assert main([command[0], str(path), *command[1:]]) == EXIT_INVALID
+            assert f":{line}: edge length" in capsys.readouterr().out
 
     def test_report(self, capsys, genus2_file):
         assert main(["report", genus2_file, "--alpha", "1.0"]) == EXIT_OK

@@ -1,9 +1,12 @@
+import contextlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hypflow import flows, meshes
+from hypflow import flows, meshes, surface
 from hypflow.curvature import curvature, gauss_bonnet_residual, jacobian
 from hypflow.flows import (
     FlowConfig,
@@ -21,6 +24,8 @@ from hypflow.surface import (
     AdmissibilityError,
     FlipError,
     MarkedSurface,
+    SurfaceError,
+    advance_conformal,
     apply_conformal,
     clone_state,
     delaunay_weights,
@@ -382,6 +387,63 @@ class TestNewton:
         _, exact_iters = flows._newton_step(J, shift, rhs)
         assert np.linalg.norm(J.apply(x) - shift * x - rhs) <= stop
         assert 1 <= iters < exact_iters
+
+    @given(st.sampled_from(["genus2", "grid_torus"]), st.integers(3, 6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_stencil_product_matches_dense(self, mesh, size, seed, moved):
+        # random fixtures of several sizes, flipped Delaunay on entry and, if
+        # ``moved``, across walls on the way to a random u: vertex degrees are
+        # irregular there, and each half-edge's other end must still be right
+        surf = getattr(meshes, mesh)(size, size + 1)
+        rng = np.random.default_rng(seed)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        try:
+            make_delaunay(surf, m)
+        except FlipError:
+            assume(False)  # a structural refusal on entry (ROADMAP item 3)
+        if moved:  # an obstruction leaves the state Delaunay short of u
+            with contextlib.suppress(SurfaceError, OverflowError):
+                advance_conformal(surf, m, rng.uniform(-0.3, 0.3, surf.vertex_count))
+        n = surf.vertex_count
+        J = jacobian(surf, m)
+        L = dense_jacobian(J)
+        f = rng.standard_normal(n)
+        assert np.allclose(J.apply(f), L @ f, rtol=1e-13, atol=1e-13)
+        # the shift of newton_solve, alpha * target * w^alpha <= 0 in the regime
+        shift = -rng.uniform(0.0, 1.0, n)
+        H = L - np.diag(shift)
+        assert np.allclose(J.apply(f, J.diagonal() - shift), H @ f, rtol=1e-13, atol=1e-13)
+        rhs = rng.standard_normal(n)
+        stop = 1e-4 * np.linalg.norm(rhs)
+        x, iters = flows._newton_step(J, shift, rhs, stop)
+        assert iters >= 1
+        assert np.linalg.norm(H @ x - rhs) <= stop + 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("u0", [None, "current"])
+    def test_one_angle_pass_before_first_jacobian(self, genus2_unit, u0, monkeypatch):
+        # the unit metric is Delaunay, so the entry's flip loop makes one
+        # whole-mesh angle pass; with u0=None its angles give the first
+        # residual, while a u0 takes a pass of its own
+        surf, m = genus2_unit
+        expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
+        passes, before_jacobian = [], []
+        face_angles, jac = surface.face_angles, flows.jacobian
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return face_angles(*args, **kwargs)
+
+        def first_jacobian(*args, **kwargs):
+            before_jacobian.append(len(passes))
+            return jac(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "face_angles", counted)
+        monkeypatch.setattr(flows, "jacobian", first_jacobian)
+        res = newton_solve(surf, m, 1.0, -1.0, u0=None if u0 is None else m.current_u.copy())
+        assert before_jacobian[0] == (1 if u0 is None else 2)
+        assert res.iterations == expected.iterations
+        assert np.array_equal(res.state.u, expected.state.u)
 
     @pytest.mark.parametrize(
         "mesh, size, spread, seed, alpha, target",

@@ -8,6 +8,7 @@ from hypflow.curvature import curvature
 from hypflow.flows import newton_solve
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import (
+    MAX_LENGTH,
     AdmissibilityError,
     FlipError,
     MarkedSurface,
@@ -35,8 +36,10 @@ from reference import (
     delaunay_by_least_weight,
     extended_angles,
     flip_diagonal_from_j,
+    flip_by_lists,
     four_minus_two_weights,
     perturbed_lengths_by_dict,
+    quad_weight_by_lists,
     scaled_length,
     wall_by_cosine_law,
 )
@@ -166,6 +169,21 @@ class TestMetric:
         lengths[0] = -2.0
         with pytest.raises(SurfaceError):
             PHMetric(surf, lengths)
+
+    @pytest.mark.parametrize("length", [400.0, 2000.0, np.inf, np.nan])
+    def test_length_beyond_every_solve_rejected(self, length):
+        # a length above MAX_LENGTH has lam > MAX_SCALED_X at u = 0, where
+        # every solve starts; it is refused before lam is computed, so no
+        # overflow warning is raised
+        surf = genus2()
+        with pytest.raises(SurfaceError, match=r"edge \(0, 1\) has length"):
+            PHMetric(surf, np.full(surf.ends.shape[1], length))
+
+    def test_longest_length_admitted(self):
+        surf = genus2()
+        m = PHMetric(surf, np.full(surf.ends.shape[1], MAX_LENGTH))
+        apply_conformal(surf, m, m.current_u)
+        assert np.all(np.isfinite(m.lam)) and np.all(np.isfinite(m.length))
 
     def test_validate_reports_inadmissible_face(self):
         surf = tetrahedron()
@@ -909,3 +927,60 @@ class TestInPlaceFlip:
         s2, m2 = clone_state(surf, m)
         assert np.array_equal(curvature(s2, m2), curvature(surf, m))
         assert np.array_equal(delaunay_weights(s2, m2), delaunay_weights(surf, m))
+
+
+def _same(a, b) -> bool:
+    """Equal floats bit for bit up to the sign of zero, NaN matching NaN."""
+    return all(x == y or (x != x and y != y) for x, y in zip(a, b))
+
+
+SURGERY_FIXTURES = [pytest.param(builder, seed, id=f"{name}-{seed}")
+                    for name, builder in (("genus2", lambda: genus2(3, 4)), ("torus", lambda: grid_torus(6, 7)))
+                    for seed in (1, 2, 3)]
+
+
+class TestScalarSurgeryReads:
+    # the wall search's quad measure and the flip read their quad with
+    # ndarray.item; they must compute what the fancy-index reads computed,
+    # bit for bit, or the flows' step counts could move
+    @pytest.mark.parametrize("builder, seed", SURGERY_FIXTURES)
+    def test_quad_weights_bitwise(self, builder, seed):
+        surf = builder()
+        rng = np.random.default_rng(seed)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        make_delaunay(surf, m)  # flips leave irregular vertex degrees
+        u_from = rng.uniform(-0.2, 0.2, surf.vertex_count).tolist()
+        u = rng.uniform(-0.6, 0.6, surf.vertex_count).tolist()
+        outside = 0
+        for e in range(surf.ends.shape[1]):
+            lib, ref = surface._quad_weight(surf, m, e, u_from, u), quad_weight_by_lists(surf, m, e, u_from, u)
+            for s in [0.0, 1.0, *rng.uniform(0.0, 1.0, 4).tolist()]:
+                assert _same(lib(s), ref(s))
+                outside += lib(s)[0] == -math.inf
+        assert outside >= 1  # inadmissible points are compared too
+
+    @pytest.mark.parametrize("builder, seed", SURGERY_FIXTURES)
+    def test_flips_bitwise(self, builder, seed):
+        surf = builder()
+        rng = np.random.default_rng(seed)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        apply_conformal(surf, m, rng.uniform(-0.2, 0.2, surf.vertex_count))
+        ref_surf, ref_m = clone_state(surf, m)
+        flipped = refused = 0
+        for e in rng.integers(0, surf.ends.shape[1], 80).tolist():
+            try:
+                event = flip_edge(surf, m, e)
+            except SurfaceError as exc:
+                with pytest.raises(type(exc)):
+                    flip_by_lists(ref_surf, ref_m, e)
+                refused += 1
+            else:
+                ref = flip_by_lists(ref_surf, ref_m, e)
+                assert (event.old_edge, event.new_edge) == (ref.old_edge, ref.new_edge)
+                assert _same((event.pre_weight, event.k_jump), (ref.pre_weight, ref.k_jump))
+                assert _same((m.length[e], m.lam[e]), (ref_m.length[e], ref_m.lam[e]))
+                flipped += 1
+            for name in ("face_array", "FE", "ends", "edge_faces"):
+                assert np.array_equal(getattr(surf, name), getattr(ref_surf, name))
+            assert np.array_equal(m.length, ref_m.length) and np.array_equal(m.lam, ref_m.lam)
+        assert flipped >= 30 and refused >= 1
