@@ -16,10 +16,9 @@ for a vertex overrides an earlier one.
 
 Both formats are read by ``_records``: one vectorised pass classifies each
 line by its first byte (an indented line by its first token), and one
-``np.loadtxt`` call reads each record kind.  A kind that loadtxt refuses, or
-reads only with a warning, is converted token by token by Python's ``int``
-and ``float`` instead, so what is accepted, its values and the error messages
-are those of a line-by-line read.
+``np.loadtxt`` call reads each record kind, so that NumPy's text grammar
+decides what a record is.  A token it refuses, or reads only with a warning,
+is refused with a ParseError naming its line.
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
@@ -49,7 +48,7 @@ import argparse
 import json
 import sys
 import warnings
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -94,7 +93,7 @@ def parse_phm(path: str):
     text = _read_text(path)
     if text.partition("\n")[0].split("#")[0].strip() != "phm 1":
         raise ParseError(f"{path}:1: expected header 'phm 1'")
-    records = _records(path, text, {"v": (int,), "f": (int, int, int), "e": (int, int, float)},
+    records = _records(path, text, {"v": (np.int64,), "f": (np.int64,) * 3, "e": (np.int64, np.int64, np.float64)},
                        "unrecognized record {!r}", skip=1, once="v")
     n = records["v"][1][0][0]
     faces = np.stack(records["f"][1], axis=1)
@@ -130,21 +129,16 @@ def parse_phm(path: str):
 
 def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, once: str = "") -> dict:
     """The records of a text file by tag: for each tag of ``kinds``, the
-    1-based line numbers of its records and one array per column, converted
-    by the tag's column types: ``float``, or an int converter (``int`` or
-    ``_vertex``) read as int64.  The first ``skip`` lines are not read, and
-    each tag in ``once`` must have exactly one record.
+    1-based line numbers of its records and one array per column, of the
+    tag's column dtypes.  The first ``skip`` lines are not read, and each
+    tag in ``once`` must have exactly one record.
 
     One vectorised pass over the bytes classifies each line by its first
-    byte: blank, ``#``, a tag, or anything else, which ``str.split()``
-    classifies by its first token, so an indented line is read too.  The lines
-    of a tag are then read by one ``np.loadtxt``.  Where loadtxt refuses
-    them, warns, or reads a tag that is not theirs, their tokens go through
-    ``_columns``, so Python's ``int`` and ``float`` decide what is accepted,
-    with what value and with what message.  A ParseError names the first
-    line that is no record (``malformed``, formatted with the line's text
-    before any comment), else a missing or second record of a tag in
-    ``once``, else the first token that does not convert.
+    byte (an indented line by its first token, from ``str.split()``), and
+    one ``np.loadtxt`` reads the lines of each tag.  A ParseError names the
+    first line that is no record (``malformed``, formatted with the line's
+    text before any comment), else a missing or second record of a tag in
+    ``once``, else the first token that loadtxt does not convert.
     """
     lines = text.split("\n")
     b = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
@@ -159,16 +153,21 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
         first[k] = 10 if not parts else ord(parts[0]) if parts[0] in kinds else 0
     at = {tag: np.flatnonzero(first == ord(tag)) + 1 for tag in kinds}
     bad = (np.flatnonzero(first == 0)[:1] + 1).tolist()
-    out, tokens = {}, {}
+    out, refused = {}, []
     for tag, types in kinds.items():
+        dtype = [("tag", "U2")] + [(f"c{c}", kind) for c, kind in enumerate(types)]
         rows = list(compress(lines, (first == ord(tag)).tolist()))
-        columns = _loadtxt(rows, tag, types)
-        if columns is not None:
-            out[tag] = at[tag], columns
+        table = _loadtxt(rows, dtype) if rows else np.empty(0, dtype)
+        if table is not None and (table["tag"] == tag).all():
+            out[tag] = at[tag], [table[name] for name, _ in dtype[1:]]
             continue
-        tokens[tag] = [raw.split("#", 1)[0].split() for raw in rows]
-        bad += [int(k) for k, parts in zip(at[tag], tokens[tag])
-                if parts[0] != tag or len(parts) != 1 + len(types)][:1]
+        # only after a refusal is each line read by itself, to find the first
+        # with the wrong tag or token count and the first token refused
+        parts = [raw.split("#", 1)[0].split() for raw in rows]
+        bad += [k for k, p in zip(at[tag].tolist(), parts) if p[0] != tag or len(p) != len(dtype)][:1]
+        refused += islice(((k, t, kind) for k, raw, p in zip(at[tag].tolist(), rows, parts)
+                           if _loadtxt([raw], dtype) is None
+                           for t, (_, kind) in zip(p[1:], dtype[1:]) if _loadtxt([t], kind) is None), 1)
     if bad:
         k = min(bad)
         raise ParseError(f"{path}:{k}: " + malformed.format(lines[k - 1].split("#")[0].strip()))
@@ -176,41 +175,22 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
         if at[tag].size != 1:
             raise ParseError(f"{path}:{at[tag][1]}: duplicate {tag!r} record" if at[tag].size
                              else f"{path}: missing {tag!r} record")
-    for tag, parts in tokens.items():
-        out[tag] = at[tag], _columns(path, [t for p in parts for t in p[1:]], at[tag].tolist(), kinds[tag])
+    if refused:
+        k, token, kind = min(refused)
+        raise ParseError(f"{path}:{k}: could not convert {token!r} to {np.dtype(kind)}")
     return out
 
 
-def _loadtxt(rows: list, tag: str, types: tuple):
-    """One array per column of ``rows`` read by ``np.loadtxt``, or None if
-    it refuses or warns, or a row's tag is not ``tag``."""
-    dtype = [("tag", "U2")] + [(f"c{c}", np.float64 if kind is float else np.int64)
-                               for c, kind in enumerate(types)]
+def _loadtxt(rows: list, dtype):
+    """``rows`` read by ``np.loadtxt`` as an array of ``dtype``, or None if
+    it refuses them or warns."""
     try:
         with warnings.catch_warnings():
             # NumPy 1.24 reads '1.0' as an int with a DeprecationWarning
             warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=dtype, comments="#", ndmin=1)
+            return np.loadtxt(rows, dtype=dtype, comments="#", ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    return [table[name] for name, _ in dtype[1:]] if (table["tag"] == tag).all() else None
-
-
-def _columns(path: str, tokens: list, lines: list, kinds: tuple) -> list:
-    """Records of ``len(kinds)`` tokens each, one array per column converted
-    by ``kinds``; a token that does not convert raises a ParseError at its
-    record's line."""
-    dtypes = [np.float64 if kind is float else np.int64 for kind in kinds]
-    try:
-        return [np.array(list(map(kind, tokens[c::len(kinds)])), dtype=dtype)
-                for c, (kind, dtype) in enumerate(zip(kinds, dtypes))]
-    except (ValueError, OverflowError):
-        for k, (tok, kind, dtype) in enumerate(zip(tokens, kinds * len(lines), dtypes * len(lines))):
-            try:
-                np.array(kind(tok), dtype=dtype)
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}:{lines[k // len(kinds)]}: {exc}") from exc
-        raise
 
 
 def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
@@ -229,7 +209,7 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     earlier one.  A ParseError names the first line that is no such record,
     else the first token that does not convert, else the first vertex out
     of range or value that is not finite."""
-    at, (i, value) = _records(path, _read_text(path), {"t": (_vertex, float)}, "expected 't <i> <value>'")["t"]
+    at, (i, value) = _records(path, _read_text(path), {"t": (np.int64, np.float64)}, "expected 't <i> <value>'")["t"]
     out_of_range = (i < 0) | (i >= n)
     bad = np.flatnonzero(out_of_range | ~np.isfinite(value))
     if bad.size:
@@ -242,27 +222,12 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     return out
 
 
-def _vertex(token: str) -> int:
-    """``int(token)``, refused as a vertex out of range where it overflows
-    int64, since every vertex count fits in int64."""
-    i = int(token)
-    if not -2**63 <= i < 2**63:
-        raise ValueError(f"vertex {i} out of range")
-    return i
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _resolve_target(args, n: int) -> np.ndarray:
-    if getattr(args, "target", None):
-        return parse_vertex_values(args.target, n, default=args.target_const)
-    return np.full(n, float(args.target_const))
 
 
 def _write_step_log(path: str, run):
@@ -284,13 +249,11 @@ def _write_step_log(path: str, run):
 def cmd_validate(args) -> int:
     surf, m = parse_phm(args.path)
     report = validate(surf, m)
-    n_delaunay = int(np.count_nonzero(delaunay_weights(surf, m) >= -TOL_DELAUNAY)) \
-        if report.ok else 0
     print(f"chi = {report.chi}")
     print(f"|V| = {report.n_vertices}, |E| = {report.n_edges}, |F| = {report.n_faces}")
     print(f"min triangle-inequality slack = {report.min_slack:.6g}")
     if report.ok:
-        print(f"Delaunay edges: {n_delaunay}/{report.n_edges}")
+        print(f"Delaunay edges: {np.count_nonzero(delaunay_weights(surf, m) >= -TOL_DELAUNAY)}/{report.n_edges}")
         print("valid")
         return EXIT_OK
     for err in report.errors:
@@ -331,7 +294,8 @@ def _load_for_solver(args):
     report = validate(surf, m)
     if not report.ok:
         raise ParseError("; ".join(report.errors))
-    target = _resolve_target(args, surf.vertex_count)
+    n = surf.vertex_count
+    target = parse_vertex_values(args.target, n, args.target_const) if args.target else np.full(n, args.target_const)
     return surf, m, target
 
 

@@ -140,16 +140,17 @@ def alpha_laplacian_apply(
     return -Lmat.apply(f) / state.w ** alpha
 
 
-def energy_increment(F_prev: np.ndarray, F_curr: np.ndarray, u_prev: np.ndarray,
+def energy_increment(K_prev: np.ndarray, K_curr: np.ndarray, u_prev: np.ndarray,
                      u_curr: np.ndarray, target: np.ndarray, alpha: float) -> float:
     """Trapezoidal increment of the curvature energy line integral.
 
-    Integrates sum_i (F_i - target_i * w_i^alpha) du_i between two states;
-    accumulated along a trajectory this realizes the convex energy whose
-    gradient is the curvature field, up to an additive constant.
+    Integrates sum_i (K_i - target_i * w_i^alpha) du_i between two states,
+    K the angle-defect curvature at each; accumulated along a trajectory
+    this realizes the convex energy whose gradient is that field, up to an
+    additive constant.
     """
-    g_prev = F_prev - target * np.exp(alpha * u_prev)
-    g_curr = F_curr - target * np.exp(alpha * u_curr)
+    g_prev = K_prev - target * np.exp(alpha * u_prev)
+    g_curr = K_curr - target * np.exp(alpha * u_curr)
     return float(0.5 * np.dot(g_prev + g_curr, u_curr - u_prev))
 
 

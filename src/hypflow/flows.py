@@ -2,7 +2,8 @@
 
 Time integration (adaptive RK4 with step doubling) of the alpha-Yamabe and
 alpha-Calabi flows, Delaunay surgery after accepted steps, maximum-principle
-monitors, and a damped Newton minimizer of the convex curvature energy.
+monitors, and a damped Newton iteration on the curvature equation whose
+line search accepts any decrease of the sup-norm residual.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ __all__ = [
 ]
 
 # the flows' step size starts at DT_INIT and stays in [DT_MIN, DT_MAX]: it
-# halves on each rejected trial and grows by GROW_FACTOR after GROW_AFTER
-# accepted steps in a row; a run whose |u| passes U_ABORT has diverged
+# halves on each rejected trial (a local error above STEP_ATOL rejects one)
+# and grows by GROW_FACTOR after GROW_AFTER accepted steps in a row; a run
+# whose |u| passes U_ABORT has diverged
+STEP_ATOL = 1e-8
 DT_INIT = 0.1
 DT_MIN = 1e-9
 DT_MAX = 0.5
@@ -74,7 +77,6 @@ class FlowConfig:
     target: object = 0.0            # scalar or per-vertex array
     tol_converge: float = 1e-10
     max_steps: int = 5000
-    step_atol: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("yamabe", "calabi"):
@@ -207,11 +209,12 @@ def run_flow(
     and the state is restored in place to the snapshot taken at the accepted
     u.  A SurfaceError, a flip refused on entry among them, a step size
     below DT_MIN and |u| above U_ABORT end the run with status ``"failed"``
-    and a reason.
+    and a reason, the state restored to the accepted u if a step began.
     """
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun(kind=cfg.kind, alpha=cfg.alpha, target=target)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
+    saved = None
 
     def rhs(v):
         out = _rhs(surf, m, cfg, target, v)
@@ -251,13 +254,13 @@ def run_flow(
                     half = rk4(u, 0.5 * dt, k1)
                     fine = rk4(half, 0.5 * dt, rhs(half)[0])
                     err = float(np.max(np.abs(coarse - fine))) / 15.0
-                    rejection = f"local error {err:.3e} > step_atol {cfg.step_atol:.3e}"
+                    rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
                 except (AdmissibilityError, FlipError, OverflowError) as exc:
                     # trial point left the admissible cone or requested a flip
                     # the combinatorics cannot honor; reject it and shrink dt
                     _restore(surf, m, saved)
                     err, rejection = math.inf, f"{type(exc).__name__}: {exc}"
-                if err <= cfg.step_atol:
+                if err <= STEP_ATOL:
                     break
                 dt *= 0.5
                 streak = 0
@@ -278,6 +281,8 @@ def run_flow(
                 streak = 0
             record(dt, len(flips))
     except (_StepFailure, SurfaceError) as exc:
+        if saved is not None:
+            _restore(surf, m, saved)
         run.status = "failed"
         run.reason = str(exc)
     run.final_u = u.copy()

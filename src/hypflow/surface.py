@@ -79,6 +79,9 @@ def _sort_half_edges(vertex_count: int, faces):
         return None, None, None, [f"faces are not vertex triples: {exc}"]
     if F.ndim != 2 or F.shape[1:] != (3,) or not F.size:
         return F, None, None, [f"faces are not vertex triples: shape {F.shape}"]
+    if vertex_count > F.size:
+        # a closed surface has every vertex on a corner: refused before any O(N) array
+        return F, None, None, [f"{vertex_count} vertices for {F.size} face corners"]
     rep = (F[:, 0] == F[:, 1]) | (F[:, 1] == F[:, 2]) | (F[:, 2] == F[:, 0])
     errors = [f"face {fi} repeats a vertex: {tuple(F[fi].tolist())}" for fi in np.flatnonzero(rep).tolist()]
     errors += [f"face {fi} references vertex {F[fi, c]} out of range"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from hypflow import flows
 from hypflow.curvature import (
     ConformalState,
     curvature,
@@ -352,7 +353,7 @@ def test_criterion_7_energy(announce, runs):
     assert loop_ok
 
 
-def test_criterion_8_maximum_principle(announce):
+def test_criterion_8_maximum_principle(announce, monkeypatch):
     surf0 = genus2()
     m0 = unit_metric(surf0)
     s, m = clone_state(surf0, m0)
@@ -360,10 +361,8 @@ def test_criterion_8_maximum_principle(announce):
     assert prep.converged  # initial error M = F_1 - (-1) = +0.5 at every vertex
 
     s, m = clone_state(surf0, m0)
-    cfg = FlowConfig(
-        kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12,
-        max_steps=40000,
-    )
+    monkeypatch.setattr(flows, "STEP_ATOL", 1e-12)
+    cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=40000)
     run = run_flow(s, m, cfg, u0=prep.state.u)
     gb(s, m)
     rep = monitor_max_principle(run)

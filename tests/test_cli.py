@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypflow.cli import (
     write_phm,
 )
 from hypflow import flows, meshes
-from hypflow.meshes import genus2, grid_torus, perturbed_metric, unit_metric
+from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
 
 from reference import (
@@ -86,19 +87,26 @@ class TestFormat:
     @pytest.mark.parametrize(
         "records, match",
         [
-            ("v 4\nf 0 1 2\nf 0 x 3\n", r":4: invalid literal for int\(\)"),
-            ("v 4\nf 0 1 2\ne 0 1 1.0\ne 0 2 one\n", r":5: could not convert"),
+            ("v 4\nf 0 1 2\nf 0 x 3\n", r":4: could not convert 'x' to int64"),
+            ("v 4\nf 0 1 2\ne 0 1 1.0\ne 0 2 one\n", r":5: could not convert 'one' to float64"),
             # a huge token in the length column reads as a float, refused on its line
             ("v 4\nf 0 1 2\ne 0 1 99999999999999999999\ne 0 2 1.0\ne 0 1 1.0\n",
              r":4: edge length 1e\+20 exceeds MAX_LENGTH"),
             ("v 4\nf 0 1 2\ne 0 1 351\ne 0 2 1.0\ne 0 1 1.0\n", r":6: duplicate edge record \(0, 1\)"),
             ("v 3\nf 0 1 2\nf 0 2 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\n", r"'e' record for nonexistent edge \(1, 3\)"),
             ("f 0 1 2\nf 0 2 1\n", r"missing 'v' record"),
-            ("v x\n", r":2: invalid literal"),
+            ("v x\n", r":2: could not convert 'x' to int64"),
             ("v 3\nf 0 1 2\n  v 4  # again\n", r":4: duplicate 'v' record"),
             # NumPy 1.24's loadtxt reads '1.0' as an int, with a DeprecationWarning
-            ("v 4\nf 0 1.0 2\n", r":3: invalid literal for int\(\) with base 10: '1.0'"),
-            ("v 4\nf 0 99999999999999999999 2\n", r":3: Python int too large to convert to C long"),
+            ("v 4\nf 0 1.0 2\n", r":3: could not convert '1\.0' to int64"),
+            ("v 4\nf 0 99999999999999999999 2\n", r":3: could not convert '99999999999999999999' to int64"),
+            # int('1_0') is 10, but loadtxt's grammar has no '_'
+            ("v 1_0\n", r":2: could not convert '1_0' to int64"),
+            ("v 4\nf 0 1_0 2\n", r":3: could not convert '1_0' to int64"),
+            ("v 4\nf 0 1 2\ne 0 1 1.0\ne 0 2 1_0\n", r":5: could not convert '1_0' to float64"),
+            # a line that is no record comes first, then a missing 'v', then a token
+            ("v 4\nf 0 x 2\ne 0 1\n", r":4: unrecognized record 'e 0 1'"),
+            ("f 0 x 2\n", r"missing 'v' record"),
             ("v 4\nf 0 1 2\nfx 1 2 3\n", r":4: unrecognized record 'fx 1 2 3'"),
             ("v 4\nf 0 1 2\ne 0 1\nfx 1 2 3\n", r":4: unrecognized record 'e 0 1'"),
         ],
@@ -109,20 +117,35 @@ class TestFormat:
         with pytest.raises(ParseError, match=match):
             parse_phm(str(p))
 
+    def test_vertex_count_beyond_the_corners_refused_before_any_array(self, tmp_path):
+        # every vertex of a closed surface is on a face corner, so a count
+        # above 3 F is refused before an array of that length is made
+        surf = tetrahedron()
+        p = tmp_path / "big.phm"
+        write_phm(str(p), surf, unit_metric(surf))
+        p.write_text(p.read_text().replace("v 4\n", f"v {10**12}\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"{10**12} vertices for 12 face corners"):
+                parse_phm(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
     def test_unknown_record_rejected(self, tmp_path):
         p = tmp_path / "bad.phm"
         p.write_text("phm 1\nv 3\nq 1 2 3\n")
         with pytest.raises(ParseError, match="unrecognized"):
             parse_phm(str(p))
 
-    def test_tokens_loadtxt_refuses_read_by_python(self, tmp_path, genus2_file):
-        # '1_0' is int('1_0') == 10 in a line-by-line read, and loadtxt refuses
-        # it, so those records take the token path; a line that starts with
-        # '\u00a0', a non-ASCII blank, is classified by str.split()
+    def test_line_indented_by_non_ascii_blank_read(self, tmp_path, genus2_file):
+        # a line that starts with '\u00a0' is classified by str.split(), and
+        # loadtxt reads it as str.split() does
         text = open(genus2_file).read()
-        assert " 10 " in text and text.count("\ne ") > 1
+        assert text.count("\ne ") > 1
         p = tmp_path / "g.phm"
-        p.write_text(text.replace(" 10 ", " 1_0 ").replace("\ne ", "\n\u00a0e ", 1))
+        p.write_text(text.replace("\ne ", "\n\u00a0e ", 1))
         surf, m = parse_phm(genus2_file)
         surf2, m2 = parse_phm(str(p))
         assert np.array_equal(surf2.face_array, surf.face_array)
@@ -148,11 +171,13 @@ class TestFormat:
         [
             ("t 0 1.0\nt 1\n", r":2: expected 't <i> <value>'"),
             ("t 0 1.0\n\tq 1 2\n", r":2: expected 't <i> <value>'"),
-            ("t 0 1.0\nt 1.0 2\n", r":2: invalid literal for int\(\)"),
+            ("t 0 1.0\nt 1.0 2\n", r":2: could not convert '1\.0' to int64"),
+            ("t 0 1.0\nt 1_0 2\n", r":2: could not convert '1_0' to int64"),
+            ("t 0 1.0\nt 1 1_0\n", r":2: could not convert '1_0' to float64"),
             ("t 0 1.0\nt -1 2\n", r":2: vertex -1 out of range"),
-            # int64 overflows in loadtxt and in NumPy; Python's int reads it
-            ("t 0 1.0\nt 99999999999999999999 2\n", r":2: vertex 99999999999999999999 out of range"),
-            ("t -99999999999999999999 2\n", r":1: vertex -99999999999999999999 out of range"),
+            # beyond int64, the vertex column refuses it
+            ("t 0 1.0\nt 99999999999999999999 2\n", r":2: could not convert '99999999999999999999' to int64"),
+            ("t -99999999999999999999 2\n", r":1: could not convert '-99999999999999999999' to int64"),
             ("# c\nt 0 1.0\nt 2 nan\n", r":3: value nan is not finite"),
         ],
     )

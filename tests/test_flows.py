@@ -292,22 +292,40 @@ class TestRejectedTrials:
         m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
         for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
             monkeypatch.setattr(flows, name, 0.1)
-        cfg = FlowConfig(kind="yamabe", alpha=0.0, target=4.0, step_atol=1e-300)
-        run = run_flow(surf, m, cfg)
+        monkeypatch.setattr(flows, "STEP_ATOL", 1e-300)
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=4.0))
         assert run.status == "failed" and run.steps == 0
         assert run.reason.startswith("dt underflow below 0.1 at t=0.0")
-        assert re.search(r"last rejection: local error .* > step_atol", run.reason)
+        assert re.search(r"last rejection: local error .* > STEP_ATOL", run.reason)
+
+    @pytest.mark.parametrize(
+        "constants, reason",
+        [
+            ({"DT_INIT": 0.1, "DT_MIN": 0.1, "DT_MAX": 0.1, "STEP_ATOL": 1e-300}, "dt underflow"),
+            ({"U_ABORT": 1e-6}, "|u| exceeded"),
+        ],
+    )
+    def test_failed_run_leaves_state_at_final_u(self, monkeypatch, constants, reason):
+        # the failure ends the run inside a step, whose trials moved the state
+        # on; it is put back at the last accepted u, which the dump then holds
+        surf = tetrahedron()
+        m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
+        m0 = m.copy()
+        for name, value in constants.items():
+            monkeypatch.setattr(flows, name, value)
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=4.0))
+        assert run.status == "failed" and run.reason.startswith(reason)
+        assert np.array_equal(m.current_u, run.final_u)
+        assert np.array_equal(m.length, m0.length) and not run.final_u.any()
 
 
 class TestMonitor:
-    def test_sign_and_envelope(self, genus2_unit):
+    def test_sign_and_envelope(self, genus2_unit, monkeypatch):
         surf, m = genus2_unit
         prep = newton_solve(surf, m, 1.0, -0.5)
         s2, m2 = clone_state(genus2(), unit_metric(genus2()))
-        cfg = FlowConfig(
-            kind="yamabe", alpha=1.0, target=-1.0, step_atol=1e-12
-        )
-        run = run_flow(s2, m2, cfg, u0=prep.state.u)
+        monkeypatch.setattr(flows, "STEP_ATOL", 1e-12)
+        run = run_flow(s2, m2, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0), u0=prep.state.u)
         assert run.converged
         rep = monitor_max_principle(run)
         assert rep.sign_hypothesis == "nonnegative"
