@@ -23,11 +23,14 @@ is refused with a ParseError naming its line.
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
 energy, plus a terminal record with status, steps, final_sup_err and u.
 Newton logs have one record per iteration with keys iteration,
-sup_residual, linsolve_iters, linsolve_stop and step_length, plus a terminal
-record with status, iterations and u.  The last three describe the step that
-led to the iterate, and are null for iteration 0: the conjugate-gradient
-iterations of its linear solve, the 2-norm that solve's residual had to
-reach, and the line-search step length accepted.
+sup_residual, linsolve_iters, linsolve_stop, step_length and flips, plus a
+terminal record with status, iterations and u.  linsolve_iters,
+linsolve_stop and step_length describe the step that led to the iterate,
+and are null for iteration 0: the conjugate-gradient iterations of its
+linear solve, the 2-norm that solve's residual had to reach, and the
+line-search step length accepted.  flips counts the edge flips of the
+iteration's surgery: for iteration 0 those on entry and at the initial u,
+then those of every line-search trial that reached its u.
 
 A flow that fails dumps its state to ``<path>.failed.phm``, a ``.phm`` file
 whose last line is the comment ``# failure: <reason>``.  A flip refused on
@@ -138,7 +141,9 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
     one ``np.loadtxt`` reads the lines of each tag.  A ParseError names the
     first line that is no record (``malformed``, formatted with the line's
     text before any comment), else a missing or second record of a tag in
-    ``once``, else the first token that loadtxt does not convert.
+    ``once``, else the first token that loadtxt does not convert.  A tag
+    whose lines loadtxt refuses is bisected for the line to name
+    (``_first_failing``), so a refusal costs about two reads of its lines.
     """
     lines = text.split("\n")
     b = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
@@ -161,13 +166,18 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
         if table is not None and (table["tag"] == tag).all():
             out[tag] = at[tag], [table[name] for name, _ in dtype[1:]]
             continue
-        # only after a refusal is each line read by itself, to find the first
-        # with the wrong tag or token count and the first token refused
-        parts = [raw.split("#", 1)[0].split() for raw in rows]
-        bad += [k for k, p in zip(at[tag].tolist(), parts) if p[0] != tag or len(p) != len(dtype)][:1]
-        refused += islice(((k, t, kind) for k, raw, p in zip(at[tag].tolist(), rows, parts)
-                           if _loadtxt([raw], dtype) is None
-                           for t, (_, kind) in zip(p[1:], dtype[1:]) if _loadtxt([t], kind) is None), 1)
+        # only after a refusal are the rows bisected: with every token read
+        # as text, for the first with the wrong tag or token count, which
+        # goes first whatever its line; else for the first that loadtxt
+        # refuses, whose tokens are then read one by one
+        as_text = [("tag", "U2")] + [(f"c{c}", "U1") for c in range(len(types))]
+        if not _tagged(rows, as_text, tag):
+            bad.append(int(at[tag][_first_failing(rows, lambda block: _tagged(block, as_text, tag))]))
+            continue
+        k = _first_failing(rows, lambda block: _tagged(block, dtype, tag))
+        tokens = rows[k].split("#", 1)[0].split()[1:]
+        refused += islice(((int(at[tag][k]), t, kind) for t, (_, kind) in zip(tokens, dtype[1:])
+                           if _loadtxt([t], kind) is None), 1)
     if bad:
         k = min(bad)
         raise ParseError(f"{path}:{k}: " + malformed.format(lines[k - 1].split("#")[0].strip()))
@@ -179,6 +189,24 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
         k, token, kind = min(refused)
         raise ParseError(f"{path}:{k}: could not convert {token!r} to {np.dtype(kind)}")
     return out
+
+
+def _tagged(rows: list, dtype, tag: str) -> bool:
+    """Whether loadtxt reads ``rows`` as ``dtype`` with ``tag`` in every row."""
+    table = _loadtxt(rows, dtype)
+    return table is not None and bool((table["tag"] == tag).all())
+
+
+def _first_failing(rows: list, ok) -> int:
+    """The index of the first row r with ``ok(rows[:r + 1])`` false, for a
+    predicate that holds on a block of rows iff on each of its rows and
+    fails on ``rows``: a bisection over row blocks, each read whole, in
+    about log2(len(rows)) calls that read about len(rows) rows in all."""
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(rows[lo:mid]) else (lo, mid)
+    return lo
 
 
 def _loadtxt(rows: list, dtype):
@@ -337,11 +365,11 @@ def cmd_newton(args) -> int:
     if args.log:
         with open(args.log, "w") as fh:
             steps = zip([None] + result.linsolve_iters, [None] + result.linsolve_stop,
-                        [None] + result.step_lengths)
-            for it, (res, (cg, stop, lam)) in enumerate(zip(result.residuals, steps)):
+                        [None] + result.step_lengths, result.flips)
+            for it, (res, (cg, stop, lam, flips)) in enumerate(zip(result.residuals, steps)):
                 fh.write(json.dumps({
                     "iteration": it, "sup_residual": res, "linsolve_iters": cg,
-                    "linsolve_stop": stop, "step_length": lam,
+                    "linsolve_stop": stop, "step_length": lam, "flips": flips,
                 }) + "\n")
             fh.write(json.dumps({
                 "status": "converged" if result.converged else "max_iter",

@@ -1,9 +1,13 @@
 """Curvature flows with surgery and a Newton solver for prescribed targets.
 
 Time integration (adaptive RK4 with step doubling) of the alpha-Yamabe and
-alpha-Calabi flows, Delaunay surgery after accepted steps, maximum-principle
-monitors, and a damped Newton iteration on the curvature equation whose
-line search accepts any decrease of the sup-norm residual.
+alpha-Calabi flows, maximum-principle monitors, and a damped Newton
+iteration on the curvature equation whose line search accepts any decrease
+of the sup-norm residual.  Both evaluate the curvature map at u through
+``advance_conformal``'s surgery at u, whose result depends on u alone, so
+neither follows a path between its points.  ``FlowRun`` and
+``NewtonResult`` count the surgery's entry flips (isometric, on entry),
+path flips (Ptolemy flips of the evaluations) and flip rounds.
 """
 
 from __future__ import annotations
@@ -108,6 +112,12 @@ class FlowRun:
     final_u: np.ndarray | None = None
     initial_F_alpha: np.ndarray | None = None
     max_flip_jump: float = 0.0
+    # curvature maps evaluated; flips on entry and in evaluations, and the
+    # flip rounds that made them
+    rhs_evals: int = 0
+    entry_flips: int = 0
+    path_flips: int = 0
+    flip_rounds: int = 0
 
     @property
     def converged(self) -> bool:
@@ -165,15 +175,17 @@ def _entry_check(surf: MarkedSurface, alpha: float, target, tol: float, force: b
 
 
 def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
-    """Operational curvature map: advance to u with surgery, then measure.
+    """Operational curvature map: surgery at u, then measure.
 
     Returns (F_alpha, K, flip events, sup-norm K jump across any flip,
     corner angles at u).  The state must be Delaunay at ``m.current_u`` and
     is left Delaunay at u; K comes from the angles ``advance_conformal``
     measured at u, with no angle pass of its own, and a Jacobian at u takes
-    the same angles.  Flips happen at Delaunay walls, where they commute
-    with vertex scaling, so the value depends on u alone and not on the path
-    taken to reach it; the jump is a rounding-level continuity diagnostic.
+    the same angles.  The surgery flips by the Ptolemy relation in the
+    scaling invariants, which the flip at a wall on any path from the
+    current u would give, so the value depends on u alone; the jump, each
+    flip's curvature change at a wall of its quad, is a rounding-level
+    check of that relation.
     """
     flips, jump, angles = advance_conformal(surf, m, u)
     K = angle_defect(surf, angles)
@@ -189,6 +201,11 @@ def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target: np.ndarray, 
     J = jacobian(surf, m, angles)
     rhs = alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target)
     return rhs, F_a, K, flips, jump
+
+
+def _rounds(events: list) -> int:
+    """The flip rounds of one advance that made ``events``."""
+    return events[-1].round + 1 if events else 0
 
 
 class _StepFailure(RuntimeError):
@@ -218,6 +235,9 @@ def run_flow(
 
     def rhs(v):
         out = _rhs(surf, m, cfg, target, v)
+        run.rhs_evals += 1
+        run.path_flips += len(out[3])
+        run.flip_rounds += _rounds(out[3])
         run.max_flip_jump = max(run.max_flip_jump, out[4])
         return out
 
@@ -236,6 +256,7 @@ def run_flow(
     try:
         entry = make_delaunay(surf, m)
         run.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
+        run.entry_flips, run.flip_rounds = len(entry), _rounds(entry)
         k1, F_a, K, flips, _ = rhs(u)
         run.initial_F_alpha, M = F_a, F_a - target
         t, dt, energy, streak = 0.0, DT_INIT, 0.0, 0
@@ -378,6 +399,17 @@ class NewtonResult:
     linsolve_iters: list = field(default_factory=list)
     linsolve_stop: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
+    # flips per iteration (iteration 0: on entry and at the initial u; then
+    # those of the step's line search), the entry's isometric flips, and the
+    # flip rounds of all advances
+    flips: list = field(default_factory=list)
+    entry_flips: int = 0
+    flip_rounds: int = 0
+
+    @property
+    def path_flips(self) -> int:
+        """The Ptolemy flips of all residual evaluations."""
+        return sum(self.flips) - self.entry_flips
 
 
 # the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
@@ -483,13 +515,16 @@ def newton_solve(
     target = _entry_check(surf, alpha, target, tol, force)
     u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
     # make_delaunay, keeping the angles that its advance measures at the end
-    _, max_jump, angles = advance_conformal(surf, m, m.current_u)
+    entry, max_jump, angles = advance_conformal(surf, m, m.current_u)
+    flips, flip_rounds = [len(entry)], _rounds(entry)
 
     def residual(uv):
         """g at uv, and the corner angles it was measured from."""
-        nonlocal max_jump
-        _, K, _, jump, angles = _F_alpha(surf, m, uv, alpha)
+        nonlocal max_jump, flip_rounds
+        _, K, events, jump, angles = _F_alpha(surf, m, uv, alpha)
         max_jump = max(max_jump, jump)
+        flips[-1] += len(events)
+        flip_rounds += _rounds(events)
         return K - target * np.exp(alpha * uv), angles
 
     if u0 is None:  # the entry measured the angles at u
@@ -509,6 +544,7 @@ def newton_solve(
         )
         linsolve_iters.append(cg_iters)
         linsolve_stop.append(stop)
+        flips.append(0)
         saved = clone_state(surf, m)
         lam = 1.0
         best = None
@@ -542,4 +578,7 @@ def newton_solve(
         linsolve_iters=linsolve_iters,
         linsolve_stop=linsolve_stop,
         step_lengths=step_lengths,
+        flips=flips,
+        entry_flips=len(entry),
+        flip_rounds=flip_rounds,
     )

@@ -1,13 +1,13 @@
 """Closed triangulated marked surfaces with piecewise hyperbolic metrics.
 
 Combinatorics (edges, adjacency, Euler characteristic), the Delaunay edge
-predicate, edge flips with hyperbolic diagonal-length propagation and full
-Delaunay re-triangulation.
+predicate, and surgery: rounds of edge flips at a target u, Ptolemy flips
+in the scaling invariants off the current u and isometric flips at it.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +42,9 @@ __all__ = [
 TOL_DELAUNAY = 1e-12
 
 # largest lam + u_i + u_j admitted: the cosine law's cosh(l_a) cosh(l_b),
-# about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354
+# about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354;
+# advance_conformal also refuses one below -MAX_SCALED_X (lengths below
+# about 1e-76), well before the cosine law's sinh(l_a) sinh(l_b) underflows
 MAX_SCALED_X = 175.0
 # longest length admitted: its lam is MAX_SCALED_X at u = 0, where solves start
 MAX_LENGTH = 2.0 * math.asinh(math.exp(MAX_SCALED_X))
@@ -218,12 +220,19 @@ class PHMetric:
 
 @dataclass
 class FlipEvent:
+    """One flip: the old and new edges by vertex pair, the old edge's
+    Delaunay weight where it was flipped, and ``k_jump``, the sup-norm
+    change of the curvature across the flip.  An isometric flip
+    (``flip_edge``, ``make_delaunay``) is measured where it is made; a
+    Ptolemy flip of ``advance_conformal`` at a wall of its quad.  Either way
+    the jump is rounding level for a correct diagonal.  ``round`` numbers
+    the flip round of its advance that made it."""
+
     old_edge: tuple
     new_edge: tuple
     pre_weight: float
-    # sup-norm change of the curvature across the flip; rounding level for a
-    # geometric flip
     k_jump: float
+    round: int = 0
 
 
 @dataclass
@@ -253,8 +262,7 @@ def clone_state(surf: MarkedSurface, m: PHMetric):
 
 def _restore(surf: MarkedSurface, m: PHMetric, saved) -> None:
     """Put the ``clone_state`` snapshot ``saved`` back into ``surf`` and ``m``
-    in place, so that every holder of the two objects sees it: a trial that
-    raised is parked at its obstruction, where a retry would meet it again."""
+    in place, so that every holder of the two objects sees it."""
     s, mm = clone_state(*saved)
     vars(surf).update(vars(s))
     vars(m).update(vars(mm))
@@ -270,24 +278,31 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
 
     With ``strict`` the first inadmissible face raises AdmissibilityError;
     otherwise inadmissible rows get the constant extension of the angles
-    across the admissibility boundary: pi at the corner opposite the longest
-    edge, 0 at the other two.  Tied longest edges are admissible, so a tie
-    can only come from rounding; it goes to the first corner.
+    across the admissibility boundary (``_extend``).
     """
     L = face_corner_lengths(surf, m)
     ok = admissible_mask(L)
     angles = angles_from_length_array(L)
-    if bool(ok.all()):
-        return angles
-    if strict:
+    if strict and not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise AdmissibilityError(
             f"face {bad} {surf.face_array[bad].tolist()} is inadmissible with opposite lengths {L[bad]}"
         )
-    rows = np.flatnonzero(~ok)
-    angles[rows] = 0.0
-    angles[rows, L[rows].argmax(axis=1)] = math.pi
+    _extend(angles, ok, L)
     return angles
+
+
+def _extend(angles: np.ndarray, ok: np.ndarray, L: np.ndarray) -> None:
+    """Give the rows of ``angles`` that ``ok`` does not mark the constant
+    extension of the angles across the admissibility boundary: pi at the
+    corner opposite the largest entry of the row of ``L`` (lengths, or any
+    increasing function of them), 0 at the other two.  Tied longest edges
+    are admissible, so a tie can only come from rounding; it goes to the
+    first corner."""
+    if not ok.all():
+        rows = np.flatnonzero(~ok)
+        angles[rows] = 0.0
+        angles[rows, L[rows].argmax(axis=1)] = math.pi
 
 
 def angle_defect(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
@@ -317,15 +332,20 @@ def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
     )
 
 
-def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
-    """Set the lengths to those of conformal factors u: l = 2 asinh(e^(lam + u_i + u_j))."""
+def _checked_u(surf: MarkedSurface, u) -> np.ndarray:
+    """``u`` as a float array, ValueError unless it is finite of shape (N,)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (surf.vertex_count,):
         raise ValueError(f"u has shape {u.shape}, expected ({surf.vertex_count},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factors must be finite")
-    u_i, u_j = u[surf.ends]
-    m.length = _scaled_lengths(m.lam, u_i, u_j)
+    return u
+
+
+def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
+    """Set the lengths to those of conformal factors u: l = 2 asinh(e^(lam + u_i + u_j))."""
+    u = _checked_u(surf, u)
+    m.length = _scaled_lengths(m.lam, *u[surf.ends])
     m.current_u = u.copy()
 
 
@@ -359,253 +379,232 @@ def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return q[:, 0] + q[:, 1]
 
 
-def _quad_around(surf: MarkedSurface, ij: int):
-    """The quad around edge slot ij: vertices (i, j, k, l), the (face,
-    corner) pairs [(fa, ca), (fb, cb)] and the slots of its edges
-    [ij, ik, jk, il, jl].
+def _quads(surf: MarkedSurface, e: np.ndarray):
+    """The quads at edge slots ``e``, as rows of arrays over ``e``: vertices
+    (i, j, k, l), (face, corner) pairs (fa, ca, fb, cb) and edge slots (ij,
+    ik, jk, il, jl).  i < j; fa holds the directed edge (i, j), its corners
+    ca, ca + 1 and ca + 2 (mod 3) at k, i and j, and fb holds (j, i), its
+    corners cb, cb + 1 and cb + 2 at l, j and i."""
+    F, FE = surf.face_array, surf.FE
+    i, j = surf.ends[:, e]
+    pairs = surf.edge_faces[e]
+    swap = F[pairs[:, 0, 0], (pairs[:, 0, 1] + 1) % 3] != i
+    pairs[swap] = pairs[swap, ::-1]
+    fa, ca, fb, cb = corners = pairs.reshape(-1, 4).T
+    slots = np.array((e, FE[fa, (ca + 2) % 3], FE[fa, (ca + 1) % 3], FE[fb, (cb + 1) % 3], FE[fb, (cb + 2) % 3]))
+    return np.array((i, j, F[fa, ca], F[fb, cb])), corners, slots
 
-    i < j are the slot's ends; fa contains the directed edge (i, j), its
-    corners ca, ca + 1 and ca + 2 (mod 3) at k, i and j, and fb contains
-    (j, i), its corners cb, cb + 1 and cb + 2 at l, j and i.
-    """
-    ef, F, FE = surf.edge_faces, surf.face_array, surf.FE
-    i, j = surf.ends.item(0, ij), surf.ends.item(1, ij)
-    fa, ca, fb, cb = ef.item(ij, 0, 0), ef.item(ij, 0, 1), ef.item(ij, 1, 0), ef.item(ij, 1, 1)
-    if F.item(fa, (ca + 1) % 3) != i:
-        fa, ca, fb, cb = fb, cb, fa, ca
-    edges = [ij, FE.item(fa, (ca + 2) % 3), FE.item(fa, (ca + 1) % 3),
-             FE.item(fb, (cb + 1) % 3), FE.item(fb, (cb + 2) % 3)]
-    return (i, j, F.item(fa, ca), F.item(fb, cb)), [(fa, ca), (fb, cb)], edges
+
+def _flip_measures(d: np.ndarray):
+    """``(pre_weight, k_jump)`` of flips from the lengths ``d`` (rows ij, ik,
+    jk, il, jl, kl): the old edge's weight from the angle sums at i, j, k
+    and l over the old faces, and the sums' largest change to the new ones,
+    the only angle sums a flip changes."""
+    ij, ik, jk, il, jl, kl = d
+    # the old faces' angles at (i, j, k) and (i, j, l), the new ones' at (k, i, l) and (l, j, k)
+    A, B, C, D = angles_from_length_array(
+        np.array(((jk, ik, ij), (jl, il, ij), (il, kl, ik), (jk, kl, jl))).transpose(0, 2, 1)).transpose(0, 2, 1)
+    before = (A[0] + B[0], A[1] + B[1], A[2], B[2])
+    after = (C[1], D[1], C[0] + D[2], C[2] + D[0])
+    return before[0] + before[1] - before[2] - before[3], np.abs(np.array(after) - np.array(before)).max(axis=0)
+
+
+def _commit(surf: MarkedSurface, m: PHMetric, quads, corners, slots, lam, pre, jump, rnd: int) -> list:
+    """Make the flips of face-disjoint quads (``_quads``) with new diagonal
+    invariants ``lam``, and return their events; FlipError, with nothing
+    written, if a new diagonal {k, l} would be a self-loop, an edge already
+    or an earlier flip's.  {k, l} takes the slot of ij, at corner 1 of both
+    faces: fa becomes (k, i, l) and fb (l, j, k)."""
+    i, j, k, l = quads
+    fa, _, fb, _ = corners
+    ij, ik, jk, il, jl = slots
+    key = np.minimum(k, l) * surf.vertex_count + np.maximum(k, l)
+    have = np.sort(surf.ends[0] * surf.vertex_count + surf.ends[1])
+    taken = (have[np.minimum(np.searchsorted(have, key), have.size - 1)] == key) | (k == l)
+    if key.size > 1:
+        order = np.argsort(key, kind="stable")
+        taken[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    if taken.any():
+        a, b, c, d = quads[:, np.argmax(taken)].tolist()
+        what = f"a self-loop at vertex {c}" if c == d else f"a multi-edge {(min(c, d), max(c, d))}"
+        raise FlipError(f"flip of edge {(a, b)} would create {what}")
+    ef = surf.edge_faces
+    # il and jl leave fb for fa, ik stays in fa and jk in fb
+    outer = slots[[3, 4, 1, 2]].ravel()
+    side = (ef[outer, 0, 0] != np.concatenate((fb, fb, fa, fa))).astype(np.int64)
+    surf.face_array[fa], surf.face_array[fb] = np.array((k, i, l)).T, np.array((l, j, k)).T
+    surf.FE[fa], surf.FE[fb] = np.array((il, ij, ik)).T, np.array((jk, ij, jl)).T
+    surf.ends[:, ij] = np.minimum(k, l), np.maximum(k, l)
+    ef[ij, :, 0], ef[ij, :, 1] = np.array((fa, fb)).T, 1
+    ef[outer, side] = np.array((np.concatenate((fa, fb, fa, fb)), np.repeat([0, 2, 2, 0], ij.size))).T
+    m.lam[ij] = lam
+    return list(map(FlipEvent, zip(*quads[:2].tolist()), zip(*surf.ends[:, ij].tolist()),
+                    pre.tolist(), jump.tolist(), [rnd] * ij.size))
 
 
 def flip_edge(surf: MarkedSurface, m: PHMetric, e: int) -> FlipEvent:
-    """Replace the two faces at edge slot e by the two faces of the other
-    diagonal; ``advance_conformal`` calls it at each wall.
-
-    The flip is an isometry of the piecewise hyperbolic metric: the new
-    diagonal {k, l} has the cosine-law length in the triangle (k, i, l)
-    whose angle at i is the sum of i's corners in the glued quadrilateral,
-    and ``lam`` changes only at the new diagonal, set from its length at
-    ``m.current_u``.  The two faces keep their indices and the new diagonal
-    takes slot e: the flip writes the two faces' rows of ``face_array`` and
-    ``FE``, ``ends[:, e]``, the quad's ``edge_faces`` and slot e of
-    ``m.length`` and ``m.lam``.  Only the quad is measured: ``pre_weight``
-    and ``k_jump`` come from the angle sums at its vertices i, j, k, l over
-    its two faces before and after the flip, the only angle sums a flip
-    changes.  Refused (no mutation) with FlipError if e is not a slot or the
-    result would be a self-loop, a multi-edge or a degenerate triangle, and
-    with AdmissibilityError if a face of the quad is inadmissible.
-    """
+    """Flip edge slot e isometrically at ``m.current_u``: an isometric
+    round (``_isometric``) of one edge, its new diagonal taking slot e with
+    its cosine-law length.  Refused, with nothing changed, by FlipError if e
+    is not a slot or the flip is refused, and by AdmissibilityError if a
+    face of its quad is inadmissible."""
     if not 0 <= e < surf.ends.shape[1]:
         raise FlipError(f"no edge slot {e}")
-    (i, j, k, l), ((fa, ca), (fb, cb)), (ij, ik, jk, il, jl) = _quad_around(surf, e)
-    ln, F, FE, ef = m.length, surf.face_array, surf.FE, surf.edge_faces
-    L = [[ln.item(q) for q in FE[f].tolist()] for f in (fa, fb)]
-    if any(a + b + c - 2.0 * max(a, b, c) <= 0.0 for a, b, c in L):
-        raise AdmissibilityError(f"a face at edge {(i, j)} is inadmissible with opposite lengths {L}")
-    A, B = angles_from_length_array(np.array(L)).tolist()
-    before = (A[(ca + 1) % 3] + B[(cb + 2) % 3], A[(ca + 2) % 3] + B[(cb + 1) % 3], A[ca], B[cb])
-    d_ik, d_jk, d_il, d_jl = ln.item(ik), ln.item(jk), ln.item(il), ln.item(jl)
-    x = math.cosh(d_ik) * math.cosh(d_il) - math.sinh(d_ik) * math.sinh(d_il) * math.cos(before[0])
-    if x <= 1.0:
-        raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
-    d_kl = math.acosh(x)
-    if k == l:
-        raise FlipError(f"flip of edge {(i, j)} would create a self-loop at vertex {k}")
-    kl = (min(k, l), max(k, l))
-    if ((surf.ends[0] == kl[0]) & (surf.ends[1] == kl[1])).any():
-        raise FlipError(f"flip of edge {(i, j)} would create a multi-edge {kl}")
-    for tri in ((d_ik, d_il, d_kl), (d_jk, d_jl, d_kl)):
-        if sum(tri) - 2.0 * max(tri) <= 0.0:
-            raise FlipError(f"flip of edge {(i, j)} produces degenerate triangle")
+    events, d_kl = _isometric(surf, m, np.array([e]), m.length, m.current_u, 0)
+    m.length[e] = d_kl[0]
+    return events[0]
 
-    # fa becomes (k, i, l) and fb becomes (l, j, k); FE rows list the edges
-    # opposite corners 0, 1, 2, and kl sits at corner 1 of both
-    F[fa], F[fb] = (k, i, l), (l, j, k)
-    FE[fa], FE[fb] = (il, ij, ik), (jk, ij, jl)
-    surf.ends[:, ij] = kl
-    ef[ij] = (fa, 1), (fb, 1)
-    for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
-        ef[q, 0 if ef.item(q, 0, 0) in (fa, fb) else 1] = f, c
-    ln[ij] = d_kl
-    m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u.item(k) - m.current_u.item(l)
-    A, B = angles_from_length_array(np.array(((d_il, d_kl, d_ik), (d_jk, d_kl, d_jl)))).tolist()
-    after = (A[1], B[1], A[0] + B[2], A[2] + B[0])
-    return FlipEvent(
-        old_edge=(i, j), new_edge=kl,
-        # the old edge's Delaunay weight: the four angles at i and j minus those at k and l
-        pre_weight=before[0] + before[1] - before[2] - before[3],
-        k_jump=max(abs(a - b) for a, b in zip(after, before)),
-    )
+
+def _isometric(surf: MarkedSurface, m: PHMetric, batch, L, u, rnd: int):
+    """Isometric flips of edge slots ``batch`` at lengths ``L`` and factors
+    ``u``: the new diagonal by the cosine law in the triangle (k, i, l), its
+    angle at i the sum of i's corners in the quad.  Returns the events and
+    the new diagonals' lengths.  AdmissibilityError if a face of a quad is
+    inadmissible, FlipError if a new face would be degenerate."""
+    quads, corners, slots = _quads(surf, batch)
+    d = L[slots]
+    old = np.array(((d[2], d[1], d[0]), (d[4], d[3], d[0]))).transpose(0, 2, 1)
+    inadmissible = ~admissible_mask(old).all(axis=0)
+    if inadmissible.any():
+        b = np.argmax(inadmissible)
+        raise AdmissibilityError(f"a face at edge {tuple(quads[:2, b].tolist())} is inadmissible"
+                                 f" with opposite lengths {old[:, b].tolist()}")
+    A, B = angles_from_length_array(old)
+    c = [math.cosh(a) * math.cosh(b) - math.sinh(a) * math.sinh(b) * math.cos(t)
+         for a, b, t in zip(d[1].tolist(), d[3].tolist(), (A[:, 0] + B[:, 0]).tolist())]
+    d_kl = np.array([math.acosh(x) if x > 1.0 else 0.0 for x in c])
+    flat = ~admissible_mask(np.array(((d[1], d[3], d_kl), (d[2], d[4], d_kl))).transpose(0, 2, 1)).all(axis=0)
+    if flat.any():
+        raise FlipError(f"flip of edge {tuple(quads[:2, np.argmax(flat)].tolist())} produces degenerate triangle")
+    lam = np.array([math.log(math.sinh(0.5 * v)) for v in d_kl.tolist()]) - u[quads[2]] - u[quads[3]]
+    return _commit(surf, m, quads, corners, slots, lam, *_flip_measures(np.vstack((d, d_kl))), rnd), d_kl
+
+
+def _ptolemy(surf: MarkedSurface, m: PHMetric, batch, x, u, w, rnd: int) -> list:
+    """Ptolemy flips of edge slots ``batch`` (``_ptolemy_lam``), with
+    ``pre_weight`` from the weights ``w`` at u and ``k_jump`` measured at a
+    wall of each quad (``_ptolemy_walls``); a wall that cannot be measured
+    reads inf."""
+    quads, corners, slots = _quads(surf, batch)
+    lam = _ptolemy_lam(m.lam[slots])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        jump = _flip_measures(_ptolemy_walls(x[slots], lam + u[quads[2]] + u[quads[3]]))[1]
+    return _commit(surf, m, quads, corners, slots, lam, w[batch], np.where(np.isfinite(jump), jump, math.inf), rnd)
+
+
+def _ptolemy_lam(lam: np.ndarray) -> np.ndarray:
+    """The new diagonals' invariant from the quads' (rows ij, ik, jk, il,
+    jl): lam_kl = log(e^(lam_ik + lam_jl) + e^(lam_il + lam_jk)) - lam_ij."""
+    ij, ik, jk, il, jl = lam
+    return np.logaddexp(ik + jl, il + jk) - ij
+
+
+def _ptolemy_walls(x: np.ndarray, x_kl: np.ndarray) -> np.ndarray:
+    """The lengths (rows ij, ik, jk, il, jl, kl) of Ptolemy flips at a wall
+    of each quad, from x = log sinh(l/2) at u of the quads' edges (rows ij,
+    ik, jk, il, jl) and new diagonals: u_k and u_l moved by the t that the
+    closed form in README.md gives, where the old edge's weight is zero."""
+    ij, ik, jk, il, jl = x
+    t = 0.5 * (2.0 * ij + np.logaddexp(-ik - jk, -il - jl)
+               - np.logaddexp(np.logaddexp(ik - jk, jk - ik), np.logaddexp(il - jl, jl - il)))
+    X = np.array((ij, ik + t, jk + t, il + t, jl + t, x_kl + 2.0 * t))
+    return 2.0 * np.arcsinh(np.exp(np.minimum(X, MAX_SCALED_X)))
 
 
 def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
-    """Move the state to conformal factors ``u`` along the segment
-    ``(1 - s) * u_from + s * u``, flipping by ``flip_edge`` at the walls
-    where a Delaunay weight crosses -TOL_DELAUNAY; flips there commute with
-    scaling, so the result depends on ``u`` alone.  Precondition: the
-    state is Delaunay at ``m.current_u``, or ``u`` equal to it
-    (``make_delaunay``); it is left Delaunay at ``u``.
-
-    The walls are kinetic events.  An angle pass at ``u`` finds the edges
-    past their walls and the edges of inadmissible faces; with none it is
-    the only whole-mesh pass.  Each one's first wall is found on its quad
-    alone (``_first_wall``, ``_quad_weight``: the algebraic test P), a heap
-    orders the walls by s, then weight, and each flip re-searches its
-    quad's five edges.  A second pass at ``u`` returns the angles; an edge
-    still past there starts another round.  An edge that dips below its wall
-    and back is no candidate (its flip and flip back would cancel); a flip
-    or failure that meets one in its dip crosses the segment again in two
-    parts, split there.  See README.md.
+    """Move the state to conformal factors ``u`` by flip rounds at ``u``
+    (README.md): Ptolemy flips (``_ptolemy``) off ``m.current_u`` and
+    isometric ones (``_isometric``) at it, until no edge is past its wall,
+    so that the result depends on ``u`` alone.  Precondition: the state is
+    Delaunay at ``m.current_u``, or ``u`` equals it; it is left Delaunay at
+    ``u``.  A round flips, in one array step, the candidates that both
+    their faces claim (``_claimed``); a candidate has a weight below
+    -TOL_DELAUNAY or, at a face inadmissible or out of range at ``u``, a
+    negative algebraic test (``_algebraic_negative``).
 
     Returns ``(events, max_jump, angles)``: the largest ``FlipEvent.k_jump``
-    and the (F, 3) corner angles at ``u``.  Raises FlipError if a wall flip
-    is refused, AdmissibilityError if a face degenerates before a wall and
-    OverflowError if a length leaves the representable range, leaving the
-    state Delaunay at the last segment point before the obstruction.
+    and the (F, 3) corner angles at ``u``.  Raises FlipError if a flip is
+    refused, AdmissibilityError if a face is inadmissible at ``u`` after the
+    rounds, OverflowError if a length at ``u`` is out of range and
+    SurfaceError past 100 flips per edge, each with the state put back as
+    it was given.
     """
-    u = np.asarray(u, dtype=float)
-    u_from = m.current_u.copy()
-    n = surf.ends.shape[1]
-    events, heap, start = [], [], None
-    last = (0.0, 0.0)  # (lo, hi) of the last wall crossed
+    u = _checked_u(surf, u)
+    n, ef, FE = surf.ends.shape[1], surf.edge_faces, surf.FE
+    x = m.lam + u[surf.ends[0]] + u[surf.ends[1]]
+    far = x.max() > MAX_SCALED_X or x.min() < -MAX_SCALED_X
+    L = 2.0 * np.arcsinh(np.exp(np.clip(x, -MAX_SCALED_X, MAX_SCALED_X) if far else x))
 
-    def at(s):
-        return (1.0 - s) * u_from + s * u
+    def measure(rows):
+        """The angles of faces ``rows`` at ``u`` and the mask of those that are
+        admissible with every length in range; the others get the extension."""
+        FL = L[FE[rows]]
+        ok, angles = admissible_mask(FL), angles_from_length_array(FL)
+        if far:
+            ok &= (np.abs(x[FE[rows]]) <= MAX_SCALED_X).all(axis=1)
+        _extend(angles, ok, FL)
+        return angles, ok
 
-    def schedule(e, past_at_u):
-        stamp[e] += 1
-        wall = _first_wall(_quad_weight(surf, m, e, u0, u1), *last, past_at_u, still)
-        due[e] = math.inf if wall is None else wall[0]
-        if wall is not None:
-            heapq.heappush(heap, (*wall, stamp[e], e))
-
-    def split(s):
-        _restore(surf, m, start)
-        m.current_u = u_from
-        head = advance_conformal(surf, m, at(s))
-        tail = advance_conformal(surf, m, u)
-        return head[0] + tail[0], max(head[1], tail[1]), tail[2]
-
-    while True:
-        try:
-            apply_conformal(surf, m, u)
-        except OverflowError:  # no lengths at u: each edge is measured on its quad
-            past, measured = np.ones(n, dtype=bool), False
-        else:
-            angles = face_angles(surf, m, strict=False)
-            past = delaunay_weights(surf, m, angles) < -TOL_DELAUNAY
+    angles, ok = measure(slice(None))
+    events, saved = [], None
+    try:
+        for rnd in itertools.count():
+            w = _weights(angles, ef)
+            past = w < -TOL_DELAUNAY
+            clean = ok.all()
+            if not clean:
+                bad = np.flatnonzero(~ok[ef[..., 0]].all(axis=1))
+                past[bad] = _algebraic_negative(surf, x, bad)
             if not past.any():
-                return events, max((ev.k_jump for ev in events), default=0.0), angles
-            # extended angles can hide the walls of an inadmissible face's
-            # edges on the way, and its degeneration is an obstruction too
-            past[surf.FE[~admissible_mask(face_corner_lengths(surf, m))]] = True
-            measured = True
-        if start is None:  # walls ahead: a snapshot, and lists for the quad measure
-            start, u0, u1 = clone_state(surf, m), u_from.tolist(), u.tolist()
-            still = u0 == u1
-            stamp, due = [0] * n, [math.inf] * n
-        for e in np.flatnonzero(past).tolist():
-            schedule(e, measured)
-        while heap:
-            hi, _, lo, st, e = heapq.heappop(heap)
-            if st != stamp[e]:
-                continue
-            if len(events) >= 100 * n:
+                break
+            batch = _claimed(surf, w, past)
+            if len(events) + batch.size > 100 * n:
                 raise SurfaceError(f"advance_conformal exceeded {100 * n} flips")
-            quad = surf.FE[surf.edge_faces[e, :, 0]].ravel()  # kept by the flip
-            if 0.0 < hi < 1.0 and any(due[q] > hi and _quad_weight(surf, m, q, u0, u1)(hi)[0]
-                                      < -TOL_DELAUNAY for q in set(quad.tolist()) - {e}):
-                return split(hi)
-            try:
-                m.current_u = at(hi)
-                m.length[quad] = _scaled_lengths(m.lam[quad], *m.current_u[surf.ends[:, quad]])
-                events.append(flip_edge(surf, m, e))
-            except (SurfaceError, OverflowError):
-                apply_conformal(surf, m, at(lo))
-                w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
-                if 0.0 < lo and any(due[q] > hi for q in np.flatnonzero(w < -2.0 * TOL_DELAUNAY)):
-                    return split(lo)
-                raise
-            last = (lo, hi)
-            for q in set(quad.tolist()):
-                schedule(q, False)
+            if saved is None:
+                saved, isometric = clone_state(surf, m), np.array_equal(u, m.current_u)
+            events += _isometric(surf, m, batch, L, u, rnd)[0] if isometric else _ptolemy(surf, m, batch, x, u, w, rnd)
+            x[batch] = m.lam[batch] + u[surf.ends[0, batch]] + u[surf.ends[1, batch]]
+            far = far or np.abs(x[batch]).max() > MAX_SCALED_X
+            L[batch] = 2.0 * np.arcsinh(np.exp(np.clip(x[batch], -MAX_SCALED_X, MAX_SCALED_X)))
+            rows = ef[batch, :, 0].ravel()
+            angles[rows], ok[rows] = measure(rows)
+        if far and np.abs(x).max() > MAX_SCALED_X:
+            raise OverflowError("conformal factor out of representable range")
+        if not clean:
+            f = int(np.argmin(ok))
+            raise AdmissibilityError(f"face {f} {surf.face_array[f].tolist()} is inadmissible at u")
+    except Exception:
+        if saved is not None:
+            _restore(surf, m, saved)
+        raise
+    m.length, m.current_u = L, u.copy()
+    return events, max((ev.k_jump for ev in events), default=0.0), angles
 
 
-def _quad_weight(surf: MarkedSurface, m: PHMetric, e: int, u_from: list, u: list):
-    """Edge slot e's Delaunay weight plus TOL_DELAUNAY on the segment from
-    ``u_from`` to ``u`` (lists), from its two faces alone: a function of s
-    returning ``(value, derivative)``, or ``(-inf, nan)`` where a face is
-    inadmissible or a length out of range.
-
-    With x = sinh(l/2) = e^(lam + u_i + u_j), exponents linear in s and at 1
-    bitwise those of ``apply_conformal(u)``, the Delaunay test is P_e = sum
-    over e's faces of (x_a^2 + x_b^2 - x_e^2) / (x_a x_b x_e).  A face's term
-    times x_e / (2 cosh(l_e/2)) is S = sin(q/2), q its two angles at e minus
-    the one opposite, so P_e = 2 coth(l_e/2) (S_1 + S_2) has the sign of the
-    weight 2 (asin S_1 + asin S_2); |S| < 1 is the triangle inequality."""
-    ends, x0, x1, rate = surf.ends, [], [], []
-    for q in _quad_around(surf, e)[2]:  # e, then each face's other two
-        i, j, lm = ends.item(0, q), ends.item(1, q), m.lam.item(q)
-        x0.append(lm + u_from[i] + u_from[j])
-        x1.append(lm + u[i] + u[j])
-        rate.append(x1[-1] - x0[-1])
-
-    def weight(s):
-        X = [(1.0 - s) * a + s * b for a, b in zip(x0, x1)]
-        if max(X) > MAX_SCALED_X:
-            return -math.inf, math.nan
-        x = [math.exp(v) for v in X]
-        C = x[0] * x[0]
-        g, dg = TOL_DELAUNAY, 0.0
-        for a, b in ((1, 2), (3, 4)):
-            A, B = x[a] * x[a], x[b] * x[b]
-            D = 2.0 * x[a] * x[b] * math.sqrt(1.0 + C)
-            S = (A + B - C) / D
-            if not -1.0 < S < 1.0:
-                return -math.inf, math.nan
-            dS = (2.0 * (rate[a] * A + rate[b] * B - rate[0] * C) / D
-                  - S * (rate[a] + rate[b] + rate[0] * C / (1.0 + C)))
-            g += 2.0 * math.asin(S)
-            dg += 2.0 * dS / math.sqrt(1.0 - S * S)
-        return g, dg
-
-    return weight
+def _algebraic_negative(surf: MarkedSurface, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whether the algebraic Delaunay test P_e (README.md) is negative at
+    edge slots e, from x = log sinh(l/2): its four positive and two negative
+    terms summed in logarithms, so that no length overflows."""
+    f, c = surf.edge_faces[e].transpose(2, 0, 1)
+    xe, xa, xb = x[surf.FE[f, c]], x[surf.FE[f, (c + 1) % 3]], x[surf.FE[f, (c + 2) % 3]]
+    pos = np.logaddexp.reduce(np.concatenate((xa - xb - xe, xb - xa - xe), axis=1), axis=1)
+    return pos < np.logaddexp.reduce(xe - xa - xb, axis=1)
 
 
-def _first_wall(weight, lo: float, hi: float, past_at_u: bool, still: bool):
-    """The first wall of a ``_quad_weight`` after the bracket ``[lo, hi]``:
-    ``(hi, value at hi, lo)`` with hi - lo < 1e-15, or None if not past at
-    s = 1 (``past_at_u`` asserts it is).  Newton steps, each carried 3e-16
-    on so that the bracket closes from both sides; bisection where a step
-    leaves the bracket, a point has no value or 50 steps have not closed it.
-    On a zero-length segment (``still``, as in ``make_delaunay``) the weight
-    is the same at every s, so its value at hi stands for s = 1."""
-    v = weight(hi)
-    if v[0] < 0.0:
-        return hi, v[0], lo
-    a, b, s, steps = hi, 1.0, 1.0, 0
-    v = v_b = v if still else weight(1.0)
-    if not (past_at_u or v[0] < 0.0):
-        return None
-    while b - a >= 1e-15:
-        n = s - v[0] / v[1] if v[1] and steps < 50 else math.nan
-        n += math.copysign(3e-16, n - s)
-        t = n if a < n < b else 0.5 * (a + b)
-        s, v, steps = t, weight(t), steps + 1
-        if v[0] < 0.0:
-            b, v_b = t, v
-        else:
-            a = t
-    return b, v_b[0], a
+def _claimed(surf: MarkedSurface, w: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """The edges of the mask ``past`` that both their faces claim, least
+    weight ``w`` first, each face claiming its edge of least weight (ties to
+    the lower slot): face-disjoint, and never without the least of all."""
+    order = np.flatnonzero(past)
+    order = order[np.argsort(w[order], kind="stable")]
+    rank = np.full(w.size, w.size)
+    rank[order] = np.arange(order.size)
+    least = rank[surf.FE].min(axis=1)
+    return order[(least[surf.edge_faces[order, :, 0]] == rank[order, None]).all(axis=1)]
 
 
 def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
-    """The flip loop at a fixed u: ``advance_conformal`` to ``m.current_u``
-    itself, leaving the state Delaunay there, as ``advance_conformal``
-    requires of a start that is not its end.  On that zero-length segment
-    every wall lies at s = 0, so the heap flips the least weight first.
-    Returns the flip events; raises FlipError at the first refused flip,
-    leaving the flips before it made.
-    """
+    """Flip the state Delaunay at ``m.current_u`` by isometric flip rounds,
+    ``advance_conformal`` to ``m.current_u`` itself; returns the events.  A
+    refused flip raises, with the state put back as it was given."""
     return advance_conformal(surf, m, m.current_u)[0]

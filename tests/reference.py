@@ -5,19 +5,20 @@ cosine-law angles, their constant extension across the admissibility
 boundary, the area, vertex-scaled edge lengths, the half-angle identity and
 the quad diagonal a flip inserts.  The tests compare the library's
 vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
-them.  ``advance_by_bisection`` is the wall search by plain bisection that
-``hypflow.surface.advance_conformal`` is compared against.
+them.  ``advance_by_bisection`` follows the segment to u and flips at each wall
+found by plain bisection, the path that ``hypflow.surface.advance_conformal``
+replaced by flip rounds at u; the two are compared.
 ``delaunay_by_least_weight`` is the static flip loop at a fixed u that
 ``hypflow.surface.make_delaunay`` replaced.
 ``algebraic_delaunay_test`` is the Delaunay test P written on the lengths
-alone, which the quad measure of ``advance_conformal`` is built from.
+alone, whose sign ``advance_conformal`` reads where a face is inadmissible.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
 row-wise array formulas that the library's column-form kernels replaced.
 ``dense_jacobian`` is the dense n x n form of ``hypflow.curvature.JacobianL``
 that the tests compare its O(E) products against.
-``quad_weight_by_lists`` and ``flip_by_lists`` are the wall search's quad
-measure and the flip read through fancy indexing and ``tolist``, the
-arithmetic that the scalar reads of ``hypflow.surface`` must keep bitwise.
+``flip_by_lists`` is the flip read through fancy indexing and ``tolist``,
+the arithmetic that the scalar reads of ``hypflow.surface.flip_edge`` must
+keep bitwise.
 ``combinatorics_by_faces`` is the per-face check of raw faces that the
 half-edge sort of ``hypflow.surface.validate_combinatorics`` replaced, and
 the fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypflow.surface import (
-    MAX_SCALED_X,
     TOL_DELAUNAY,
     AdmissibilityError,
     FlipError,
@@ -171,11 +171,12 @@ def flip_diagonal_from_j(surf, m, e) -> float:
 
 
 def advance_by_bisection(surf, m, u):
-    """``hypflow.surface.advance_conformal`` with its walls found by plain
-    bisection: each wall costs about 50 whole-mesh probes, halving [lo, hi]
-    until it is narrower than 1e-15 in s, then the state flips at hi by
-    ``delaunay_by_least_weight``.  Returns the flip events; on an error the
-    state is left at lo and the error is raised."""
+    """Move the state to ``u`` along the segment from ``m.current_u``,
+    flipping at each wall found by plain bisection: each wall costs about
+    50 whole-mesh probes, halving [lo, hi] until it is narrower than 1e-15
+    in s, then the state flips at hi by ``delaunay_by_least_weight``.
+    Returns the flip events; on an error the state is left at lo and the
+    error is raised."""
     u = np.asarray(u, dtype=float)
     events = []
     while True:
@@ -246,34 +247,6 @@ def algebraic_delaunay_test(surf, m) -> np.ndarray:
     return terms[:, 0] + terms[:, 1]
 
 
-def wall_by_cosine_law(surf, m, e, u_from, u, guess) -> float:
-    """The s at which the Delaunay weight of edge slot e crosses
-    -TOL_DELAUNAY on the segment (1 - s) u_from + s u, from cosine-law
-    angles of e's two faces in 40-digit arithmetic (``mpmath.findroot``
-    from ``guess``)."""
-    import mpmath
-
-    def weight(t):
-        total = mpmath.mpf(0)
-        for f, c in surf.edge_faces[e].tolist():
-            L = []
-            for k in surf.FE[f].tolist():
-                i, j = surf.ends[:, k].tolist()
-                ends = (1 - t) * (mpmath.mpf(u_from[i]) + mpmath.mpf(u_from[j])) + t * (
-                    mpmath.mpf(u[i]) + mpmath.mpf(u[j]))
-                L.append(2 * mpmath.asinh(mpmath.exp(mpmath.mpf(m.lam[k]) + ends)))
-            theta = [
-                mpmath.acos((mpmath.cosh(L[a]) * mpmath.cosh(L[b]) - mpmath.cosh(L[n]))
-                            / (mpmath.sinh(L[a]) * mpmath.sinh(L[b])))
-                for n, (a, b) in enumerate(((1, 2), (2, 0), (0, 1)))
-            ]
-            total += sum(theta) - 2 * theta[c]
-        return total + TOL_DELAUNAY
-
-    with mpmath.workdps(40):
-        return float(mpmath.findroot(weight, mpmath.mpf(guess)))
-
-
 def permuted_angles(L: np.ndarray) -> np.ndarray:
     """Cosine-law angles of an (..., 3) length array, each corner's two
     neighbours taken by permuting the corners with fancy indexing."""
@@ -311,7 +284,8 @@ def dense_jacobian(J) -> np.ndarray:
 
 
 def _quad_around_by_lists(surf, ij: int):
-    """``hypflow.surface._quad_around`` read by fancy indexing and ``tolist``."""
+    """The quad of one edge slot that ``hypflow.surface._quads`` reads for
+    an array of slots, read by fancy indexing and ``tolist``."""
     i, j = surf.ends[:, ij].tolist()
     (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
     va, vb = surf.face_array[[fa, fb]].tolist()
@@ -320,39 +294,6 @@ def _quad_around_by_lists(surf, ij: int):
     ra, rb = surf.FE[fa].tolist(), surf.FE[fb].tolist()
     edges = [ij, ra[(ca + 2) % 3], ra[(ca + 1) % 3], rb[(cb + 1) % 3], rb[(cb + 2) % 3]]
     return (i, j, va[ca], vb[cb]), [(fa, ca), (fb, cb)], edges
-
-
-def quad_weight_by_lists(surf, m, e: int, u_from: list, u: list):
-    """``hypflow.surface._quad_weight`` with the quad's ends and ``lam``
-    gathered by fancy indexing and ``tolist``: the weight plus TOL_DELAUNAY
-    of edge slot e as a function of s, returning (value, derivative)."""
-    _, _, slots = _quad_around_by_lists(surf, e)
-    vi, vj = surf.ends[:, slots].tolist()
-    lam = m.lam[slots].tolist()
-    x0 = [lm + u_from[i] + u_from[j] for lm, i, j in zip(lam, vi, vj)]
-    x1 = [lm + u[i] + u[j] for lm, i, j in zip(lam, vi, vj)]
-    rate = [b - a for a, b in zip(x0, x1)]
-
-    def weight(s):
-        X = [(1.0 - s) * a + s * b for a, b in zip(x0, x1)]
-        if max(X) > MAX_SCALED_X:
-            return -math.inf, math.nan
-        x = [math.exp(v) for v in X]
-        C = x[0] * x[0]
-        g, dg = TOL_DELAUNAY, 0.0
-        for a, b in ((1, 2), (3, 4)):
-            A, B = x[a] * x[a], x[b] * x[b]
-            D = 2.0 * x[a] * x[b] * math.sqrt(1.0 + C)
-            S = (A + B - C) / D
-            if not -1.0 < S < 1.0:
-                return -math.inf, math.nan
-            dS = (2.0 * (rate[a] * A + rate[b] * B - rate[0] * C) / D
-                  - S * (rate[a] + rate[b] + rate[0] * C / (1.0 + C)))
-            g += 2.0 * math.asin(S)
-            dg += 2.0 * dS / math.sqrt(1.0 - S * S)
-        return g, dg
-
-    return weight
 
 
 def flip_by_lists(surf, m, e: int) -> FlipEvent:

@@ -17,7 +17,7 @@ from hypflow.cli import (
     parse_vertex_values,
     write_phm,
 )
-from hypflow import flows, meshes
+from hypflow import cli, flows, meshes
 from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
 
@@ -116,6 +116,33 @@ class TestFormat:
         p.write_text("phm 1\n" + records)
         with pytest.raises(ParseError, match=match):
             parse_phm(str(p))
+
+    @pytest.mark.parametrize("fault, match", [
+        ("e", r":50002: could not convert '1_0' to float64"),
+        # a line that is no record goes first, even after a refused token
+        ("e and count", r":50002: unrecognized record 'e 9998 9999'"),
+        ("f", r":20002: unrecognized record 'fx 9999 0 9900'"),
+    ])
+    def test_refusal_in_a_large_file_is_bisected(self, tmp_path, monkeypatch, fault, match):
+        # grid_torus(100, 100) in 50 002 lines: the refused line is found by
+        # bisecting its kind's lines, in a few dozen loadtxt calls
+        surf = grid_torus(100, 100)
+        path = tmp_path / "big.phm"
+        write_phm(str(path), surf, unit_metric(surf))
+        lines = path.read_text().splitlines()
+        if fault == "f":
+            lines[20001] = "fx" + lines[20001][1:]
+        else:
+            lines[50001] = lines[50001].rsplit(" ", 1)[0] + ("" if fault == "e and count" else " 1_0")
+            if fault == "e and count":
+                lines[30000] = lines[30000].rsplit(" ", 1)[0] + " 1_0"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        loadtxt = cli._loadtxt
+        monkeypatch.setattr(cli, "_loadtxt", lambda rows, dtype: (calls.append(len(rows)), loadtxt(rows, dtype))[1])
+        with pytest.raises(ParseError, match=match):
+            parse_phm(str(path))
+        assert len(calls) <= 40 and sum(calls) <= 4 * len(lines)
 
     def test_vertex_count_beyond_the_corners_refused_before_any_array(self, tmp_path):
         # every vertex of a closed surface is on a face corner, so a count
@@ -402,6 +429,21 @@ class TestCommands:
         # the step's CG stop and accepted line-search length, null at the start
         assert records[0]["linsolve_stop"] is None and records[0]["step_length"] is None
         assert all(r["linsolve_stop"] > 0 and 0 < r["step_length"] <= 1 for r in records[1:])
+        assert all(isinstance(r["flips"], int) and r["flips"] >= 0 for r in records)
+
+    def test_newton_log_counts_flips(self, tmp_path, capsys):
+        # a perturbed torus crosses walls on entry and on the way, and the
+        # log's flips add up to the solve's
+        surf = grid_torus(8, 8)
+        m = perturbed_metric(surf, np.random.default_rng(3), spread=0.28)
+        path, log = str(tmp_path / "t.phm"), tmp_path / "newton.jsonl"
+        write_phm(path, surf, m)
+        expected = flows.newton_solve(*parse_phm(path), 0.0, 0.1)
+        assert main(["newton", path, "--target-const", "0.1", "--log", str(log)]) == EXIT_OK
+        records = [json.loads(l) for l in open(log)][:-1]
+        assert [r["flips"] for r in records] == expected.flips
+        assert sum(expected.flips) == expected.entry_flips + expected.path_flips
+        assert expected.entry_flips >= 1 and expected.path_flips >= 1
 
     def test_newton_non_finite_residual_is_a_failure(self, tmp_path, capsys, genus2_file):
         # --force lets a NaN alpha past the refusal; its residual is NaN, which

@@ -196,6 +196,28 @@ class TestFlows:
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0, max_steps=1))
         assert len(entry) >= 1
         assert run.records[0].flips == len(entry)
+        assert run.entry_flips == len(entry)
+
+    def test_counters_match_the_evaluations(self, genus2_perturbed, monkeypatch):
+        # rhs_evals counts the curvature maps, entry_flips make_delaunay's
+        # flips, path_flips those of the maps' advances, and flip_rounds the
+        # rounds of both
+        surf, m = genus2_perturbed
+        entry = make_delaunay(*clone_state(surf, m))
+        curvature_map, maps = flows._F_alpha, []
+
+        def counted(*args):
+            out = curvature_map(*args)
+            maps.append(out[2])
+            return out
+
+        monkeypatch.setattr(flows, "_F_alpha", counted)
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0))
+        assert run.converged
+        assert run.rhs_evals == len(maps) >= 11 * run.steps
+        assert run.entry_flips == len(entry) >= 1
+        assert run.path_flips == sum(map(len, maps)) >= 1
+        assert run.flip_rounds == sum(len({ev.round for ev in events}) for events in [entry, *maps])
 
 
 def calabi_seed17():
@@ -440,23 +462,23 @@ class TestNewton:
 
     @pytest.mark.parametrize("u0", [None, "current"])
     def test_one_angle_pass_before_first_jacobian(self, genus2_unit, u0, monkeypatch):
-        # the unit metric is Delaunay, so the entry's flip loop makes one
-        # whole-mesh angle pass; with u0=None its angles give the first
-        # residual, while a u0 takes a pass of its own
+        # the unit metric is Delaunay, so the entry's flip rounds make one
+        # whole-mesh pass of the angle kernel; with u0=None its angles give
+        # the first residual, while a u0 takes a pass of its own
         surf, m = genus2_unit
         expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
         passes, before_jacobian = [], []
-        face_angles, jac = surface.face_angles, flows.jacobian
+        kernel, jac = surface.angles_from_length_array, flows.jacobian
 
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return face_angles(*args, **kwargs)
+        def counted(L):
+            passes.extend([1] if L.shape[:-1] == surf.face_array.shape[:1] else [])
+            return kernel(L)
 
         def first_jacobian(*args, **kwargs):
             before_jacobian.append(len(passes))
             return jac(*args, **kwargs)
 
-        monkeypatch.setattr(surface, "face_angles", counted)
+        monkeypatch.setattr(surface, "angles_from_length_array", counted)
         monkeypatch.setattr(flows, "jacobian", first_jacobian)
         res = newton_solve(surf, m, 1.0, -1.0, u0=None if u0 is None else m.current_u.copy())
         assert before_jacobian[0] == (1 if u0 is None else 2)
@@ -547,6 +569,27 @@ class TestNewton:
                 failed[seed] = type(exc)
         assert failed == {**dict.fromkeys((59, 92, 139, 141, 145, 148), FlipError),
                           **dict.fromkeys((35, 72, 98), NewtonError)}
+
+    def test_newton_counts_flips_per_iteration(self):
+        # the pass-0 input of seed 1 of bench/run.py's newton-surgery workload
+        surf = grid_torus(20, 20)
+        m = perturbed_metric(surf, np.random.default_rng([1, 0]), spread=0.28)
+        entry = make_delaunay(*clone_state(surf, m))
+        res = newton_solve(surf, m, 0.0, 0.1)
+        assert res.converged and len(res.flips) == res.iterations + 1
+        assert res.entry_flips == len(entry) >= 1
+        assert sum(res.flips) == res.entry_flips + res.path_flips and res.path_flips >= 20
+        assert res.path_flips >= res.flip_rounds >= 1
+
+    def test_ten_thousand_vertices_with_surgery(self):
+        # spread 0.28 on a 100 x 100 torus: hundreds of flips on entry and
+        # on the way
+        surf = grid_torus(100, 100)
+        m = perturbed_metric(surf, np.random.default_rng(0), spread=0.28)
+        res = newton_solve(surf, m, 0.0, 0.1)
+        assert res.converged and res.residuals[-1] <= 1e-10 and res.path_flips >= 100
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
+        assert res.max_flip_jump <= 1e-8
 
     def test_ten_thousand_vertices(self, rng):
         surf = grid_torus(100, 100)

@@ -39,9 +39,8 @@ from reference import (
     flip_by_lists,
     four_minus_two_weights,
     perturbed_lengths_by_dict,
-    quad_weight_by_lists,
     scaled_length,
-    wall_by_cosine_law,
+    tri_angles,
 )
 
 
@@ -328,8 +327,9 @@ class TestDelaunay:
     @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
     def test_algebraic_test_has_the_sign_of_the_weights(self, builder):
         # on every edge whose faces are admissible, P has the sign of the
-        # angle weight and the wall search's quad measure is the weight; an
-        # inadmissible face leaves its edges without a quad measure
+        # angle weight; the surgery's P, summed in logarithms of sinh(l/2),
+        # has the reference's sign on every edge, those of inadmissible
+        # faces among them
         negatives = inadmissible = 0
         for seed in range(4):
             surf = builder()
@@ -341,11 +341,8 @@ class TestDelaunay:
             w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
             P = algebraic_delaunay_test(surf, m)
             assert np.array_equal(np.sign(P[ok]), np.sign(w[ok]))
-            for e in range(len(w)):
-                v = surface._quad_weight(surf, m, e, u.tolist(), u.tolist())(1.0)
-                assert (v[0] > -math.inf) == ok[e]
-                if ok[e]:
-                    assert abs(v[0] - TOL_DELAUNAY - w[e]) <= 1e-13
+            x = m.lam + u[surf.ends[0]] + u[surf.ends[1]]
+            assert np.array_equal(surface._algebraic_negative(surf, x, np.arange(w.size)), P < 0.0)
             negatives += int((w[ok] < 0.0).sum())
             inadmissible += int((~ok).sum())
         assert negatives >= 20 and inadmissible >= 1
@@ -353,11 +350,7 @@ class TestDelaunay:
     @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
     def test_first_roots_of_the_test_and_the_weight_agree(self, builder):
         # along segments from a Delaunay state, for each edge past its wall at
-        # the end: P and the angle weight first vanish at the same s, the wall
-        # search brackets the weight's crossing of -TOL_DELAUNAY (to 40 digits;
-        # the float angle weight's own crossing can be 1e-14 off where the
-        # weight is flat), and the quad measure's derivative matches finite
-        # differences
+        # the end, P and the angle weight first vanish at the same s
         roots = 0
         for seed in range(3):
             surf = builder()
@@ -382,14 +375,6 @@ class TestDelaunay:
             for e in np.flatnonzero(w_end < -TOL_DELAUNAY):
                 at_zero = first_root(lambda t: measure(t)[0][e] < 0.0)
                 assert abs(first_root(lambda t: measure(t)[1][e] < 0.0) - at_zero) <= 1e-14
-                weight = surface._quad_weight(surf, m, e, m.current_u.tolist(), u.tolist())
-                hi, _, lo = surface._first_wall(weight, 0.0, 0.0, False, False)
-                assert hi - lo < 1e-15
-                assert abs(hi - wall_by_cosine_law(surf, m, e, m.current_u, u, hi)) <= 1e-14
-                h = 1e-6
-                g, dg = weight(0.5 * hi)
-                fd = (weight(0.5 * hi + h)[0] - weight(0.5 * hi - h)[0]) / (2.0 * h)
-                assert abs(dg - fd) <= 1e-7 * max(1.0, abs(dg))
                 roots += 1
         assert roots >= 5
 
@@ -583,36 +568,29 @@ class TestFlip:
             surface.advance_conformal(surf, m, u)
             assert np.array_equal(m.current_u, u)
 
-    def test_refused_wall_flip_leaves_state_delaunay_on_segment(self):
-        # the unit tetrahedron has no flippable edge, so the first wall stops
-        # the move; the state stays Delaunay at a point of the segment
+    def test_refused_flip_leaves_the_given_state(self):
+        # the unit tetrahedron has no flippable edge, so the first flip round
+        # at u is refused; the advance puts back the state it was given
         surf = tetrahedron()
         m = unit_metric(surf)
-        u = np.array([0.8, 0.8, -0.8, -0.8])
+        s0, m0 = clone_state(surf, m)
         with pytest.raises(FlipError):
-            surface.advance_conformal(surf, m, u)
-        s = m.current_u[0] / u[0]
-        assert 0.0 < s < 1.0
-        assert np.allclose(m.current_u, s * u, rtol=0.0, atol=1e-15)
+            surface.advance_conformal(surf, m, np.array([0.8, 0.8, -0.8, -0.8]))
+        _assert_same_state(surf, m, s0, m0)
         assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
 
     def test_one_angle_pass_per_advance_and_none_per_flip(self, octa_unit, rng, monkeypatch):
+        # whole-mesh passes of the angle kernel, whatever calls it
         surf, m = octa_unit
-        calls = {"face_angles": 0, "apply_conformal": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(surface, name, counted(name, getattr(surface, name)))
+        passes = []
+        kernel = surface.angles_from_length_array
+        monkeypatch.setattr(surface, "angles_from_length_array",
+                            lambda L: (passes.append(L.shape[:-1] == surf.face_array.shape[:1]), kernel(L))[1])
         events, _, _ = surface.advance_conformal(surf, m, rng.uniform(-0.01, 0.01, surf.vertex_count))
         assert events == []
-        assert calls == {"face_angles": 1, "apply_conformal": 1}
+        assert passes == [True]
         flip_edge(surf, m, surf.edge_index[(0, 1)])
-        assert calls == {"face_angles": 1, "apply_conformal": 1}
+        assert passes.count(True) == 1
 
     def test_inadmissible_quad_face_refused_unmodified(self, octa_unit):
         surf, m = octa_unit
@@ -635,26 +613,52 @@ class TestFlip:
         assert surf.faces == faces and np.array_equal(m.length, lengths)
 
 
-def _outcome(advance, surf, m, u):
-    """Flip sequence (None if the advance raised), error type and final state
-    of ``advance`` on a clone of the state."""
-    s, mm = clone_state(surf, m)
+def _assert_same_state(surf, m, s0, m0):
+    """The state (surf, m) is (s0, m0) bit for bit."""
+    for name in ("face_array", "ends", "edge_faces", "FE"):
+        assert np.array_equal(getattr(surf, name), getattr(s0, name)), name
+    for name in ("length", "lam", "current_u"):
+        assert np.array_equal(getattr(m, name), getattr(m0, name)), name
+
+
+def _triangles(surf) -> list:
+    """The oriented faces, each rotated to start at its least vertex, in
+    sorted order: the triangulation whatever its slots and face indices."""
+    return sorted(tuple(f[f.index(min(f)):] + f[:f.index(min(f))]) for f in surf.face_array.tolist())
+
+
+def _same_as_bisection(surf, m, u):
+    """Advance clones of the state to u by ``advance_conformal`` and by the
+    bisection reference: the same error type; after a success the same
+    oriented triangles, lengths by vertex pair within 1e-12, curvatures
+    within 1e-12 and the end exactly at u; after an error the state as it
+    was given.  Returns the flip events (None after an error) and the
+    error type."""
+    s1, m1 = clone_state(surf, m)
+    s2, m2 = clone_state(surf, m)
     try:
-        out = advance(s, mm, u)
+        events = surface.advance_conformal(s1, m1, u)[0]
+        err = None
     except SurfaceError as exc:
-        return None, type(exc), s, mm
-    events = out[0] if isinstance(out, tuple) else out
-    return [(ev.old_edge, ev.new_edge) for ev in events], None, s, mm
+        events, err = None, type(exc)
+    try:
+        advance_by_bisection(s2, m2, u)
+        ref_err = None
+    except SurfaceError as exc:
+        ref_err = type(exc)
+    assert err is ref_err
+    if err is None:
+        assert _triangles(s1) == _triangles(s2)
+        by_pair = dict(zip(s2.edges, m2.length.tolist()))
+        assert max(abs(l - by_pair[e]) for e, l in zip(s1.edges, m1.length.tolist())) <= 1e-12
+        assert np.max(np.abs(curvature(s1, m1) - curvature(s2, m2))) <= 1e-12
+        assert np.array_equal(m1.current_u, u)
+    else:
+        _assert_same_state(s1, m1, surf, m)
+    return events, err
 
 
-def _counted(calls, name, fn):
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    return wrapper
-
-
-class TestWallSearch:
+class TestSurgery:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("builder", [lambda: grid_torus(5, 5), lambda: genus2(3, 3)],
                              ids=["torus5x5", "genus2_3x3"])
@@ -663,60 +667,47 @@ class TestWallSearch:
         rng = np.random.default_rng(seed)
         m = perturbed_metric(surf, rng, spread=0.28)
         make_delaunay(surf, m)
-        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
-        ref_flips, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
-        assert (flips, err) == (ref_flips, ref_err)
-        assert s1.faces == s2.faces and s1.edges == s2.edges
-        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
-        assert np.max(np.abs(m1.current_u - m2.current_u)) <= 1e-14
+        _same_as_bisection(surf, m, rng.uniform(-0.3, 0.3, surf.vertex_count))
 
-    @pytest.mark.parametrize("size, seed, scale, crossed_again", [
-        # ends that leave dozens of faces inadmissible: some of their edges
-        # have walls on the way that their extended weights at u do not
-        # show, and the candidates include them
-        (6, [3, 3], 1.2, False), (6, [11, 3], 1.2, False),
-        # an edge dips below its wall and back, unseen, while a wall of its
-        # quad is crossed (the advance succeeds), or while the advance
-        # fails: the segment is crossed again in two parts
-        (10, [101, 11], 0.4, True), (8, [14, 7], 0.5, True),
+    @pytest.mark.parametrize("size, seed, scale", [
+        # ends that leave dozens of faces inadmissible, whose edges the
+        # algebraic test decides
+        (6, [3, 3], 1.2), (6, [11, 3], 1.2),
+        # ends whose segments the kinetic wall search crossed in two parts,
+        # after an edge dipped below its wall and back: once ending in a
+        # success, once in a refused flip
+        (10, [101, 11], 0.4), (8, [14, 7], 0.5),
     ], ids=["cone-3", "cone-11", "dip-flip", "dip-failure"])
-    def test_matches_bisection_reference_on_long_moves(self, size, seed, scale, crossed_again,
-                                                       monkeypatch):
+    def test_matches_bisection_reference_on_long_moves(self, size, seed, scale):
         surf = grid_torus(size, size)
         rng = np.random.default_rng(seed)
         m = perturbed_metric(surf, rng, spread=0.28)
         make_delaunay(surf, m)
         u = rng.uniform(-scale, scale, surf.vertex_count)
-        restores = []
-        monkeypatch.setattr(surface, "_restore", lambda *args, restore=surface._restore: (
-            restores.append(1), restore(*args)))
-        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
-        assert bool(restores) == crossed_again
-        ref_flips, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
-        assert (flips, err) == (ref_flips, ref_err)
-        assert s1.faces == s2.faces and s1.edges == s2.edges
-        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
-        assert np.max(np.abs(m1.current_u - m2.current_u)) <= 1e-14
+        if scale > 1.0:
+            s, mm = clone_state(surf, m)
+            apply_conformal(s, mm, u)
+            assert (~admissible_mask(face_corner_lengths(s, mm))).sum() >= 12
+        _same_as_bisection(surf, m, u)
 
-    def test_whole_mesh_passes_per_advance_on_newton_surgery_inputs(self, monkeypatch):
+    def test_one_whole_mesh_pass_per_advance_on_newton_surgery_inputs(self, monkeypatch):
         # the inputs of pass 0 of bench/run.py's newton-surgery workload,
-        # seeds 1-3: an advance measures the whole mesh at u alone, at most
-        # twice, however many walls it crosses
-        passes, points, per_advance = {"face_angles": 0}, [], []
-        monkeypatch.setattr(surface, "face_angles", _counted(passes, "face_angles", face_angles))
-        monkeypatch.setattr(surface, "apply_conformal",
-                            lambda s, mm, x: (points.append(np.copy(x)), apply_conformal(s, mm, x)))
-        walls = 0
+        # seeds 1-3: an advance measures the whole mesh once, at u, however
+        # many walls it crosses; its rounds measure only a flip's quad: its
+        # two new faces for the state, its old and new faces for the jump,
+        # and, if isometric, its old faces for the diagonal
+        rows, walls = [], 0
+        kernel = surface.angles_from_length_array
+        monkeypatch.setattr(surface, "angles_from_length_array", lambda L: (rows.append(L.shape[:-1]), kernel(L))[1])
 
         def checked(s, mm, u, advance=surface.advance_conformal):
             nonlocal walls
-            passes["face_angles"] = 0
-            points.clear()
+            rows.clear()
             out = advance(s, mm, u)
+            F = s.face_array.shape[0]
             walls += len(out[0])
-            per_advance.append(passes["face_angles"])
-            assert len(points) <= 2 and all(np.array_equal(x, u) for x in points)
+            assert rows.count((F,)) == 1
+            assert sum(int(np.prod(r)) for r in rows) <= F + 8 * len(out[0])
             return out
 
         monkeypatch.setattr(flows, "advance_conformal", checked)
@@ -725,7 +716,6 @@ class TestWallSearch:
             m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=0.28)
             assert newton_solve(surf, m, 0.0, 0.1).converged
         assert walls >= 60
-        assert max(per_advance) <= 2
 
     def test_newton_matches_bisection_reference_on_newton_surgery_input(self, monkeypatch):
         # the pass-0 input of seed 1 of bench/run.py's newton-surgery workload,
@@ -754,90 +744,43 @@ class TestWallSearch:
         assert flips == flips_ref >= 20
         assert np.max(np.abs(u - u_ref)) <= 1e-12
 
-    def test_far_end_without_weights_bisects_then_flips(self, genus2_unit, rng):
+    def test_far_end_outside_the_admissible_cone(self, genus2_unit, rng):
         # twice the segment of test_advance_is_path_independent: its end is
-        # outside the admissible cone, its walls come first, and a flip there
-        # is refused
+        # outside the admissible cone, and a flip there is refused
         surf, m = genus2_unit
         u = 2.0 * rng.uniform(-0.3, 0.3, surf.vertex_count)
         s, mm = clone_state(surf, m)
         apply_conformal(s, mm, u)
         with pytest.raises(AdmissibilityError):
             face_angles(s, mm)
-        flips, err, s1, m1 = _outcome(surface.advance_conformal, surf, m, u)
-        assert err is FlipError
-        assert set(s1.edges) != set(surf.edges)  # walls were flipped first
-        t = m1.current_u[0] / u[0]
-        assert 0.0 < t < 1.0
-        assert np.allclose(m1.current_u, t * u, rtol=0.0, atol=1e-15)
-        assert delaunay_weights(s1, m1, face_angles(s1, m1)).min() >= -TOL_DELAUNAY
-        _, ref_err, s2, m2 = _outcome(advance_by_bisection, surf, m, u)
-        assert ref_err is FlipError and s1.faces == s2.faces
-        assert np.max(np.abs(m1.length - m2.length)) <= 1e-12
+        assert _same_as_bisection(surf, m, u)[1] is FlipError
 
-    @staticmethod
-    def crossings_at_end(surf, m, u):
-        """The edges past their walls at u with the first s at which each is,
-        along the segment from u = 0 without flips."""
-        s, mm = clone_state(surf, m)
-        apply_conformal(s, mm, u)
-        late = np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)
-
-        def crossing(e):
-            lo, hi = 0.0, 1.0
-            while hi - lo >= 1e-15:
-                mid = 0.5 * (lo + hi)
-                apply_conformal(s, mm, mid * u)
-                if delaunay_weights(s, mm)[e] < -TOL_DELAUNAY:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-
-        return {int(e): crossing(e) for e in late}
-
-    @staticmethod
-    def checked_walls(surf, m, u, monkeypatch):
-        """The flip events of ``advance_conformal`` from u = 0 to u on a clone
-        of the state, after a whole-mesh check at each wall and at u: in s
-        order, the state before the flip Delaunay everywhere 1e-14 before the
-        wall, the flipped edge past its wall 1e-14 after it, and the final
-        state Delaunay."""
-        s, mm = clone_state(surf, m)
-        walls = []
-
-        def recorded(s_, m_, e, flip=surface.flip_edge):
-            walls.append((clone_state(s_, m_), int(e), float(m_.current_u @ u / (u @ u))))
-            return flip(s_, m_, e)
-
-        monkeypatch.setattr(surface, "flip_edge", recorded)
-        events, _, _ = surface.advance_conformal(s, mm, u)
-        monkeypatch.undo()
-        assert len(walls) == len(events)
-        assert [t for *_, t in walls] == sorted(t for *_, t in walls)
-        for (s_, m_), e, t in walls:
-            apply_conformal(s_, m_, (t - 1e-14) * u)
-            assert delaunay_weights(s_, m_, face_angles(s_, m_)).min() >= -TOL_DELAUNAY
-            apply_conformal(s_, m_, (t + 1e-14) * u)
-            assert delaunay_weights(s_, m_)[e] < -TOL_DELAUNAY
-        assert delaunay_weights(s, mm).min() >= -TOL_DELAUNAY
-        return events
-
-    def test_earlier_of_two_crossings_flips_first(self, genus2_unit, rng, monkeypatch):
+    def test_rounds_flip_face_disjoint_sets_least_weight_first(self, genus2_unit, rng, monkeypatch):
+        # the segment of test_advance_is_path_independent: several edges are
+        # past their walls at u, the least of them flips in the first
+        # round, and each round writes disjoint faces
         surf, m = genus2_unit
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        crossings = self.crossings_at_end(surf, m, u)
-        assert len(crossings) >= 2  # several edges are past their walls at u
-        first = surf.edges[min(crossings, key=crossings.get)]
-        events = self.checked_walls(surf, m, u, monkeypatch)
-        assert events[0].old_edge == first
-        assert len(events) >= 2
+        s, mm = clone_state(surf, m)
+        apply_conformal(s, mm, u)
+        w = delaunay_weights(s, mm)
+        assert (w < -TOL_DELAUNAY).sum() >= 2
+        written = []
+        commit = surface._commit
+        monkeypatch.setattr(surface, "_commit",
+                            lambda *args: (written.append(args[3][[0, 2]].ravel()), commit(*args))[1])
+        events, _, _ = surface.advance_conformal(surf, m, u)
+        assert events[0].round == 0 and events[0].old_edge == s.edges[int(np.argmin(w))]
+        assert events[0].pre_weight == w.min()
+        assert len(written) == events[-1].round + 1
+        assert max(faces.size for faces in written) >= 4  # a round of two flips or more
+        assert all(np.unique(faces).size == faces.size for faces in written)
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
 
-    def test_whole_mesh_check_finds_a_crossing_the_candidates_miss(self, monkeypatch):
+    def test_later_round_flips_an_edge_the_first_pass_did_not_name(self):
         # the segment of test_matches_bisection_reference[torus5x5-2]: an edge
-        # that is not past its wall at u in the starting triangulation, and so
-        # not a candidate, gets a wall after a flip changes its faces; the
-        # whole-mesh check at every wall finds no crossing missed
+        # that is not past its wall at u in the starting triangulation gets
+        # past it once a flip changes its faces, and a later round flips it
         surf = grid_torus(5, 5)
         rng = np.random.default_rng(2)
         m = perturbed_metric(surf, rng, spread=0.28)
@@ -845,9 +788,42 @@ class TestWallSearch:
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
         s, mm = clone_state(surf, m)
         apply_conformal(s, mm, u)
-        candidates = {surf.edges[e] for e in np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)}
-        events = self.checked_walls(surf, m, u, monkeypatch)
-        assert any(ev.old_edge not in candidates for ev in events)
+        candidates = {s.edges[e] for e in np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)}
+        events, _ = _same_as_bisection(surf, m, u)
+        assert any(ev.round > 0 and ev.old_edge not in candidates for ev in events)
+
+    def test_wrong_ptolemy_diagonal_shows_as_a_jump(self, genus2_unit, rng, monkeypatch):
+        # criterion 9 reads each Ptolemy flip's jump at a wall of its quad: a
+        # diagonal whose lam is off by 1e-6 is caught there at its bound
+        surf, m = genus2_unit
+        u = rng.uniform(-0.3, 0.3, surf.vertex_count)
+        events, jump, _ = surface.advance_conformal(*clone_state(surf, m), u)
+        assert len(events) >= 2 and jump <= 1e-12
+        ptolemy = surface._ptolemy_lam
+        monkeypatch.setattr(surface, "_ptolemy_lam", lambda lam: ptolemy(lam) + 1e-6)
+        events, jump, _ = surface.advance_conformal(surf, m, u)
+        assert len(events) >= 2 and all(ev.k_jump > 1e-8 for ev in events)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_walls_on_newton_surgery_inputs(self, seed, monkeypatch):
+        # the pass-0 inputs of bench/run.py's newton-surgery workload: each
+        # Ptolemy flip's jump is measured where both old faces are
+        # admissible and the old edge's weight, by the scalar cosine law,
+        # is zero
+        walls = []
+        find = surface._ptolemy_walls
+        monkeypatch.setattr(surface, "_ptolemy_walls", lambda *args: (walls.append(find(*args)), walls[-1])[1])
+        surf = grid_torus(20, 20)
+        m = perturbed_metric(surf, np.random.default_rng([seed, 0]), spread=0.28)
+        assert newton_solve(surf, m, 0.0, 0.1).converged
+        worst, count = 0.0, 0
+        for ij, ik, jk, il, jl, _ in np.concatenate(walls, axis=1).T.tolist():
+            a, b = TriLengths(ij, ik, jk), TriLengths(ij, il, jl)
+            assert a.admissible and b.admissible
+            (ai, aj, ak), (bi, bj, bl) = tri_angles(a), tri_angles(b)
+            worst = max(worst, abs(ai + aj - ak + bi + bj - bl))
+            count += 1
+        assert count >= 20 and worst <= 1e-12
 
 
 FLIP_FIXTURES = [octahedron, lambda: grid_torus(5, 5), lambda: genus2(3, 3)]
@@ -940,25 +916,8 @@ SURGERY_FIXTURES = [pytest.param(builder, seed, id=f"{name}-{seed}")
 
 
 class TestScalarSurgeryReads:
-    # the wall search's quad measure and the flip read their quad with
-    # ndarray.item; they must compute what the fancy-index reads computed,
-    # bit for bit, or the flows' step counts could move
-    @pytest.mark.parametrize("builder, seed", SURGERY_FIXTURES)
-    def test_quad_weights_bitwise(self, builder, seed):
-        surf = builder()
-        rng = np.random.default_rng(seed)
-        m = perturbed_metric(surf, rng, spread=0.28)
-        make_delaunay(surf, m)  # flips leave irregular vertex degrees
-        u_from = rng.uniform(-0.2, 0.2, surf.vertex_count).tolist()
-        u = rng.uniform(-0.6, 0.6, surf.vertex_count).tolist()
-        outside = 0
-        for e in range(surf.ends.shape[1]):
-            lib, ref = surface._quad_weight(surf, m, e, u_from, u), quad_weight_by_lists(surf, m, e, u_from, u)
-            for s in [0.0, 1.0, *rng.uniform(0.0, 1.0, 4).tolist()]:
-                assert _same(lib(s), ref(s))
-                outside += lib(s)[0] == -math.inf
-        assert outside >= 1  # inadmissible points are compared too
-
+    # the flip reads its quad with ndarray.item; it must compute what the
+    # fancy-index reads computed, bit for bit
     @pytest.mark.parametrize("builder, seed", SURGERY_FIXTURES)
     def test_flips_bitwise(self, builder, seed):
         surf = builder()
