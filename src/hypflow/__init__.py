@@ -14,8 +14,6 @@ from .flows import (
     FlowConfig,
     FlowRun,
     NewtonResult,
-    decay_slope,
-    monitor_max_principle,
     newton_solve,
     regime_check,
     run_flow,

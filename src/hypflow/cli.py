@@ -70,6 +70,7 @@ from .flows import (
 )
 from .surface import (
     MAX_LENGTH,
+    MIN_LENGTH,
     TOL_DELAUNAY,
     MarkedSurface,
     PHMetric,
@@ -102,14 +103,15 @@ def parse_phm(path: str):
     faces = np.stack(records["f"][1], axis=1)
     at, (i, j, length) = records["e"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    # the first duplicate or non-positive record, in line order
+    # the first duplicate record or length out of range, in line order
     key = _pair_keys(lo, hi, 0)
     order = np.argsort(key, kind="stable")
     d = order[1:][key[order[1:]] == key[order[:-1]]].min(initial=lo.size)
-    b = np.flatnonzero(~((length > 0.0) & (length <= MAX_LENGTH))).min(initial=lo.size)
+    b = np.flatnonzero(~((length >= MIN_LENGTH) & (length <= MAX_LENGTH))).min(initial=lo.size)
     if min(d, b) < lo.size:
         msg = (f"duplicate edge record {(int(lo[d]), int(hi[d]))}" if d <= b
-               else f"edge length {length[b]} exceeds MAX_LENGTH = {MAX_LENGTH:.6g}" if length[b] > 0.0
+               else f"edge length {length[b]} exceeds MAX_LENGTH = {MAX_LENGTH:.6g}" if length[b] > MAX_LENGTH
+               else f"edge length {length[b]} is below MIN_LENGTH = {MIN_LENGTH:.6g}" if length[b] > 0.0
                else "edge length must be positive")
         raise ParseError(f"{path}:{at[min(d, b)]}: {msg}")
     try:

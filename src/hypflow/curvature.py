@@ -89,10 +89,6 @@ class JacobianL:
         d = self.D if diag is None else diag
         return d * f - np.bincount(self.ends, self.B2 * f[self.cols], minlength=self.A.shape[0])
 
-    def diagonal(self) -> np.ndarray:
-        """L_ii = A_i + sum_j B_ij, the array ``D`` itself."""
-        return self.D
-
     def dominance_margin(self, shift: np.ndarray) -> np.ndarray:
         """Row-wise diagonal dominance of L - diag(shift):
         A_i + sum_j (B_ij - |B_ij|) - shift_i.  By Gershgorin's theorem a

@@ -1,13 +1,13 @@
 """Curvature flows with surgery and a Newton solver for prescribed targets.
 
 Time integration (adaptive RK4 with step doubling) of the alpha-Yamabe and
-alpha-Calabi flows, maximum-principle monitors, and a damped Newton
-iteration on the curvature equation whose line search accepts any decrease
-of the sup-norm residual.  Both evaluate the curvature map at u through
-``advance_conformal``'s surgery at u, whose result depends on u alone, so
-neither follows a path between its points.  ``FlowRun`` and
-``NewtonResult`` count the surgery's entry flips (isometric, on entry),
-path flips (Ptolemy flips of the evaluations) and flip rounds.
+alpha-Calabi flows, and a damped Newton iteration on the curvature equation
+whose line search accepts any decrease of the sup-norm residual.  Both
+evaluate the curvature map at u through ``advance_conformal``'s surgery at
+u, whose result depends on u alone, so neither follows a path between its
+points.  ``FlowRun`` and ``NewtonResult`` count the surgery's entry flips
+(isometric, on entry), path flips (Ptolemy flips of the evaluations) and
+flip rounds.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ __all__ = [
     "StepRecord",
     "FlowRun",
     "NewtonResult",
-    "MaxPrincipleReport",
     "run_flow",
     "newton_solve",
-    "monitor_max_principle",
     "regime_check",
-    "decay_slope",
     "RegimeError",
     "NewtonError",
 ]
@@ -58,12 +55,6 @@ DT_MAX = 0.5
 GROW_AFTER = 5
 GROW_FACTOR = 1.5
 U_ABORT = 50.0
-
-# monitor_max_principle's tolerance on the sign of M and relative slack on
-# its decay envelope; decay_slope fits the final DECAY_TAIL of a run's time
-SIGN_TOL = 1e-9
-ENVELOPE_SLACK = 0.10
-DECAY_TAIL = 0.5
 
 
 class RegimeError(RuntimeError):
@@ -103,14 +94,10 @@ class FlowRun:
     """One flow run: ``records`` holds the state on entry, then one record
     per accepted step; a run refused on entry has none."""
 
-    kind: str
-    alpha: float
-    target: np.ndarray
     records: list = field(default_factory=list)
     status: str = "running"
     reason: str | None = None
     final_u: np.ndarray | None = None
-    initial_F_alpha: np.ndarray | None = None
     max_flip_jump: float = 0.0
     # curvature maps evaluated; flips on entry and in evaluations, and the
     # flip rounds that made them
@@ -126,16 +113,6 @@ class FlowRun:
     @property
     def steps(self) -> int:
         return max(len(self.records) - 1, 0)
-
-    @property
-    def total_flips(self) -> int:
-        return sum(r.flips for r in self.records)
-
-    @property
-    def initial_M(self) -> np.ndarray | None:
-        if self.initial_F_alpha is None:
-            return None
-        return self.initial_F_alpha - self.target
 
 
 def regime_check(alpha: float, target: np.ndarray, chi: int):
@@ -212,25 +189,25 @@ class _StepFailure(RuntimeError):
     """The step size fell below DT_MIN, or |u| passed U_ABORT."""
 
 
-def run_flow(
-    surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, u0=None
-) -> FlowRun:
+def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     """Iterate the configured flow until convergence, max_steps or failure.
 
     ``_entry_check`` raises RegimeError outside the convergence regime before
     any step.  On entry the state is flipped Delaunay at ``m.current_u`` by
-    ``make_delaunay``, the surgery's advance at a fixed u, then advanced to
-    ``u0``; the first record's flips count both.  Each step is adaptive RK4
-    with step doubling; its first stage is the right-hand side kept from the
-    acceptance of u (first same as last).  A trial that raises is rejected
-    and the state is restored in place to the snapshot taken at the accepted
-    u.  A SurfaceError, a flip refused on entry among them, a step size
-    below DT_MIN and |u| above U_ABORT end the run with status ``"failed"``
-    and a reason, the state restored to the accepted u if a step began.
+    ``make_delaunay``, the surgery's advance at a fixed u; the first record's
+    flips are its flips.  Each step is adaptive RK4 with step doubling; its
+    first stage is the right-hand side kept from the acceptance of u (first
+    same as last).  A trial that raises is rejected and the state is
+    restored in place to the snapshot taken at the accepted u.  A
+    SurfaceError, a flip refused on entry among them, a step size below
+    DT_MIN and |u| above U_ABORT end the run with status ``"failed"`` and a
+    reason, the state restored to the accepted u if a step began.  The run
+    starts at ``m.current_u``; ``advance_conformal`` moves the state to
+    another start first.
     """
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
-    run = FlowRun(kind=cfg.kind, alpha=cfg.alpha, target=target)
-    u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
+    run = FlowRun()
+    u = m.current_u.copy()
     saved = None
 
     def rhs(v):
@@ -257,10 +234,10 @@ def run_flow(
         entry = make_delaunay(surf, m)
         run.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
         run.entry_flips, run.flip_rounds = len(entry), _rounds(entry)
-        k1, F_a, K, flips, _ = rhs(u)
-        run.initial_F_alpha, M = F_a, F_a - target
+        k1, F_a, K, _, _ = rhs(u)
+        M = F_a - target
         t, dt, energy, streak = 0.0, DT_INIT, 0.0, 0
-        record(0.0, len(entry) + len(flips))
+        record(0.0, len(entry))
         while True:
             if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
                 run.status = "converged"
@@ -308,82 +285,6 @@ def run_flow(
         run.reason = str(exc)
     run.final_u = u.copy()
     return run
-
-
-def decay_slope(run: FlowRun) -> float:
-    """Least-squares slope of log sup-error vs t over the final part of a run."""
-    pts = [(r.t, r.sup_err) for r in run.records if r.sup_err > 1e-300]
-    if len(pts) < 3:
-        raise ValueError("not enough nonzero error samples for a decay fit")
-    t_end = pts[-1][0]
-    t_start = pts[0][0]
-    cut = t_start + (1.0 - DECAY_TAIL) * (t_end - t_start)
-    tail_pts = [(t, e) for t, e in pts if t >= cut]
-    if len(tail_pts) < 3:
-        tail_pts = pts[-3:]
-    ts = np.array([t for t, _ in tail_pts])
-    logs = np.log([e for _, e in tail_pts])
-    return float(np.polyfit(ts, logs, 1)[0])
-
-
-@dataclass
-class MaxPrincipleReport:
-    sign_hypothesis: str | None
-    sign_preserved: bool | None
-    envelope_applicable: bool
-    envelope_ok: bool | None
-    max_envelope_ratio: float | None
-
-
-def monitor_max_principle(run: FlowRun) -> MaxPrincipleReport:
-    """Check sign preservation of M = F_alpha - target along a Yamabe run.
-
-    If the initial M is one-signed the sign must persist (up to SIGN_TOL).
-    For alpha > 0 with a constant negative target and M(0) > 0 the decay
-    envelope (target * max M(0) / max F_alpha(0)) * e^(alpha*target*t) must
-    dominate max M(t) within ENVELOPE_SLACK.
-    """
-    if run.initial_M is None or not run.records:
-        raise ValueError("run carries no monitor data")
-    m0 = run.initial_M
-    if np.all(m0 <= 0):
-        hypothesis = "nonpositive"
-        preserved = all(r.max_M <= SIGN_TOL for r in run.records)
-    elif np.all(m0 >= 0):
-        hypothesis = "nonnegative"
-        preserved = all(r.min_M >= -SIGN_TOL for r in run.records)
-    else:
-        hypothesis = None
-        preserved = None
-
-    tgt = run.target
-    const_target = float(tgt[0]) if np.ptp(tgt) == 0 else None
-    applicable = (
-        run.kind == "yamabe"
-        and run.alpha > 0
-        and const_target is not None
-        and const_target < 0
-        and bool(np.all(m0 > 0))
-    )
-    env_ok = None
-    worst = None
-    if applicable:
-        m0_max = float(m0.max())
-        f0_max = float(run.initial_F_alpha.max())
-        coef = const_target * m0_max / f0_max
-        worst = 0.0
-        for r in run.records:
-            env = coef * math.exp(run.alpha * const_target * r.t)
-            if env > 1e-300:
-                worst = max(worst, r.max_M / env)
-        env_ok = worst <= 1.0 + ENVELOPE_SLACK
-    return MaxPrincipleReport(
-        sign_hypothesis=hypothesis,
-        sign_preserved=preserved,
-        envelope_applicable=applicable,
-        envelope_ok=env_ok,
-        max_envelope_ratio=worst,
-    )
 
 
 @dataclass
@@ -440,7 +341,7 @@ def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float =
             f"margin {margin[worst]:.3e} at vertex {worst}"
         )
     n = rhs.shape[0]
-    diag = J.diagonal() - shift
+    diag = J.D - shift
     x, r = np.zeros(n), rhs.copy()
     z = r / diag
     p = z.copy()

@@ -23,7 +23,6 @@ __all__ = [
     "PHMetric",
     "FlipEvent",
     "ValidationReport",
-    "validate_combinatorics",
     "validate",
     "euler_characteristic",
     "apply_conformal",
@@ -41,12 +40,14 @@ __all__ = [
 # co-circular configurations (the Delaunay condition itself is non-strict)
 TOL_DELAUNAY = 1e-12
 
-# largest lam + u_i + u_j admitted: the cosine law's cosh(l_a) cosh(l_b),
-# about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354;
-# advance_conformal also refuses one below -MAX_SCALED_X (lengths below
-# about 1e-76), well before the cosine law's sinh(l_a) sinh(l_b) underflows
+# largest |lam + u_i + u_j| admitted: the cosine law's cosh(l_a) cosh(l_b),
+# about 4 e^(2 x_a + 2 x_b), overflows once x_a + x_b passes about 354, and
+# below -MAX_SCALED_X (lengths below about 2e-76) its sinh(l_a) sinh(l_b)
+# nears underflow
 MAX_SCALED_X = 175.0
-# longest length admitted: its lam is MAX_SCALED_X at u = 0, where solves start
+# shortest and longest lengths admitted: their lam is -MAX_SCALED_X and
+# MAX_SCALED_X at u = 0, where solves start
+MIN_LENGTH = 2.0 * math.asinh(math.exp(-MAX_SCALED_X))
 MAX_LENGTH = 2.0 * math.asinh(math.exp(MAX_SCALED_X))
 
 
@@ -135,14 +136,10 @@ def _sort_half_edges(vertex_count: int, faces):
     return F, pairs, order, errors
 
 
-def validate_combinatorics(vertex_count: int, faces) -> list:
-    """Diagnostics for (F, 3) integer faces; empty means a valid surface."""
-    return _sort_half_edges(int(vertex_count), faces)[3]
-
-
 class MarkedSurface:
     """Closed oriented triangulated surface over vertices 0..N-1, built from
-    an (F, 3) integer array-like of oriented faces (``validate_combinatorics``).
+    an (F, 3) integer array-like of oriented faces; SurfaceError names every
+    fault that ``_sort_half_edges`` finds in them.
 
     The state is four int64 arrays over faces 0..F-1 and edge slots 0..E-1:
     ``face_array`` (F, 3) the oriented faces, ``ends`` (2, E) each slot's
@@ -151,7 +148,6 @@ class MarkedSurface:
     ``FE[f, c]`` the slot of the edge opposite corner c of face f.  Slots
     start in sorted vertex-pair order.  A flip rewrites its two faces and
     five edges in place, the new diagonal taking the flipped edge's slot.
-    ``faces``, ``edges`` and ``edge_index`` are tuple views built on access.
     """
 
     def __init__(self, vertex_count: int, faces):
@@ -163,21 +159,6 @@ class MarkedSurface:
         self.edge_faces = np.stack(np.divmod(order, 3), axis=-1).reshape(-1, 2, 2)
         self.FE = np.empty(self.face_array.shape, dtype=np.int64)
         self.FE.ravel()[order] = np.arange(order.size) // 2
-
-    @property
-    def faces(self) -> list:
-        """The faces as vertex triples."""
-        return list(map(tuple, self.face_array.tolist()))
-
-    @property
-    def edges(self) -> list:
-        """The vertex pair of each edge slot, in slot order."""
-        return list(zip(*self.ends.tolist()))
-
-    @property
-    def edge_index(self) -> dict:
-        """The slot of each vertex pair."""
-        return {e: idx for idx, e in enumerate(self.edges)}
 
     def copy(self) -> "MarkedSurface":
         s = object.__new__(MarkedSurface)
@@ -203,10 +184,10 @@ class PHMetric:
         self.length = np.array(length, dtype=float)
         if self.length.shape != (surf.ends.shape[1],):
             raise SurfaceError(f"lengths of shape {self.length.shape} for {surf.ends.shape[1]} edge slots")
-        bad = np.flatnonzero(~((self.length > 0.0) & (self.length <= MAX_LENGTH)))
+        bad = np.flatnonzero(~((self.length >= MIN_LENGTH) & (self.length <= MAX_LENGTH)))
         if bad.size:
-            raise SurfaceError(f"edge {tuple(surf.ends[:, bad[0]].tolist())} has length {self.length[bad[0]]},"
-                               f" not in (0, MAX_LENGTH = {MAX_LENGTH:.6g}]")
+            raise SurfaceError(f"edge {tuple(surf.ends[:, bad[0]].tolist())} has length {self.length[bad[0]]}, not in"
+                               f" [MIN_LENGTH = {MIN_LENGTH:.6g}, MAX_LENGTH = {MAX_LENGTH:.6g}]")
         self.lam = np.log(np.sinh(0.5 * self.length))
         self.current_u = np.zeros(surf.vertex_count)
 
@@ -351,9 +332,10 @@ def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
 
 def _scaled_lengths(lam: np.ndarray, u_i: np.ndarray, u_j: np.ndarray) -> np.ndarray:
     """Lengths 2 asinh(e^(lam + u_i + u_j)) of edges with invariants ``lam``
-    and end factors ``u_i``, ``u_j``; OverflowError out of range."""
+    and end factors ``u_i``, ``u_j``; OverflowError if some |lam + u_i +
+    u_j| exceeds MAX_SCALED_X."""
     x = lam + u_i + u_j
-    if x.max() > MAX_SCALED_X:
+    if np.abs(x).max() > MAX_SCALED_X:
         raise OverflowError("conformal factor out of representable range")
     return 2.0 * np.arcsinh(np.exp(x))
 

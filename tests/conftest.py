@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, unit_metric
-from hypflow.surface import clone_state
 
 
 @pytest.fixture
@@ -35,8 +34,3 @@ def torus_unit():
 def octa_unit():
     surf = octahedron()
     return surf, unit_metric(surf)
-
-
-def fresh_pair(surf, m):
-    """Convenience re-export for tests that need several independent runs."""
-    return clone_state(surf, m)

@@ -20,10 +20,13 @@ that the tests compare its O(E) products against.
 the arithmetic that the scalar reads of ``hypflow.surface.flip_edge`` must
 keep bitwise.
 ``combinatorics_by_faces`` is the per-face check of raw faces that the
-half-edge sort of ``hypflow.surface.validate_combinatorics`` replaced, and
-the fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
+half-edge sort of ``hypflow.surface._sort_half_edges`` replaced, and the
+fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
 ``write_phm_by_lines``/``parse_phm_by_lines`` build the benchmark's inputs
 the way the array code in ``hypflow.meshes`` and ``hypflow.cli`` replaced.
+``faces_of``, ``edges_of`` and ``edge_index_of`` read a surface's arrays
+as tuples.  ``decay_slope`` and ``max_principle`` read the paper's
+exponential decay and maximum principle off a flow run's step records.
 None of it is used by the library.
 """
 
@@ -44,6 +47,70 @@ from hypflow.surface import (
     flip_edge,
 )
 from hypflow.triangle import admissible_mask, angles_from_length_array
+
+
+def faces_of(surf) -> list:
+    """The faces of ``surf`` as vertex triples."""
+    return list(map(tuple, surf.face_array.tolist()))
+
+
+def edges_of(surf) -> list:
+    """The vertex pair of each edge slot of ``surf``, in slot order."""
+    return list(zip(*surf.ends.tolist()))
+
+
+def edge_index_of(surf) -> dict:
+    """The edge slot of each vertex pair of ``surf``."""
+    return {e: idx for idx, e in enumerate(edges_of(surf))}
+
+
+# decay_slope fits the final DECAY_TAIL of a run's time; the tolerance on
+# the sign of M and the relative slack on its decay envelope
+DECAY_TAIL = 0.5
+SIGN_TOL = 1e-9
+ENVELOPE_SLACK = 0.10
+
+
+def decay_slope(run) -> float:
+    """Least-squares slope of log sup-error vs t over the final part of a run."""
+    pts = [(r.t, r.sup_err) for r in run.records if r.sup_err > 1e-300]
+    if len(pts) < 3:
+        raise ValueError("not enough nonzero error samples for a decay fit")
+    t_end = pts[-1][0]
+    t_start = pts[0][0]
+    cut = t_start + (1.0 - DECAY_TAIL) * (t_end - t_start)
+    tail_pts = [(t, e) for t, e in pts if t >= cut]
+    if len(tail_pts) < 3:
+        tail_pts = pts[-3:]
+    ts = np.array([t for t, _ in tail_pts])
+    logs = np.log([e for _, e in tail_pts])
+    return float(np.polyfit(ts, logs, 1)[0])
+
+
+def max_principle(records, alpha: float, target: float) -> tuple:
+    """``(sign, preserved, ratio)`` of an alpha-Yamabe run to a constant
+    ``target`` from its step records alone, M being F_alpha - target: the
+    sign of M(0), "nonpositive", "nonnegative" or None; whether every record
+    keeps it up to SIGN_TOL; and, for alpha > 0, target < 0 and M(0) > 0
+    (else None), the largest max M(t) over the envelope (target * max M(0)
+    / max F_alpha(0)) e^(alpha*target*t), max F_alpha(0) being max M(0) +
+    target.  The paper bounds the ratio by 1."""
+    first = records[0]
+    if first.max_M <= 0:
+        sign, preserved = "nonpositive", all(r.max_M <= SIGN_TOL for r in records)
+    elif first.min_M >= 0:
+        sign, preserved = "nonnegative", all(r.min_M >= -SIGN_TOL for r in records)
+    else:
+        sign, preserved = None, None
+    if not (alpha > 0 and target < 0 and first.min_M > 0):
+        return sign, preserved, None
+    coef = target * first.max_M / (first.max_M + target)
+    ratio = 0.0
+    for r in records:
+        env = coef * math.exp(alpha * target * r.t)
+        if env > 1e-300:
+            ratio = max(ratio, r.max_M / env)
+    return sign, preserved, ratio
 
 
 @dataclass(frozen=True)
@@ -153,14 +220,14 @@ def flip_diagonal_from_j(surf, m, e) -> float:
     library measures from the end i, so the two agree only if the quad's
     geometry is consistent."""
     i, j = sorted(e)
-    lengths = dict(zip(surf.edges, m.length))
+    lengths = dict(zip(edges_of(surf), m.length))
 
     def length(a, b):
         return lengths[(min(a, b), max(a, b))]
 
     theta, far = 0.0, []
-    for f, _ in surf.edge_faces[surf.edge_index[(i, j)]].tolist():
-        (k,) = set(surf.faces[f]) - {i, j}
+    for f, _ in surf.edge_faces[edge_index_of(surf)[(i, j)]].tolist():
+        (k,) = set(surf.face_array[f].tolist()) - {i, j}
         _, a_j, _ = tri_angles(TriLengths(length(i, j), length(i, k), length(j, k)))
         theta += a_j
         far.append(length(j, k))
@@ -408,7 +475,7 @@ def genus2_faces_by_loop(n: int, m: int) -> tuple:
 def perturbed_lengths_by_dict(surf, rng, spread: float, base: float = 1.0) -> dict:
     """``{vertex pair: length}`` with one scalar draw per edge, in sorted
     vertex-pair order."""
-    return {e: base * (1.0 + rng.uniform(-spread, spread)) for e in sorted(surf.edges)}
+    return {e: base * (1.0 + rng.uniform(-spread, spread)) for e in sorted(edges_of(surf))}
 
 
 def write_phm_by_lines(path: str, surf, m) -> None:
@@ -416,9 +483,9 @@ def write_phm_by_lines(path: str, surf, m) -> None:
     with open(path, "w") as fh:
         fh.write("phm 1\n")
         fh.write(f"v {surf.vertex_count}\n")
-        for f in surf.faces:
+        for f in faces_of(surf):
             fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
-        for e, l in zip(surf.edges, m.length.tolist()):
+        for e, l in zip(edges_of(surf), m.length.tolist()):
             fh.write(f"e {e[0]} {e[1]} {l:.17g}\n")
 
 

@@ -22,6 +22,9 @@ from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, un
 from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
 
 from reference import (
+    edge_index_of,
+    edges_of,
+    faces_of,
     genus2_faces_by_loop,
     grid_torus_faces_by_loop,
     parse_phm_by_lines,
@@ -50,14 +53,14 @@ class TestFormat:
     def test_roundtrip_preserves_state(self, tmp_path):
         surf = genus2()
         m = unit_metric(surf)
-        m.length[surf.edge_index[surf.edges[0]]] = 1.2345678901234567
+        m.length[0] = 1.2345678901234567
         path = str(tmp_path / "g.phm")
         write_phm(path, surf, m)
         surf2, m2 = parse_phm(path)
-        assert surf2.faces == surf.faces
+        assert faces_of(surf2) == faces_of(surf)
         assert surf2.vertex_count == surf.vertex_count
-        for e in surf.edges:
-            assert m2.length[surf2.edge_index[e]] == m.length[surf.edge_index[e]]  # exact through %.17g
+        for e in edges_of(surf):
+            assert m2.length[edge_index_of(surf2)[e]] == m.length[edge_index_of(surf)[e]]  # exact through %.17g
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.phm"
@@ -78,12 +81,6 @@ class TestFormat:
         with pytest.raises(ParseError, match="missing 'e' record"):
             parse_phm(str(p))
 
-    def test_nonpositive_length_rejected(self, tmp_path):
-        p = tmp_path / "bad.phm"
-        p.write_text("phm 1\nv 3\nf 0 1 2\ne 0 1 -1.0\n")
-        with pytest.raises(ParseError, match="positive"):
-            parse_phm(str(p))
-
     @pytest.mark.parametrize(
         "records, match",
         [
@@ -93,6 +90,7 @@ class TestFormat:
             ("v 4\nf 0 1 2\ne 0 1 99999999999999999999\ne 0 2 1.0\ne 0 1 1.0\n",
              r":4: edge length 1e\+20 exceeds MAX_LENGTH"),
             ("v 4\nf 0 1 2\ne 0 1 351\ne 0 2 1.0\ne 0 1 1.0\n", r":6: duplicate edge record \(0, 1\)"),
+            ("v 3\nf 0 1 2\ne 0 1 -1.0\n", r":4: edge length must be positive"),
             ("v 3\nf 0 1 2\nf 0 2 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\ne 1 3 1\n", r"'e' record for nonexistent edge \(1, 3\)"),
             ("f 0 1 2\nf 0 2 1\n", r"missing 'v' record"),
             ("v x\n", r":2: could not convert 'x' to int64"),
@@ -287,10 +285,10 @@ def test_bench_inputs_match_line_wise_reference(tmp_path, seed, mesh, size, spre
         n, faces = size[0] * size[1], grid_torus_faces_by_loop(*size)
     ref = MarkedSurface(n, faces)
     lengths = perturbed_lengths_by_dict(ref, np.random.default_rng([seed, 0]), spread)
-    write_phm_by_lines(str(tmp_path / "ref.phm"), ref, PHMetric(ref, [lengths[e] for e in ref.edges]))
+    write_phm_by_lines(str(tmp_path / "ref.phm"), ref, PHMetric(ref, [lengths[e] for e in edges_of(ref)]))
     n, faces, lengths = parse_phm_by_lines(str(tmp_path / "ref.phm"))
     ref = MarkedSurface(n, faces)
-    m_ref = PHMetric(ref, [lengths[e] for e in ref.edges])
+    m_ref = PHMetric(ref, [lengths[e] for e in edges_of(ref)])
 
     assert (tmp_path / "new.phm").read_bytes() == (tmp_path / "ref.phm").read_bytes()
     for name in ("face_array", "ends", "edge_faces", "FE"):
@@ -312,22 +310,38 @@ class TestCommands:
     def test_validate_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.phm"]) == EXIT_INVALID
 
-    @pytest.mark.parametrize("length", [400.0, 2000.0])
-    def test_length_beyond_every_solve_refused(self, tmp_path, capsys, length):
+    @pytest.mark.parametrize("length, refusal", [
+        (400.0, "exceeds MAX_LENGTH = 351.386"),
+        (2000.0, "exceeds MAX_LENGTH = 351.386"),
+        (1e-80, "is below MIN_LENGTH = 1.99295e-76"),
+        (5e-324, "is below MIN_LENGTH = 1.99295e-76"),
+    ])
+    def test_length_beyond_every_solve_refused(self, tmp_path, capsys, length, refusal):
         # such a file once validated with exit 0, and newton then failed with
         # "conformal factor out of representable range" (at 2000 after an
-        # overflow warning); it is refused at its first edge record
+        # overflow warning); at 5e-324 even validate failed, on log(sinh(0)).
+        # It is refused at its first edge record
         surf = genus2()
         path = tmp_path / "long.phm"
         path.write_text("\n".join(["phm 1", f"v {surf.vertex_count}"]
-                                  + [f"f {a} {b} {c}" for a, b, c in surf.faces]
-                                  + [f"e {i} {j} {length}" for i, j in surf.edges]) + "\n")
-        line = 3 + len(surf.faces)
-        with pytest.raises(ParseError, match=rf":{line}: edge length {length} exceeds MAX_LENGTH = 351.386"):
+                                  + [f"f {a} {b} {c}" for a, b, c in faces_of(surf)]
+                                  + [f"e {i} {j} {length}" for i, j in edges_of(surf)]) + "\n")
+        line = 3 + len(faces_of(surf))
+        with pytest.raises(ParseError, match=rf":{line}: edge length {length} {refusal}"):
             parse_phm(str(path))
         for command in (["validate"], ["newton", "--alpha", "1", "--target-const", "-1"]):
             assert main([command[0], str(path), *command[1:]]) == EXIT_INVALID
             assert f":{line}: edge length" in capsys.readouterr().out
+
+    def test_report_factors_beyond_every_length_refused(self, tmp_path, capsys):
+        # lam + u_i + u_j < -MAX_SCALED_X at every edge: this once printed
+        # K = -pi at every vertex and exited 0
+        surf = genus2()
+        path, uf = tmp_path / "g.phm", tmp_path / "u.txt"
+        write_phm(str(path), surf, perturbed_metric(surf, np.random.default_rng(1), spread=0.28))
+        uf.write_text("".join(f"t {i} -100\n" for i in range(surf.vertex_count)))
+        assert main(["report", str(path), "--u", str(uf)]) == EXIT_RUNTIME
+        assert capsys.readouterr().out == "failure: conformal factor out of representable range\n"
 
     def test_report(self, capsys, genus2_file):
         assert main(["report", genus2_file, "--alpha", "1.0"]) == EXIT_OK
@@ -346,7 +360,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "delaunay no" in out
         w = delaunay_weights(surf, m)
-        edges = surf.edges
+        edges = edges_of(surf)
         expected = [str(edges[idx]) for idx in np.flatnonzero(w < -TOL_DELAUNAY)]
         named = [l.split(" weight ")[0][len("non_delaunay_edge "):]
                  for l in out.splitlines() if l.startswith("non_delaunay_edge ")]

@@ -129,7 +129,7 @@ class TestJacobian:
         diag_expected = J.A.copy()
         np.add.at(diag_expected, i_idx, J.B)
         np.add.at(diag_expected, j_idx, J.B)
-        assert np.max(np.abs(J.diagonal() - diag_expected)) < 1e-12
+        assert np.max(np.abs(J.D - diag_expected)) < 1e-12
 
     def test_edge_weight_sign_matches_delaunay_weight(self, rng):
         surf = octahedron()

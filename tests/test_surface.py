@@ -9,6 +9,7 @@ from hypflow.flows import newton_solve
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, tetrahedron, unit_metric
 from hypflow.surface import (
     MAX_LENGTH,
+    MIN_LENGTH,
     AdmissibilityError,
     FlipError,
     MarkedSurface,
@@ -23,8 +24,8 @@ from hypflow.surface import (
     face_corner_lengths,
     flip_edge,
     make_delaunay,
+    _sort_half_edges,
     validate,
-    validate_combinatorics,
 )
 from hypflow.triangle import admissible_mask, angles_from_length_array
 
@@ -34,7 +35,10 @@ from reference import (
     algebraic_delaunay_test,
     combinatorics_by_faces,
     delaunay_by_least_weight,
+    edge_index_of,
+    edges_of,
     extended_angles,
+    faces_of,
     flip_diagonal_from_j,
     flip_by_lists,
     four_minus_two_weights,
@@ -61,37 +65,37 @@ class TestCombinatorics:
     def test_fixture_counts(self, builder, chi, counts):
         surf = builder()
         assert euler_characteristic(surf) == chi
-        assert (surf.vertex_count, len(surf.edges), len(surf.faces)) == counts
+        assert (surf.vertex_count, len(edges_of(surf)), len(faces_of(surf))) == counts
 
     def test_boundary_edge_detected(self):
-        errs = validate_combinatorics(3, [(0, 1, 2)])
+        errs = _sort_half_edges(3, [(0, 1, 2)])[3]
         assert any("boundary edge" in e for e in errs)
 
     def test_orientation_mismatch_detected(self):
         # second face traverses (0, 1) in the same direction as the first
-        errs = validate_combinatorics(4, [(0, 1, 2), (0, 1, 3)])
+        errs = _sort_half_edges(4, [(0, 1, 2), (0, 1, 3)])[3]
         assert any("repeated" in e for e in errs)
 
     def test_repeated_vertex_detected(self):
-        errs = validate_combinatorics(3, [(0, 0, 1)])
+        errs = _sort_half_edges(3, [(0, 0, 1)])[3]
         assert any("repeats" in e for e in errs)
 
     def test_out_of_range_detected(self):
-        errs = validate_combinatorics(2, [(0, 1, 5)])
+        errs = _sort_half_edges(2, [(0, 1, 5)])[3]
         assert any("out of range" in e for e in errs)
 
     @pytest.mark.parametrize(
         "vertex_count, builder, vertex",
         [
             # a torus with two vertices in no face would read chi = 2
-            (11, lambda: grid_torus(3, 3).faces, 9),
-            (5, lambda: tetrahedron().faces, 4),
+            (11, lambda: faces_of(grid_torus(3, 3)), 9),
+            (5, lambda: faces_of(tetrahedron()), 4),
             # two tetrahedra pinched together at vertex 3
             (7, lambda: np.concatenate((tetrahedron().face_array, tetrahedron().face_array + 3)), 3),
         ],
     )
     def test_vertex_link_must_be_one_cycle(self, vertex_count, builder, vertex):
-        errs = validate_combinatorics(vertex_count, builder())
+        errs = _sort_half_edges(vertex_count, builder())[3]
         assert len(errs) == 1 and errs[0].startswith(f"vertex {vertex} has ")
         with pytest.raises(SurfaceError, match="link cycles"):
             MarkedSurface(vertex_count, builder())
@@ -102,7 +106,7 @@ class TestCombinatorics:
         g, t = genus2(3, 3), grid_torus(3, 3)
         faces = np.concatenate((g.face_array, t.face_array + g.vertex_count))
         n = g.vertex_count + t.vertex_count
-        assert validate_combinatorics(n, faces) == [
+        assert _sort_half_edges(n, faces)[3] == [
             "surface has 2 connected components, not 1 (faces [0, 34] in different ones)"
         ]
         with pytest.raises(SurfaceError, match="2 connected components"):
@@ -128,13 +132,13 @@ class TestCombinatorics:
             else:
                 c = rng.integers(3)
                 faces[fi][c] = faces[fi][(c + 1) % 3]
-            errs, ref = validate_combinatorics(n, faces), combinatorics_by_faces(n, faces)
+            errs, ref = _sort_half_edges(n, faces)[3], combinatorics_by_faces(n, faces)
             kinds = {k for k in ERROR_KINDS for e in ref if k in e}
             assert kinds and kinds == {k for k in ERROR_KINDS for e in errs if k in e}
 
     @pytest.mark.parametrize("faces", [[], [(0, 1, 2, 3)], [(0, 1, 2), (1, 2)], [("a", 1, 2)]])
     def test_non_triples_rejected(self, faces):
-        errs = validate_combinatorics(4, faces)
+        errs = _sort_half_edges(4, faces)[3]
         assert len(errs) == 1 and "not vertex triples" in errs[0]
 
     def test_bad_surface_rejected_at_construction(self):
@@ -147,11 +151,11 @@ class TestCombinatorics:
 
     def test_edge_opposite_corner_table(self):
         surf = tetrahedron()
-        for fi, (a, b, c) in enumerate(surf.faces):
+        for fi, (a, b, c) in enumerate(faces_of(surf)):
             # FE[f, 0] is the edge opposite corner 0, i.e. edge {b, c}
-            assert surf.edges[surf.FE[fi, 0]] == tuple(sorted((b, c)))
-            assert surf.edges[surf.FE[fi, 1]] == tuple(sorted((a, c)))
-            assert surf.edges[surf.FE[fi, 2]] == tuple(sorted((a, b)))
+            assert edges_of(surf)[surf.FE[fi, 0]] == tuple(sorted((b, c)))
+            assert edges_of(surf)[surf.FE[fi, 1]] == tuple(sorted((a, c)))
+            assert edges_of(surf)[surf.FE[fi, 2]] == tuple(sorted((a, b)))
 
 
 class TestMetric:
@@ -162,27 +166,24 @@ class TestMetric:
             with pytest.raises(SurfaceError, match="edge slots"):
                 PHMetric(surf, length)
 
-    def test_nonpositive_length_rejected(self):
-        surf = tetrahedron()
-        lengths = np.ones(6)
-        lengths[0] = -2.0
-        with pytest.raises(SurfaceError):
-            PHMetric(surf, lengths)
-
-    @pytest.mark.parametrize("length", [400.0, 2000.0, np.inf, np.nan])
+    @pytest.mark.parametrize("length", [400.0, 2000.0, np.inf, np.nan, 1e-80, 5e-324, 0.0, -2.0])
     def test_length_beyond_every_solve_rejected(self, length):
-        # a length above MAX_LENGTH has lam > MAX_SCALED_X at u = 0, where
-        # every solve starts; it is refused before lam is computed, so no
-        # overflow warning is raised
+        # a length above MAX_LENGTH or below MIN_LENGTH has |lam| >
+        # MAX_SCALED_X at u = 0, where every solve starts; it is refused
+        # before lam is computed, so no overflow warning is raised, and no
+        # log(0) at 5e-324, whose sinh(l/2) is 0
         surf = genus2()
         with pytest.raises(SurfaceError, match=r"edge \(0, 1\) has length"):
             PHMetric(surf, np.full(surf.ends.shape[1], length))
 
-    def test_longest_length_admitted(self):
+    @pytest.mark.parametrize("length", [MIN_LENGTH, MAX_LENGTH])
+    def test_lengths_at_either_end_admitted(self, length):
+        # their lam is -MAX_SCALED_X and MAX_SCALED_X, the ends of the range
         surf = genus2()
-        m = PHMetric(surf, np.full(surf.ends.shape[1], MAX_LENGTH))
+        m = PHMetric(surf, np.full(surf.ends.shape[1], length))
+        assert np.all(np.abs(m.lam) == surface.MAX_SCALED_X)
         apply_conformal(surf, m, m.current_u)
-        assert np.all(np.isfinite(m.lam)) and np.all(np.isfinite(m.length))
+        assert np.allclose(m.length, length, rtol=1e-15, atol=0.0) and not make_delaunay(surf, m)
 
     def test_validate_reports_inadmissible_face(self):
         surf = tetrahedron()
@@ -202,9 +203,9 @@ class TestMetric:
     def test_clone_state_is_independent(self, octa_unit):
         surf, m = octa_unit
         s2, m2 = clone_state(surf, m)
-        flip_edge(s2, m2, s2.edge_index[(0, 1)])
-        assert (0, 1) in surf.edge_index
-        assert (0, 1) not in s2.edge_index
+        flip_edge(s2, m2, edge_index_of(s2)[(0, 1)])
+        assert (0, 1) in edge_index_of(surf)
+        assert (0, 1) not in edge_index_of(s2)
         assert not np.array_equal(m.length, m2.length)
 
 
@@ -212,10 +213,10 @@ class TestConformal:
     def test_matches_scalar_kernel(self, torus_unit, rng):
         surf, m = torus_unit
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
-        base = dict(zip(surf.edges, m.length))
+        base = dict(zip(edges_of(surf), m.length))
         apply_conformal(surf, m, u)
         for (i, j), d in base.items():
-            assert m.length[surf.edge_index[(i, j)]] == pytest.approx(
+            assert m.length[edge_index_of(surf)[(i, j)]] == pytest.approx(
                 scaled_length(d, u[i], u[j]), abs=1e-14
             )
         assert np.array_equal(m.current_u, u)
@@ -229,8 +230,8 @@ class TestConformal:
         apply_conformal(surf, m, u2)
         surf2, m2 = clone_state(grid_torus(3, 3), unit_metric(grid_torus(3, 3)))
         apply_conformal(surf2, m2, u2)
-        for e in surf.edges:
-            assert m.length[surf.edge_index[e]] == pytest.approx(m2.length[surf2.edge_index[e]], abs=1e-14)
+        for e in edges_of(surf):
+            assert m.length[edge_index_of(surf)[e]] == pytest.approx(m2.length[edge_index_of(surf2)[e]], abs=1e-14)
 
     def test_shape_checked(self, torus_unit):
         surf, m = torus_unit
@@ -238,9 +239,12 @@ class TestConformal:
             apply_conformal(surf, m, np.zeros(4))
 
     def test_overflow_guard(self, torus_unit):
+        # at both ends: lam + u_i + u_j above MAX_SCALED_X or below its negative
         surf, m = torus_unit
-        with pytest.raises(OverflowError):
-            apply_conformal(surf, m, np.full(surf.vertex_count, 200.0))
+        for u in (200.0, -200.0):
+            with pytest.raises(OverflowError):
+                apply_conformal(surf, m, np.full(surf.vertex_count, u))
+        assert np.array_equal(m.length, np.ones(m.length.size)) and not m.current_u.any()
 
     def test_cosine_law_finite_up_to_overflow_guard(self):
         x = np.full(3, 0.5 * surface.MAX_SCALED_X)
@@ -248,6 +252,10 @@ class TestConformal:
         assert np.all(np.isfinite(angles_from_length_array(L[None, :])))
         with pytest.raises(OverflowError):
             surface._scaled_lengths(np.zeros(3), x, x + 1e-9)
+        L = surface._scaled_lengths(np.zeros(3), -x, -x)
+        assert np.all(np.isfinite(angles_from_length_array(L[None, :])))
+        with pytest.raises(OverflowError):
+            surface._scaled_lengths(np.zeros(3), -x, -x - 1e-9)
 
     def test_far_advance_ends_typed_without_overflow(self, genus2_unit):
         # lengths long enough to overflow the cosine law are refused as out
@@ -300,7 +308,7 @@ class TestDelaunay:
     def test_weight_matches_angle_sum(self, octa_unit):
         surf, m = octa_unit
         ang = face_angles(surf, m)
-        idx = surf.edge_index[(0, 1)]
+        idx = edge_index_of(surf)[(0, 1)]
         w = delaunay_weights(surf, m)[idx]
         (f1, c1), (f2, c2) = surf.edge_faces[idx]
         expected = (
@@ -436,7 +444,7 @@ class TestDelaunay:
                 continue
             for ev in events:
                 w = delaunay_weights(surf, m)
-                slot = surf.edge_index[ev.old_edge]
+                slot = edge_index_of(surf)[ev.old_edge]
                 assert abs(ev.pre_weight - w.min()) <= 1e-12
                 flip_edge(surf, m, slot)
                 replayed += 1
@@ -446,8 +454,8 @@ class TestDelaunay:
     def test_make_delaunay_refuses_unflippable(self):
         # every flip of a tetrahedron edge would make a multi-edge
         surf = tetrahedron()
-        m = PHMetric(surf, [1.9 if e == (0, 1) else 1.0 for e in surf.edges])
-        assert delaunay_weights(surf, m)[surf.edge_index[(0, 1)]] < -TOL_DELAUNAY
+        m = PHMetric(surf, [1.9 if e == (0, 1) else 1.0 for e in edges_of(surf)])
+        assert delaunay_weights(surf, m)[edge_index_of(surf)[(0, 1)]] < -TOL_DELAUNAY
         with pytest.raises(FlipError):
             make_delaunay(surf, m)
 
@@ -459,8 +467,8 @@ class TestFlip:
         # flip_edge measures the new diagonal from the end 0; the reference
         # measures it from the end 1
         d_from_j = flip_diagonal_from_j(surf, m, (0, 1))
-        flip_edge(surf, m, surf.edge_index[(0, 1)])
-        d = m.length[surf.edge_index[(2, 3)]]
+        flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
+        d = m.length[edge_index_of(surf)[(2, 3)]]
         assert d > 0
         assert abs(d - d_from_j) <= 1e-8 * max(1.0, d)
 
@@ -468,21 +476,21 @@ class TestFlip:
         surf, m = octa_unit
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
-        before = dict(zip(surf.edges, m.length))
-        ev = flip_edge(surf, m, surf.edge_index[(0, 1)])
+        before = dict(zip(edges_of(surf), m.length))
+        ev = flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
         assert ev.old_edge == (0, 1) and ev.new_edge == (2, 3)
-        assert (0, 1) not in surf.edge_index and (2, 3) in surf.edge_index
-        ev2 = flip_edge(surf, m, surf.edge_index[(2, 3)])
+        assert (0, 1) not in edge_index_of(surf) and (2, 3) in edge_index_of(surf)
+        ev2 = flip_edge(surf, m, edge_index_of(surf)[(2, 3)])
         assert ev2.new_edge == (0, 1)
         for e, l in before.items():
-            assert m.length[surf.edge_index[e]] == pytest.approx(l, abs=1e-12)
+            assert m.length[edge_index_of(surf)[e]] == pytest.approx(l, abs=1e-12)
 
     def test_flip_is_curvature_isometry(self, octa_unit, rng):
         surf, m = octa_unit
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         K0 = curvature(surf, m)
-        flip_edge(surf, m, surf.edge_index[(0, 1)])
+        flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
         K1 = curvature(surf, m)
         assert np.max(np.abs(K1 - K0)) < 1e-12
 
@@ -491,8 +499,8 @@ class TestFlip:
         u = rng.uniform(-0.15, 0.15, surf.vertex_count)
         apply_conformal(surf, m, u)
         lam = m.lam.copy()
-        flip_edge(surf, m, surf.edge_index[(0, 1)])
-        slot = surf.edge_index[(2, 3)]
+        flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
+        slot = edge_index_of(surf)[(2, 3)]
         changed = np.flatnonzero(m.lam != lam)
         assert changed.tolist() == [slot]
         assert m.lam[slot] == pytest.approx(
@@ -500,10 +508,10 @@ class TestFlip:
         )
         # scaling onward from the flipped state still matches the scalar kernel
         u2 = u + 0.05
-        base = dict(zip(surf.edges, m.length))
+        base = dict(zip(edges_of(surf), m.length))
         apply_conformal(surf, m, u2)
         for (i, j), d in base.items():
-            assert m.length[surf.edge_index[(i, j)]] == pytest.approx(
+            assert m.length[edge_index_of(surf)[(i, j)]] == pytest.approx(
                 scaled_length(d, 0.05, 0.05), abs=1e-14
             )
 
@@ -514,7 +522,7 @@ class TestFlip:
         surf_t = tetrahedron()
         m_t = unit_metric(surf_t)
         with pytest.raises(FlipError):
-            flip_edge(surf_t, m_t, surf_t.edge_index[(0, 1)])
+            flip_edge(surf_t, m_t, edge_index_of(surf_t)[(0, 1)])
 
     def test_flip_unknown_edge(self, octa_unit):
         surf, m = octa_unit
@@ -546,10 +554,10 @@ class TestFlip:
                 out.append(f[k:] + f[:k])
             return sorted(out)
 
-        assert sorted(s1.edges) == sorted(s2.edges)
-        assert canon(s1.faces) == canon(s2.faces)
-        for e in s1.edges:
-            assert m1.length[s1.edge_index[e]] == pytest.approx(m2.length[s2.edge_index[e]], abs=1e-10)
+        assert sorted(edges_of(s1)) == sorted(edges_of(s2))
+        assert canon(faces_of(s1)) == canon(faces_of(s2))
+        for e in edges_of(s1):
+            assert m1.length[edge_index_of(s1)[e]] == pytest.approx(m2.length[edge_index_of(s2)[e]], abs=1e-10)
 
     def test_advance_flip_jump_is_rounding_level(self, genus2_unit, rng):
         from hypflow.surface import advance_conformal
@@ -589,28 +597,28 @@ class TestFlip:
         events, _, _ = surface.advance_conformal(surf, m, rng.uniform(-0.01, 0.01, surf.vertex_count))
         assert events == []
         assert passes == [True]
-        flip_edge(surf, m, surf.edge_index[(0, 1)])
+        flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
         assert passes.count(True) == 1
 
     def test_inadmissible_quad_face_refused_unmodified(self, octa_unit):
         surf, m = octa_unit
-        (fa, _), _ = surf.edge_faces[surf.edge_index[(0, 1)]]
-        other = next(q for q in surf.FE[fa] if surf.edges[q] != (0, 1))
+        (fa, _), _ = surf.edge_faces[edge_index_of(surf)[(0, 1)]]
+        other = next(q for q in surf.FE[fa] if edges_of(surf)[q] != (0, 1))
         m.length[other] = 10.0
-        faces, lengths, FE = list(surf.faces), m.length.copy(), surf.FE.copy()
+        faces, lengths, FE = faces_of(surf), m.length.copy(), surf.FE.copy()
         with pytest.raises(AdmissibilityError):
-            flip_edge(surf, m, surf.edge_index[(0, 1)])
-        assert surf.faces == faces and np.array_equal(m.length, lengths)
-        assert np.array_equal(surf.FE, FE) and (0, 1) in surf.edge_index
+            flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
+        assert faces_of(surf) == faces and np.array_equal(m.length, lengths)
+        assert np.array_equal(surf.FE, FE) and (0, 1) in edge_index_of(surf)
 
     def test_state_unchanged_after_refused_flip(self):
         surf = tetrahedron()
         m = unit_metric(surf)
-        faces = list(surf.faces)
+        faces = faces_of(surf)
         lengths = m.length.copy()
         with pytest.raises(FlipError):
-            flip_edge(surf, m, surf.edge_index[(0, 1)])
-        assert surf.faces == faces and np.array_equal(m.length, lengths)
+            flip_edge(surf, m, edge_index_of(surf)[(0, 1)])
+        assert faces_of(surf) == faces and np.array_equal(m.length, lengths)
 
 
 def _assert_same_state(surf, m, s0, m0):
@@ -649,8 +657,8 @@ def _same_as_bisection(surf, m, u):
     assert err is ref_err
     if err is None:
         assert _triangles(s1) == _triangles(s2)
-        by_pair = dict(zip(s2.edges, m2.length.tolist()))
-        assert max(abs(l - by_pair[e]) for e, l in zip(s1.edges, m1.length.tolist())) <= 1e-12
+        by_pair = dict(zip(edges_of(s2), m2.length.tolist()))
+        assert max(abs(l - by_pair[e]) for e, l in zip(edges_of(s1), m1.length.tolist())) <= 1e-12
         assert np.max(np.abs(curvature(s1, m1) - curvature(s2, m2))) <= 1e-12
         assert np.array_equal(m1.current_u, u)
     else:
@@ -770,7 +778,7 @@ class TestSurgery:
         monkeypatch.setattr(surface, "_commit",
                             lambda *args: (written.append(args[3][[0, 2]].ravel()), commit(*args))[1])
         events, _, _ = surface.advance_conformal(surf, m, u)
-        assert events[0].round == 0 and events[0].old_edge == s.edges[int(np.argmin(w))]
+        assert events[0].round == 0 and events[0].old_edge == edges_of(s)[int(np.argmin(w))]
         assert events[0].pre_weight == w.min()
         assert len(written) == events[-1].round + 1
         assert max(faces.size for faces in written) >= 4  # a round of two flips or more
@@ -788,7 +796,7 @@ class TestSurgery:
         u = rng.uniform(-0.3, 0.3, surf.vertex_count)
         s, mm = clone_state(surf, m)
         apply_conformal(s, mm, u)
-        candidates = {s.edges[e] for e in np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)}
+        candidates = {edges_of(s)[e] for e in np.flatnonzero(delaunay_weights(s, mm) < -TOL_DELAUNAY)}
         events, _ = _same_as_bisection(surf, m, u)
         assert any(ev.round > 0 and ev.old_edge not in candidates for ev in events)
 
@@ -848,9 +856,9 @@ class TestInPlaceFlip:
         flips = 0
         for _ in random_flips(surf, m, rng):
             flips += 1
-            edges, index = surf.edges, surf.edge_index
-            ref = MarkedSurface(surf.vertex_count, surf.faces)
-            ref_edges, ref_index = ref.edges, ref.edge_index
+            edges, index = edges_of(surf), edge_index_of(surf)
+            ref = MarkedSurface(surf.vertex_count, faces_of(surf))
+            ref_edges, ref_index = edges_of(ref), edge_index_of(ref)
             assert sorted(edges) == ref_edges
             assert np.array_equal(surf.face_array, ref.face_array)
             assert [edges[i] for i in surf.FE.ravel()] == [ref_edges[i] for i in ref.FE.ravel()]
@@ -868,7 +876,7 @@ class TestInPlaceFlip:
         m = perturbed_metric(surf, rng, spread=0.1)
         for _ in random_flips(surf, m, rng):
             pass
-        edges = surf.edges
+        edges = edges_of(surf)
         assert edges != sorted(edges)  # slot order is no longer vertex-pair order
         ref = perturbed_lengths_by_dict(surf, np.random.default_rng(9), spread=0.28)
         m = perturbed_metric(surf, np.random.default_rng(9), spread=0.28)
