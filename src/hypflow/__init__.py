@@ -5,7 +5,6 @@ from .curvature import (
     JacobianL,
     alpha_curvature,
     alpha_laplacian_apply,
-    curvature,
     energy_increment,
     gauss_bonnet_residual,
     jacobian,

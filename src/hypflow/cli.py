@@ -21,10 +21,11 @@ decides what a record is.  A token it refuses, or reads only with a warning,
 is refused with a ParseError naming its line.
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
-energy, plus a terminal record with status, steps, final_sup_err and u.
-Newton logs have one record per iteration with keys iteration,
-sup_residual, linsolve_iters, linsolve_stop, step_length and flips, plus a
-terminal record with status, iterations and u.  linsolve_iters,
+energy, plus a terminal record with status, steps, final_sup_err, u and the
+problem solved: kind, alpha and the per-vertex target.  Newton logs have
+one record per iteration with keys iteration, sup_residual,
+linsolve_iters, linsolve_stop, step_length and flips, plus a terminal
+record with status, iterations, u, alpha and target.  linsolve_iters,
 linsolve_stop and step_length describe the step that led to the iterate,
 and are null for iteration 0: the conjugate-gradient iterations of its
 linear solve, the 2-norm that solve's residual had to reach, and the
@@ -51,6 +52,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -260,20 +262,10 @@ def _read_text(path: str) -> str:
         raise ParseError(str(exc)) from exc
 
 
-def _write_step_log(path: str, run):
+def _write_jsonl(path: str, records, terminal: dict):
+    """Write a log: each of ``records``, then ``terminal``, as one JSON line."""
     with open(path, "w") as fh:
-        for r in run.records:
-            fh.write(json.dumps({
-                "t": r.t, "dt": r.dt, "sup_err": r.sup_err,
-                "min_M": r.min_M, "max_M": r.max_M,
-                "flips": r.flips, "energy": r.energy,
-            }) + "\n")
-        fh.write(json.dumps({
-            "status": run.status,
-            "steps": run.steps,
-            "final_sup_err": run.records[-1].sup_err if run.records else None,
-            "u": list(run.final_u) if run.final_u is not None else None,
-        }) + "\n")
+        fh.writelines(json.dumps(r) + "\n" for r in chain(records, [terminal]))
 
 
 def cmd_validate(args) -> int:
@@ -340,7 +332,11 @@ def cmd_flow(args) -> int:
     )
     run = run_flow(surf, m, cfg)
     if args.log:
-        _write_step_log(args.log, run)
+        _write_jsonl(args.log, map(asdict, run.records), {
+            "status": run.status, "steps": run.steps,
+            "final_sup_err": run.records[-1].sup_err if run.records else None,
+            "u": list(run.final_u), "kind": cfg.kind, "alpha": cfg.alpha, "target": target.tolist(),
+        })
     print(f"status {run.status}")
     print(f"steps {run.steps}")
     if run.records:
@@ -364,21 +360,17 @@ def cmd_newton(args) -> int:
         surf, m, args.alpha, target,
         tol=args.tol, max_iter=args.max_iter, u0=u0, force=args.force,
     )
+    status = "converged" if result.converged else "max_iter"
     if args.log:
-        with open(args.log, "w") as fh:
-            steps = zip([None] + result.linsolve_iters, [None] + result.linsolve_stop,
-                        [None] + result.step_lengths, result.flips)
-            for it, (res, (cg, stop, lam, flips)) in enumerate(zip(result.residuals, steps)):
-                fh.write(json.dumps({
-                    "iteration": it, "sup_residual": res, "linsolve_iters": cg,
-                    "linsolve_stop": stop, "step_length": lam, "flips": flips,
-                }) + "\n")
-            fh.write(json.dumps({
-                "status": "converged" if result.converged else "max_iter",
-                "iterations": result.iterations,
-                "u": list(result.state.u),
-            }) + "\n")
-    print(f"status {'converged' if result.converged else 'max_iter'}")
+        keys = ("sup_residual", "linsolve_iters", "linsolve_stop", "step_length", "flips")
+        rows = zip(result.residuals, [None] + result.linsolve_iters, [None] + result.linsolve_stop,
+                   [None] + result.step_lengths, result.flips)
+        records = ({"iteration": it, **dict(zip(keys, row))} for it, row in enumerate(rows))
+        _write_jsonl(args.log, records, {
+            "status": status, "iterations": result.iterations, "u": list(result.state.u),
+            "alpha": args.alpha, "target": target.tolist(),
+        })
+    print(f"status {status}")
     print(f"iterations {result.iterations}")
     print(f"final_residual {result.residuals[-1]:.6e}")
     for i, ui in enumerate(result.state.u):

@@ -3,11 +3,19 @@
 Time integration (adaptive RK4 with step doubling) of the alpha-Yamabe and
 alpha-Calabi flows, and a damped Newton iteration on the curvature equation
 whose line search accepts any decrease of the sup-norm residual.  Both
-evaluate the curvature map at u through ``advance_conformal``'s surgery at
-u, whose result depends on u alone, so neither follows a path between its
-points.  ``FlowRun`` and ``NewtonResult`` count the surgery's entry flips
-(isometric, on entry), path flips (Ptolemy flips of the evaluations) and
-flip rounds.
+evaluate the curvature map at u through one ``_CurvatureMap``: a call is
+``advance_conformal``'s surgery at u, whose result depends on u alone, so
+neither solver follows a path between its points, and K is read from the
+angles that the surgery measured at u.  A solver's first call, at
+``m.current_u``, is its entry: one advance that flips the state Delaunay
+by isometric rounds and measures the first right-hand side or residual.
+
+``FlowRun`` and ``NewtonResult`` copy the map's counters, taken over all of
+a solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
+calls, the entry among them; ``entry_flips`` the entry's isometric flips;
+``path_flips`` the Ptolemy flips of the later calls; ``flip_rounds`` the
+flip rounds of all calls; and ``max_flip_jump`` is the largest
+``FlipEvent.k_jump``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from .surface import (
     angle_defect,
     clone_state,
     euler_characteristic,
-    make_delaunay,
 )
 
 __all__ = [
@@ -99,8 +106,7 @@ class FlowRun:
     reason: str | None = None
     final_u: np.ndarray | None = None
     max_flip_jump: float = 0.0
-    # curvature maps evaluated; flips on entry and in evaluations, and the
-    # flip rounds that made them
+    # the curvature map's counters (module docstring)
     rhs_evals: int = 0
     entry_flips: int = 0
     path_flips: int = 0
@@ -151,38 +157,43 @@ def _entry_check(surf: MarkedSurface, alpha: float, target, tol: float, force: b
     return t
 
 
-def _F_alpha(surf: MarkedSurface, m: PHMetric, u: np.ndarray, alpha: float):
-    """Operational curvature map: surgery at u, then measure.
+class _CurvatureMap:
+    """The curvature map at u after surgery, counting its calls.
 
-    Returns (F_alpha, K, flip events, sup-norm K jump across any flip,
-    corner angles at u).  The state must be Delaunay at ``m.current_u`` and
-    is left Delaunay at u; K comes from the angles ``advance_conformal``
-    measured at u, with no angle pass of its own, and a Jacobian at u takes
-    the same angles.  The surgery flips by the Ptolemy relation in the
-    scaling invariants, which the flip at a wall on any path from the
-    current u would give, so the value depends on u alone; the jump, each
-    flip's curvature change at a wall of its quad, is a rounding-level
-    check of that relation.
+    A call at u moves the state to u by ``advance_conformal`` and returns
+    ``(K, angles, flips)``: the curvature and the (F, 3) corner angles that
+    the surgery measured at u, and its number of flips.  The state must be
+    Delaunay at ``m.current_u``, or u equal to it, and is left Delaunay at
+    u.  The counters of the module docstring are ``maps``, ``entry_flips``,
+    ``path_flips``, ``rounds`` and ``max_jump``; a call that raises adds
+    nothing to them.
     """
-    flips, jump, angles = advance_conformal(surf, m, u)
-    K = angle_defect(surf, angles)
-    return K / np.exp(alpha * u), K, flips, jump, angles
+
+    def __init__(self, surf: MarkedSurface, m: PHMetric):
+        self.surf, self.m = surf, m
+        self.maps = self.entry_flips = self.path_flips = self.rounds = 0
+        self.max_jump = 0.0
+
+    def __call__(self, u: np.ndarray):
+        events, jump, angles = advance_conformal(self.surf, self.m, u)
+        if self.maps:
+            self.path_flips += len(events)
+        else:
+            self.entry_flips = len(events)
+        self.maps += 1
+        self.rounds += events[-1].round + 1 if events else 0
+        self.max_jump = max(self.max_jump, jump)
+        return angle_defect(self.surf, angles), angles, len(events)
 
 
-def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target: np.ndarray, u: np.ndarray):
-    """The flow's right-hand side at u with what it was computed from:
-    ``(rhs, F_alpha, K, flip events, jump)``; the state is left at u."""
-    F_a, K, flips, jump, angles = _F_alpha(surf, m, u, cfg.alpha)
+def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, u, K, angles):
+    """The flow's right-hand side at u and F_alpha, ``(rhs, F_alpha)``, from
+    the curvature K and corner angles measured at u; the state is at u."""
+    F_a = K / np.exp(cfg.alpha * u)
     if cfg.kind == "yamabe":
-        return target - F_a, F_a, K, flips, jump
+        return target - F_a, F_a
     J = jacobian(surf, m, angles)
-    rhs = alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target)
-    return rhs, F_a, K, flips, jump
-
-
-def _rounds(events: list) -> int:
-    """The flip rounds of one advance that made ``events``."""
-    return events[-1].round + 1 if events else 0
+    return alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target), F_a
 
 
 class _StepFailure(RuntimeError):
@@ -193,30 +204,28 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     """Iterate the configured flow until convergence, max_steps or failure.
 
     ``_entry_check`` raises RegimeError outside the convergence regime before
-    any step.  On entry the state is flipped Delaunay at ``m.current_u`` by
-    ``make_delaunay``, the surgery's advance at a fixed u; the first record's
-    flips are its flips.  Each step is adaptive RK4 with step doubling; its
-    first stage is the right-hand side kept from the acceptance of u (first
-    same as last).  A trial that raises is rejected and the state is
-    restored in place to the snapshot taken at the accepted u.  A
-    SurfaceError, a flip refused on entry among them, a step size below
-    DT_MIN and |u| above U_ABORT end the run with status ``"failed"`` and a
-    reason, the state restored to the accepted u if a step began.  The run
-    starts at ``m.current_u``; ``advance_conformal`` moves the state to
-    another start first.
+    any step.  The entry, the curvature map's call at ``m.current_u``, flips
+    the state Delaunay there and gives the first right-hand side; the first
+    record's flips are its flips.  Each step is adaptive RK4 with step
+    doubling; its first stage is the right-hand side kept from the acceptance
+    of u (first same as last).  A trial that raises is rejected and the state
+    is restored in place to the snapshot taken at the accepted u.  A
+    SurfaceError, a flip refused on entry among them, a step size below DT_MIN
+    and |u| above U_ABORT end the run with status ``"failed"`` and a reason,
+    the state restored to the accepted u if a step began.  The run starts at
+    ``m.current_u``; ``advance_conformal`` moves the state to another start
+    first.
     """
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun()
     u = m.current_u.copy()
     saved = None
+    curv = _CurvatureMap(surf, m)
 
     def rhs(v):
-        out = _rhs(surf, m, cfg, target, v)
-        run.rhs_evals += 1
-        run.path_flips += len(out[3])
-        run.flip_rounds += _rounds(out[3])
-        run.max_flip_jump = max(run.max_flip_jump, out[4])
-        return out
+        """``(rhs, F_alpha, K, flips)`` at v."""
+        K, angles, flips = curv(v)
+        return (*_rhs(surf, m, cfg, target, v, K, angles), K, flips)
 
     def rk4(v, dt, k1):
         k2 = rhs(v + 0.5 * dt * k1)[0]
@@ -231,13 +240,10 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
         ))
 
     try:
-        entry = make_delaunay(surf, m)
-        run.max_flip_jump = max((ev.k_jump for ev in entry), default=0.0)
-        run.entry_flips, run.flip_rounds = len(entry), _rounds(entry)
-        k1, F_a, K, _, _ = rhs(u)
+        k1, F_a, K, flips = rhs(u)
         M = F_a - target
         t, dt, energy, streak = 0.0, DT_INIT, 0.0, 0
-        record(0.0, len(entry))
+        record(0.0, flips)
         while True:
             if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
                 run.status = "converged"
@@ -269,7 +275,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                     )
             if np.max(np.abs(fine)) > U_ABORT:
                 raise _StepFailure(f"|u| exceeded {U_ABORT} at t={t}; target likely mis-posed")
-            k1, F_a, K_new, flips, _ = rhs(fine)
+            k1, F_a, K_new, flips = rhs(fine)
             energy += energy_increment(K, K_new, u, fine, target, cfg.alpha)
             t += dt
             u, K, M = fine, K_new, F_a - target
@@ -277,13 +283,15 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
             if streak >= GROW_AFTER:
                 dt = min(dt * GROW_FACTOR, DT_MAX)
                 streak = 0
-            record(dt, len(flips))
+            record(dt, flips)
     except (_StepFailure, SurfaceError) as exc:
         if saved is not None:
             _restore(surf, m, saved)
         run.status = "failed"
         run.reason = str(exc)
     run.final_u = u.copy()
+    run.rhs_evals, run.entry_flips, run.path_flips = curv.maps, curv.entry_flips, curv.path_flips
+    run.flip_rounds, run.max_flip_jump = curv.rounds, curv.max_jump
     return run
 
 
@@ -301,16 +309,12 @@ class NewtonResult:
     linsolve_stop: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     # flips per iteration (iteration 0: on entry and at the initial u; then
-    # those of the step's line search), the entry's isometric flips, and the
-    # flip rounds of all advances
+    # those of the step's line search), and the curvature map's counters
+    # (module docstring)
     flips: list = field(default_factory=list)
     entry_flips: int = 0
+    path_flips: int = 0
     flip_rounds: int = 0
-
-    @property
-    def path_flips(self) -> int:
-        """The Ptolemy flips of all residual evaluations."""
-        return sum(self.flips) - self.entry_flips
 
 
 # the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
@@ -405,32 +409,26 @@ def newton_solve(
     Convergence is still judged on the true residual g, and a residual that
     is not finite raises NewtonError.
 
-    On entry the state is flipped Delaunay at
-    ``m.current_u`` by the surgery's advance at a fixed u, as in
-    ``make_delaunay``, raising FlipError if a flip there is refused; with
-    ``u0=None`` the angles that advance measures there give the first
-    residual, with no angle pass of its own.  The state is left at the
-    returned u.  A line-search trial that raises is undone by restoring the
-    state at the current iterate.
+    The entry, the curvature map's call at ``m.current_u``, flips the state
+    Delaunay there, raising FlipError if a flip is refused, and gives the
+    first residual; with ``u0`` a second call gives it at ``u0``.  The state
+    is left at the returned u.  A line-search trial that raises is undone by
+    restoring the state at the current iterate.
     """
     target = _entry_check(surf, alpha, target, tol, force)
-    u = m.current_u.copy() if u0 is None else np.asarray(u0, dtype=float).copy()
-    # make_delaunay, keeping the angles that its advance measures at the end
-    entry, max_jump, angles = advance_conformal(surf, m, m.current_u)
-    flips, flip_rounds = [len(entry)], _rounds(entry)
+    curv, flips = _CurvatureMap(surf, m), [0]
 
     def residual(uv):
-        """g at uv, and the corner angles it was measured from."""
-        nonlocal max_jump, flip_rounds
-        _, K, events, jump, angles = _F_alpha(surf, m, uv, alpha)
-        max_jump = max(max_jump, jump)
-        flips[-1] += len(events)
-        flip_rounds += _rounds(events)
+        """g at uv and the corner angles it was measured from; its flips
+        count towards the current iteration."""
+        K, angles, n_flips = curv(uv)
+        flips[-1] += n_flips
         return K - target * np.exp(alpha * uv), angles
 
-    if u0 is None:  # the entry measured the angles at u
-        g = angle_defect(surf, angles) - target * np.exp(alpha * u)
-    else:
+    u = m.current_u.copy()
+    g, angles = residual(u)
+    if u0 is not None:
+        u = np.asarray(u0, dtype=float).copy()
         g, angles = residual(u)
     residuals = [float(np.max(np.abs(g)))]
     if not math.isfinite(residuals[0]):
@@ -475,11 +473,12 @@ def newton_solve(
         residuals=residuals,
         iterations=it,
         converged=residuals[-1] <= tol,
-        max_flip_jump=max_jump,
+        max_flip_jump=curv.max_jump,
         linsolve_iters=linsolve_iters,
         linsolve_stop=linsolve_stop,
         step_lengths=step_lengths,
         flips=flips,
-        entry_flips=len(entry),
-        flip_rounds=flip_rounds,
+        entry_flips=curv.entry_flips,
+        path_flips=curv.path_flips,
+        flip_rounds=curv.rounds,
     )

@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypflow import cli, flows, meshes, surface
+import hypflow
+from hypflow import cli, curvature, flows, meshes, surface
 
-# the package's ``curvature`` is the function, which shadows the module
-curvature = importlib.import_module("hypflow.curvature")
 spec = importlib.util.spec_from_file_location("tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
@@ -25,6 +24,12 @@ spec.loader.exec_module(tracer)
 @pytest.mark.parametrize("span, module, name", [layer[:3] for layer in tracer.LAYERS])
 def test_traced_layer_exists(span, module, name):
     assert callable(getattr(importlib.import_module(module), name)), span
+
+
+def test_package_binds_the_curvature_module():
+    # the submodule, not its function ``curvature``, which the package does not import
+    assert hypflow.curvature is importlib.import_module("hypflow.curvature") is curvature
+    assert callable(hypflow.curvature.jacobian) and callable(hypflow.curvature.curvature)
 
 
 @pytest.mark.parametrize("module", ["triangle", "surface", "curvature", "flows", "meshes", "cli"])

@@ -532,7 +532,8 @@ class TestCommands:
         assert last.startswith("# failure: flip of edge")
         assert validate(*parse_phm(path + ".failed.phm")).ok
         assert [json.loads(l) for l in open(log)] == [
-            {"status": "failed", "steps": 0, "final_sup_err": None, "u": [0.0] * surf.vertex_count}
+            {"status": "failed", "steps": 0, "final_sup_err": None, "u": [0.0] * surf.vertex_count,
+             "kind": "yamabe", "alpha": 1.0, "target": [-1.0] * surf.vertex_count}
         ]
 
     def test_target_file(self, tmp_path, capsys, genus2_file):

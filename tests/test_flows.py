@@ -23,6 +23,7 @@ from hypflow.surface import (
     FlipError,
     SurfaceError,
     advance_conformal,
+    angle_defect,
     apply_conformal,
     clone_state,
     delaunay_weights,
@@ -30,6 +31,21 @@ from hypflow.surface import (
 )
 
 from reference import ENVELOPE_SLACK, decay_slope, dense_jacobian, edges_of, max_principle
+
+
+@pytest.fixture
+def advances(monkeypatch):
+    """The u and flip events of each ``flows.advance_conformal`` call that
+    returns, in call order: the solvers' curvature-map evaluations."""
+    calls, advance = [], flows.advance_conformal
+
+    def recorded(s, mm, u):
+        out = advance(s, mm, u)
+        calls.append((np.array(u, dtype=float), out[0]))
+        return out
+
+    monkeypatch.setattr(flows, "advance_conformal", recorded)
+    return calls
 
 
 class TestConfig:
@@ -116,7 +132,7 @@ class TestRegime:
         def refuse_step(*args, **kwargs):
             raise AssertionError("a solver stepped outside the regime")
 
-        for name in ("advance_conformal", "make_delaunay", "jacobian"):
+        for name in ("advance_conformal", "jacobian"):
             monkeypatch.setattr(flows, name, refuse_step)
         with pytest.raises(RegimeError, match=match):
             if solver == "newton":
@@ -126,25 +142,28 @@ class TestRegime:
         assert np.array_equal(surf.FE, s0.FE) and np.array_equal(m.length, m0.length)
 
 
+def first_rhs(surf, m, cfg, advances):
+    """The right-hand side at the start of a flow from u = 0, read off its
+    first trial point u + (DT_INIT / 2) k1, the map after the entry."""
+    run_flow(surf, m, cfg)
+    return advances[1][0] / (0.5 * flows.DT_INIT)
+
+
 class TestRhs:
-    def test_yamabe_rhs_is_target_minus_curvature(self, genus2_unit):
+    def test_yamabe_rhs_is_target_minus_curvature(self, genus2_unit, advances):
         surf, m = genus2_unit
         n = surf.vertex_count
-        u = np.zeros(n)
-        target = np.full(n, -1.0)
-        make_delaunay(surf, m)
-        rhs = flows._rhs(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=target), target, u)[0]
+        target = np.full(n, -0.5)
+        rhs = first_rhs(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=target, max_steps=1), advances)
         s2, m2 = clone_state(genus2(), unit_metric(genus2()))
         K = curvature(s2, m2)
         assert np.allclose(rhs, target - K)
 
-    def test_calabi_rhs_finite(self, genus2_unit):
+    def test_calabi_rhs_finite(self, genus2_unit, advances):
         surf, m = genus2_unit
         n = surf.vertex_count
-        cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n))
-        make_delaunay(surf, m)
-        target = flows._entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
-        rhs = flows._rhs(surf, m, cfg, target, np.zeros(n))[0]
+        cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n), max_steps=1)
+        rhs = first_rhs(surf, m, cfg, advances)
         assert np.all(np.isfinite(rhs))
 
 
@@ -195,26 +214,44 @@ class TestFlows:
         assert run.records[0].flips == len(entry)
         assert run.entry_flips == len(entry)
 
-    def test_counters_match_the_evaluations(self, genus2_perturbed, monkeypatch):
-        # rhs_evals counts the curvature maps, entry_flips make_delaunay's
-        # flips, path_flips those of the maps' advances, and flip_rounds the
-        # rounds of both
+    def test_counters_match_the_evaluations(self, genus2_perturbed, advances):
+        # rhs_evals counts the curvature maps, the entry among them;
+        # entry_flips the entry's flips, the ones make_delaunay makes;
+        # path_flips those of the other maps; flip_rounds the rounds of all
         surf, m = genus2_perturbed
         entry = make_delaunay(*clone_state(surf, m))
-        curvature_map, maps = flows._F_alpha, []
-
-        def counted(*args):
-            out = curvature_map(*args)
-            maps.append(out[2])
-            return out
-
-        monkeypatch.setattr(flows, "_F_alpha", counted)
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0))
+        maps = [events for _, events in advances]
         assert run.converged
         assert run.rhs_evals == len(maps) >= 11 * run.steps
-        assert run.entry_flips == len(entry) >= 1
-        assert run.path_flips == sum(map(len, maps)) >= 1
-        assert run.flip_rounds == sum(len({ev.round for ev in events}) for events in [entry, *maps])
+        assert run.entry_flips == len(maps[0]) == len(entry) >= 1
+        assert run.path_flips == sum(map(len, maps[1:])) >= 1
+        assert run.flip_rounds == sum(len({ev.round for ev in events}) for events in maps)
+
+    @pytest.mark.parametrize("kind", ["yamabe", "calabi"])
+    def test_one_angle_pass_before_first_step(self, genus2_unit, kind, monkeypatch):
+        # the unit metric is Delaunay, so the entry's advance makes one
+        # whole-mesh pass of the angle kernel, and its angles give the first
+        # right-hand side, with no pass of its own
+        surf, m = genus2_unit
+        cfg = FlowConfig(kind=kind, alpha=1.0, target=-1.0, max_steps=1)
+        expected = run_flow(*clone_state(surf, m), cfg)
+        passes, before_step = [], []
+        kernel, snapshot = surface.angles_from_length_array, flows.clone_state
+
+        def counted(L):
+            passes.extend([1] if L.shape[:-1] == surf.face_array.shape[:1] else [])
+            return kernel(L)
+
+        def first_snapshot(*args):
+            before_step.append(len(passes))
+            return snapshot(*args)
+
+        monkeypatch.setattr(surface, "angles_from_length_array", counted)
+        monkeypatch.setattr(flows, "clone_state", first_snapshot)
+        run = run_flow(surf, m, cfg)
+        assert before_step[0] == 1
+        assert run.records == expected.records and np.array_equal(run.final_u, expected.final_u)
 
 
 def calabi_seed17():
@@ -226,37 +263,24 @@ def calabi_seed17():
 
 
 class TestFirstSameAsLast:
-    def test_eleven_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch):
+    def test_eleven_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch, advances):
         # the right-hand side at an accepted u is the next step's first stage
         surf, m = genus2_perturbed
         cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=3)
         monkeypatch.setattr(flows, "DT_INIT", 0.01)
-        curvature_map, rhs = flows._F_alpha, flows._rhs
-        calls, evals = [], []
-
-        def counted(*args):
-            calls.append(1)
-            return curvature_map(*args)
-
-        def kept(s, mm, c, target, u):
-            out = rhs(s, mm, c, target, u)
-            evals.append((u.copy(), out[0]))
-            return out
-
-        monkeypatch.setattr(flows, "_F_alpha", counted)
-        monkeypatch.setattr(flows, "_rhs", kept)
         run = run_flow(surf, m, cfg)
         assert run.status == "max_steps" and run.steps == 3
         # no trial rejected, dt not yet grown
         assert [r.dt for r in run.records[1:]] == [0.01] * 3
-        assert len(calls) == 1 + 3 * 11
+        # the entry, then eleven maps per step
+        assert len(advances) == 1 + 3 * 11
         for step in range(3):
-            u, k1 = evals[11 * step]
-            F_a = curvature_map(*clone_state(surf, m), u, cfg.alpha)[0]
-            assert np.array_equal(k1, -1.0 - F_a)
-            # the next step's first stage is k1 itself, not a re-evaluation
-            assert np.array_equal(evals[11 * step + 1][0], u + 0.5 * 0.01 * k1)
-        assert np.array_equal(evals[33][0], run.final_u)
+            u = advances[11 * step][0]
+            s, mm = clone_state(surf, m)
+            k1 = -1.0 - angle_defect(s, advance_conformal(s, mm, u)[2]) / np.exp(cfg.alpha * u)
+            # the next step's first stage is k1 at u itself, not a re-evaluation
+            assert np.array_equal(advances[11 * step + 1][0], u + 0.5 * 0.01 * k1)
+        assert np.array_equal(advances[33][0], run.final_u)
 
 
 class TestRejectedTrials:
