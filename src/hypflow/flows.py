@@ -10,12 +10,12 @@ angles that the surgery measured at u.  A solver's first call, at
 ``m.current_u``, is its entry: one advance that flips the state Delaunay
 by isometric rounds and measures the first right-hand side or residual.
 
-``FlowRun`` and ``NewtonResult`` copy the map's counters, taken over all of
-a solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
+``FlowRun`` and ``NewtonResult`` give the map's counters over all of a
+solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
 calls, the entry among them; ``entry_flips`` the entry's isometric flips;
-``path_flips`` the Ptolemy flips of the later calls; ``flip_rounds`` the
-flip rounds of all calls; and ``max_flip_jump`` is the largest
-``FlipEvent.k_jump``.
+``path_flips`` the Ptolemy flips of the later calls (in ``NewtonResult``
+derived from its flips per iteration); ``flip_rounds`` the flip rounds of
+all calls; and ``max_flip_jump`` is the largest ``FlipEvent.k_jump``.
 """
 
 from __future__ import annotations
@@ -164,26 +164,32 @@ class _CurvatureMap:
     ``(K, angles, flips)``: the curvature and the (F, 3) corner angles that
     the surgery measured at u, and its number of flips.  The state must be
     Delaunay at ``m.current_u``, or u equal to it, and is left Delaunay at
-    u.  The counters of the module docstring are ``maps``, ``entry_flips``,
-    ``path_flips``, ``rounds`` and ``max_jump``; a call that raises adds
-    nothing to them.
+    u.  Its attributes are the counters of the module docstring; a call that
+    raises adds nothing to them.
     """
 
     def __init__(self, surf: MarkedSurface, m: PHMetric):
         self.surf, self.m = surf, m
-        self.maps = self.entry_flips = self.path_flips = self.rounds = 0
-        self.max_jump = 0.0
+        self.rhs_evals = self.entry_flips = self.path_flips = self.flip_rounds = 0
+        self.max_flip_jump = 0.0
 
     def __call__(self, u: np.ndarray):
         events, jump, angles = advance_conformal(self.surf, self.m, u)
-        if self.maps:
+        if self.rhs_evals:
             self.path_flips += len(events)
         else:
             self.entry_flips = len(events)
-        self.maps += 1
-        self.rounds += events[-1].round + 1 if events else 0
-        self.max_jump = max(self.max_jump, jump)
+        self.rhs_evals += 1
+        self.flip_rounds += events[-1].round + 1 if events else 0
+        self.max_flip_jump = max(self.max_flip_jump, jump)
         return angle_defect(self.surf, angles), angles, len(events)
+
+    def copy_counters(self, result):
+        """Copy onto ``result`` the attributes it shares with this map, the
+        counters that are its fields; return it."""
+        for name in vars(result).keys() & vars(self).keys():
+            setattr(result, name, getattr(self, name))
+        return result
 
 
 def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, u, K, angles):
@@ -290,9 +296,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
         run.status = "failed"
         run.reason = str(exc)
     run.final_u = u.copy()
-    run.rhs_evals, run.entry_flips, run.path_flips = curv.maps, curv.entry_flips, curv.path_flips
-    run.flip_rounds, run.max_flip_jump = curv.rounds, curv.max_jump
-    return run
+    return curv.copy_counters(run)
 
 
 @dataclass
@@ -313,8 +317,12 @@ class NewtonResult:
     # (module docstring)
     flips: list = field(default_factory=list)
     entry_flips: int = 0
-    path_flips: int = 0
     flip_rounds: int = 0
+
+    @property
+    def path_flips(self) -> int:
+        """The Ptolemy flips of all residual evaluations."""
+        return sum(self.flips) - self.entry_flips
 
 
 # the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
@@ -425,10 +433,7 @@ def newton_solve(
         flips[-1] += n_flips
         return K - target * np.exp(alpha * uv), angles
 
-    u = m.current_u.copy()
-    g, angles = residual(u)
-    if u0 is not None:
-        u = np.asarray(u0, dtype=float).copy()
+    for u in [m.current_u.copy()] + ([] if u0 is None else [np.array(u0, dtype=float)]):
         g, angles = residual(u)
     residuals = [float(np.max(np.abs(g)))]
     if not math.isfinite(residuals[0]):
@@ -468,17 +473,13 @@ def newton_solve(
         step_lengths.append(lam)
         residuals.append(float(np.max(np.abs(g))))
         it += 1
-    return NewtonResult(
+    return curv.copy_counters(NewtonResult(
         state=ConformalState(u),
         residuals=residuals,
         iterations=it,
         converged=residuals[-1] <= tol,
-        max_flip_jump=curv.max_jump,
         linsolve_iters=linsolve_iters,
         linsolve_stop=linsolve_stop,
         step_lengths=step_lengths,
         flips=flips,
-        entry_flips=curv.entry_flips,
-        path_flips=curv.path_flips,
-        flip_rounds=curv.rounds,
-    )
+    ))

@@ -368,6 +368,7 @@ def test_criterion_8_maximum_principle(announce, monkeypatch, tmp_path):
     s, m = clone_state(surf0, m0)
     advance_conformal(s, m, prep.state.u)  # the unit metric is Delaunay at u = 0
     monkeypatch.setattr(flows, "STEP_ATOL", 1e-12)
+    run = run_flow(*clone_state(s, m), FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=40000))
     # `hypflow flow` on that state, whose command line alone names the
     # problem; the run explains itself: its log alone gives the check
     monkeypatch.setattr(cli, "_load_for_solver", lambda args: (s, m, np.full(s.vertex_count, args.target_const)))
@@ -390,6 +391,9 @@ def test_criterion_8_maximum_principle(announce, monkeypatch, tmp_path):
         f"(min M {min_M:.2e} >= -1e-9, envelope ratio {ratio if applies else math.nan:.3f} <= 1.10)"
     )
     assert ok
+    # and the log is the run's, step for step
+    assert records == run.records
+    assert (sign, preserved, ratio) == max_principle(run.records, 1.0, -1.0)
 
 
 def test_criterion_9_surgery_continuity(announce, runs):

@@ -436,6 +436,8 @@ class TestCommands:
         lines = [json.loads(l) for l in open(log)]
         records, final = lines[:-1], lines[-1]
         assert final["status"] == "converged"
+        # the terminal record names the problem solved
+        assert final["alpha"] == 1.0 and final["target"] == [-1.0] * 15
         assert [r["iteration"] for r in records] == list(range(final["iterations"] + 1))
         assert records[0]["linsolve_iters"] is None
         assert all(isinstance(r["linsolve_iters"], int) and r["linsolve_iters"] >= 1
