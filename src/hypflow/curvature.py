@@ -116,7 +116,7 @@ def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None)
     if angles is None:
         angles = face_angles(surf, m, strict=True)
     W = angle_derivatives(face_corner_lengths(surf, m), angles).ravel()
-    at = 3 * surf.edge_faces[..., 0] + surf.edge_faces[..., 1]
+    at = surf.edge_corners
     B = W[at[:, 0]] + W[at[:, 1]]
 
     ends = surf.ends.ravel()

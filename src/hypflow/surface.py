@@ -143,9 +143,9 @@ class MarkedSurface:
 
     The state is four int64 arrays over faces 0..F-1 and edge slots 0..E-1:
     ``face_array`` (F, 3) the oriented faces, ``ends`` (2, E) each slot's
-    vertex pair, smaller end first, ``edge_faces[e]`` the two (face, corner)
-    pairs at slot e, the corner being the one opposite the edge, and
-    ``FE[f, c]`` the slot of the edge opposite corner c of face f.  Slots
+    vertex pair, smaller end first, ``edge_corners[e]`` the flat indices
+    3 f + c of the two corners opposite slot e, corner c of face f each,
+    and ``FE[f, c]`` the slot of the edge opposite corner c of face f.  Slots
     start in sorted vertex-pair order.  A flip rewrites its two faces and
     five edges in place, the new diagonal taking the flipped edge's slot.
     """
@@ -156,14 +156,14 @@ class MarkedSurface:
         if errors:
             raise SurfaceError("; ".join(errors))
         self.ends = np.ascontiguousarray(pairs[:, ::2])
-        self.edge_faces = np.stack(np.divmod(order, 3), axis=-1).reshape(-1, 2, 2)
+        self.edge_corners = order.reshape(-1, 2)
         self.FE = np.empty(self.face_array.shape, dtype=np.int64)
         self.FE.ravel()[order] = np.arange(order.size) // 2
 
     def copy(self) -> "MarkedSurface":
         s = object.__new__(MarkedSurface)
         s.vertex_count = self.vertex_count
-        for name in ("face_array", "ends", "edge_faces", "FE"):
+        for name in ("face_array", "ends", "edge_corners", "FE"):
             setattr(s, name, getattr(self, name).copy())
         return s
 
@@ -264,12 +264,13 @@ def face_angles(surf: MarkedSurface, m: PHMetric, strict: bool = True) -> np.nda
     L = face_corner_lengths(surf, m)
     ok = admissible_mask(L)
     angles = angles_from_length_array(L)
-    if strict and not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        raise AdmissibilityError(
-            f"face {bad} {surf.face_array[bad].tolist()} is inadmissible with opposite lengths {L[bad]}"
-        )
-    _extend(angles, ok, L)
+    if not ok.all():
+        if strict:
+            bad = int(np.flatnonzero(~ok)[0])
+            raise AdmissibilityError(
+                f"face {bad} {surf.face_array[bad].tolist()} is inadmissible with opposite lengths {L[bad]}"
+            )
+        _extend(angles, ok, L)
     return angles
 
 
@@ -280,10 +281,9 @@ def _extend(angles: np.ndarray, ok: np.ndarray, L: np.ndarray) -> None:
     increasing function of them), 0 at the other two.  Tied longest edges
     are admissible, so a tie can only come from rounding; it goes to the
     first corner."""
-    if not ok.all():
-        rows = np.flatnonzero(~ok)
-        angles[rows] = 0.0
-        angles[rows, L[rows].argmax(axis=1)] = math.pi
+    rows = np.flatnonzero(~ok)
+    angles[rows] = 0.0
+    angles[rows, L[rows].argmax(axis=1)] = math.pi
 
 
 def angle_defect(surf: MarkedSurface, angles: np.ndarray) -> np.ndarray:
@@ -309,31 +309,32 @@ def validate(surf: MarkedSurface, m: PHMetric) -> ValidationReport:
     )
 
 
-def _checked_u(surf: MarkedSurface, u) -> np.ndarray:
-    """``u`` as a float array, ValueError unless it is finite of shape (N,)."""
+def _scaled(surf: MarkedSurface, m: PHMetric, u):
+    """``(u, x, top)``: ``u`` as a float array, x = lam + u_i + u_j = log
+    sinh(l/2) of every edge at ``u``, and top = max |x|, with one gather of
+    the end factors and one reduction.  ValueError unless ``u`` has shape
+    (N,) and is finite: every vertex ends an edge, so a factor that is not
+    finite leaves some x, and so ``top``, not finite."""
     u = np.asarray(u, dtype=float)
     if u.shape != (surf.vertex_count,):
         raise ValueError(f"u has shape {u.shape}, expected ({surf.vertex_count},)")
-    if not np.all(np.isfinite(u)):
+    u_i, u_j = u[surf.ends]
+    x = m.lam + u_i + u_j
+    top = np.abs(x).max()
+    if not math.isfinite(top) and not np.all(np.isfinite(u)):
         raise ValueError("conformal factors must be finite")
-    return u
+    return u, x, top
 
 
 def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
-    """Set the lengths to those of conformal factors u: l = 2 asinh(e^(lam + u_i + u_j))."""
-    u = _checked_u(surf, u)
-    m.length = _scaled_lengths(m.lam, *u[surf.ends])
-    m.current_u = u.copy()
-
-
-def _scaled_lengths(lam: np.ndarray, u_i: np.ndarray, u_j: np.ndarray) -> np.ndarray:
-    """Lengths 2 asinh(e^(lam + u_i + u_j)) of edges with invariants ``lam``
-    and end factors ``u_i``, ``u_j``; OverflowError if some |lam + u_i +
-    u_j| exceeds MAX_SCALED_X."""
-    x = lam + u_i + u_j
-    if np.abs(x).max() > MAX_SCALED_X:
+    """Set the lengths to those of conformal factors u: l = 2 asinh(e^(lam +
+    u_i + u_j)); OverflowError if some |lam + u_i + u_j| exceeds
+    MAX_SCALED_X."""
+    u, x, top = _scaled(surf, m, u)
+    if not top <= MAX_SCALED_X:
         raise OverflowError("conformal factor out of representable range")
-    return 2.0 * np.arcsinh(np.exp(x))
+    m.length = 2.0 * np.arcsinh(np.exp(x))
+    m.current_u = u.copy()
 
 
 def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None) -> np.ndarray:
@@ -343,17 +344,17 @@ def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None
     """
     if angles is None:
         angles = face_angles(surf, m)
-    return _weights(angles, surf.edge_faces)
+    return _weights(angles, surf.edge_corners)
 
 
-def _weights(angles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Delaunay weights of the edges whose two (face, corner) pairs are
-    ``pairs`` (n, 2, 2), the faces being rows of ``angles``: the sums over
-    both pairs of theta_a + theta_b - theta_c, c being the pair's corner."""
+def _weights(angles: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Delaunay weights of the edges whose two corners have the flat indices
+    ``at`` (n, 2) into the (F, 3) ``angles``: the sums over both corners c
+    of theta_a + theta_b - theta_c, a and b the other corners of c's face."""
     q = np.empty_like(angles)
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.add(angles[:, a], angles[:, b], out=q[:, c])
-    q = (q - angles).ravel()[3 * pairs[..., 0] + pairs[..., 1]]
+    q = (q - angles).ravel()[at]
     return q[:, 0] + q[:, 1]
 
 
@@ -365,10 +366,10 @@ def _quads(surf: MarkedSurface, e: np.ndarray):
     corners cb, cb + 1 and cb + 2 at l, j and i."""
     F, FE = surf.face_array, surf.FE
     i, j = surf.ends[:, e]
-    pairs = surf.edge_faces[e]
-    swap = F[pairs[:, 0, 0], (pairs[:, 0, 1] + 1) % 3] != i
-    pairs[swap] = pairs[swap, ::-1]
-    fa, ca, fb, cb = corners = pairs.reshape(-1, 4).T
+    f, c = np.divmod(surf.edge_corners[e], 3)
+    swap = F[f[:, 0], (c[:, 0] + 1) % 3] != i
+    f[swap], c[swap] = f[swap, ::-1], c[swap, ::-1]
+    fa, ca, fb, cb = corners = np.array((f[:, 0], c[:, 0], f[:, 1], c[:, 1]))
     slots = np.array((e, FE[fa, (ca + 2) % 3], FE[fa, (ca + 1) % 3], FE[fb, (cb + 1) % 3], FE[fb, (cb + 2) % 3]))
     return np.array((i, j, F[fa, ca], F[fb, cb])), corners, slots
 
@@ -406,15 +407,15 @@ def _commit(surf: MarkedSurface, m: PHMetric, quads, corners, slots, lam, pre, j
         a, b, c, d = quads[:, np.argmax(taken)].tolist()
         what = f"a self-loop at vertex {c}" if c == d else f"a multi-edge {(min(c, d), max(c, d))}"
         raise FlipError(f"flip of edge {(a, b)} would create {what}")
-    ef = surf.edge_faces
+    ec = surf.edge_corners
     # il and jl leave fb for fa, ik stays in fa and jk in fb
     outer = slots[[3, 4, 1, 2]].ravel()
-    side = (ef[outer, 0, 0] != np.concatenate((fb, fb, fa, fa))).astype(np.int64)
+    side = (ec[outer, 0] // 3 != np.concatenate((fb, fb, fa, fa))).astype(np.int64)
     surf.face_array[fa], surf.face_array[fb] = np.array((k, i, l)).T, np.array((l, j, k)).T
     surf.FE[fa], surf.FE[fb] = np.array((il, ij, ik)).T, np.array((jk, ij, jl)).T
     surf.ends[:, ij] = np.minimum(k, l), np.maximum(k, l)
-    ef[ij, :, 0], ef[ij, :, 1] = np.array((fa, fb)).T, 1
-    ef[outer, side] = np.array((np.concatenate((fa, fb, fa, fb)), np.repeat([0, 2, 2, 0], ij.size))).T
+    ec[ij] = np.array((3 * fa + 1, 3 * fb + 1)).T
+    ec[outer, side] = 3 * np.concatenate((fa, fb, fa, fb)) + np.repeat([0, 2, 2, 0], ij.size)
     m.lam[ij] = lam
     return list(map(FlipEvent, zip(*quads[:2].tolist()), zip(*surf.ends[:, ij].tolist()),
                     pre.tolist(), jump.tolist(), [rnd] * ij.size))
@@ -507,31 +508,32 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
     SurfaceError past 100 flips per edge, each with the state put back as
     it was given.
     """
-    u = _checked_u(surf, u)
-    n, ef, FE = surf.ends.shape[1], surf.edge_faces, surf.FE
-    x = m.lam + u[surf.ends[0]] + u[surf.ends[1]]
-    far = x.max() > MAX_SCALED_X or x.min() < -MAX_SCALED_X
+    u, x, top = _scaled(surf, m, u)
+    n, ec, FE = surf.ends.shape[1], surf.edge_corners, surf.FE
+    far = top > MAX_SCALED_X
     L = 2.0 * np.arcsinh(np.exp(np.clip(x, -MAX_SCALED_X, MAX_SCALED_X) if far else x))
 
     def measure(rows):
-        """The angles of faces ``rows`` at ``u`` and the mask of those that are
-        admissible with every length in range; the others get the extension."""
+        """The angles of faces ``rows`` at ``u``, the mask of those that are
+        admissible with every length in range, the others given the
+        extension, and whether the mask is all true."""
         FL = L[FE[rows]]
         ok, angles = admissible_mask(FL), angles_from_length_array(FL)
         if far:
             ok &= (np.abs(x[FE[rows]]) <= MAX_SCALED_X).all(axis=1)
-        _extend(angles, ok, FL)
-        return angles, ok
+        clean = ok.all()
+        if not clean:
+            _extend(angles, ok, FL)
+        return angles, ok, clean
 
-    angles, ok = measure(slice(None))
+    angles, ok, clean = measure(slice(None))
     events, saved = [], None
     try:
         for rnd in itertools.count():
-            w = _weights(angles, ef)
+            w = _weights(angles, ec)
             past = w < -TOL_DELAUNAY
-            clean = ok.all()
             if not clean:
-                bad = np.flatnonzero(~ok[ef[..., 0]].all(axis=1))
+                bad = np.flatnonzero(~ok[ec // 3].all(axis=1))
                 past[bad] = _algebraic_negative(surf, x, bad)
             if not past.any():
                 break
@@ -544,8 +546,9 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
             x[batch] = m.lam[batch] + u[surf.ends[0, batch]] + u[surf.ends[1, batch]]
             far = far or np.abs(x[batch]).max() > MAX_SCALED_X
             L[batch] = 2.0 * np.arcsinh(np.exp(np.clip(x[batch], -MAX_SCALED_X, MAX_SCALED_X)))
-            rows = ef[batch, :, 0].ravel()
-            angles[rows], ok[rows] = measure(rows)
+            rows = (ec[batch] // 3).ravel()
+            angles[rows], ok[rows], fresh = measure(rows)
+            clean = fresh and (clean or ok.all())
         if far and np.abs(x).max() > MAX_SCALED_X:
             raise OverflowError("conformal factor out of representable range")
         if not clean:
@@ -563,7 +566,7 @@ def _algebraic_negative(surf: MarkedSurface, x: np.ndarray, e: np.ndarray) -> np
     """Whether the algebraic Delaunay test P_e (README.md) is negative at
     edge slots e, from x = log sinh(l/2): its four positive and two negative
     terms summed in logarithms, so that no length overflows."""
-    f, c = surf.edge_faces[e].transpose(2, 0, 1)
+    f, c = np.divmod(surf.edge_corners[e], 3)
     xe, xa, xb = x[surf.FE[f, c]], x[surf.FE[f, (c + 1) % 3]], x[surf.FE[f, (c + 2) % 3]]
     pos = np.logaddexp.reduce(np.concatenate((xa - xb - xe, xb - xa - xe), axis=1), axis=1)
     return pos < np.logaddexp.reduce(xe - xa - xb, axis=1)
@@ -578,7 +581,7 @@ def _claimed(surf: MarkedSurface, w: np.ndarray, past: np.ndarray) -> np.ndarray
     rank = np.full(w.size, w.size)
     rank[order] = np.arange(order.size)
     least = rank[surf.FE].min(axis=1)
-    return order[(least[surf.edge_faces[order, :, 0]] == rank[order, None]).all(axis=1)]
+    return order[(least[surf.edge_corners[order] // 3] == rank[order, None]).all(axis=1)]
 
 
 def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:

@@ -64,6 +64,12 @@ def edge_index_of(surf) -> dict:
     return {e: idx for idx, e in enumerate(edges_of(surf))}
 
 
+def edge_faces(surf) -> np.ndarray:
+    """(E, 2, 2): the (face, corner) pairs of each slot's two corners, read
+    off their flat indices 3 f + c in ``surf.edge_corners``."""
+    return np.stack(np.divmod(surf.edge_corners, 3), axis=-1)
+
+
 # decay_slope fits the final DECAY_TAIL of a run's time; the tolerance on
 # the sign of M and the relative slack on its decay envelope
 DECAY_TAIL = 0.5
@@ -226,7 +232,7 @@ def flip_diagonal_from_j(surf, m, e) -> float:
         return lengths[(min(a, b), max(a, b))]
 
     theta, far = 0.0, []
-    for f, _ in surf.edge_faces[edge_index_of(surf)[(i, j)]].tolist():
+    for f in (surf.edge_corners[edge_index_of(surf)[(i, j)]] // 3).tolist():
         (k,) = set(surf.face_array[f].tolist()) - {i, j}
         _, a_j, _ = tri_angles(TriLengths(length(i, j), length(i, k), length(j, k)))
         theta += a_j
@@ -310,7 +316,7 @@ def algebraic_delaunay_test(surf, m) -> np.ndarray:
     T = np.empty_like(x)
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         T[:, c] = (x[:, a] ** 2 + x[:, b] ** 2 - x[:, c] ** 2) / (x[:, a] * x[:, b] * x[:, c])
-    terms = T[surf.edge_faces[..., 0], surf.edge_faces[..., 1]]
+    terms = T.ravel()[surf.edge_corners]
     return terms[:, 0] + terms[:, 1]
 
 
@@ -354,7 +360,7 @@ def _quad_around_by_lists(surf, ij: int):
     """The quad of one edge slot that ``hypflow.surface._quads`` reads for
     an array of slots, read by fancy indexing and ``tolist``."""
     i, j = surf.ends[:, ij].tolist()
-    (fa, ca), (fb, cb) = surf.edge_faces[ij].tolist()
+    (fa, ca), (fb, cb) = edge_faces(surf)[ij].tolist()
     va, vb = surf.face_array[[fa, fb]].tolist()
     if va[(ca + 1) % 3] != i:
         fa, ca, va, fb, cb, vb = fb, cb, vb, fa, ca, va
@@ -391,10 +397,10 @@ def flip_by_lists(surf, m, e: int) -> FlipEvent:
     surf.face_array[[fa, fb]] = (k, i, l), (l, j, k)
     surf.FE[[fa, fb]] = (il, ij, ik), (jk, ij, jl)
     surf.ends[:, ij] = kl
-    surf.edge_faces[ij] = ((fa, 1), (fb, 1))
+    surf.edge_corners[ij] = 3 * fa + 1, 3 * fb + 1
     for q, f, c in ((il, fa, 0), (ik, fa, 2), (jk, fb, 0), (jl, fb, 2)):
-        pairs = surf.edge_faces[q]
-        pairs[0 if pairs[0, 0] in (fa, fb) else 1] = (f, c)
+        at = surf.edge_corners[q]
+        at[0 if at[0] // 3 in (fa, fb) else 1] = 3 * f + c
     m.length[ij] = d_kl
     m.lam[ij] = math.log(math.sinh(0.5 * d_kl)) - m.current_u[k] - m.current_u[l]
     A, B = angles_from_length_array(m.length[surf.FE[[fa, fb]]]).tolist()

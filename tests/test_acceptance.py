@@ -197,7 +197,7 @@ def test_criterion_3_flip_duality(announce):
         # convex: the two angle sums at the diagonal endpoints stay below pi
         ang = face_angles(surf, m)
         idx = edge_index_of(surf)[(0, 1)]
-        (f1, c1), (f2, c2) = surf.edge_faces[idx]
+        (f1, c1), (f2, c2) = (divmod(at, 3) for at in surf.edge_corners[idx].tolist())
         sums = [
             ang[f1, (c1 + 1) % 3] + ang[f2, (c2 + 2) % 3],
             ang[f1, (c1 + 2) % 3] + ang[f2, (c2 + 1) % 3],

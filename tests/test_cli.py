@@ -291,7 +291,7 @@ def test_bench_inputs_match_line_wise_reference(tmp_path, seed, mesh, size, spre
     m_ref = PHMetric(ref, [lengths[e] for e in edges_of(ref)])
 
     assert (tmp_path / "new.phm").read_bytes() == (tmp_path / "ref.phm").read_bytes()
-    for name in ("face_array", "ends", "edge_faces", "FE"):
+    for name in ("face_array", "ends", "edge_corners", "FE"):
         assert np.array_equal(getattr(surf, name), getattr(ref, name)), name
     assert np.array_equal(m.length, m_ref.length) and np.array_equal(m.lam, m_ref.lam)
 

@@ -35,6 +35,7 @@ from reference import (
     algebraic_delaunay_test,
     combinatorics_by_faces,
     delaunay_by_least_weight,
+    edge_faces,
     edge_index_of,
     edges_of,
     extended_angles,
@@ -246,16 +247,15 @@ class TestConformal:
                 apply_conformal(surf, m, np.full(surf.vertex_count, u))
         assert np.array_equal(m.length, np.ones(m.length.size)) and not m.current_u.any()
 
-    def test_cosine_law_finite_up_to_overflow_guard(self):
-        x = np.full(3, 0.5 * surface.MAX_SCALED_X)
-        L = surface._scaled_lengths(np.zeros(3), x, x)
-        assert np.all(np.isfinite(angles_from_length_array(L[None, :])))
-        with pytest.raises(OverflowError):
-            surface._scaled_lengths(np.zeros(3), x, x + 1e-9)
-        L = surface._scaled_lengths(np.zeros(3), -x, -x)
-        assert np.all(np.isfinite(angles_from_length_array(L[None, :])))
-        with pytest.raises(OverflowError):
-            surface._scaled_lengths(np.zeros(3), -x, -x - 1e-9)
+    def test_cosine_law_finite_up_to_overflow_guard(self, torus_unit):
+        # with lam = 0 and u = +-MAX_SCALED_X / 2 every lam + u_i + u_j is at the guard
+        surf, m = torus_unit
+        m.lam[:] = 0.0
+        for x in (0.5 * surface.MAX_SCALED_X, -0.5 * surface.MAX_SCALED_X):
+            apply_conformal(surf, m, np.full(surf.vertex_count, x))
+            assert np.all(np.isfinite(angles_from_length_array(face_corner_lengths(surf, m))))
+            with pytest.raises(OverflowError):
+                apply_conformal(surf, m, np.full(surf.vertex_count, x + np.sign(x) * 1e-9))
 
     def test_far_advance_ends_typed_without_overflow(self, genus2_unit):
         # lengths long enough to overflow the cosine law are refused as out
@@ -310,7 +310,7 @@ class TestDelaunay:
         ang = face_angles(surf, m)
         idx = edge_index_of(surf)[(0, 1)]
         w = delaunay_weights(surf, m)[idx]
-        (f1, c1), (f2, c2) = surf.edge_faces[idx]
+        (f1, c1), (f2, c2) = edge_faces(surf)[idx]
         expected = (
             ang[f1].sum() - 2 * ang[f1, c1] + ang[f2].sum() - 2 * ang[f2, c2]
         )
@@ -330,7 +330,7 @@ class TestDelaunay:
             m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
             angles = face_angles(surf, m)
             w = delaunay_weights(surf, m, angles)
-            assert np.max(np.abs(w - four_minus_two_weights(angles, surf.edge_faces))) <= 2e-15
+            assert np.max(np.abs(w - four_minus_two_weights(angles, edge_faces(surf)))) <= 2e-15
 
     @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
     def test_algebraic_test_has_the_sign_of_the_weights(self, builder):
@@ -345,7 +345,7 @@ class TestDelaunay:
             m = perturbed_metric(surf, rng, spread=0.3)
             u = rng.uniform(-0.5, 0.5, surf.vertex_count)
             apply_conformal(surf, m, u)
-            ok = admissible_mask(face_corner_lengths(surf, m))[surf.edge_faces[..., 0]].all(axis=1)
+            ok = admissible_mask(face_corner_lengths(surf, m))[surf.edge_corners // 3].all(axis=1)
             w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
             P = algebraic_delaunay_test(surf, m)
             assert np.array_equal(np.sign(P[ok]), np.sign(w[ok]))
@@ -602,7 +602,7 @@ class TestFlip:
 
     def test_inadmissible_quad_face_refused_unmodified(self, octa_unit):
         surf, m = octa_unit
-        (fa, _), _ = surf.edge_faces[edge_index_of(surf)[(0, 1)]]
+        fa = surf.edge_corners[edge_index_of(surf)[(0, 1)], 0] // 3
         other = next(q for q in surf.FE[fa] if edges_of(surf)[q] != (0, 1))
         m.length[other] = 10.0
         faces, lengths, FE = faces_of(surf), m.length.copy(), surf.FE.copy()
@@ -623,7 +623,7 @@ class TestFlip:
 
 def _assert_same_state(surf, m, s0, m0):
     """The state (surf, m) is (s0, m0) bit for bit."""
-    for name in ("face_array", "ends", "edge_faces", "FE"):
+    for name in ("face_array", "ends", "edge_corners", "FE"):
         assert np.array_equal(getattr(surf, name), getattr(s0, name)), name
     for name in ("length", "lam", "current_u"):
         assert np.array_equal(getattr(m, name), getattr(m0, name)), name
@@ -863,8 +863,8 @@ class TestInPlaceFlip:
             assert np.array_equal(surf.face_array, ref.face_array)
             assert [edges[i] for i in surf.FE.ravel()] == [ref_edges[i] for i in ref.FE.ravel()]
             for e in ref_edges:
-                pairs = sorted(map(tuple, surf.edge_faces[index[e]].tolist()))
-                assert pairs == sorted(map(tuple, ref.edge_faces[ref_index[e]].tolist()))
+                pairs = sorted(surf.edge_corners[index[e]].tolist())
+                assert pairs == sorted(ref.edge_corners[ref_index[e]].tolist())
             m_ref = PHMetric(ref, [m.length[index[e]] for e in ref_edges])
             assert np.array_equal(face_corner_lengths(ref, m_ref), face_corner_lengths(surf, m))
         assert flips >= 15
@@ -947,7 +947,7 @@ class TestScalarSurgeryReads:
                 assert _same((event.pre_weight, event.k_jump), (ref.pre_weight, ref.k_jump))
                 assert _same((m.length[e], m.lam[e]), (ref_m.length[e], ref_m.lam[e]))
                 flipped += 1
-            for name in ("face_array", "FE", "ends", "edge_faces"):
+            for name in ("face_array", "FE", "ends", "edge_corners"):
                 assert np.array_equal(getattr(surf, name), getattr(ref_surf, name))
             assert np.array_equal(m.length, ref_m.length) and np.array_equal(m.lam, ref_m.lam)
         assert flipped >= 30 and refused >= 1
