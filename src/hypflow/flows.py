@@ -51,17 +51,33 @@ __all__ = [
     "NewtonError",
 ]
 
-# the flows' step size starts at DT_INIT and stays in [DT_MIN, DT_MAX]: it
-# halves on each rejected trial (a local error above STEP_ATOL rejects one)
-# and grows by GROW_FACTOR after GROW_AFTER accepted steps in a row; a run
-# whose |u| passes U_ABORT has diverged
+# the flows' step size starts at DT_INIT and stays at most DT_MAX; a trial
+# whose local error passes STEP_ATOL is rejected, and a step size below
+# DT_MIN after a rejection ends the run, as does |u| above U_ABORT
 STEP_ATOL = 1e-8
 DT_INIT = 0.1
 DT_MIN = 1e-9
 DT_MAX = 0.5
-GROW_AFTER = 5
-GROW_FACTOR = 1.5
 U_ABORT = 50.0
+# a step size is also held to STIFF_FRACTION of DP5's stability interval on
+# the negative real axis, which reaches about -3.3, over the stiffness
+# estimate rho (Hairer, Norsett and Wanner, Solving ODEs I, II.10)
+STIFF_FRACTION, DP5_REAL_EDGE = 0.8, 3.3
+
+# the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): row i of
+# DP5_A gives stage i + 1's point, u + dt (DP5_A[i] @ k); row 6 is the
+# fifth-order solution, whose right-hand side is the next step's first
+# stage, and DP5_E the difference of the two solutions' weights
+DP5_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+DP5_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 class RegimeError(RuntimeError):
@@ -106,6 +122,8 @@ class FlowRun:
     reason: str | None = None
     final_u: np.ndarray | None = None
     max_flip_jump: float = 0.0
+    # trials rejected, by their error estimate or a raised curvature map
+    rejected: int = 0
     # the curvature map's counters (module docstring)
     rhs_evals: int = 0
     entry_flips: int = 0
@@ -212,11 +230,17 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     ``_entry_check`` raises RegimeError outside the convergence regime before
     any step.  The entry, the curvature map's call at ``m.current_u``, flips
     the state Delaunay there and gives the first right-hand side; the first
-    record's flips are its flips.  Each step is adaptive RK4 with step
-    doubling; its first stage is the right-hand side kept from the acceptance
-    of u (first same as last).  A trial that raises is rejected and the state
-    is restored in place to the snapshot taken at the accepted u.  A
-    SurfaceError, a flip refused on entry among them, a step size below DT_MIN
+    record's flips are its flips.  Each step is a trial of the Dormand-Prince
+    5(4) pair (``DP5_A``): six curvature maps, the last at the fifth-order
+    solution u1, whose right-hand side is the next step's first stage (first
+    same as last).  A trial is accepted when its local error, the sup norm
+    of dt (DP5_E @ k), is at most STEP_ATOL.  After each trial the step size
+    becomes dt clip(0.9 (STEP_ATOL / err)^(1/5), 0.2, 5), at most DT_MAX and
+    at most STIFF_FRACTION DP5_REAL_EDGE / rho, where rho = |k7 - k6| / |u1 -
+    y6| (sup norms) estimates the stiffness from the two stages at c = 1.
+    A trial that raises is rejected, the state restored in place to the
+    snapshot taken at the accepted u, and dt halved.  A SurfaceError, a flip
+    refused on entry among them, a step size below DT_MIN after a rejection
     and |u| above U_ABORT end the run with status ``"failed"`` and a reason,
     the state restored to the accepted u if a step began.  The run starts at
     ``m.current_u``; ``advance_conformal`` moves the state to another start
@@ -233,12 +257,6 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
         K, angles, flips = curv(v)
         return (*_rhs(surf, m, cfg, target, v, K, angles), K, flips)
 
-    def rk4(v, dt, k1):
-        k2 = rhs(v + 0.5 * dt * k1)[0]
-        k3 = rhs(v + 0.5 * dt * k2)[0]
-        k4 = rhs(v + dt * k3)[0]
-        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def record(dt, flips):
         run.records.append(StepRecord(
             t=t, dt=dt, sup_err=float(np.max(np.abs(M))), min_M=float(M.min()),
@@ -246,9 +264,10 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
         ))
 
     try:
-        k1, F_a, K, flips = rhs(u)
+        ks = np.empty((7, u.size))
+        ks[0], F_a, K, flips = rhs(u)
         M = F_a - target
-        t, dt, energy, streak = 0.0, DT_INIT, 0.0, 0
+        t, dt, energy = 0.0, DT_INIT, 0.0
         record(0.0, flips)
         while True:
             if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
@@ -260,35 +279,35 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
             saved = clone_state(surf, m)
             while True:
                 try:
-                    coarse = rk4(u, dt, k1)
-                    half = rk4(u, 0.5 * dt, k1)
-                    fine = rk4(half, 0.5 * dt, rhs(half)[0])
-                    err = float(np.max(np.abs(coarse - fine))) / 15.0
+                    y = u
+                    for i in range(1, 7):
+                        y6, y = y, u + dt * (DP5_A[i, :i] @ ks[:i])
+                        ks[i], F_a, K_new, flips = rhs(y)
+                    err = dt * float(np.max(np.abs(DP5_E @ ks)))
+                    grow = min(5.0, max(0.2, 0.9 * (STEP_ATOL / err) ** 0.2)) if err else 5.0
+                    # dt <= STIFF_FRACTION * DP5_REAL_EDGE / rho, rho = k_gap / y_gap
+                    k_gap, y_gap = (float(np.max(np.abs(a - b))) for a, b in ((ks[6], ks[5]), (y, y6)))
+                    stable = STIFF_FRACTION * DP5_REAL_EDGE * y_gap / k_gap if k_gap else math.inf
+                    step, dt = dt, min(dt * grow, DT_MAX, stable)
                     rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
                 except (AdmissibilityError, FlipError, OverflowError) as exc:
                     # trial point left the admissible cone or requested a flip
-                    # the combinatorics cannot honor; reject it and shrink dt
+                    # the combinatorics cannot honor; reject it and halve dt
                     _restore(surf, m, saved)
-                    err, rejection = math.inf, f"{type(exc).__name__}: {exc}"
+                    err, rejection, dt = math.inf, f"{type(exc).__name__}: {exc}", 0.5 * dt
                 if err <= STEP_ATOL:
                     break
-                dt *= 0.5
-                streak = 0
+                run.rejected += 1
                 if dt < DT_MIN:
                     raise _StepFailure(
                         f"dt underflow below {DT_MIN} at t={t}; last rejection: "
                         f"{rejection} (u={u.tolist()})"
                     )
-            if np.max(np.abs(fine)) > U_ABORT:
+            if np.max(np.abs(y)) > U_ABORT:
                 raise _StepFailure(f"|u| exceeded {U_ABORT} at t={t}; target likely mis-posed")
-            k1, F_a, K_new, flips = rhs(fine)
-            energy += energy_increment(K, K_new, u, fine, target, cfg.alpha)
-            t += dt
-            u, K, M = fine, K_new, F_a - target
-            streak += 1
-            if streak >= GROW_AFTER:
-                dt = min(dt * GROW_FACTOR, DT_MAX)
-                streak = 0
+            energy += energy_increment(K, K_new, u, y, target, cfg.alpha)
+            t += step
+            u, K, M, ks[0] = y, K_new, F_a - target, ks[6]
             record(dt, flips)
     except (_StepFailure, SurfaceError) as exc:
         if saved is not None:

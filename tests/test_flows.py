@@ -144,9 +144,9 @@ class TestRegime:
 
 def first_rhs(surf, m, cfg, advances):
     """The right-hand side at the start of a flow from u = 0, read off its
-    first trial point u + (DT_INIT / 2) k1, the map after the entry."""
+    first stage point u + (DT_INIT / 5) k1, the map after the entry."""
     run_flow(surf, m, cfg)
-    return advances[1][0] / (0.5 * flows.DT_INIT)
+    return advances[1][0] / (0.2 * flows.DT_INIT)
 
 
 class TestRhs:
@@ -185,6 +185,20 @@ class TestFlows:
         assert run.converged
         assert np.max(np.abs(curvature(surf, m) - 0.1)) < 1e-9
 
+    def test_calabi_step_size_does_not_rest_on_symmetry(self):
+        # on the unit grid_torus(3,3) the modes that limit alpha-Calabi's
+        # step size start at zero and stay zero while the state is bitwise
+        # symmetric; the same metric perturbed at rounding level excites
+        # them, and the step size must be the same in both runs
+        largest = []
+        for spread in (0.0, 1e-14):
+            surf = grid_torus(3, 3)
+            m = perturbed_metric(surf, np.random.default_rng(0), spread=spread)
+            run = run_flow(surf, m, FlowConfig(kind="calabi", alpha=0.0, target=0.1, max_steps=100))
+            assert run.status == "max_steps"
+            largest.append(max(r.dt for r in run.records[1:]))
+        assert abs(largest[0] / largest[1] - 1.0) <= 0.1
+
     def test_energy_monotone_along_descent(self, genus2_unit):
         surf, m = genus2_unit
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
@@ -215,15 +229,17 @@ class TestFlows:
         assert run.entry_flips == len(entry)
 
     def test_counters_match_the_evaluations(self, genus2_perturbed, advances):
-        # rhs_evals counts the curvature maps, the entry among them;
-        # entry_flips the entry's flips, the ones make_delaunay makes;
-        # path_flips those of the other maps; flip_rounds the rounds of all
+        # rhs_evals counts the curvature maps, the entry among them, six per
+        # accepted step and at most six per rejected trial; entry_flips the
+        # entry's flips, the ones make_delaunay makes; path_flips those of
+        # the other maps; flip_rounds the rounds of all
         surf, m = genus2_perturbed
         entry = make_delaunay(*clone_state(surf, m))
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0))
         maps = [events for _, events in advances]
         assert run.converged
-        assert run.rhs_evals == len(maps) >= 11 * run.steps
+        assert run.rhs_evals == len(maps) >= 6 * run.steps
+        assert 1 + 6 * run.steps <= run.rhs_evals <= 1 + 6 * (run.steps + run.rejected)
         assert run.entry_flips == len(maps[0]) == len(entry) >= 1
         assert run.path_flips == sum(map(len, maps[1:])) >= 1
         assert run.flip_rounds == sum(len({ev.round for ev in events}) for events in maps)
@@ -263,24 +279,32 @@ def calabi_seed17():
 
 
 class TestFirstSameAsLast:
-    def test_eleven_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch, advances):
-        # the right-hand side at an accepted u is the next step's first stage
+    def test_six_curvature_maps_per_accepted_step(self, genus2_perturbed, monkeypatch, advances):
+        # the right-hand side at an accepted u, the step's seventh stage, is
+        # the next step's first
         surf, m = genus2_perturbed
         cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=3)
-        monkeypatch.setattr(flows, "DT_INIT", 0.01)
+        # at DT_INIT = 0.01 the first trial's local error passes STEP_ATOL
+        monkeypatch.setattr(flows, "DT_INIT", 0.005)
         run = run_flow(surf, m, cfg)
-        assert run.status == "max_steps" and run.steps == 3
-        # no trial rejected, dt not yet grown
-        assert [r.dt for r in run.records[1:]] == [0.01] * 3
-        # the entry, then eleven maps per step
-        assert len(advances) == 1 + 3 * 11
-        for step in range(3):
-            u = advances[11 * step][0]
-            s, mm = clone_state(surf, m)
-            k1 = -1.0 - angle_defect(s, advance_conformal(s, mm, u)[2]) / np.exp(cfg.alpha * u)
-            # the next step's first stage is k1 at u itself, not a re-evaluation
-            assert np.array_equal(advances[11 * step + 1][0], u + 0.5 * 0.01 * k1)
-        assert np.array_equal(advances[33][0], run.final_u)
+        assert run.status == "max_steps" and run.steps == 3 and run.rejected == 0
+        # the entry, then six maps per step, the last at the step's solution
+        assert len(advances) == 1 + 3 * 6
+        s, mm = clone_state(surf, m)
+
+        def k(v):
+            return -1.0 - angle_defect(s, advance_conformal(s, mm, v)[2]) / np.exp(cfg.alpha * v)
+
+        # a record's dt is the step size the next step tries
+        for step, dt in enumerate([0.005] + [r.dt for r in run.records[1:3]]):
+            u = advances[6 * step][0]
+            # the first stage is k at u, from the previous step, not a re-evaluation
+            ks = [k(u)]
+            for i in range(1, 7):
+                y = u + dt * (flows.DP5_A[i, :i] @ np.array(ks))
+                assert np.array_equal(advances[6 * step + i][0], y), (step, i)
+                ks.append(k(y))
+        assert np.array_equal(advances[18][0], run.final_u)
 
 
 class TestRejectedTrials:

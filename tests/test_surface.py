@@ -951,3 +951,79 @@ class TestScalarSurgeryReads:
                 assert np.array_equal(getattr(surf, name), getattr(ref_surf, name))
             assert np.array_equal(m.length, ref_m.length) and np.array_equal(m.lam, ref_m.lam)
         assert flipped >= 30 and refused >= 1
+
+
+def _weights_by_pairs(angles, pairs):
+    """Delaunay weights from each edge's (face, corner) ``pairs`` (E, 2, 2),
+    as ``surface._weights`` computed them before the state kept flat corner
+    indices."""
+    q = np.empty_like(angles)
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.add(angles[:, a], angles[:, b], out=q[:, c])
+    q = (q - angles).ravel()[3 * pairs[..., 0] + pairs[..., 1]]
+    return q[:, 0] + q[:, 1]
+
+
+class TestEdgeCorners:
+    @staticmethod
+    def check(surf):
+        """``edge_corners`` against the corners recomputed from the faces and
+        ends alone, and ``_weights`` on it against the (face, corner) form."""
+        F, n = surf.face_array, surf.vertex_count
+        # the corner 3 f + c faces the vertex pair of face f's other two corners
+        a, b = F[:, [1, 2, 0]].ravel(), F[:, [2, 0, 1]].ravel()
+        facing = np.minimum(a, b) * n + np.maximum(a, b)
+        slot = surf.ends[0] * n + surf.ends[1]
+        # each slot sorted by key holds the two corners that face its pair
+        order = np.argsort(facing, kind="stable").reshape(-1, 2)
+        scratch = np.empty_like(order)
+        scratch[np.argsort(slot)] = order
+        assert np.array_equal(np.sort(surf.edge_corners, axis=1), scratch)
+        assert np.array_equal(surf.FE.ravel()[surf.edge_corners], np.repeat(np.arange(slot.size)[:, None], 2, axis=1))
+        angles = np.random.default_rng(0).uniform(0.0, math.pi, F.shape)
+        pairs = np.stack(np.divmod(scratch, 3), axis=-1)
+        assert np.array_equal(surface._weights(angles, surf.edge_corners), _weights_by_pairs(angles, pairs))
+
+    @pytest.mark.parametrize("builder", [lambda: grid_torus(20, 20), lambda: genus2(3, 3)])
+    def test_flat_indices_after_every_flip_round(self, builder, monkeypatch):
+        surf = builder()
+        rng = np.random.default_rng(5)
+        m = perturbed_metric(surf, rng, spread=0.28)
+        commit, rounds = surface._commit, []
+
+        def checked(s, *args):
+            events = commit(s, *args)
+            self.check(s)
+            rounds.append(len(events))
+            return events
+
+        monkeypatch.setattr(surface, "_commit", checked)
+        self.check(surf)
+        make_delaunay(surf, m)
+        entry = len(rounds)
+        # Ptolemy rounds: seeded advances, each from the Delaunay state at u = 0
+        for _ in range(10):
+            surface.advance_conformal(*clone_state(surf, m), rng.uniform(-0.2, 0.2, surf.vertex_count))
+        assert entry >= 1 and len(rounds) - entry >= 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_factor_not_finite_refused_unchanged(self, genus2_perturbed, rng, bad):
+        surf, m = genus2_perturbed
+        make_delaunay(surf, m)
+        s0, m0 = clone_state(surf, m)
+        u = rng.uniform(-0.2, 0.2, surf.vertex_count)
+        u[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            surface.advance_conformal(surf, m, u)
+        _assert_same_state(surf, m, s0, m0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scaled_length_out_of_range_refused_unchanged(self, torus_unit, sign):
+        # equilateral faces stay Delaunay under a constant u, so no flip
+        # comes first; lam + 2 u passes +-MAX_SCALED_X on every edge
+        surf, m = torus_unit
+        s0, m0 = clone_state(surf, m)
+        u = np.full(surf.vertex_count, sign * 0.5 * (surface.MAX_SCALED_X + 1.0 - m.lam[0]))
+        with pytest.raises(OverflowError):
+            surface.advance_conformal(surf, m, u)
+        _assert_same_state(surf, m, s0, m0)
