@@ -88,6 +88,9 @@ EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 EXIT_REGIME = 3
 
+# the FlowRun counters that the flow log's terminal record carries
+FLOW_COUNTERS = ("rhs_evals", "rejected", "entry_flips", "path_flips", "flip_rounds")
+
 
 class ParseError(ValueError):
     pass
@@ -336,6 +339,7 @@ def cmd_flow(args) -> int:
             "status": run.status, "steps": run.steps,
             "final_sup_err": run.records[-1].sup_err if run.records else None,
             "u": list(run.final_u), "kind": cfg.kind, "alpha": cfg.alpha, "target": target.tolist(),
+            **{key: getattr(run, key) for key in FLOW_COUNTERS},
         })
     print(f"status {run.status}")
     print(f"steps {run.steps}")

@@ -1,12 +1,13 @@
 """Curvature flows with surgery and a Newton solver for prescribed targets.
 
-Time integration (adaptive RK4 with step doubling) of the alpha-Yamabe and
-alpha-Calabi flows, and a damped Newton iteration on the curvature equation
-whose line search accepts any decrease of the sup-norm residual.  Both
-evaluate the curvature map at u through one ``_CurvatureMap``: a call is
-``advance_conformal``'s surgery at u, whose result depends on u alone, so
-neither solver follows a path between its points, and K is read from the
-angles that the surgery measured at u.  A solver's first call, at
+Time integration of the alpha-Yamabe and alpha-Calabi flows by the
+Dormand-Prince 5(4) pair, its step size held inside the pair's stability
+interval by a stiffness estimate from its own stages, and a damped Newton
+iteration on the curvature equation whose line search accepts any decrease
+of the sup-norm residual.  Both evaluate the curvature map at u through one
+``_CurvatureMap``: a call is ``advance_conformal``'s surgery at u, whose
+result depends on u alone, so neither solver follows a path between its
+points, and K is read from the angles that the surgery measured at u.  A solver's first call, at
 ``m.current_u``, is its entry: one advance that flips the state Delaunay
 by isometric rounds and measures the first right-hand side or residual.
 

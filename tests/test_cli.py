@@ -384,6 +384,11 @@ class TestCommands:
         assert lines[-1]["status"] == "converged"
         assert len(lines[-1]["u"]) == 15
         assert all("sup_err" in l for l in lines[:-1])
+        # the terminal record carries the run's counters
+        run = flows.run_flow(*parse_phm(genus2_file), flows.FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
+        final = lines[-1]
+        assert {key: final[key] for key in cli.FLOW_COUNTERS} == {key: getattr(run, key) for key in cli.FLOW_COUNTERS}
+        assert 1 + 6 * final["steps"] <= final["rhs_evals"] <= 1 + 6 * (final["steps"] + final["rejected"])
 
     def test_flow_not_converged_exit(self, capsys, genus2_file):
         rc = main([
@@ -535,7 +540,9 @@ class TestCommands:
         assert validate(*parse_phm(path + ".failed.phm")).ok
         assert [json.loads(l) for l in open(log)] == [
             {"status": "failed", "steps": 0, "final_sup_err": None, "u": [0.0] * surf.vertex_count,
-             "kind": "yamabe", "alpha": 1.0, "target": [-1.0] * surf.vertex_count}
+             "kind": "yamabe", "alpha": 1.0, "target": [-1.0] * surf.vertex_count,
+             # the refused entry map counts nothing
+             **dict.fromkeys(cli.FLOW_COUNTERS, 0)}
         ]
 
     def test_target_file(self, tmp_path, capsys, genus2_file):
