@@ -7,9 +7,10 @@ iteration on the curvature equation whose line search accepts any decrease
 of the sup-norm residual.  Both evaluate the curvature map at u through one
 ``_CurvatureMap``: a call is ``advance_conformal``'s surgery at u, whose
 result depends on u alone, so neither solver follows a path between its
-points, and K is read from the angles that the surgery measured at u.  A solver's first call, at
-``m.current_u``, is its entry: one advance that flips the state Delaunay
-by isometric rounds and measures the first right-hand side or residual.
+points, and K is read from the angles that the surgery measured at u.  A
+solver's first call, at ``m.current_u``, is its entry: one advance that
+flips the state Delaunay by isometric rounds and measures the first
+right-hand side or residual.
 
 ``FlowRun`` and ``NewtonResult`` give the map's counters over all of a
 solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
@@ -286,8 +287,9 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                         ks[i], F_a, K_new, flips = rhs(y)
                     err = dt * float(np.max(np.abs(DP5_E @ ks)))
                     grow = min(5.0, max(0.2, 0.9 * (STEP_ATOL / err) ** 0.2)) if err else 5.0
-                    # dt <= STIFF_FRACTION * DP5_REAL_EDGE / rho, rho = k_gap / y_gap
-                    k_gap, y_gap = (float(np.max(np.abs(a - b))) for a, b in ((ks[6], ks[5]), (y, y6)))
+                    # rho = k_gap / y_gap, from the stages at c = 1
+                    k_gap = float(np.max(np.abs(ks[6] - ks[5])))
+                    y_gap = float(np.max(np.abs(y - y6)))
                     stable = STIFF_FRACTION * DP5_REAL_EDGE * y_gap / k_gap if k_gap else math.inf
                     step, dt = dt, min(dt * grow, DT_MAX, stable)
                     rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
