@@ -238,7 +238,7 @@ class TestFlows:
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0))
         maps = [events for _, events in advances]
         assert run.converged
-        assert run.rhs_evals == len(maps) >= 6 * run.steps
+        assert run.rhs_evals == len(maps)
         assert 1 + 6 * run.steps <= run.rhs_evals <= 1 + 6 * (run.steps + run.rejected)
         assert run.entry_flips == len(maps[0]) == len(entry) >= 1
         assert run.path_flips == sum(map(len, maps[1:])) >= 1

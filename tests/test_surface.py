@@ -976,12 +976,12 @@ class TestEdgeCorners:
         slot = surf.ends[0] * n + surf.ends[1]
         # each slot sorted by key holds the two corners that face its pair
         order = np.argsort(facing, kind="stable").reshape(-1, 2)
-        scratch = np.empty_like(order)
-        scratch[np.argsort(slot)] = order
-        assert np.array_equal(np.sort(surf.edge_corners, axis=1), scratch)
+        expected = np.empty_like(order)
+        expected[np.argsort(slot)] = order
+        assert np.array_equal(np.sort(surf.edge_corners, axis=1), expected)
         assert np.array_equal(surf.FE.ravel()[surf.edge_corners], np.repeat(np.arange(slot.size)[:, None], 2, axis=1))
         angles = np.random.default_rng(0).uniform(0.0, math.pi, F.shape)
-        pairs = np.stack(np.divmod(scratch, 3), axis=-1)
+        pairs = np.stack(np.divmod(expected, 3), axis=-1)
         assert np.array_equal(surface._weights(angles, surf.edge_corners), _weights_by_pairs(angles, pairs))
 
     @pytest.mark.parametrize("builder", [lambda: grid_torus(20, 20), lambda: genus2(3, 3)])
