@@ -3,8 +3,6 @@
 from .curvature import (
     ConformalState,
     JacobianL,
-    alpha_curvature,
-    alpha_laplacian_apply,
     energy_increment,
     gauss_bonnet_residual,
     jacobian,
@@ -30,7 +28,6 @@ from .surface import (
     delaunay_weights,
     euler_characteristic,
     flip_edge,
-    make_delaunay,
     validate,
 )
 

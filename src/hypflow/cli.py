@@ -40,10 +40,10 @@ entry, before the first record, is such a failure: ``status failed`` with
 record, and the state dumped as the entry flips left it.
 
 Exit codes: 0 converged/valid, 1 not converged/invalid input (a ``--tol``
-that is not positive and finite among them), 2 runtime failure, 3 regime
-refusal: before any step ``flow`` and ``newton`` refuse an alpha and target
-outside the convergence regime, or not finite.  Only ``newton --force``
-skips the refusal.
+that is not positive and finite, and a ``report --alpha`` that is not
+finite, among them), 2 runtime failure, 3 regime refusal: before any step
+``flow`` and ``newton`` refuse an alpha and target outside the convergence
+regime, or not finite.  Only ``newton --force`` skips the refusal.
 """
 
 from __future__ import annotations
@@ -57,12 +57,7 @@ from itertools import chain, compress, islice
 
 import numpy as np
 
-from .curvature import (
-    ConformalState,
-    alpha_curvature,
-    curvature,
-    gauss_bonnet_residual,
-)
+from .curvature import curvature, gauss_bonnet_residual
 from .flows import (
     FlowConfig,
     NewtonError,
@@ -287,6 +282,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not np.isfinite(args.alpha):
+        raise ValueError(f"alpha must be finite, got {args.alpha}")
     surf, m = parse_phm(args.path)
     u = np.zeros(surf.vertex_count)
     if args.u:
@@ -298,7 +295,7 @@ def cmd_report(args) -> int:
             print(f"error: {err}")
         return EXIT_INVALID
     K = curvature(surf, m)
-    R = alpha_curvature(K, ConformalState(u), args.alpha)
+    R = K / np.exp(u) ** args.alpha
     w = delaunay_weights(surf, m)
     print(f"# vertex K R_alpha (alpha={args.alpha})")
     for i in range(surf.vertex_count):

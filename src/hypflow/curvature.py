@@ -1,8 +1,8 @@
 """Curvature and derivative assembly on a surface + metric state.
 
-Angle-defect curvature K, alpha-curvature K_i / w_i^alpha, the Jacobian
-L = dK/du with its diagonal + edge-weight decomposition, the discrete
-alpha-Laplace operator and trajectory line-integral energies.
+Angle-defect curvature K, the Jacobian L = dK/du with its diagonal +
+edge-weight decomposition, and trajectory line-integral energies; callers
+divide by w^alpha, w = e^u, for the alpha-curvature and alpha-Laplacian.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ __all__ = [
     "ConformalState",
     "JacobianL",
     "curvature",
-    "alpha_curvature",
     "jacobian",
-    "alpha_laplacian_apply",
     "energy_increment",
     "gauss_bonnet_residual",
 ]
@@ -44,10 +42,6 @@ class ConformalState:
         self.u = np.asarray(self.u, dtype=float)
         if not np.all(np.isfinite(self.u)):
             raise ValueError("conformal factors must be finite")
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.exp(self.u)
 
 
 def _end_sums(ends: np.ndarray, at_i, at_j, n: int) -> np.ndarray:
@@ -102,19 +96,11 @@ def curvature(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     return angle_defect(surf, face_angles(surf, m, strict=True))
 
 
-def alpha_curvature(K: np.ndarray, state: ConformalState, alpha: float) -> np.ndarray:
-    """R_alpha = K / w^alpha with w = e^u; alpha = 0 recovers K."""
-    return np.asarray(K, dtype=float) / state.w ** alpha
-
-
-def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None) -> JacobianL:
+def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray) -> JacobianL:
     """L = dK/du at the current lengths, in edge form: O(E) arrays, no n x n
     matrix.  B_ij sums ``angle_derivatives`` over the two faces at the edge
     and A_i = sum_j B_ij (cosh l_ij - 1).  ``angles`` are the (F, 3) corner
-    angles at the current lengths, as ``advance_conformal`` returns them;
-    without them a strict ``face_angles`` pass measures them."""
-    if angles is None:
-        angles = face_angles(surf, m, strict=True)
+    angles at the current lengths, as ``advance_conformal`` returns them."""
     W = angle_derivatives(face_corner_lengths(surf, m), angles).ravel()
     at = surf.edge_corners
     B = W[at[:, 0]] + W[at[:, 1]]
@@ -122,18 +108,6 @@ def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None)
     ends = surf.ends.ravel()
     a = B * (np.cosh(m.length) - 1.0)
     return JacobianL(A=_end_sums(ends, a, a, surf.vertex_count), B=B, ends=ends)
-
-
-def alpha_laplacian_apply(
-    Lmat: JacobianL, state: ConformalState, alpha: float, f: np.ndarray
-) -> np.ndarray:
-    """(Delta_alpha f)_i = sum_j B_ij/w_i^a (f_j - f_i) - A_i/w_i^a f_i,
-    that is -(L f) / w^alpha, applied in O(E) by ``JacobianL.apply``."""
-    f = np.asarray(f, dtype=float)
-    n = Lmat.A.shape[0]
-    if f.shape != (n,):
-        raise ValueError(f"f has shape {f.shape}, expected ({n},)")
-    return -Lmat.apply(f) / state.w ** alpha
 
 
 def energy_increment(K_prev: np.ndarray, K_curr: np.ndarray, u_prev: np.ndarray,

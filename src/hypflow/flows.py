@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import ConformalState, JacobianL, alpha_laplacian_apply, energy_increment, jacobian
+from .curvature import ConformalState, JacobianL, energy_increment, jacobian
 from .surface import (
     AdmissibilityError,
     FlipError,
@@ -214,12 +214,12 @@ class _CurvatureMap:
 
 def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, u, K, angles):
     """The flow's right-hand side at u and F_alpha, ``(rhs, F_alpha)``, from
-    the curvature K and corner angles measured at u; the state is at u."""
+    the curvature K and corner angles measured at u; the state is at u.  The
+    Calabi flow's is the alpha-Laplacian -(L f) / w^alpha of f = F_alpha - target."""
     F_a = K / np.exp(cfg.alpha * u)
     if cfg.kind == "yamabe":
         return target - F_a, F_a
-    J = jacobian(surf, m, angles)
-    return alpha_laplacian_apply(J, ConformalState(u), cfg.alpha, F_a - target), F_a
+    return -jacobian(surf, m, angles).apply(F_a - target) / np.exp(u) ** cfg.alpha, F_a
 
 
 class _StepFailure(RuntimeError):
@@ -356,7 +356,7 @@ FORCING_MAX = 0.1
 TOL_FRACTION = 0.1
 
 
-def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float = 0.0):
+def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
     """Solve (L - diag(shift)) x = rhs matrix-free; returns (x, iterations).
 
     Positive definiteness is certified before the solve by strict diagonal
@@ -365,7 +365,7 @@ def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float =
     Stiefel) preconditioned by the diagonal, with each product by the matrix
     applied in O(E) from the stencil form, ``shift`` folded into its
     diagonal.  It stops once the residual's 2-norm is at most ``stop``,
-    floored at PCG_RTOL * ||rhs||; the default of 0 solves to that floor.
+    floored at PCG_RTOL * ||rhs||; a ``stop`` of 0 solves to that floor.
     """
     margin = J.dominance_margin(shift)
     worst = int(np.argmin(margin))
@@ -443,7 +443,7 @@ def newton_solve(
     Delaunay there, raising FlipError if a flip is refused, and gives the
     first residual; with ``u0`` a second call gives it at ``u0``.  The state
     is left at the returned u.  A line-search trial that raises is undone by
-    restoring the state at the current iterate.
+    ``advance_conformal``, which puts the state back as the trial found it.
     """
     target = _entry_check(surf, alpha, target, tol, force)
     curv, flips = _CurvatureMap(surf, m), [0]
@@ -471,7 +471,6 @@ def newton_solve(
         linsolve_iters.append(cg_iters)
         linsolve_stop.append(stop)
         flips.append(0)
-        saved = clone_state(surf, m)
         lam = 1.0
         best = None
         while lam >= 2.0 ** -30:
@@ -479,7 +478,6 @@ def newton_solve(
             try:
                 g_trial, angles_trial = residual(u_trial)
             except (AdmissibilityError, OverflowError, SurfaceError):
-                _restore(surf, m, saved)
                 lam *= 0.5
                 continue
             if np.max(np.abs(g_trial)) < residuals[-1]:

@@ -31,7 +31,6 @@ __all__ = [
     "delaunay_weights",
     "flip_edge",
     "advance_conformal",
-    "make_delaunay",
     "clone_state",
     "TOL_DELAUNAY",
 ]
@@ -203,9 +202,10 @@ class PHMetric:
 class FlipEvent:
     """One flip: the old and new edges by vertex pair, the old edge's
     Delaunay weight where it was flipped, and ``k_jump``, the sup-norm
-    change of the curvature across the flip.  An isometric flip
-    (``flip_edge``, ``make_delaunay``) is measured where it is made; a
-    Ptolemy flip of ``advance_conformal`` at a wall of its quad.  Either way
+    change of the curvature across the flip.  An isometric flip, of
+    ``flip_edge`` or of ``advance_conformal`` at ``m.current_u``, is
+    measured where it is made; a Ptolemy flip of ``advance_conformal`` off
+    ``m.current_u`` at a wall of its quad.  Either way
     the jump is rounding level for a correct diagonal.  ``round`` numbers
     the flip round of its advance that made it."""
 
@@ -337,14 +337,12 @@ def apply_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray) -> None:
     m.current_u = u.copy()
 
 
-def delaunay_weights(surf: MarkedSurface, m: PHMetric, angles: np.ndarray | None = None) -> np.ndarray:
+def delaunay_weights(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """Per-edge Delaunay weights: four near angles minus the two opposite ones.
 
     An edge satisfies the Delaunay condition iff its weight is >= 0.
     """
-    if angles is None:
-        angles = face_angles(surf, m)
-    return _weights(angles, surf.edge_corners)
+    return _weights(face_angles(surf, m), surf.edge_corners)
 
 
 def _weights(angles: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -583,9 +581,3 @@ def _claimed(surf: MarkedSurface, w: np.ndarray, past: np.ndarray) -> np.ndarray
     least = rank[surf.FE].min(axis=1)
     return order[(least[surf.edge_corners[order] // 3] == rank[order, None]).all(axis=1)]
 
-
-def make_delaunay(surf: MarkedSurface, m: PHMetric) -> list:
-    """Flip the state Delaunay at ``m.current_u`` by isometric flip rounds,
-    ``advance_conformal`` to ``m.current_u`` itself; returns the events.  A
-    refused flip raises, with the state put back as it was given."""
-    return advance_conformal(surf, m, m.current_u)[0]

@@ -8,8 +8,9 @@ vectorised kernel in ``hypflow.triangle`` and the mesh-level code against
 them.  ``advance_by_bisection`` follows the segment to u and flips at each wall
 found by plain bisection, the path that ``hypflow.surface.advance_conformal``
 replaced by flip rounds at u; the two are compared.
-``delaunay_by_least_weight`` is the static flip loop at a fixed u that
-``hypflow.surface.make_delaunay`` replaced.
+``make_delaunay`` flips a state Delaunay at its own u, the advance to
+``m.current_u`` itself, and ``delaunay_by_least_weight`` is the static flip
+loop at a fixed u that this advance replaced.
 ``algebraic_delaunay_test`` is the Delaunay test P written on the lengths
 alone, whose sign ``advance_conformal`` reads where a face is inadmissible.
 ``permuted_angles``, ``reduced_mask`` and ``four_minus_two_weights`` are the
@@ -41,6 +42,8 @@ from hypflow.surface import (
     FlipError,
     FlipEvent,
     SurfaceError,
+    _weights,
+    advance_conformal,
     apply_conformal,
     delaunay_weights,
     face_angles,
@@ -264,7 +267,7 @@ def advance_by_bisection(surf, m, u):
                 angles = face_angles(surf, m)
             except (AdmissibilityError, OverflowError):
                 return False
-            return not delaunay_weights(surf, m, angles).min() < -TOL_DELAUNAY
+            return not _weights(angles, surf.edge_corners).min() < -TOL_DELAUNAY
 
         if good(1.0):
             return events
@@ -281,6 +284,13 @@ def advance_by_bisection(surf, m, u):
         except (SurfaceError, OverflowError):
             move(lo)
             raise
+
+
+def make_delaunay(surf, m) -> list:
+    """Flip the state Delaunay at ``m.current_u`` by isometric flip rounds,
+    ``advance_conformal`` to ``m.current_u`` itself; returns the events.  A
+    refused flip raises, with the state put back as it was given."""
+    return advance_conformal(surf, m, m.current_u)[0]
 
 
 def delaunay_by_least_weight(surf, m) -> list:

@@ -30,7 +30,6 @@ from hypflow.surface import (
     delaunay_weights,
     face_angles,
     flip_edge,
-    make_delaunay,
 )
 from hypflow.triangle import angle_derivatives, angles_from_length_array
 
@@ -43,6 +42,7 @@ from reference import (
     edges_of,
     flip_diagonal_from_j,
     half_angle_residual,
+    make_delaunay,
     max_principle,
 )
 
@@ -134,7 +134,7 @@ def test_criterion_2_jacobian(announce):
         m = perturbed_metric(surf, rng, spread=0.2)
         make_delaunay(surf, m)
         gb(surf, m)
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         L = dense_jacobian(J)
         worst_sym = max(worst_sym, float(np.max(np.abs(L - L.T))))
         np.linalg.cholesky(L)  # positive definiteness on Delaunay states
@@ -188,7 +188,7 @@ def test_criterion_3_flip_duality(announce):
         surf = octahedron()
         m = perturbed_metric(surf, rng, spread=0.3)
         w = delaunay_weights(surf, m)
-        B = jacobian(surf, m).B
+        B = jacobian(surf, m, face_angles(surf, m)).B
         mask = np.abs(B) > 1e-9
         if not np.all(np.sign(w[mask]) == np.sign(B[mask])):
             sign_ok = False

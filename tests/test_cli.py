@@ -18,8 +18,9 @@ from hypflow.cli import (
     write_phm,
 )
 from hypflow import cli, flows, meshes
+from hypflow.curvature import curvature
 from hypflow.meshes import genus2, grid_torus, perturbed_metric, tetrahedron, unit_metric
-from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, delaunay_weights, validate
+from hypflow.surface import TOL_DELAUNAY, MarkedSurface, PHMetric, apply_conformal, delaunay_weights, validate
 
 from reference import (
     edge_index_of,
@@ -370,6 +371,27 @@ class TestCommands:
         uf = tmp_path / "u.txt"
         uf.write_text("t 0 0.05\n")
         assert main(["report", genus2_file, "--u", str(uf)]) == EXIT_OK
+
+    def test_report_alpha_column(self, tmp_path, capsys, genus2_file):
+        # R_alpha = K e^(-alpha u) at the factors; alpha = 0 recovers K
+        uf = tmp_path / "u.txt"
+        u = np.random.default_rng(3).uniform(-0.1, 0.1, 15)
+        uf.write_text("".join(f"t {i} {x!r}\n" for i, x in enumerate(u.tolist())))
+        surf, m = parse_phm(genus2_file)
+        apply_conformal(surf, m, u)
+        K = curvature(surf, m)
+        for alpha in (2.0, 0.0):
+            assert main(["report", genus2_file, "--alpha", str(alpha), "--u", str(uf)]) == EXIT_OK
+            rows = np.array([l.split() for l in capsys.readouterr().out.splitlines() if l[0].isdigit()], dtype=float)
+            assert np.array_equal(rows[:, 0], np.arange(15)) and np.array_equal(rows[:, 1], K)
+            assert np.allclose(rows[:, 2], K * np.exp(-alpha * u), rtol=1e-14, atol=0.0)
+            assert alpha or np.array_equal(rows[:, 2], K)
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_report_refuses_non_finite_alpha(self, capsys, genus2_file, alpha):
+        # refused as a --tol is: a NaN alpha would print a NaN R column and exit 0
+        assert main(["report", genus2_file, "--alpha", alpha]) == EXIT_INVALID
+        assert capsys.readouterr().out == f"invalid: alpha must be finite, got {alpha}\n"
 
     def test_flow_converges(self, tmp_path, capsys, genus2_file):
         log = tmp_path / "steps.jsonl"

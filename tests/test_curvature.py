@@ -1,17 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from hypflow.curvature import (
-    ConformalState,
-    alpha_curvature,
-    alpha_laplacian_apply,
-    curvature,
-    energy_increment,
-    gauss_bonnet_residual,
-    jacobian,
-)
+from hypflow.curvature import curvature, energy_increment, gauss_bonnet_residual, jacobian
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, unit_metric
 from hypflow.surface import (
     AdmissibilityError,
@@ -20,10 +10,9 @@ from hypflow.surface import (
     clone_state,
     delaunay_weights,
     face_angles,
-    make_delaunay,
 )
 
-from reference import dense_jacobian
+from reference import dense_jacobian, make_delaunay
 
 
 def extended_curvature(surf, m):
@@ -58,19 +47,6 @@ class TestCurvature:
         assert np.ptp(K) < 1e-14
         assert K.sum() > 0
 
-    def test_alpha_zero_recovers_K(self, genus2_unit, rng):
-        surf, m = genus2_unit
-        K = curvature(surf, m)
-        state = ConformalState(rng.uniform(-1, 1, surf.vertex_count))
-        assert np.array_equal(alpha_curvature(K, state, 0.0), K)
-
-    def test_alpha_scaling(self, genus2_unit):
-        surf, m = genus2_unit
-        K = curvature(surf, m)
-        state = ConformalState(np.full(surf.vertex_count, 0.7))
-        R = alpha_curvature(K, state, 2.0)
-        assert np.allclose(R, K * math.exp(-1.4))
-
     def test_extended_matches_strict_on_admissible(self, genus2_perturbed):
         surf, m = genus2_perturbed
         assert np.allclose(curvature(surf, m), extended_curvature(surf, m))
@@ -101,7 +77,7 @@ class TestJacobian:
             surf = builder()
             m = perturbed_metric(surf, rng, spread=0.15)
             make_delaunay(surf, m)
-            J = jacobian(surf, m)
+            J = jacobian(surf, m, face_angles(surf, m))
             J_fd = fd_jacobian(surf, m)
             scale = np.maximum(1.0, np.abs(J_fd))
             assert np.max(np.abs(dense_jacobian(J) - J_fd) / scale) < 1e-8
@@ -109,7 +85,7 @@ class TestJacobian:
     def test_symmetric_positive_definite_on_delaunay(self, genus2_perturbed):
         surf, m = genus2_perturbed
         make_delaunay(surf, m)
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         L = dense_jacobian(J)
         assert np.allclose(L, L.T)
         np.linalg.cholesky(L)  # raises if not positive definite
@@ -119,7 +95,7 @@ class TestJacobian:
     def test_decomposition_identities(self, genus2_perturbed):
         surf, m = genus2_perturbed
         make_delaunay(surf, m)
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         i_idx, j_idx = surf.ends
         larr = m.length
         A = np.zeros(surf.vertex_count)
@@ -136,35 +112,9 @@ class TestJacobian:
         for _ in range(50):
             m = perturbed_metric(surf, rng, spread=0.3)
             w = delaunay_weights(surf, m)
-            B = jacobian(surf, m).B
+            B = jacobian(surf, m, face_angles(surf, m)).B
             mask = np.abs(B) > 1e-9
             assert np.all(np.sign(w[mask]) == np.sign(B[mask]))
-
-
-class TestLaplacian:
-    def test_alpha_zero_is_negated_matrix_action(self, genus2_perturbed, rng):
-        surf, m = genus2_perturbed
-        make_delaunay(surf, m)
-        J = jacobian(surf, m)
-        f = rng.standard_normal(surf.vertex_count)
-        state = ConformalState(np.zeros(surf.vertex_count))
-        assert np.allclose(alpha_laplacian_apply(J, state, 0.0, f), -dense_jacobian(J) @ f)
-
-    def test_alpha_rescales_rows(self, genus2_perturbed, rng):
-        surf, m = genus2_perturbed
-        make_delaunay(surf, m)
-        J = jacobian(surf, m)
-        f = rng.standard_normal(surf.vertex_count)
-        u = rng.uniform(-0.5, 0.5, surf.vertex_count)
-        state = ConformalState(u)
-        expected = -(dense_jacobian(J) @ f) / np.exp(1.5 * u)
-        assert np.allclose(alpha_laplacian_apply(J, state, 1.5, f), expected)
-
-    def test_shape_checked(self, genus2_perturbed):
-        surf, m = genus2_perturbed
-        J = jacobian(surf, m)
-        with pytest.raises(ValueError):
-            alpha_laplacian_apply(J, ConformalState(np.zeros(surf.vertex_count)), 0.0, np.zeros(3))
 
 
 class TestEnergy:

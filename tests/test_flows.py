@@ -27,10 +27,10 @@ from hypflow.surface import (
     apply_conformal,
     clone_state,
     delaunay_weights,
-    make_delaunay,
+    face_angles,
 )
 
-from reference import ENVELOPE_SLACK, decay_slope, dense_jacobian, edges_of, max_principle
+from reference import ENVELOPE_SLACK, decay_slope, dense_jacobian, edges_of, make_delaunay, max_principle
 
 
 @pytest.fixture
@@ -165,6 +165,23 @@ class TestRhs:
         cfg = FlowConfig(kind="calabi", alpha=0.0, target=np.zeros(n), max_steps=1)
         rhs = first_rhs(surf, m, cfg, advances)
         assert np.all(np.isfinite(rhs))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -1.5])
+    def test_calabi_rhs_is_alpha_laplacian(self, genus2_perturbed, rng, alpha):
+        # the alpha-Laplacian of f = F_alpha - target, -(L f) / w^alpha, against
+        # the dense L; alpha = 0 is the negated matrix action
+        surf, m = genus2_perturbed
+        u = rng.uniform(-0.1, 0.1, surf.vertex_count)
+        apply_conformal(surf, m, u)
+        make_delaunay(surf, m)
+        angles = face_angles(surf, m)
+        K = angle_defect(surf, angles)
+        target = rng.uniform(-1.0, 1.0, surf.vertex_count)
+        cfg = FlowConfig(kind="calabi", alpha=alpha, target=target)
+        rhs, F_a = flows._rhs(surf, m, cfg, target, u, K, angles)
+        assert np.array_equal(F_a, K / np.exp(alpha * u))
+        expected = -(dense_jacobian(jacobian(surf, m, angles)) @ (F_a - target)) / np.exp(alpha * u)
+        assert np.allclose(rhs, expected, rtol=1e-13, atol=1e-13)
 
 
 class TestFlows:
@@ -335,22 +352,34 @@ class TestRejectedTrials:
         assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
 
     def test_newton_line_search_restores_state(self, genus2_perturbed, monkeypatch):
+        # the full step of the first line search is refused inside its
+        # surgery, after a flip round is committed; the advance puts the
+        # state back, and the half step starts from the iterate
         surf, m = genus2_perturbed
         expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
-        advance = flows.advance_conformal
-        calls = []
+        advance, commit = flows.advance_conformal, surface._commit
+        calls, committed = [], []
+
+        def refused_after_commit(*args):
+            committed.append(commit(*args))
+            raise AdmissibilityError("refused for the test")
 
         def refuse_first_trial(s, mm, u):
-            calls.append(mm.current_u.copy())
-            out = advance(s, mm, u)
-            if len(calls) == 2:  # the full step of the first line search
-                raise AdmissibilityError("refused for the test")
-            return out
+            calls.append(clone_state(s, mm))
+            if len(calls) != 2:
+                return advance(s, mm, u)
+            with monkeypatch.context() as patch:
+                patch.setattr(surface, "_commit", refused_after_commit)
+                return advance(s, mm, u)
 
         monkeypatch.setattr(flows, "advance_conformal", refuse_first_trial)
         res = newton_solve(surf, m, 1.0, -1.0)
-        # the half step starts from the state at the iterate, not at the refused point
-        assert np.array_equal(calls[2], calls[1])
+        assert committed and committed[0]
+        # the half step finds the state that the full step found, flips undone
+        (s1, m1), (s2, m2) = calls[1:3]
+        assert np.array_equal(m2.current_u, m1.current_u)
+        for a, b in ((s2.FE, s1.FE), (s2.edge_corners, s1.edge_corners), (m2.lam, m1.lam), (m2.length, m1.length)):
+            assert np.array_equal(a, b)
         assert res.converged
         assert np.max(np.abs(res.state.u - expected.state.u)) <= 1e-12
 
@@ -443,10 +472,10 @@ class TestNewton:
         u = rng.uniform(-0.1, 0.1, surf.vertex_count)
         apply_conformal(surf, m, u)
         make_delaunay(surf, m)
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         shift = alpha * target * np.exp(alpha * u)
         g = curvature(surf, m) - target * np.exp(alpha * u)
-        delta, iters = flows._newton_step(J, shift, -g)
+        delta, iters = flows._newton_step(J, shift, -g, 0.0)
         dense = np.linalg.solve(dense_jacobian(J) - np.diag(shift), -g)
         assert iters >= 1
         assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -456,13 +485,13 @@ class TestNewton:
         u = rng.uniform(-0.1, 0.1, surf.vertex_count)
         apply_conformal(surf, m, u)
         make_delaunay(surf, m)
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         shift = -np.exp(u)  # alpha = 1, target = -1
         rhs = -(curvature(surf, m) + np.exp(u))
         stop = 1e-3 * np.linalg.norm(rhs)
         assert stop > flows.PCG_RTOL * np.linalg.norm(rhs)
         x, iters = flows._newton_step(J, shift, rhs, stop)
-        _, exact_iters = flows._newton_step(J, shift, rhs)
+        _, exact_iters = flows._newton_step(J, shift, rhs, 0.0)
         assert np.linalg.norm(J.apply(x) - shift * x - rhs) <= stop
         assert 1 <= iters < exact_iters
 
@@ -484,7 +513,7 @@ class TestNewton:
             with contextlib.suppress(SurfaceError, OverflowError):
                 advance_conformal(surf, m, rng.uniform(-0.3, 0.3, surf.vertex_count))
         n = surf.vertex_count
-        J = jacobian(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
         L = dense_jacobian(J)
         f = rng.standard_normal(n)
         assert np.allclose(J.apply(f), L @ f, rtol=1e-13, atol=1e-13)

@@ -23,7 +23,6 @@ from hypflow.surface import (
     face_angles,
     face_corner_lengths,
     flip_edge,
-    make_delaunay,
     _sort_half_edges,
     validate,
 )
@@ -43,6 +42,7 @@ from reference import (
     flip_diagonal_from_j,
     flip_by_lists,
     four_minus_two_weights,
+    make_delaunay,
     perturbed_lengths_by_dict,
     scaled_length,
     tri_angles,
@@ -267,7 +267,7 @@ class TestConformal:
             surface.advance_conformal(surf, m, u)
         angles = face_angles(surf, m)
         assert np.all(np.isfinite(angles))
-        assert delaunay_weights(surf, m, angles).min() >= -TOL_DELAUNAY
+        assert surface._weights(angles, surf.edge_corners).min() >= -TOL_DELAUNAY
 
     def test_strict_angles_raise_on_inadmissible(self, torus_unit, rng):
         surf, m = torus_unit
@@ -329,7 +329,7 @@ class TestDelaunay:
             surf = builder()
             m = perturbed_metric(surf, np.random.default_rng(seed), spread=0.28)
             angles = face_angles(surf, m)
-            w = delaunay_weights(surf, m, angles)
+            w = surface._weights(angles, surf.edge_corners)
             assert np.max(np.abs(w - four_minus_two_weights(angles, edge_faces(surf)))) <= 2e-15
 
     @pytest.mark.parametrize("builder", [lambda: grid_torus(8, 8), lambda: genus2(4, 4)])
@@ -346,7 +346,7 @@ class TestDelaunay:
             u = rng.uniform(-0.5, 0.5, surf.vertex_count)
             apply_conformal(surf, m, u)
             ok = admissible_mask(face_corner_lengths(surf, m))[surf.edge_corners // 3].all(axis=1)
-            w = delaunay_weights(surf, m, face_angles(surf, m, strict=False))
+            w = surface._weights(face_angles(surf, m, strict=False), surf.edge_corners)
             P = algebraic_delaunay_test(surf, m)
             assert np.array_equal(np.sign(P[ok]), np.sign(w[ok]))
             x = m.lam + u[surf.ends[0]] + u[surf.ends[1]]
@@ -370,7 +370,8 @@ class TestDelaunay:
 
             def measure(t):
                 apply_conformal(s, mm, t * u)
-                return delaunay_weights(s, mm, face_angles(s, mm, strict=False)), algebraic_delaunay_test(s, mm)
+                w = surface._weights(face_angles(s, mm, strict=False), s.edge_corners)
+                return w, algebraic_delaunay_test(s, mm)
 
             def first_root(past):
                 lo, hi = 0.0, 1.0
