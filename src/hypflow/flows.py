@@ -1,10 +1,11 @@
 """Curvature flows with surgery and a Newton solver for prescribed targets.
 
 Time integration of the alpha-Yamabe and alpha-Calabi flows by the
-Dormand-Prince 5(4) pair, its step size held inside the pair's stability
-interval by a stiffness estimate from its own stages, and a damped Newton
-iteration on the curvature equation whose line search accepts any decrease
-of the sup-norm residual.  Both evaluate the curvature map at u through one
+Dormand-Prince 5(4) pair while its accuracy binds, and by a strongly damped
+Runge-Kutta-Chebyshev method where that is cheaper once the pair's
+stability interval binds, both gauged by a stiffness estimate from their
+own stages; and a damped Newton iteration on the curvature equation whose
+line search accepts any decrease of the sup-norm residual.  Both evaluate the curvature map at u through one
 ``_CurvatureMap``: a call is ``advance_conformal``'s surgery at u, whose
 result depends on u alone, so neither solver follows a path between its
 points, and K is read from the angles that the surgery measured at u.  A
@@ -22,8 +23,10 @@ all calls; and ``max_flip_jump`` is the largest ``FlipEvent.k_jump``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +64,37 @@ DT_INIT = 0.1
 DT_MIN = 1e-9
 DT_MAX = 0.5
 U_ABORT = 50.0
-# a step size is also held to STIFF_FRACTION of DP5's stability interval on
-# the negative real axis, which reaches about -3.3, over the stiffness
-# estimate rho (Hairer, Norsett and Wanner, Solving ODEs I, II.10)
+# a Dormand-Prince step size is also held to STIFF_FRACTION of DP5's
+# stability interval on the negative real axis, which reaches about -3.3,
+# over the stiffness estimate rho (Hairer, Norsett and Wanner, Solving ODEs
+# I, II.10)
 STIFF_FRACTION, DP5_REAL_EDGE = 0.8, 3.3
+# a Runge-Kutta-Chebyshev step of size h takes the least s of 2 to
+# RKC_MAX_STAGES stages whose real stability interval [-beta(s), 0] reaches
+# RKC_MARGIN rho h, h shrunk if even RKC_MAX_STAGES do not; RKC_DAMPING is
+# its damping epsilon
+RKC_DAMPING, RKC_MARGIN, RKC_MAX_STAGES = 4.0, 1.2, 50
 
-# the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): row i of
-# DP5_A gives stage i + 1's point, u + dt (DP5_A[i] @ k); row 6 is the
-# fifth-order solution, whose right-hand side is the next step's first
-# stage, and DP5_E the difference of the two solutions' weights
+
+class _Method(NamedTuple):
+    """An explicit Runge-Kutta method and its error estimate in one tableau
+    form: row i of ``A`` gives stage i's point u + dt (A[i, :i] @ k), k[0]
+    being the right-hand side at u; the last row is the solution, whose
+    right-hand side is the next step's first stage (first same as last);
+    ``dt (E @ k)`` estimates the local error, ``power`` is the step-size
+    controller's exponent and ``beta`` the length of the real stability
+    interval."""
+
+    name: str
+    A: np.ndarray
+    E: np.ndarray
+    power: float
+    beta: float
+
+
+# the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): row 6 of
+# DP5_A is the fifth-order solution, and DP5_E the difference of the two
+# solutions' weights
 DP5_A = np.array([
     [0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0],
@@ -80,6 +105,69 @@ DP5_A = np.array([
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
 DP5_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP5 = _Method("dp5", DP5_A, DP5_E, 0.2, DP5_REAL_EDGE)
+
+
+@functools.cache
+def _rkc(s: int, damping: float) -> _Method:
+    """The s-stage second-order Runge-Kutta-Chebyshev method (Sommeijer,
+    Shampine and Verwer, J. Comput. Appl. Math. 88, 1997) as a ``_Method``.
+
+    Its stages follow the three-term recurrence Y_j = (1 - mu_j - nu_j) Y_0
+    + mu_j Y_{j-1} + nu_j Y_{j-2} + mut_j h F(Y_{j-1}) + gam_j h F(Y_0),
+    whose coefficients come from the Chebyshev polynomials T_j and their
+    first two derivatives at w0 = 1 + damping / s^2; unrolled, Y_j - Y_0 is
+    h (A[j] @ k), row by row from the two rows before it.  The error
+    estimate is SSV's 0.8 (u_n - u_{n+1}) + 0.4 h (F_n + F_{n+1}), and beta
+    = (1 + w0) / w1 is where w0 + w1 z, the Chebyshev argument of the
+    stability polynomial, reaches -1.  A damping well above SSV's 2/13
+    (beta about 0.46 s^2 at 4, against 0.65 s^2) holds the stability
+    polynomial at most about 0.45 in magnitude deep in that interval, where
+    at 2/13 it is about 0.95, so the stiff modes decay within a few steps.
+    """
+    w0 = 1.0 + damping / s**2
+    T, dT, ddT = np.zeros((3, s + 1))
+    T[0], T[1], dT[1] = 1.0, w0, 1.0
+    for j in range(2, s + 1):
+        T[j] = 2 * w0 * T[j - 1] - T[j - 2]
+        dT[j] = 2 * T[j - 1] + 2 * w0 * dT[j - 1] - dT[j - 2]
+        ddT[j] = 4 * dT[j - 1] + 2 * w0 * ddT[j - 1] - ddT[j - 2]
+    w1 = dT[s] / ddT[s]
+    b = np.empty(s + 1)
+    b[2:] = ddT[2:] / dT[2:] ** 2
+    b[:2] = b[2]
+    A = np.zeros((s + 1, s))
+    A[1, 0] = b[1] * w1
+    for j in range(2, s + 1):
+        mut = 2 * b[j] * w1 / b[j - 1]
+        A[j] = 2 * b[j] * w0 / b[j - 1] * A[j - 1] - b[j] / b[j - 2] * A[j - 2]
+        A[j, j - 1] += mut
+        A[j, 0] -= (1 - b[j - 1] * T[j - 1]) * mut
+    E = np.zeros(s + 1)
+    E[:s] = -0.8 * A[s]
+    E[[0, s]] += 0.4
+    return _Method("rkc", A, E, 1 / 3, (1 + w0) / w1)
+
+
+def _next_trial(method: _Method, dt: float, rho: float):
+    """The next trial's method and step size, after a trial of ``method``
+    whose error estimate proposes step size ``dt`` and whose last two stages
+    estimate the stiffness ``rho``.
+
+    DP5 keeps stepping while its accuracy binds, that is while ``dt`` is
+    within its stability cap.  Otherwise the next trial is the cheaper per
+    unit time of DP5 at that cap, 6 maps a step, and RKC at ``dt`` with as
+    many stages as its stability needs, s maps a step.
+    """
+    stable = min(DT_MAX, STIFF_FRACTION * _DP5.beta / rho if rho else math.inf)
+    if method is _DP5 and dt <= stable:
+        return _DP5, dt
+    s = 2
+    while s < RKC_MAX_STAGES and _rkc(s, RKC_DAMPING).beta < RKC_MARGIN * rho * dt:
+        s += 1
+    rkc = _rkc(s, RKC_DAMPING)
+    dt = min(dt, rkc.beta / (RKC_MARGIN * rho)) if rho else dt
+    return (rkc, dt) if s / dt <= 6 / stable else (_DP5, stable)
 
 
 class RegimeError(RuntimeError):
@@ -112,6 +200,11 @@ class StepRecord:
     max_M: float
     flips: int
     energy: float
+    # the method of the step that ended here, "dp5" or "rkc" (the entry's is
+    # "dp5", that of the step its map begins), and the curvature maps since
+    # the previous record, rejected trials' among them (the entry's is 1)
+    method: str
+    maps: int
 
 
 @dataclass
@@ -232,14 +325,20 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     ``_entry_check`` raises RegimeError outside the convergence regime before
     any step.  The entry, the curvature map's call at ``m.current_u``, flips
     the state Delaunay there and gives the first right-hand side; the first
-    record's flips are its flips.  Each step is a trial of the Dormand-Prince
-    5(4) pair (``DP5_A``): six curvature maps, the last at the fifth-order
-    solution u1, whose right-hand side is the next step's first stage (first
-    same as last).  A trial is accepted when its local error, the sup norm
-    of dt (DP5_E @ k), is at most STEP_ATOL.  After each trial the step size
-    becomes dt clip(0.9 (STEP_ATOL / err)^(1/5), 0.2, 5), at most DT_MAX and
-    at most STIFF_FRACTION DP5_REAL_EDGE / rho, where rho = |k7 - k6| / |u1 -
-    y6| (sup norms) estimates the stiffness from the two stages at c = 1.
+    record's flips are its flips.  Each step is a trial of a ``_Method``:
+    the Dormand-Prince 5(4) pair (``DP5_A``), six curvature maps, or the
+    s-stage Runge-Kutta-Chebyshev method (``_rkc``), s maps.  Either way the
+    last map is at the solution u1, and its right-hand side is the next
+    step's first stage (first same as last).  A trial is accepted when its
+    local error, the sup norm of dt (E @ k), is at most STEP_ATOL.  After
+    each trial its error proposes the step size dt clip(0.9 (STEP_ATOL /
+    err)^power, 0.2, 5), at most DT_MAX, and ``_next_trial`` picks the next
+    trial's method and step size from that proposal and the stiffness rho
+    = |k_n - k_{n-1}| / |u1 - y_{n-1}| (sup norms) of the last two stages:
+    a DP5 trial sets rho, an RKC trial may only raise it.  Each record
+    names the method of its step and counts the maps since the previous
+    record.
+
     A trial that raises is rejected, the state restored in place to the
     snapshot taken at the accepted u, and dt halved.  A SurfaceError, a flip
     refused on entry among them, a step size below DT_MIN after a rejection
@@ -251,7 +350,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun()
     u = m.current_u.copy()
-    saved = None
+    saved, mapped = None, 0
     curv = _CurvatureMap(surf, m)
 
     def rhs(v):
@@ -259,18 +358,21 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
         K, angles, flips = curv(v)
         return (*_rhs(surf, m, cfg, target, v, K, angles), K, flips)
 
-    def record(dt, flips):
+    def record(dt, flips, method):
+        nonlocal mapped
         run.records.append(StepRecord(
             t=t, dt=dt, sup_err=float(np.max(np.abs(M))), min_M=float(M.min()),
-            max_M=float(M.max()), flips=flips, energy=energy,
+            max_M=float(M.max()), flips=flips, energy=energy, method=method,
+            maps=curv.rhs_evals - mapped,
         ))
+        mapped = curv.rhs_evals
 
     try:
-        ks = np.empty((7, u.size))
+        ks = np.empty((max(len(DP5_A), RKC_MAX_STAGES + 1), u.size))
         ks[0], F_a, K, flips = rhs(u)
         M = F_a - target
-        t, dt, energy = 0.0, DT_INIT, 0.0
-        record(0.0, flips)
+        t, dt, energy, method, rho = 0.0, DT_INIT, 0.0, _DP5, 0.0
+        record(0.0, flips, method.name)
         while True:
             if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
                 run.status = "converged"
@@ -280,18 +382,21 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 break
             saved = clone_state(surf, m)
             while True:
+                taken, n = method, len(method.A) - 1
                 try:
                     y = u
-                    for i in range(1, 7):
-                        y6, y = y, u + dt * (DP5_A[i, :i] @ ks[:i])
+                    for i in range(1, n + 1):
+                        y_last, y = y, u + dt * (taken.A[i, :i] @ ks[:i])
                         ks[i], F_a, K_new, flips = rhs(y)
-                    err = dt * float(np.max(np.abs(DP5_E @ ks)))
-                    grow = min(5.0, max(0.2, 0.9 * (STEP_ATOL / err) ** 0.2)) if err else 5.0
-                    # rho = k_gap / y_gap, from the stages at c = 1
-                    k_gap = float(np.max(np.abs(ks[6] - ks[5])))
-                    y_gap = float(np.max(np.abs(y - y6)))
-                    stable = STIFF_FRACTION * DP5_REAL_EDGE * y_gap / k_gap if k_gap else math.inf
-                    step, dt = dt, min(dt * grow, DT_MAX, stable)
+                    err = dt * float(np.max(np.abs(taken.E @ ks[:n + 1])))
+                    grow = min(5.0, max(0.2, 0.9 * (STEP_ATOL / err) ** taken.power)) if err else 5.0
+                    # rho = k_gap / y_gap, from the last two stages; RKC's
+                    # damping leaves little of the stiff modes in its stages,
+                    # so they only raise the estimate of the last DP5 step
+                    k_gap = float(np.max(np.abs(ks[n] - ks[n - 1])))
+                    seen = k_gap / float(np.max(np.abs(y - y_last))) if k_gap else 0.0
+                    rho = seen if taken is _DP5 else max(rho, seen)
+                    step, (method, dt) = dt, _next_trial(taken, min(dt * grow, DT_MAX), rho)
                     rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
                 except (AdmissibilityError, FlipError, OverflowError) as exc:
                     # trial point left the admissible cone or requested a flip
@@ -310,8 +415,8 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 raise _StepFailure(f"|u| exceeded {U_ABORT} at t={t}; target likely mis-posed")
             energy += energy_increment(K, K_new, u, y, target, cfg.alpha)
             t += step
-            u, K, M, ks[0] = y, K_new, F_a - target, ks[6]
-            record(dt, flips)
+            u, K, M, ks[0] = y, K_new, F_a - target, ks[n]
+            record(dt, flips, taken.name)
     except (_StepFailure, SurfaceError) as exc:
         if saved is not None:
             _restore(surf, m, saved)

@@ -410,7 +410,22 @@ class TestCommands:
         run = flows.run_flow(*parse_phm(genus2_file), flows.FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
         final = lines[-1]
         assert {key: final[key] for key in cli.FLOW_COUNTERS} == {key: getattr(run, key) for key in cli.FLOW_COUNTERS}
-        assert 1 + 6 * final["steps"] <= final["rhs_evals"] <= 1 + 6 * (final["steps"] + final["rejected"])
+        # each record's maps, rejected trials' among them, sum to the run's;
+        # a Dormand-Prince step takes six, a Runge-Kutta-Chebyshev step s
+        assert sum(l["maps"] for l in lines[:-1]) == final["rhs_evals"]
+        assert lines[0]["maps"] == 1
+        assert all(l["maps"] >= 6 for l in lines[1:-1] if l["method"] == "dp5")
+        assert {l["method"] for l in lines[1:-1]} == {"dp5", "rkc"}
+
+    def test_calabi_on_torus_converges_within_default_max_steps(self, tmp_path, capsys):
+        # CI's torus fixture: under Dormand-Prince alone the run needed 6009
+        # steps, beyond the default --max-steps of 5000
+        surf = grid_torus(4, 4)
+        path = str(tmp_path / "torus4.phm")
+        write_phm(path, surf, perturbed_metric(surf, np.random.default_rng(1), spread=0.28))
+        rc = main(["flow", path, "--flow", "calabi", "--alpha", "0", "--target-const", "0.1"])
+        assert rc == EXIT_OK
+        assert "status converged" in capsys.readouterr().out
 
     def test_flow_not_converged_exit(self, capsys, genus2_file):
         rc = main([

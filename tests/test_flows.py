@@ -216,6 +216,23 @@ class TestFlows:
             largest.append(max(r.dt for r in run.records[1:]))
         assert abs(largest[0] / largest[1] - 1.0) <= 0.1
 
+    def test_calabi_maps_on_grid_torus(self):
+        # stability-bound: Dormand-Prince alone took 39294 maps
+        surf = grid_torus(10, 10)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        run = run_flow(surf, m, FlowConfig(kind="calabi", alpha=0.0, target=0.1, max_steps=20000))
+        assert run.converged and run.rhs_evals <= 12000
+        assert np.max(np.abs(curvature(surf, m) - 0.1)) < 1e-9
+
+    def test_yamabe_maps_on_fine_genus2(self):
+        # Dormand-Prince alone took 8875 maps; Runge-Kutta-Chebyshev at SSV's
+        # damping 2/13 did not converge within 3000 steps here, its stiff
+        # modes decaying by a factor of about 0.95 a step
+        surf = genus2(10, 10)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, tol_converge=1e-8))
+        assert run.converged and run.rhs_evals <= 8875
+
     def test_energy_monotone_along_descent(self, genus2_unit):
         surf, m = genus2_unit
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
@@ -246,17 +263,20 @@ class TestFlows:
         assert run.entry_flips == len(entry)
 
     def test_counters_match_the_evaluations(self, genus2_perturbed, advances):
-        # rhs_evals counts the curvature maps, the entry among them, six per
-        # accepted step and at most six per rejected trial; entry_flips the
-        # entry's flips, the ones make_delaunay makes; path_flips those of
-        # the other maps; flip_rounds the rounds of all
+        # rhs_evals counts the curvature maps, the entry among them, and the
+        # records' maps share them out: the entry's one, then each step's
+        # and its rejected trials', six a Dormand-Prince trial; entry_flips
+        # the entry's flips, the ones make_delaunay makes; path_flips those
+        # of the other maps; flip_rounds the rounds of all
         surf, m = genus2_perturbed
         entry = make_delaunay(*clone_state(surf, m))
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=0.0))
         maps = [events for _, events in advances]
         assert run.converged
-        assert run.rhs_evals == len(maps)
-        assert 1 + 6 * run.steps <= run.rhs_evals <= 1 + 6 * (run.steps + run.rejected)
+        assert run.rhs_evals == len(maps) == sum(r.maps for r in run.records)
+        assert run.records[0].maps == 1
+        assert all(r.maps >= 6 for r in run.records[1:] if r.method == "dp5")
+        assert {r.method for r in run.records[1:]} == {"dp5", "rkc"}
         assert run.entry_flips == len(maps[0]) == len(entry) >= 1
         assert run.path_flips == sum(map(len, maps[1:])) >= 1
         assert run.flip_rounds == sum(len({ev.round for ev in events}) for events in maps)
@@ -322,6 +342,80 @@ class TestFirstSameAsLast:
                 assert np.array_equal(advances[6 * step + i][0], y), (step, i)
                 ks.append(k(y))
         assert np.array_equal(advances[18][0], run.final_u)
+
+    def test_chebyshev_step_stages_and_cost(self, genus2_perturbed, advances):
+        # the first Runge-Kutta-Chebyshev step after another: its stages
+        # follow the unrolled recurrence from the previous step's last map,
+        # and its s stages cost s maps
+        surf, m = genus2_perturbed
+        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0)
+        run = run_flow(surf, m, cfg)
+        methods = [r.method for r in run.records]
+        step = next(i for i in range(2, len(methods)) if methods[i - 1] == methods[i] == "rkc")
+        s = run.records[step].maps
+        rkc = flows._rkc(s, flows.RKC_DAMPING)
+        assert s >= 3 and rkc.A.shape == (s + 1, s)
+        # the step's maps are advances[start:start + s]; it starts at the
+        # previous step's solution, the map before them, and makes none there
+        start = sum(r.maps for r in run.records[:step])
+        u, dt = advances[start - 1][0], run.records[step - 1].dt
+        assert not np.array_equal(advances[start][0], u)
+        s2, mm = clone_state(surf, m)
+
+        def k(v):
+            return -1.0 - angle_defect(s2, advance_conformal(s2, mm, v)[2]) / np.exp(cfg.alpha * v)
+
+        ks = [k(u)]
+        for i in range(1, s + 1):
+            y = u + dt * (rkc.A[i, :i] @ np.array(ks))
+            assert np.array_equal(advances[start + i - 1][0], y), i
+            ks.append(k(y))
+
+
+class TestChebyshevTableau:
+    @staticmethod
+    def recurrence(s, damping, z):
+        """R_j(z), the stages of SSV's three-term recurrence on y' = z y
+        from y = 1, with the Chebyshev values from numpy.polynomial."""
+        w0 = 1.0 + damping / s**2
+        T = [np.polynomial.Chebyshev.basis(j) for j in range(s + 1)]
+        t, d1, d2 = ([p.deriv(n)(w0) if n else p(w0) for p in T] for n in (0, 1, 2))
+        w1 = d1[s] / d2[s]
+        b = [d2[2] / d1[2] ** 2] * 2 + [d2[j] / d1[j] ** 2 for j in range(2, s + 1)]
+        Y = [np.ones_like(z), 1 + b[1] * w1 * z]
+        for j in range(2, s + 1):
+            mu, nu = 2 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2]
+            mut = 2 * b[j] * w1 / b[j - 1]
+            gam = -(1 - b[j - 1] * t[j - 1]) * mut
+            Y.append((1 - mu - nu) + mu * Y[-1] + nu * Y[-2] + mut * z * Y[-1] + gam * z)
+        return Y, (1 + w0) / w1
+
+    @pytest.mark.parametrize("s", [2, 3, 7, 20])
+    def test_tableau_unrolls_the_recurrence(self, s):
+        rkc = flows._rkc(s, flows.RKC_DAMPING)
+        z = -np.linspace(0.0, rkc.beta, 401)
+        Y, beta = self.recurrence(s, flows.RKC_DAMPING, z)
+        assert rkc.beta == pytest.approx(beta, rel=1e-12)
+        stages = [np.ones_like(z)]
+        for j in range(1, s + 1):
+            stages.append(1 + z * (rkc.A[j, :j] @ np.array(stages)))
+        assert np.allclose(stages, Y, rtol=0, atol=1e-12)
+        # second order: sum of weights 1, of weights times nodes 1/2
+        c = rkc.A[:s].sum(axis=1)
+        assert rkc.A[s].sum() == pytest.approx(1.0, abs=1e-14)
+        assert rkc.A[s] @ c == pytest.approx(0.5, abs=1e-14)
+        # SSV's error estimate 0.8 (y_n - y_{n+1}) + 0.4 h (F_n + F_{n+1})
+        assert np.allclose(z * (rkc.E @ np.array(stages)), 0.8 * (1 - Y[s]) + 0.4 * z * (1 + Y[s]), atol=1e-12)
+
+    @pytest.mark.parametrize("s", [3, 5, 10, 40])
+    def test_stable_and_damped_on_its_interval(self, s):
+        # |R_s| <= 1 on [-beta, 0]; damping 4 holds it below 0.7 beyond the
+        # first tenth of the interval, where SSV's 2/13 leaves it near 0.95
+        z = -np.linspace(0.0, flows._rkc(s, flows.RKC_DAMPING).beta, 4001)
+        for damping, deep in ((flows.RKC_DAMPING, 0.7), (2 / 13, 0.9)):
+            R = self.recurrence(s, damping, z)[0][s]
+            assert np.max(np.abs(R)) <= 1 + 1e-12
+            assert (np.max(np.abs(R[z < 0.1 * z[-1]])) <= deep) == (damping == flows.RKC_DAMPING)
 
 
 class TestRejectedTrials:
