@@ -21,14 +21,16 @@ decides what a record is.  A token it refuses, or reads only with a warning,
 is refused with a ParseError naming its line.
 
 Step logs are JSON lines with keys t, dt, sup_err, min_M, max_M, flips,
-energy, plus a terminal record with status, steps, final_sup_err, u and the
-problem solved: kind, alpha and the per-vertex target.  Newton logs have
+energy, method (the step's formula, ``ndf1`` to ``ndf5``) and maps (the
+curvature maps since the previous record), plus a terminal record with
+status, steps, final_sup_err, u, the problem solved (kind, alpha and the
+per-vertex target) and the run's counters ``FLOW_COUNTERS``.  Newton logs have
 one record per iteration with keys iteration, sup_residual,
 linsolve_iters, linsolve_stop, step_length and flips, plus a terminal
 record with status, iterations, u, alpha and target.  linsolve_iters,
 linsolve_stop and step_length describe the step that led to the iterate,
 and are null for iteration 0: the conjugate-gradient iterations of its
-linear solve, the 2-norm that solve's residual had to reach, and the
+linear solve, the sup norm that solve's residual had to reach, and the
 line-search step length accepted.  flips counts the edge flips of the
 iteration's surgery: for iteration 0 those on entry and at the initial u,
 then those of every line-search trial that reached its u.

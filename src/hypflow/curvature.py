@@ -105,7 +105,7 @@ def jacobian(surf: MarkedSurface, m: PHMetric, angles: np.ndarray) -> JacobianL:
     at = surf.edge_corners
     B = W[at[:, 0]] + W[at[:, 1]]
 
-    ends = surf.ends.ravel()
+    ends = surf.ends.flatten()  # a copy: _commit rewrites surf.ends in place
     a = B * (np.cosh(m.length) - 1.0)
     return JacobianL(A=_end_sums(ends, a, a, surf.vertex_count), B=B, ends=ends)
 

@@ -1,17 +1,17 @@
 """Curvature flows with surgery and a Newton solver for prescribed targets.
 
 Time integration of the alpha-Yamabe and alpha-Calabi flows by the
-Dormand-Prince 5(4) pair while its accuracy binds, and by a strongly damped
-Runge-Kutta-Chebyshev method where that is cheaper once the pair's
-stability interval binds, both gauged by a stiffness estimate from their
-own stages; and a damped Newton iteration on the curvature equation whose
-line search accepts any decrease of the sup-norm residual.  Both evaluate the curvature map at u through one
-``_CurvatureMap``: a call is ``advance_conformal``'s surgery at u, whose
-result depends on u alone, so neither solver follows a path between its
-points, and K is read from the angles that the surgery measured at u.  A
-solver's first call, at ``m.current_u``, is its entry: one advance that
-flips the state Delaunay by isometric rounds and measures the first
-right-hand side or residual.
+variable-order numerical differentiation formulas (NDF), an implicit
+method whose corrector solves its linear systems with the same
+Jacobi-preconditioned conjugate gradients (``_pcg``) as Newton's steps; and
+a damped Newton iteration on the curvature equation whose line search
+accepts any decrease of the sup-norm residual.  Both evaluate the curvature
+map at u through one ``_CurvatureMap``: a call is ``advance_conformal``'s
+surgery at u, whose result depends on u alone, so neither solver follows a
+path between its points, and K is read from the angles that the surgery
+measured at u.  A solver's first call, at ``m.current_u``, is its entry:
+one advance that flips the state Delaunay by isometric rounds and measures
+the first right-hand side or residual.
 
 ``FlowRun`` and ``NewtonResult`` give the map's counters over all of a
 solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +55,7 @@ __all__ = [
     "NewtonError",
 ]
 
-# the flows' step size starts at DT_INIT and stays at most DT_MAX; a trial
+# the flows' step size starts at DT_INIT and stays at most DT_MAX; a step
 # whose local error passes STEP_ATOL is rejected, and a step size below
 # DT_MIN after a rejection ends the run, as does |u| above U_ABORT
 STEP_ATOL = 1e-8
@@ -64,110 +63,49 @@ DT_INIT = 0.1
 DT_MIN = 1e-9
 DT_MAX = 0.5
 U_ABORT = 50.0
-# a Dormand-Prince step size is also held to STIFF_FRACTION of DP5's
-# stability interval on the negative real axis, which reaches about -3.3,
-# over the stiffness estimate rho (Hairer, Norsett and Wanner, Solving ODEs
-# I, II.10)
-STIFF_FRACTION, DP5_REAL_EDGE = 0.8, 3.3
-# a Runge-Kutta-Chebyshev step of size h takes the least s of 2 to
-# RKC_MAX_STAGES stages whose real stability interval [-beta(s), 0] reaches
-# RKC_MARGIN rho h, h shrunk if even RKC_MAX_STAGES do not; RKC_DAMPING is
-# its damping epsilon
-RKC_DAMPING, RKC_MARGIN, RKC_MAX_STAGES = 4.0, 1.2, 50
+# the numerical differentiation formulas of orders 1 to NDF_MAX_ORDER
+# (Shampine and Reichelt, SIAM J. Sci. Comput. 18, 1997): order k is the
+# backward differentiation formula modified by NDF_KAPPA[k];
+# NDF_GAMMA[k] = sum_{j <= k} 1/j, NDF_ALPHA[k] = (1 - kappa_k) gamma_k, and
+# NDF_ERROR[k] = kappa_k gamma_k + 1/(k + 1) is the constant of the local
+# error estimate NDF_ERROR[k] * d, d being the accepted u minus the
+# prediction
+NDF_MAX_ORDER = 5
+NDF_KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0])
+NDF_GAMMA = np.concatenate(([0.0], np.cumsum(1 / np.arange(1, NDF_MAX_ORDER + 1))))
+NDF_ALPHA = (1 - NDF_KAPPA) * NDF_GAMMA
+NDF_ERROR = NDF_KAPPA * NDF_GAMMA + 1 / np.arange(1, NDF_MAX_ORDER + 2)
+# a step size changes by a factor of at least STEP_SHRINK and at most
+# STEP_GROW
+STEP_SHRINK, STEP_GROW = 0.2, 10.0
+# the corrector evaluates the curvature map at most CORRECTOR_MAX_ITER times
+# a trial and accepts an iterate whose residual is at most CORRECTOR_TOL *
+# STEP_ATOL (sup norm); an iteration that shrinks the residual by less than
+# a factor of CORRECTOR_RATE marks its Jacobian stale.  Its linear solves
+# stop at CORRECTOR_RTOL of their right-hand side's sup norm: conjugate
+# gradients stopped early can amplify modes that the right-hand side hardly
+# holds, and the prediction amplifies them again, so such modes grow from
+# rounding until they are about CORRECTOR_RTOL of a step's correction
+CORRECTOR_MAX_ITER = 4
+CORRECTOR_TOL = 0.5
+CORRECTOR_RTOL = 0.01
+CORRECTOR_RATE = 0.1
 
 
-class _Method(NamedTuple):
-    """An explicit Runge-Kutta method and its error estimate in one tableau
-    form: row i of ``A`` gives stage i's point u + dt (A[i, :i] @ k), k[0]
-    being the right-hand side at u; the last row is the solution, whose
-    right-hand side is the next step's first stage (first same as last);
-    ``dt (E @ k)`` estimates the local error, ``power`` is the step-size
-    controller's exponent and ``beta`` the length of the real stability
-    interval."""
+def _rescale(D: np.ndarray, order: int, factor: float):
+    """Change the difference array ``D`` of an order-``order`` formula in
+    place from step size h to factor * h: the backward differences of the
+    same interpolating polynomial on the new grid (Shampine and Reichelt,
+    1997)."""
+    j = np.arange(1, order + 1)
 
-    name: str
-    A: np.ndarray
-    E: np.ndarray
-    power: float
-    beta: float
+    def R(f):
+        M = np.zeros((order + 1, order + 1))
+        M[0] = 1.0
+        M[1:, 1:] = (j[:, None] - 1 - f * j) / j[:, None]
+        return np.cumprod(M, axis=0)
 
-
-# the Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): row 6 of
-# DP5_A is the fifth-order solution, and DP5_E the difference of the two
-# solutions' weights
-DP5_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-DP5_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_DP5 = _Method("dp5", DP5_A, DP5_E, 0.2, DP5_REAL_EDGE)
-
-
-@functools.cache
-def _rkc(s: int, damping: float) -> _Method:
-    """The s-stage second-order Runge-Kutta-Chebyshev method (Sommeijer,
-    Shampine and Verwer, J. Comput. Appl. Math. 88, 1997) as a ``_Method``.
-
-    Its stages follow the three-term recurrence Y_j = (1 - mu_j - nu_j) Y_0
-    + mu_j Y_{j-1} + nu_j Y_{j-2} + mut_j h F(Y_{j-1}) + gam_j h F(Y_0),
-    whose coefficients come from the Chebyshev polynomials T_j and their
-    first two derivatives at w0 = 1 + damping / s^2; unrolled, Y_j - Y_0 is
-    h (A[j] @ k), row by row from the two rows before it.  The error
-    estimate is SSV's 0.8 (u_n - u_{n+1}) + 0.4 h (F_n + F_{n+1}), and beta
-    = (1 + w0) / w1 is where w0 + w1 z, the Chebyshev argument of the
-    stability polynomial, reaches -1.  A damping well above SSV's 2/13
-    (beta about 0.46 s^2 at 4, against 0.65 s^2) holds the stability
-    polynomial at most about 0.45 in magnitude deep in that interval, where
-    at 2/13 it is about 0.95, so the stiff modes decay within a few steps.
-    """
-    w0 = 1.0 + damping / s**2
-    T, dT, ddT = np.zeros((3, s + 1))
-    T[0], T[1], dT[1] = 1.0, w0, 1.0
-    for j in range(2, s + 1):
-        T[j] = 2 * w0 * T[j - 1] - T[j - 2]
-        dT[j] = 2 * T[j - 1] + 2 * w0 * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4 * dT[j - 1] + 2 * w0 * ddT[j - 1] - ddT[j - 2]
-    w1 = dT[s] / ddT[s]
-    b = np.empty(s + 1)
-    b[2:] = ddT[2:] / dT[2:] ** 2
-    b[:2] = b[2]
-    A = np.zeros((s + 1, s))
-    A[1, 0] = b[1] * w1
-    for j in range(2, s + 1):
-        mut = 2 * b[j] * w1 / b[j - 1]
-        A[j] = 2 * b[j] * w0 / b[j - 1] * A[j - 1] - b[j] / b[j - 2] * A[j - 2]
-        A[j, j - 1] += mut
-        A[j, 0] -= (1 - b[j - 1] * T[j - 1]) * mut
-    E = np.zeros(s + 1)
-    E[:s] = -0.8 * A[s]
-    E[[0, s]] += 0.4
-    return _Method("rkc", A, E, 1 / 3, (1 + w0) / w1)
-
-
-def _next_trial(method: _Method, dt: float, rho: float):
-    """The next trial's method and step size, after a trial of ``method``
-    whose error estimate proposes step size ``dt`` and whose last two stages
-    estimate the stiffness ``rho``.
-
-    DP5 keeps stepping while its accuracy binds, that is while ``dt`` is
-    within its stability cap.  Otherwise the next trial is the cheaper per
-    unit time of DP5 at that cap, 6 maps a step, and RKC at ``dt`` with as
-    many stages as its stability needs, s maps a step.
-    """
-    stable = min(DT_MAX, STIFF_FRACTION * _DP5.beta / rho if rho else math.inf)
-    if method is _DP5 and dt <= stable:
-        return _DP5, dt
-    s = 2
-    while s < RKC_MAX_STAGES and _rkc(s, RKC_DAMPING).beta < RKC_MARGIN * rho * dt:
-        s += 1
-    rkc = _rkc(s, RKC_DAMPING)
-    dt = min(dt, rkc.beta / (RKC_MARGIN * rho)) if rho else dt
-    return (rkc, dt) if s / dt <= 6 / stable else (_DP5, stable)
+    D[:order + 1] = (R(factor) @ R(1.0)).T @ D[:order + 1]
 
 
 class RegimeError(RuntimeError):
@@ -200,9 +138,10 @@ class StepRecord:
     max_M: float
     flips: int
     energy: float
-    # the method of the step that ended here, "dp5" or "rkc" (the entry's is
-    # "dp5", that of the step its map begins), and the curvature maps since
-    # the previous record, rejected trials' among them (the entry's is 1)
+    # the formula of the step that ended here, "ndf1" to "ndf5" by its order
+    # (the entry's is "ndf1", that of the first step), and the curvature
+    # maps since the previous record, rejected trials' among them (the
+    # entry's is 1)
     method: str
     maps: int
 
@@ -217,7 +156,8 @@ class FlowRun:
     reason: str | None = None
     final_u: np.ndarray | None = None
     max_flip_jump: float = 0.0
-    # trials rejected, by their error estimate or a raised curvature map
+    # trials rejected: by their error estimate, a corrector that did not
+    # converge or a raised curvature map
     rejected: int = 0
     # the curvature map's counters (module docstring)
     rhs_evals: int = 0
@@ -315,6 +255,125 @@ def _rhs(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, u, K, angles
     return -jacobian(surf, m, angles).apply(F_a - target) / np.exp(u) ** cfg.alpha, F_a
 
 
+# a linear solve stops at |r|_inf <= max(stop, PCG_RTOL * |rhs|_inf), or
+# fails after PCG_MAX_ITER_PER_VERTEX * n iterations; newton_solve asks each
+# step for stop = min(FORCING_MAX, |g|_inf) * |g|_inf, never below
+# TOL_FRACTION * tol
+PCG_RTOL = 1e-12
+PCG_MAX_ITER_PER_VERTEX = 10
+FORCING_MAX = 0.1
+TOL_FRACTION = 0.01
+
+
+def _certify(J: JacobianL, shift: np.ndarray):
+    """Raise NewtonError unless L - diag(shift) is strictly diagonally
+    dominant with a positive diagonal (``JacobianL.dominance_margin``), which
+    by Gershgorin's theorem certifies it positive definite; it holds on every
+    Delaunay state inside the regime."""
+    margin = J.dominance_margin(shift)
+    worst = int(np.argmin(margin))
+    if margin[worst] <= 0.0:
+        raise NewtonError(
+            "system matrix not certified positive definite: diagonal dominance "
+            f"margin {margin[worst]:.3e} at vertex {worst}"
+        )
+
+
+def _pcg(apply, diag: np.ndarray, rhs: np.ndarray, stop: float):
+    """Solve H x = rhs for a symmetric positive definite H given by its
+    product ``apply`` and its diagonal ``diag``; returns (x, iterations).
+
+    Conjugate gradients (Hestenes and Stiefel) preconditioned by the
+    diagonal.  It stops once the residual's sup norm is at most ``stop``,
+    floored at PCG_RTOL * |rhs|_inf; a ``stop`` of 0 solves to that floor.
+    A direction with p^T H p <= 0 raises NewtonError, as does the iteration
+    cap.
+    """
+    n = rhs.shape[0]
+    x, r = np.zeros(n), rhs.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    size = float(np.abs(r).max())
+    stop = max(stop, PCG_RTOL * size)
+    for it in range(PCG_MAX_ITER_PER_VERTEX * n):
+        if size <= stop:
+            return x, it
+        Hp = apply(p)
+        pHp = float(p @ Hp)
+        if pHp <= 0.0:
+            raise NewtonError(f"system matrix not positive definite: p^T H p = {pHp:.3e}")
+        step = rz / pHp
+        x += step * p
+        r -= step * Hp
+        np.divide(r, diag, out=z)
+        rz, rz_old = float(r @ z), rz
+        p *= rz / rz_old
+        p += z
+        size = float(np.abs(r).max())
+    raise NewtonError(
+        f"conjugate gradients stopped after {PCG_MAX_ITER_PER_VERTEX * n} iterations "
+        f"at residual {size:.3e} (target {stop:.3e})"
+    )
+
+
+def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
+    """Solve (L - diag(shift)) x = rhs matrix-free; returns (x, iterations).
+
+    The matrix is certified positive definite first (``_certify``), then
+    solved by ``_pcg`` with each product applied in O(E) from the stencil
+    form, ``shift`` folded into its diagonal.
+    """
+    _certify(J, shift)
+    diag = J.D - shift
+    return _pcg(functools.partial(J.apply, diag=diag), diag, rhs, stop)
+
+
+class _Corrector:
+    """The linear systems of the NDF corrector, (I - c J_F) dy = r, with the
+    flow's Jacobian J_F frozen where this was built: L = ``jacobian`` from the
+    angles measured there and w^alpha = e^(alpha u) at its u.
+
+    Yamabe: J_F = -diag(w^-alpha) H with Newton's H = L - alpha diag(target
+    w^alpha), so the system is (H + diag(w^alpha / c)) dy = w^alpha r / c,
+    strictly diagonally dominant inside the regime; it is certified by
+    ``_certify`` once per step-size coefficient c.  Calabi: J_F =
+    -diag(w^-alpha) L diag(w^-alpha) L, the alpha terms dropped, so the
+    system is (diag(w^alpha) + c L diag(w^-alpha) L) dy = w^alpha r,
+    symmetric positive definite by construction, with ``_pcg``'s p^T H p > 0
+    as its guard.
+    """
+
+    def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, angles):
+        self.J = jacobian(surf, m, angles)
+        self.wa = np.exp(cfg.alpha * m.current_u)
+        self.shift = cfg.alpha * target * self.wa if cfg.kind == "yamabe" else None
+        self.c = None
+
+    def solve(self, c: float, r: np.ndarray) -> np.ndarray:
+        """dy with (I - c J_F) dy = r, to CORRECTOR_RTOL."""
+        J, wa = self.J, self.wa
+        if c != self.c:
+            self.c = c
+            if self.shift is not None:
+                self.scale = wa / c
+                shift = self.shift - self.scale
+                _certify(J, shift)
+                self.diag = J.D - shift
+                self.apply = functools.partial(J.apply, diag=self.diag)
+            else:
+                self.scale = wa
+                # (L diag(w^-alpha) L)_ii = D_i^2 / w_i^alpha + sum over the
+                # half-edges at i of B^2 / w^alpha at their other end, exact
+                # where no two edges join the same vertices; the
+                # preconditioner needs only a positive diagonal
+                LWL = J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
+                self.diag = wa + c * LWL
+                self.apply = lambda p: wa * p + c * J.apply(J.apply(p) / wa)
+        b = self.scale * r
+        return _pcg(self.apply, self.diag, b, CORRECTOR_RTOL * float(np.abs(b).max()))[0]
+
+
 class _StepFailure(RuntimeError):
     """The step size fell below DT_MIN, or |u| passed U_ABORT."""
 
@@ -325,27 +384,42 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     ``_entry_check`` raises RegimeError outside the convergence regime before
     any step.  The entry, the curvature map's call at ``m.current_u``, flips
     the state Delaunay there and gives the first right-hand side; the first
-    record's flips are its flips.  Each step is a trial of a ``_Method``:
-    the Dormand-Prince 5(4) pair (``DP5_A``), six curvature maps, or the
-    s-stage Runge-Kutta-Chebyshev method (``_rkc``), s maps.  Either way the
-    last map is at the solution u1, and its right-hand side is the next
-    step's first stage (first same as last).  A trial is accepted when its
-    local error, the sup norm of dt (E @ k), is at most STEP_ATOL.  After
-    each trial its error proposes the step size dt clip(0.9 (STEP_ATOL /
-    err)^power, 0.2, 5), at most DT_MAX, and ``_next_trial`` picks the next
-    trial's method and step size from that proposal and the stiffness rho
-    = |k_n - k_{n-1}| / |u1 - y_{n-1}| (sup norms) of the last two stages:
-    a DP5 trial sets rho, an RKC trial may only raise it.  Each record
-    names the method of its step and counts the maps since the previous
-    record.
+    record's flips are its flips.
+
+    The flow is stepped by the numerical differentiation formulas (NDF) of
+    orders k = 1 to NDF_MAX_ORDER on the backward differences ``D`` of the
+    solution's interpolating polynomial, with a quasi-constant step size h
+    (Shampine and Reichelt, 1997); the first step is of order 1 and size
+    DT_INIT.  A trial predicts y0 = sum(D[:k + 1]) and corrects it by
+    simplified Newton on c F(y) - psi - (y - y0) = 0, c = h / NDF_ALPHA[k]:
+    each corrector iteration evaluates the curvature map at its iterate, and
+    from the second on accepts that iterate once the residual is at most
+    CORRECTOR_TOL * STEP_ATOL, else solves ``_Corrector``'s linear system for
+    the next.  So a step costs at least two maps, and its record, energy
+    increment and convergence test, and the state it leaves, all read the
+    map at the accepted u.  The Jacobian is frozen: it is built again from
+    the last map's angles after a step whose maps flipped or whose last
+    corrector iteration shrank the residual by less than CORRECTOR_RATE, and
+    when a corrector fails.
+
+    A step passes when its local error, NDF_ERROR[k] |d|_inf with d the
+    accepted u minus y0, is at most STEP_ATOL.  A trial is rejected once its
+    correction so far shows that it cannot pass; h then shrinks by the
+    error's ratio to STEP_ATOL to the power 1/(k + 1), by STEP_SHRINK at
+    most.  A corrector that fails to converge otherwise is retried with a
+    Jacobian built where it stopped, and then at half the step size.  After
+    k + 1 equal steps the order moves by at most one, to that whose error
+    estimate allows the longest next step, and h changes by at most
+    STEP_GROW, to at most DT_MAX.  Each record names the formula of its step
+    and counts the maps since the previous record.
 
     A trial that raises is rejected, the state restored in place to the
-    snapshot taken at the accepted u, and dt halved.  A SurfaceError, a flip
-    refused on entry among them, a step size below DT_MIN after a rejection
-    and |u| above U_ABORT end the run with status ``"failed"`` and a reason,
-    the state restored to the accepted u if a step began.  The run starts at
-    ``m.current_u``; ``advance_conformal`` moves the state to another start
-    first.
+    snapshot taken at the accepted u, and h halved.  A SurfaceError, a flip
+    refused on entry among them, a step size below DT_MIN after a rejection,
+    |u| above U_ABORT and a NewtonError from a corrector's linear solve end
+    the run with status ``"failed"`` and a reason, the state restored to the
+    accepted u if a step began.  The run starts at ``m.current_u``;
+    ``advance_conformal`` moves the state to another start first.
     """
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun()
@@ -354,25 +428,27 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     curv = _CurvatureMap(surf, m)
 
     def rhs(v):
-        """``(rhs, F_alpha, K, flips)`` at v."""
+        """``(rhs, F_alpha, K, angles, flips)`` at v."""
         K, angles, flips = curv(v)
-        return (*_rhs(surf, m, cfg, target, v, K, angles), K, flips)
+        return (*_rhs(surf, m, cfg, target, v, K, angles), K, angles, flips)
 
-    def record(dt, flips, method):
+    def record(dt, flips, order):
         nonlocal mapped
+        low, high = float(M.min()), float(M.max())
         run.records.append(StepRecord(
-            t=t, dt=dt, sup_err=float(np.max(np.abs(M))), min_M=float(M.min()),
-            max_M=float(M.max()), flips=flips, energy=energy, method=method,
-            maps=curv.rhs_evals - mapped,
+            t=t, dt=dt, sup_err=max(-low, high), min_M=low, max_M=high, flips=flips,
+            energy=energy, method=f"ndf{order}", maps=curv.rhs_evals - mapped,
         ))
         mapped = curv.rhs_evals
 
     try:
-        ks = np.empty((max(len(DP5_A), RKC_MAX_STAGES + 1), u.size))
-        ks[0], F_a, K, flips = rhs(u)
+        f, F_a, K, angles, flips = rhs(u)
         M = F_a - target
-        t, dt, energy, method, rho = 0.0, DT_INIT, 0.0, _DP5, 0.0
-        record(0.0, flips, method.name)
+        t, h, energy, order, equal_steps = 0.0, min(DT_INIT, DT_MAX), 0.0, 1, 0
+        record(0.0, flips, order)
+        D = np.zeros((NDF_MAX_ORDER + 3, u.size))
+        D[0], D[1] = u, h * f
+        corrector = None
         while True:
             if run.records[-1].sup_err <= cfg.tol_converge and cfg.max_steps > 0:
                 run.status = "converged"
@@ -381,43 +457,89 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 run.status = "max_steps"
                 break
             saved = clone_state(surf, m)
+            fresh = False
             while True:
-                taken, n = method, len(method.A) - 1
+                if corrector is None:
+                    corrector, fresh = _Corrector(surf, m, cfg, target, angles), True
+                c = h / NDF_ALPHA[order]
+                psi = NDF_GAMMA[1:order + 1] @ D[1:order + 1] / NDF_ALPHA[order]
+                y = D[:order + 1].sum(axis=0)
+                d, d_norm, res, flips, converged = 0.0, 0.0, math.inf, 0, False
                 try:
-                    y = u
-                    for i in range(1, n + 1):
-                        y_last, y = y, u + dt * (taken.A[i, :i] @ ks[:i])
-                        ks[i], F_a, K_new, flips = rhs(y)
-                    err = dt * float(np.max(np.abs(taken.E @ ks[:n + 1])))
-                    grow = min(5.0, max(0.2, 0.9 * (STEP_ATOL / err) ** taken.power)) if err else 5.0
-                    # rho = k_gap / y_gap, from the last two stages; RKC's
-                    # damping leaves little of the stiff modes in its stages,
-                    # so they only raise the estimate of the last DP5 step
-                    k_gap = float(np.max(np.abs(ks[n] - ks[n - 1])))
-                    seen = k_gap / float(np.max(np.abs(y - y_last))) if k_gap else 0.0
-                    rho = seen if taken is _DP5 else max(rho, seen)
-                    step, (method, dt) = dt, _next_trial(taken, min(dt * grow, DT_MAX), rho)
-                    rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
+                    for it in range(CORRECTOR_MAX_ITER):
+                        f, F_a, K_new, angles, n_flips = rhs(y)
+                        flips += n_flips
+                        r = c * f - psi - d
+                        res, res_old = float(np.abs(r).max()), res
+                        if it:
+                            converged = res <= CORRECTOR_TOL * STEP_ATOL
+                            # the iterate is within about res of the
+                            # corrector's solution, so a correction this far
+                            # past STEP_ATOL fails the error test however
+                            # the iteration ends
+                            if converged or NDF_ERROR[order] * (d_norm - res) > STEP_ATOL:
+                                break
+                        if not res < res_old or it + 1 == CORRECTOR_MAX_ITER:
+                            break
+                        dy = corrector.solve(c, r)
+                        y, d = y + dy, d + dy
+                        d_norm = float(np.abs(d).max())
                 except (AdmissibilityError, FlipError, OverflowError) as exc:
-                    # trial point left the admissible cone or requested a flip
-                    # the combinatorics cannot honor; reject it and halve dt
+                    # an iterate left the admissible cone or requested a flip
+                    # the combinatorics cannot honor; reject it and halve h
                     _restore(surf, m, saved)
-                    err, rejection, dt = math.inf, f"{type(exc).__name__}: {exc}", 0.5 * dt
-                if err <= STEP_ATOL:
-                    break
+                    factor, rejection = 0.5, f"{type(exc).__name__}: {exc}"
+                else:
+                    err = NDF_ERROR[order] * d_norm
+                    # a step size proposed after a slow corrector is cut
+                    safety = 0.9 * (2 * CORRECTOR_MAX_ITER + 1) / (2 * CORRECTOR_MAX_ITER + it + 1)
+                    if converged and err <= STEP_ATOL:
+                        break
+                    if err > STEP_ATOL:
+                        factor = max(STEP_SHRINK, safety * (STEP_ATOL / err) ** (1 / (order + 1)))
+                        rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
+                    else:
+                        factor = 0.5 if fresh else 1.0
+                        corrector = corrector if fresh else None
+                        rejection = f"corrector residual {res:.3e} > {CORRECTOR_TOL * STEP_ATOL:.3e}"
                 run.rejected += 1
-                if dt < DT_MIN:
-                    raise _StepFailure(
-                        f"dt underflow below {DT_MIN} at t={t}; last rejection: "
-                        f"{rejection} (u={u.tolist()})"
-                    )
-            if np.max(np.abs(y)) > U_ABORT:
+                if factor != 1.0:
+                    h *= factor
+                    _rescale(D, order, factor)
+                    equal_steps = 0
+                    if h < DT_MIN:
+                        raise _StepFailure(
+                            f"dt underflow below {DT_MIN} at t={t}; last rejection: "
+                            f"{rejection} (u={u.tolist()})"
+                        )
+            if np.abs(y).max() > U_ABORT:
                 raise _StepFailure(f"|u| exceeded {U_ABORT} at t={t}; target likely mis-posed")
             energy += energy_increment(K, K_new, u, y, target, cfg.alpha)
-            t += step
-            u, K, M, ks[0] = y, K_new, F_a - target, ks[n]
-            record(dt, flips, taken.name)
-    except (_StepFailure, SurfaceError) as exc:
+            t += h
+            u, K, M = y, K_new, F_a - target
+            if flips or res > CORRECTOR_RATE * res_old:
+                corrector = None
+            # the new point's differences: d is its difference of order k + 1
+            D[order + 2] = d - D[order + 1]
+            D[order + 1] = d
+            for i in reversed(range(order + 1)):
+                D[i] += D[i + 1]
+            step_order, equal_steps = order, equal_steps + 1
+            if equal_steps > order:
+                errors = (
+                    NDF_ERROR[order - 1] * float(np.abs(D[order]).max()) if order > 1 else math.inf,
+                    err,
+                    NDF_ERROR[order + 1] * float(np.abs(D[order + 2]).max()) if order < NDF_MAX_ORDER else math.inf,
+                )
+                factors = [(STEP_ATOL / e) ** (1 / (order + j)) if e else math.inf for j, e in enumerate(errors)]
+                best = int(np.argmax(factors))
+                order += best - 1
+                factor = min(STEP_GROW, safety * factors[best], DT_MAX / h)
+                h *= factor
+                _rescale(D, order, factor)
+                equal_steps = 0
+            record(h, flips, step_order)
+    except (_StepFailure, SurfaceError, NewtonError) as exc:
         if saved is not None:
             _restore(surf, m, saved)
         run.status = "failed"
@@ -434,7 +556,7 @@ class NewtonResult:
     converged: bool
     max_flip_jump: float = 0.0
     # per Newton step: conjugate-gradient iterations of its linear solve,
-    # the 2-norm its linear residual had to reach, and the accepted
+    # the sup norm its linear residual had to reach, and the accepted
     # line-search step length
     linsolve_iters: list = field(default_factory=list)
     linsolve_stop: list = field(default_factory=list)
@@ -450,60 +572,6 @@ class NewtonResult:
     def path_flips(self) -> int:
         """The Ptolemy flips of all residual evaluations."""
         return sum(self.flips) - self.entry_flips
-
-
-# the linear solve stops at ||r|| <= max(stop, PCG_RTOL * ||rhs||), or fails
-# after PCG_MAX_ITER_PER_VERTEX * n iterations; newton_solve asks each step
-# for stop = min(FORCING_MAX, |g|_inf) * |g|_inf, never below TOL_FRACTION * tol
-PCG_RTOL = 1e-12
-PCG_MAX_ITER_PER_VERTEX = 10
-FORCING_MAX = 0.1
-TOL_FRACTION = 0.1
-
-
-def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
-    """Solve (L - diag(shift)) x = rhs matrix-free; returns (x, iterations).
-
-    Positive definiteness is certified before the solve by strict diagonal
-    dominance (``JacobianL.dominance_margin``), which holds on every Delaunay
-    state inside the regime.  The solve is conjugate gradients (Hestenes and
-    Stiefel) preconditioned by the diagonal, with each product by the matrix
-    applied in O(E) from the stencil form, ``shift`` folded into its
-    diagonal.  It stops once the residual's 2-norm is at most ``stop``,
-    floored at PCG_RTOL * ||rhs||; a ``stop`` of 0 solves to that floor.
-    """
-    margin = J.dominance_margin(shift)
-    worst = int(np.argmin(margin))
-    if margin[worst] <= 0.0:
-        raise NewtonError(
-            "system matrix not certified positive definite: diagonal dominance "
-            f"margin {margin[worst]:.3e} at vertex {worst}"
-        )
-    n = rhs.shape[0]
-    diag = J.D - shift
-    x, r = np.zeros(n), rhs.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    stop = max(stop, PCG_RTOL * math.sqrt(float(rhs @ rhs)))
-    for it in range(PCG_MAX_ITER_PER_VERTEX * n):
-        if math.sqrt(float(r @ r)) <= stop:
-            return x, it
-        Hp = J.apply(p, diag)
-        pHp = float(p @ Hp)
-        if pHp <= 0.0:
-            raise NewtonError(f"system matrix not positive definite: p^T H p = {pHp:.3e}")
-        step = rz / pHp
-        x += step * p
-        r -= step * Hp
-        np.divide(r, diag, out=z)
-        rz, rz_old = float(r @ z), rz
-        p *= rz / rz_old
-        p += z
-    raise NewtonError(
-        f"conjugate gradients stopped after {PCG_MAX_ITER_PER_VERTEX * n} iterations "
-        f"at residual {math.sqrt(float(r @ r)):.3e} (target {stop:.3e})"
-    )
 
 
 def newton_solve(
@@ -530,17 +598,18 @@ def newton_solve(
     evaluation measured at u.
 
     The solve is inexact (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
-    Anal. 1982): it stops once ||H delta + g||_2 <= min(FORCING_MAX,
+    Anal. 1982): it stops once |H delta + g|_inf <= min(FORCING_MAX,
     |g|_inf) * |g|_inf, floored at TOL_FRACTION * tol and at PCG_RTOL *
-    ||g||_2.  The stop is taken against the sup-norm that ``tol`` tests:
-    the step's linear error in that norm is below |g|_inf^2, the order of
-    Newton's own quadratic term, so the iteration count is that of exact
-    steps.  The ``tol`` floor spares the last step the accuracy that the
-    ``tol`` test cannot see: a linear residual below TOL_FRACTION * tol
-    leaves the next residual below ``tol`` up to Newton's quadratic term.
-    A stop relative to ||g||_2, which grows like sqrt(n), costs extra
-    iterations on large meshes.  As TOL_FRACTION * tol < |g|_inf <=
-    ||g||_2 while iterating, every step makes at least one CG iteration.
+    |g|_inf.  Both the stop and the residual are measured in the sup norm
+    that ``tol`` tests: the step's linear error in that norm is below
+    |g|_inf^2, the order of Newton's own quadratic term, so the iteration
+    count is that of exact steps, while a 2-norm residual, which grows like
+    sqrt(n), would cost extra iterations on large meshes.  The ``tol``
+    floor spares the last step the accuracy that the ``tol`` test cannot
+    see: a linear residual below TOL_FRACTION * tol leaves the next residual
+    near TOL_FRACTION * tol, up to Newton's quadratic term, so two Newton
+    paths to the same solution agree to about that.  As TOL_FRACTION * tol
+    < |g|_inf while iterating, every step makes at least one CG iteration.
     Convergence is still judged on the true residual g, and a residual that
     is not finite raises NewtonError.
 
@@ -569,7 +638,7 @@ def newton_solve(
     it = 0
     while residuals[-1] > tol and it < max_iter:
         stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1], TOL_FRACTION * tol,
-                   PCG_RTOL * math.sqrt(float(g @ g)))
+                   PCG_RTOL * residuals[-1])
         delta, cg_iters = _newton_step(
             jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u)), -g, stop
         )

@@ -5,6 +5,7 @@ from hypflow.curvature import curvature, energy_increment, gauss_bonnet_residual
 from hypflow.meshes import genus2, grid_torus, octahedron, perturbed_metric, unit_metric
 from hypflow.surface import (
     AdmissibilityError,
+    advance_conformal,
     angle_defect,
     apply_conformal,
     clone_state,
@@ -106,6 +107,22 @@ class TestJacobian:
         np.add.at(diag_expected, i_idx, J.B)
         np.add.at(diag_expected, j_idx, J.B)
         assert np.max(np.abs(J.D - diag_expected)) < 1e-12
+
+    def test_products_survive_flips_of_the_surface(self):
+        # a Jacobian outlives the state it was assembled at (the flows
+        # freeze it); flips rewrite the surface's edge arrays in place, and
+        # must leave its products as they were
+        surf = genus2(3, 3)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        make_delaunay(surf, m)
+        J = jacobian(surf, m, face_angles(surf, m))
+        L = dense_jacobian(J)
+        f = np.random.default_rng(2).standard_normal(surf.vertex_count)
+        before = J.apply(f)
+        events, _, _ = advance_conformal(surf, m, np.random.default_rng(3).uniform(-0.3, 0.3, surf.vertex_count))
+        assert len(events) >= 1
+        assert np.array_equal(J.apply(f), before)
+        assert np.array_equal(dense_jacobian(J), L) and np.array_equal(L, L.T)
 
     def test_edge_weight_sign_matches_delaunay_weight(self, rng):
         surf = octahedron()
