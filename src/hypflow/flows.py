@@ -36,10 +36,8 @@ from .surface import (
     MarkedSurface,
     PHMetric,
     SurfaceError,
-    _restore,
     advance_conformal,
     angle_defect,
-    clone_state,
     euler_characteristic,
 )
 
@@ -317,14 +315,11 @@ def _pcg(apply, diag: np.ndarray, rhs: np.ndarray, stop: float):
     )
 
 
-def _newton_step(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
-    """Solve (L - diag(shift)) x = rhs matrix-free; returns (x, iterations).
-
-    The matrix is certified positive definite first (``_certify``), then
-    solved by ``_pcg`` with each product applied in O(E) from the stencil
-    form, ``shift`` folded into its diagonal.
-    """
-    _certify(J, shift)
+def _shifted_solve(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
+    """Solve (L - diag(shift)) x = rhs matrix-free by ``_pcg``, each product
+    applied in O(E) from the stencil form, ``shift`` folded into its
+    diagonal; returns (x, iterations).  The caller certifies the matrix
+    (``_certify``) where it builds ``J``."""
     diag = J.D - shift
     return _pcg(functools.partial(J.apply, diag=diag), diag, rhs, stop)
 
@@ -336,42 +331,38 @@ class _Corrector:
 
     Yamabe: J_F = -diag(w^-alpha) H with Newton's H = L - alpha diag(target
     w^alpha), so the system is (H + diag(w^alpha / c)) dy = w^alpha r / c,
-    strictly diagonally dominant inside the regime; it is certified by
-    ``_certify`` once per step-size coefficient c.  Calabi: J_F =
-    -diag(w^-alpha) L diag(w^-alpha) L, the alpha terms dropped, so the
-    system is (diag(w^alpha) + c L diag(w^-alpha) L) dy = w^alpha r,
-    symmetric positive definite by construction, with ``_pcg``'s p^T H p > 0
-    as its guard.
+    solved by Newton's ``_shifted_solve``.  H is certified by ``_certify``
+    once, here, raising NewtonError where it fails: the dominance margin of
+    H + diag(w^alpha / c) is H's plus w^alpha / c, so that certificate
+    covers every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) L,
+    the alpha terms dropped, so the system is (diag(w^alpha) + c L
+    diag(w^-alpha) L) dy = w^alpha r, symmetric positive definite by
+    construction, with ``_pcg``'s p^T H p > 0 as its guard.
     """
 
     def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, angles):
-        self.J = jacobian(surf, m, angles)
-        self.wa = np.exp(cfg.alpha * m.current_u)
-        self.shift = cfg.alpha * target * self.wa if cfg.kind == "yamabe" else None
-        self.c = None
+        self.J = J = jacobian(surf, m, angles)
+        self.wa = wa = np.exp(cfg.alpha * m.current_u)
+        if cfg.kind == "yamabe":
+            self.shift = cfg.alpha * target * wa
+            _certify(J, self.shift)
+        else:
+            # (L diag(w^-alpha) L)_ii = D_i^2 / w_i^alpha + sum over the
+            # half-edges at i of B^2 / w^alpha at their other end, exact
+            # where no two edges join the same vertices; the preconditioner
+            # needs only a positive diagonal
+            self.shift = None
+            self.LWL = J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
 
     def solve(self, c: float, r: np.ndarray) -> np.ndarray:
         """dy with (I - c J_F) dy = r, to CORRECTOR_RTOL."""
         J, wa = self.J, self.wa
-        if c != self.c:
-            self.c = c
-            if self.shift is not None:
-                self.scale = wa / c
-                shift = self.shift - self.scale
-                _certify(J, shift)
-                self.diag = J.D - shift
-                self.apply = functools.partial(J.apply, diag=self.diag)
-            else:
-                self.scale = wa
-                # (L diag(w^-alpha) L)_ii = D_i^2 / w_i^alpha + sum over the
-                # half-edges at i of B^2 / w^alpha at their other end, exact
-                # where no two edges join the same vertices; the
-                # preconditioner needs only a positive diagonal
-                LWL = J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
-                self.diag = wa + c * LWL
-                self.apply = lambda p: wa * p + c * J.apply(J.apply(p) / wa)
-        b = self.scale * r
-        return _pcg(self.apply, self.diag, b, CORRECTOR_RTOL * float(np.abs(b).max()))[0]
+        scale = wa if self.shift is None else wa / c
+        b = scale * r
+        stop = CORRECTOR_RTOL * float(np.abs(b).max())
+        if self.shift is None:
+            return _pcg(lambda p: wa * p + c * J.apply(J.apply(p) / wa), wa + c * self.LWL, b, stop)[0]
+        return _shifted_solve(J, self.shift - scale, b, stop)[0]
 
 
 class _StepFailure(RuntimeError):
@@ -413,18 +404,23 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     STEP_GROW, to at most DT_MAX.  Each record names the formula of its step
     and counts the maps since the previous record.
 
-    A trial that raises is rejected, the state restored in place to the
-    snapshot taken at the accepted u, and h halved.  A SurfaceError, a flip
-    refused on entry among them, a step size below DT_MIN after a rejection,
-    |u| above U_ABORT and a NewtonError from a corrector's linear solve end
-    the run with status ``"failed"`` and a reason, the state restored to the
-    accepted u if a step began.  The run starts at ``m.current_u``;
+    A trial that raises is rejected and h halved.  ``advance_conformal``
+    puts the state back as the raising map found it, so the state stays
+    Delaunay at the last map that returned, and the next trial's maps start
+    from there; the map depends on u alone, so no snapshot is kept.  A
+    SurfaceError, a flip refused on entry among them, a step size below
+    DT_MIN after a rejection, |u| above U_ABORT and a NewtonError from a
+    corrector's certificate or linear solve end the run with status
+    ``"failed"`` and a reason.  The state then goes back to the accepted u
+    by one direct ``advance_conformal``, made only if ``m.current_u``
+    differs from it; that call is not a curvature map, and ``rhs_evals``
+    does not count it.  The run starts at ``m.current_u``;
     ``advance_conformal`` moves the state to another start first.
     """
     target = _entry_check(surf, cfg.alpha, cfg.target, cfg.tol_converge)
     run = FlowRun()
     u = m.current_u.copy()
-    saved, mapped = None, 0
+    mapped = 0
     curv = _CurvatureMap(surf, m)
 
     def rhs(v):
@@ -456,7 +452,6 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
             if run.steps >= cfg.max_steps:
                 run.status = "max_steps"
                 break
-            saved = clone_state(surf, m)
             fresh = False
             while True:
                 if corrector is None:
@@ -487,7 +482,6 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 except (AdmissibilityError, FlipError, OverflowError) as exc:
                     # an iterate left the admissible cone or requested a flip
                     # the combinatorics cannot honor; reject it and halve h
-                    _restore(surf, m, saved)
                     factor, rejection = 0.5, f"{type(exc).__name__}: {exc}"
                 else:
                     err = NDF_ERROR[order] * d_norm
@@ -540,8 +534,8 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 equal_steps = 0
             record(h, flips, step_order)
     except (_StepFailure, SurfaceError, NewtonError) as exc:
-        if saved is not None:
-            _restore(surf, m, saved)
+        if not np.array_equal(m.current_u, u):
+            advance_conformal(surf, m, u)
         run.status = "failed"
         run.reason = str(exc)
     run.final_u = u.copy()
@@ -639,9 +633,9 @@ def newton_solve(
     while residuals[-1] > tol and it < max_iter:
         stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1], TOL_FRACTION * tol,
                    PCG_RTOL * residuals[-1])
-        delta, cg_iters = _newton_step(
-            jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u)), -g, stop
-        )
+        J, shift = jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u))
+        _certify(J, shift)
+        delta, cg_iters = _shifted_solve(J, shift, -g, stop)
         linsolve_iters.append(cg_iters)
         linsolve_stop.append(stop)
         flips.append(0)

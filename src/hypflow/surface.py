@@ -241,14 +241,6 @@ def clone_state(surf: MarkedSurface, m: PHMetric):
     return surf.copy(), m.copy()
 
 
-def _restore(surf: MarkedSurface, m: PHMetric, saved) -> None:
-    """Put the ``clone_state`` snapshot ``saved`` back into ``surf`` and ``m``
-    in place, so that every holder of the two objects sees it."""
-    s, mm = clone_state(*saved)
-    vars(surf).update(vars(s))
-    vars(m).update(vars(mm))
-
-
 def face_corner_lengths(surf: MarkedSurface, m: PHMetric) -> np.ndarray:
     """(F, 3) lengths; entry [f, c] is the length of the edge opposite corner c."""
     return m.length[surf.FE]
@@ -554,7 +546,9 @@ def advance_conformal(surf: MarkedSurface, m: PHMetric, u: np.ndarray):
             raise AdmissibilityError(f"face {f} {surf.face_array[f].tolist()} is inadmissible at u")
     except Exception:
         if saved is not None:
-            _restore(surf, m, saved)
+            # in place, so that every holder of the two objects sees it
+            vars(surf).update(vars(saved[0]))
+            vars(m).update(vars(saved[1]))
         raise
     m.length, m.current_u = L, u.copy()
     return events, max((ev.k_jump for ev in events), default=0.0), angles

@@ -291,21 +291,22 @@ class TestFlows:
         surf, m = genus2_unit
         cfg = FlowConfig(kind=kind, alpha=1.0, target=-1.0, max_steps=1)
         expected = run_flow(*clone_state(surf, m), cfg)
-        passes, before_step = [], []
-        kernel, snapshot = surface.angles_from_length_array, flows.clone_state
+        passes, before_map = [], []
+        kernel, advance = surface.angles_from_length_array, flows.advance_conformal
 
         def counted(L):
             passes.extend([1] if L.shape[:-1] == surf.face_array.shape[:1] else [])
             return kernel(L)
 
-        def first_snapshot(*args):
-            before_step.append(len(passes))
-            return snapshot(*args)
+        def marked(*args):
+            before_map.append(len(passes))
+            return advance(*args)
 
         monkeypatch.setattr(surface, "angles_from_length_array", counted)
-        monkeypatch.setattr(flows, "clone_state", first_snapshot)
+        monkeypatch.setattr(flows, "advance_conformal", marked)
         run = run_flow(surf, m, cfg)
-        assert before_step[0] == 1
+        # the second map is the first step's prediction
+        assert before_map[1] == 1
         assert run.records == expected.records and np.array_equal(run.final_u, expected.final_u)
 
 
@@ -447,29 +448,26 @@ class TestCorrector:
 
     def test_raised_corrector_map_rejects_the_trial(self, genus2_perturbed, advances, monkeypatch):
         # the first step's second map, a corrector iterate, raises: the trial
-        # is rejected, the state restored to the entry's, and the next
-        # trial predicts with half the step size
+        # is rejected, and the next trial predicts with half the step size
+        # from the state that the last map that returned left
         surf, m = genus2_perturbed
-        entry = clone_state(surf, m)
-        make_delaunay(*entry)
-        advance, restore, restored = flows.advance_conformal, flows._restore, []
+        advance, starts = flows.advance_conformal, []
 
         def refuse_second(s, mm, u):
             if len(advances) == 2:
                 advances.append((np.array(u), None))
                 raise FlipError("refused for the test")
+            starts.append((mm.current_u.copy(), delaunay_weights(s, mm).min()))
             return advance(s, mm, u)
 
-        def checked_restore(s, mm, saved):
-            restore(s, mm, saved)
-            restored.append(edges_of(s) == edges_of(entry[0]) and np.array_equal(mm.length, entry[1].length))
-
         monkeypatch.setattr(flows, "advance_conformal", refuse_second)
-        monkeypatch.setattr(flows, "_restore", checked_restore)
         monkeypatch.setattr(flows, "DT_INIT", 1e-5)
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0, max_steps=1))
         assert run.status == "max_steps" and run.steps == 1 and run.rejected == 1
-        assert restored == [True]
+        # the next trial's first map starts Delaunay at the refused trial's
+        # prediction, the last map that returned
+        start_u, weight = starts[2]
+        assert np.array_equal(start_u, advances[1][0]) and weight >= -TOL_DELAUNAY
         # advances: the entry, the prediction, the refused iterate, then the
         # next trial's prediction, halfway to the first
         u0, y0 = advances[0][0], advances[1][0]
@@ -478,30 +476,41 @@ class TestCorrector:
         # trial's two
         assert run.records[1].maps == 3 and run.rhs_evals == 4
 
+    def test_uncertified_yamabe_system_refused_when_built(self):
+        # alpha * target > 0 moves H's diagonal below the off-diagonal sums;
+        # H's certificate covers every step-size coefficient, so it is made
+        # once, where the Jacobian is built, before any solve
+        surf = genus2(3, 3)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        make_delaunay(surf, m)
+        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=5.0)
+        with pytest.raises(NewtonError, match="not certified positive definite"):
+            flows._Corrector(surf, m, cfg, np.full(surf.vertex_count, 5.0), face_angles(surf, m))
+
 
 class TestRejectedTrials:
-    def test_refused_trial_restores_accepted_state(self, monkeypatch):
+    def test_refused_trial_leaves_state_where_its_maps_moved_it(self, monkeypatch):
         surf, m, cfg = calabi_refused_after_flips()
-        # the accepted state before the first step: Delaunay at u = 0
+        # the accepted triangulation before the first step: Delaunay at u = 0
         s0, m0 = clone_state(surf, m)
         make_delaunay(s0, m0)
-        restore = flows._restore
-        moved = []
+        advance, moved = flows.advance_conformal, []
 
-        def checked_restore(s, mm, saved):
-            moved.append(edges_of(s) != edges_of(s0))
-            restore(s, mm, saved)
-            assert s is surf and mm is m
-            assert np.array_equal(m.current_u, m0.current_u)
-            assert edges_of(surf) == edges_of(s0) and np.array_equal(surf.FE, s0.FE)
-            assert np.array_equal(m.length, m0.length)
+        def checked_advance(s, mm, u):
+            off = edges_of(s) != edges_of(s0)
+            try:
+                return advance(s, mm, u)
+            except (AdmissibilityError, FlipError, OverflowError):
+                moved.append(off)
+                raise
 
-        monkeypatch.setattr(flows, "_restore", checked_restore)
+        monkeypatch.setattr(flows, "advance_conformal", checked_advance)
         cfg.max_steps = 1
         run = run_flow(surf, m, cfg)
         assert run.status == "max_steps" and run.steps == 1
-        # some refused trial had flipped edges before it was refused, and the
-        # step then succeeded from the restored state
+        # some refused call found the state off the accepted triangulation,
+        # flipped by the earlier maps of its trial; no restore put it back,
+        # and the step then succeeded from there
         assert any(moved)
         assert np.array_equal(m.current_u, run.final_u)
         assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
@@ -550,24 +559,41 @@ class TestRejectedTrials:
         assert re.search(r"last rejection: local error .* > STEP_ATOL", run.reason)
 
     @pytest.mark.parametrize(
-        "constants, reason",
+        "fixture, constants, reason",
         [
-            ({"DT_INIT": 0.1, "DT_MIN": 0.1, "DT_MAX": 0.1, "STEP_ATOL": 1e-300}, "dt underflow"),
-            ({"U_ABORT": 1e-6}, "|u| exceeded"),
+            ("tetrahedron", {"DT_INIT": 0.1, "DT_MIN": 0.1, "DT_MAX": 0.1, "STEP_ATOL": 1e-300}, "dt underflow"),
+            ("tetrahedron", {"U_ABORT": 1e-6}, "|u| exceeded"),
+            # fails after 34 steps, the state on another triangulation than
+            # at the last accepted u, so the return flips
+            ("genus2", {"U_ABORT": 0.1}, "|u| exceeded"),
         ],
     )
-    def test_failed_run_leaves_state_at_final_u(self, monkeypatch, constants, reason):
+    def test_failed_run_leaves_state_at_final_u(self, monkeypatch, advances, fixture, constants, reason):
         # the failure ends the run inside a step, whose trials moved the state
-        # on; it is put back at the last accepted u, which the dump then holds
-        surf = tetrahedron()
-        m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
-        m0 = m.copy()
+        # on; one advance that is no curvature map puts it back at the last
+        # accepted u, which the dump then holds
+        if fixture == "tetrahedron":
+            surf = tetrahedron()
+            m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
+            cfg = FlowConfig(kind="yamabe", alpha=0.0, target=4.0)
+        else:
+            surf = genus2(3, 3)
+            m = perturbed_metric(surf, np.random.default_rng(8), spread=0.28)
+            cfg = FlowConfig(kind="yamabe", alpha=1.0, target=-1.0)
+        s0, m0 = clone_state(surf, m)
         for name, value in constants.items():
             monkeypatch.setattr(flows, name, value)
-        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=0.0, target=4.0))
+        run = run_flow(surf, m, cfg)
         assert run.status == "failed" and run.reason.startswith(reason)
         assert np.array_equal(m.current_u, run.final_u)
-        assert np.array_equal(m.length, m0.length) and not run.final_u.any()
+        assert delaunay_weights(surf, m).min() >= -TOL_DELAUNAY
+        assert run.rhs_evals == len(advances) - 1
+        if fixture == "tetrahedron":
+            assert np.array_equal(m.length, m0.length) and not run.final_u.any()
+        else:
+            assert run.steps == 34 and advances[-1][1]
+        advance_conformal(s0, m0, run.final_u)
+        assert set(edges_of(surf)) == set(edges_of(s0))
 
 
 class TestMonitor:
@@ -630,7 +656,7 @@ class TestNewton:
         J = jacobian(surf, m, face_angles(surf, m))
         shift = alpha * target * np.exp(alpha * u)
         g = curvature(surf, m) - target * np.exp(alpha * u)
-        delta, iters = flows._newton_step(J, shift, -g, 0.0)
+        delta, iters = flows._shifted_solve(J, shift, -g, 0.0)
         dense = np.linalg.solve(dense_jacobian(J) - np.diag(shift), -g)
         assert iters >= 1
         assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -645,8 +671,8 @@ class TestNewton:
         rhs = -(curvature(surf, m) + np.exp(u))
         stop = 1e-3 * np.abs(rhs).max()
         assert stop > flows.PCG_RTOL * np.abs(rhs).max()
-        x, iters = flows._newton_step(J, shift, rhs, stop)
-        _, exact_iters = flows._newton_step(J, shift, rhs, 0.0)
+        x, iters = flows._shifted_solve(J, shift, rhs, stop)
+        _, exact_iters = flows._shifted_solve(J, shift, rhs, 0.0)
         assert np.abs(J.apply(x) - shift * x - rhs).max() <= stop
         assert 1 <= iters < exact_iters
 
@@ -678,7 +704,7 @@ class TestNewton:
         assert np.allclose(J.apply(f, J.D - shift), H @ f, rtol=1e-13, atol=1e-13)
         rhs = rng.standard_normal(n)
         stop = 1e-4 * np.abs(rhs).max()
-        x, iters = flows._newton_step(J, shift, rhs, stop)
+        x, iters = flows._shifted_solve(J, shift, rhs, stop)
         assert iters >= 1
         assert np.abs(H @ x - rhs).max() <= stop + 1e-12 * np.abs(rhs).max()
 
