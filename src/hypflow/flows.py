@@ -54,12 +54,19 @@ __all__ = [
 ]
 
 # the flows' step size starts at DT_INIT and stays at most DT_MAX; a step
-# whose local error passes STEP_ATOL is rejected, and a step size below
-# DT_MIN after a rejection ends the run, as does |u| above U_ABORT
+# whose local error passes its tolerance atol = max(STEP_ATOL, STEP_RTOL *
+# sup_err), sup_err being the last accepted record's, is rejected, and a
+# step size below DT_MIN after a rejection ends the run, as does |u| above
+# U_ABORT.  The relative term is pseudo-transient continuation's switched
+# evolution relaxation (Mulder and van Leer, J. Comput. Phys. 1985; Kelley
+# and Keyes, SIAM J. Numer. Anal. 1998); at STEP_RTOL = 1e-3 a run's
+# sup_err(t) stays within 1% of a trajectory run at STEP_ATOL = 1e-12 alone
+# while sup_err is above 1e-4
 STEP_ATOL = 1e-8
+STEP_RTOL = 1e-3
 DT_INIT = 0.1
 DT_MIN = 1e-9
-DT_MAX = 0.5
+DT_MAX = 5.0
 U_ABORT = 50.0
 # the numerical differentiation formulas of orders 1 to NDF_MAX_ORDER
 # (Shampine and Reichelt, SIAM J. Sci. Comput. 18, 1997): order k is the
@@ -78,12 +85,13 @@ NDF_ERROR = NDF_KAPPA * NDF_GAMMA + 1 / np.arange(1, NDF_MAX_ORDER + 2)
 STEP_SHRINK, STEP_GROW = 0.2, 10.0
 # the corrector evaluates the curvature map at most CORRECTOR_MAX_ITER times
 # a trial and accepts an iterate whose residual is at most CORRECTOR_TOL *
-# STEP_ATOL (sup norm); an iteration that shrinks the residual by less than
-# a factor of CORRECTOR_RATE marks its Jacobian stale.  Its linear solves
-# stop at CORRECTOR_RTOL of their right-hand side's sup norm: conjugate
-# gradients stopped early can amplify modes that the right-hand side hardly
-# holds, and the prediction amplifies them again, so such modes grow from
-# rounding until they are about CORRECTOR_RTOL of a step's correction
+# atol (sup norm), atol being the step's tolerance; an iteration that
+# shrinks the residual by less than a factor of CORRECTOR_RATE marks its
+# Jacobian stale.  Its linear solves stop at CORRECTOR_RTOL of their
+# right-hand side's sup norm: conjugate gradients stopped early can amplify
+# modes that the right-hand side hardly holds, and the prediction amplifies
+# them again, so such modes grow from rounding until they are about
+# CORRECTOR_RTOL of a step's correction
 CORRECTOR_MAX_ITER = 4
 CORRECTOR_TOL = 0.5
 CORRECTOR_RTOL = 0.01
@@ -334,10 +342,16 @@ class _Corrector:
     solved by Newton's ``_shifted_solve``.  H is certified by ``_certify``
     once, here, raising NewtonError where it fails: the dominance margin of
     H + diag(w^alpha / c) is H's plus w^alpha / c, so that certificate
-    covers every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) L,
-    the alpha terms dropped, so the system is (diag(w^alpha) + c L
-    diag(w^-alpha) L) dy = w^alpha r, symmetric positive definite by
-    construction, with ``_pcg``'s p^T H p > 0 as its guard.
+    covers every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) H,
+    the terms that vanish with F_alpha - target dropped, is -diag(w^-alpha)
+    L (diag(w^-alpha) L + tau) for a constant target, tau = -alpha target;
+    tau is the mean of -alpha target otherwise, so that the system
+    (diag(w^alpha) + c L (diag(w^-alpha) L + tau)) dy = w^alpha r is
+    symmetric positive definite by construction (tau >= 0 in the regime),
+    with ``_pcg``'s p^T H p > 0 as its guard.  Without tau, on a mode where
+    L has eigenvalue l and w^alpha = 1, the corrector's iterations contract
+    by c l tau / (1 + c l^2), up to sqrt(c) tau / 2: too slowly to converge
+    once the step size is long.
     """
 
     def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, angles):
@@ -349,10 +363,12 @@ class _Corrector:
         else:
             # (L diag(w^-alpha) L)_ii = D_i^2 / w_i^alpha + sum over the
             # half-edges at i of B^2 / w^alpha at their other end, exact
-            # where no two edges join the same vertices; the preconditioner
-            # needs only a positive diagonal
+            # where no two edges join the same vertices, and (tau L)_ii =
+            # tau D_i; the preconditioner needs only a positive diagonal
             self.shift = None
-            self.LWL = J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
+            self.tau = -cfg.alpha * float(target.mean())
+            self.LWH = (J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
+                        + self.tau * J.D)
 
     def solve(self, c: float, r: np.ndarray) -> np.ndarray:
         """dy with (I - c J_F) dy = r, to CORRECTOR_RTOL."""
@@ -361,7 +377,7 @@ class _Corrector:
         b = scale * r
         stop = CORRECTOR_RTOL * float(np.abs(b).max())
         if self.shift is None:
-            return _pcg(lambda p: wa * p + c * J.apply(J.apply(p) / wa), wa + c * self.LWL, b, stop)[0]
+            return _pcg(lambda p: wa * p + c * J.apply(J.apply(p) / wa + self.tau * p), wa + c * self.LWH, b, stop)[0]
         return _shifted_solve(J, self.shift - scale, b, stop)[0]
 
 
@@ -385,24 +401,32 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     simplified Newton on c F(y) - psi - (y - y0) = 0, c = h / NDF_ALPHA[k]:
     each corrector iteration evaluates the curvature map at its iterate, and
     from the second on accepts that iterate once the residual is at most
-    CORRECTOR_TOL * STEP_ATOL, else solves ``_Corrector``'s linear system for
-    the next.  So a step costs at least two maps, and its record, energy
+    CORRECTOR_TOL * atol, else solves ``_Corrector``'s linear system for the
+    next.  So a step costs at least two maps, and its record, energy
     increment and convergence test, and the state it leaves, all read the
     map at the accepted u.  The Jacobian is frozen: it is built again from
     the last map's angles after a step whose maps flipped or whose last
     corrector iteration shrank the residual by less than CORRECTOR_RATE, and
     when a corrector fails.
 
-    A step passes when its local error, NDF_ERROR[k] |d|_inf with d the
-    accepted u minus y0, is at most STEP_ATOL.  A trial is rejected once its
-    correction so far shows that it cannot pass; h then shrinks by the
-    error's ratio to STEP_ATOL to the power 1/(k + 1), by STEP_SHRINK at
-    most.  A corrector that fails to converge otherwise is retried with a
-    Jacobian built where it stopped, and then at half the step size.  After
-    k + 1 equal steps the order moves by at most one, to that whose error
-    estimate allows the longest next step, and h changes by at most
-    STEP_GROW, to at most DT_MAX.  Each record names the formula of its step
-    and counts the maps since the previous record.
+    A step's tolerance follows the distance from equilibrium: atol =
+    max(STEP_ATOL, STEP_RTOL * sup_err), sup_err being the last record's,
+    set once before the step's first trial.  The end point u* does not
+    depend on the path, and inside the regime the flow descends a strictly
+    convex energy, so an early step's error is damped before the run ends;
+    the trajectory is followed to a fixed fraction of the residual, and to
+    STEP_ATOL once the residual is small.  A step passes when its local
+    error, NDF_ERROR[k] |d|_inf with d the accepted u minus y0, is at most
+    atol.  A trial is rejected once its correction so far shows that it
+    cannot pass; h then shrinks by the error's ratio to atol to the power
+    1/(k + 1), by STEP_SHRINK at most, and the rejection names atol and
+    whether STEP_ATOL or the relative term set it.  A corrector that fails
+    to converge otherwise is retried with a Jacobian built where it stopped,
+    and then at half the step size.  After k + 1 equal steps the order moves
+    by at most one, to that whose error estimate allows the longest next
+    step against atol, and h changes by at most STEP_GROW, to at most
+    DT_MAX.  Each record names the formula of its step and counts the maps
+    since the previous record.
 
     A trial that raises is rejected and h halved.  ``advance_conformal``
     puts the state back as the raising map found it, so the state stays
@@ -452,6 +476,8 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
             if run.steps >= cfg.max_steps:
                 run.status = "max_steps"
                 break
+            sup_err = run.records[-1].sup_err
+            atol = max(STEP_ATOL, STEP_RTOL * sup_err)
             fresh = False
             while True:
                 if corrector is None:
@@ -467,12 +493,12 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                         r = c * f - psi - d
                         res, res_old = float(np.abs(r).max()), res
                         if it:
-                            converged = res <= CORRECTOR_TOL * STEP_ATOL
+                            converged = res <= CORRECTOR_TOL * atol
                             # the iterate is within about res of the
                             # corrector's solution, so a correction this far
-                            # past STEP_ATOL fails the error test however
-                            # the iteration ends
-                            if converged or NDF_ERROR[order] * (d_norm - res) > STEP_ATOL:
+                            # past atol fails the error test however the
+                            # iteration ends
+                            if converged or NDF_ERROR[order] * (d_norm - res) > atol:
                                 break
                         if not res < res_old or it + 1 == CORRECTOR_MAX_ITER:
                             break
@@ -487,15 +513,17 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                     err = NDF_ERROR[order] * d_norm
                     # a step size proposed after a slow corrector is cut
                     safety = 0.9 * (2 * CORRECTOR_MAX_ITER + 1) / (2 * CORRECTOR_MAX_ITER + it + 1)
-                    if converged and err <= STEP_ATOL:
+                    if converged and err <= atol:
                         break
-                    if err > STEP_ATOL:
-                        factor = max(STEP_SHRINK, safety * (STEP_ATOL / err) ** (1 / (order + 1)))
-                        rejection = f"local error {err:.3e} > STEP_ATOL {STEP_ATOL:.3e}"
+                    if err > atol:
+                        factor = max(STEP_SHRINK, safety * (atol / err) ** (1 / (order + 1)))
+                        # the floor or the relative term, whichever set atol
+                        source = "STEP_ATOL" if atol == STEP_ATOL else f"STEP_RTOL * sup_err {sup_err:.3e}"
+                        rejection = f"local error {err:.3e} > atol {atol:.3e} = {source}"
                     else:
                         factor = 0.5 if fresh else 1.0
                         corrector = corrector if fresh else None
-                        rejection = f"corrector residual {res:.3e} > {CORRECTOR_TOL * STEP_ATOL:.3e}"
+                        rejection = f"corrector residual {res:.3e} > {CORRECTOR_TOL * atol:.3e}"
                 run.rejected += 1
                 if factor != 1.0:
                     h *= factor
@@ -525,7 +553,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                     err,
                     NDF_ERROR[order + 1] * float(np.abs(D[order + 2]).max()) if order < NDF_MAX_ORDER else math.inf,
                 )
-                factors = [(STEP_ATOL / e) ** (1 / (order + j)) if e else math.inf for j, e in enumerate(errors)]
+                factors = [(atol / e) ** (1 / (order + j)) if e else math.inf for j, e in enumerate(errors)]
                 best = int(np.argmax(factors))
                 order += best - 1
                 factor = min(STEP_GROW, safety * factors[best], DT_MAX / h)

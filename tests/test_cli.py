@@ -412,11 +412,12 @@ class TestCommands:
         assert {key: final[key] for key in cli.FLOW_COUNTERS} == {key: getattr(run, key) for key in cli.FLOW_COUNTERS}
         # each record's maps, rejected trials' among them, sum to the run's;
         # an NDF step's corrector takes at least two, and the run climbs
-        # through every order
+        # from order 1 through each order up to at least 3
         assert sum(l["maps"] for l in lines[:-1]) == final["rhs_evals"]
         assert lines[0]["maps"] == 1
         assert all(l["maps"] >= 2 for l in lines[1:-1])
-        assert {l["method"] for l in lines[1:-1]} == {f"ndf{k}" for k in range(1, 6)}
+        orders = {int(l["method"].removeprefix("ndf")) for l in lines[1:-1]}
+        assert orders == set(range(1, max(orders) + 1)) and max(orders) >= 3
 
     def test_calabi_on_torus_converges_within_default_max_steps(self, tmp_path, capsys):
         # CI's torus fixture: under Dormand-Prince alone the run needed 6009
