@@ -2,10 +2,11 @@
 
 Time integration of the alpha-Yamabe and alpha-Calabi flows by the
 variable-order numerical differentiation formulas (NDF), an implicit
-method whose corrector solves its linear systems with the same
-Jacobi-preconditioned conjugate gradients (``_pcg``) as Newton's steps; and
-a damped Newton iteration on the curvature equation whose line search
-accepts any decrease of the sup-norm residual.  Both evaluate the curvature
+method whose corrector solves its linear systems through the certified
+operator ``_Hessian`` that Newton's steps solve, by Jacobi-preconditioned
+conjugate gradients (``_pcg``); and a damped Newton iteration on the
+curvature equation whose line search accepts any decrease of the sup-norm
+residual.  Both evaluate the curvature
 map at u through one ``_CurvatureMap``: a call is ``advance_conformal``'s
 surgery at u, whose result depends on u alone, so neither solver follows a
 path between its points, and K is read from the angles that the surgery
@@ -23,7 +24,6 @@ all calls; and ``max_flip_jump`` is the largest ``FlipEvent.k_jump``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -271,20 +271,6 @@ FORCING_MAX = 0.1
 TOL_FRACTION = 0.01
 
 
-def _certify(J: JacobianL, shift: np.ndarray):
-    """Raise NewtonError unless L - diag(shift) is strictly diagonally
-    dominant with a positive diagonal (``JacobianL.dominance_margin``), which
-    by Gershgorin's theorem certifies it positive definite; it holds on every
-    Delaunay state inside the regime."""
-    margin = J.dominance_margin(shift)
-    worst = int(np.argmin(margin))
-    if margin[worst] <= 0.0:
-        raise NewtonError(
-            "system matrix not certified positive definite: diagonal dominance "
-            f"margin {margin[worst]:.3e} at vertex {worst}"
-        )
-
-
 def _pcg(apply, diag: np.ndarray, rhs: np.ndarray, stop: float):
     """Solve H x = rhs for a symmetric positive definite H given by its
     product ``apply`` and its diagonal ``diag``; returns (x, iterations).
@@ -323,62 +309,73 @@ def _pcg(apply, diag: np.ndarray, rhs: np.ndarray, stop: float):
     )
 
 
-def _shifted_solve(J: JacobianL, shift: np.ndarray, rhs: np.ndarray, stop: float):
-    """Solve (L - diag(shift)) x = rhs matrix-free by ``_pcg``, each product
-    applied in O(E) from the stencil form, ``shift`` folded into its
-    diagonal; returns (x, iterations).  The caller certifies the matrix
-    (``_certify``) where it builds ``J``."""
-    diag = J.D - shift
-    return _pcg(functools.partial(J.apply, diag=diag), diag, rhs, stop)
+class _Hessian:
+    """Newton's system matrix H = L - diag(shift), L = ``J``, certified
+    positive definite when built: NewtonError unless H is strictly diagonally
+    dominant with a positive diagonal (``JacobianL.dominance_margin``), which
+    by Gershgorin's theorem certifies it; inside the regime that holds on
+    every Delaunay state, shift = alpha target w^alpha being <= 0.  Products
+    are applied matrix-free in O(E) from the stencil form of L."""
+
+    def __init__(self, J: JacobianL, shift: np.ndarray):
+        margin = J.dominance_margin(shift)
+        worst = int(np.argmin(margin))
+        if margin[worst] <= 0.0:
+            raise NewtonError(
+                "system matrix not certified positive definite: diagonal dominance "
+                f"margin {margin[worst]:.3e} at vertex {worst}"
+            )
+        self.J, self.shift = J, shift
+
+    def solve(self, rhs: np.ndarray, stop: float, extra=0.0):
+        """Solve (H + diag(extra)) x = rhs by ``_pcg``, ``extra`` >= 0 folded
+        into the stencil's diagonal, so the certificate covers it; returns
+        (x, iterations)."""
+        diag = self.J.D - (self.shift - extra)
+        return _pcg(lambda p: self.J.apply(p, diag), diag, rhs, stop)
 
 
 class _Corrector:
     """The linear systems of the NDF corrector, (I - c J_F) dy = r, with the
     flow's Jacobian J_F frozen where this was built: L = ``jacobian`` from the
-    angles measured there and w^alpha = e^(alpha u) at its u.
+    angles measured there and w^alpha = e^(alpha u) at its u, through
+    Newton's certified ``_Hessian`` H = L - alpha diag(target w^alpha); its
+    certificate, made once here, raises NewtonError where it fails.
 
-    Yamabe: J_F = -diag(w^-alpha) H with Newton's H = L - alpha diag(target
-    w^alpha), so the system is (H + diag(w^alpha / c)) dy = w^alpha r / c,
-    solved by Newton's ``_shifted_solve``.  H is certified by ``_certify``
-    once, here, raising NewtonError where it fails: the dominance margin of
-    H + diag(w^alpha / c) is H's plus w^alpha / c, so that certificate
-    covers every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) H,
-    the terms that vanish with F_alpha - target dropped, is -diag(w^-alpha)
-    L (diag(w^-alpha) L + tau) for a constant target, tau = -alpha target;
-    tau is the mean of -alpha target otherwise, so that the system
-    (diag(w^alpha) + c L (diag(w^-alpha) L + tau)) dy = w^alpha r is
-    symmetric positive definite by construction (tau >= 0 in the regime),
-    with ``_pcg``'s p^T H p > 0 as its guard.  Without tau, on a mode where
-    L has eigenvalue l and w^alpha = 1, the corrector's iterations contract
-    by c l tau / (1 + c l^2), up to sqrt(c) tau / 2: too slowly to converge
-    once the step size is long.
+    Yamabe: J_F = -diag(w^-alpha) H, so the system is (H + diag(w^alpha / c))
+    dy = w^alpha r / c, solved by ``_Hessian.solve``: H's certificate covers
+    every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) H, the
+    terms that vanish with F_alpha - target dropped, so the system is
+    (diag(w^alpha) + c L diag(w^-alpha) H) dy = w^alpha r, symmetric
+    positive definite as H is, solved by ``_pcg`` on that product.  H takes
+    the mean target here, so with a per-vertex target J_F is approximate;
+    H's alpha term is kept, since without it, on a mode where L has
+    eigenvalue l and w^alpha = 1, the corrector's iterations contract by
+    c l tau / (1 + c l^2), tau = -alpha target, up to sqrt(c) tau / 2: too
+    slowly to converge once the step size is long.
     """
 
     def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, angles):
-        self.J = J = jacobian(surf, m, angles)
         self.wa = wa = np.exp(cfg.alpha * m.current_u)
-        if cfg.kind == "yamabe":
-            self.shift = cfg.alpha * target * wa
-            _certify(J, self.shift)
-        else:
-            # (L diag(w^-alpha) L)_ii = D_i^2 / w_i^alpha + sum over the
-            # half-edges at i of B^2 / w^alpha at their other end, exact
-            # where no two edges join the same vertices, and (tau L)_ii =
-            # tau D_i; the preconditioner needs only a positive diagonal
-            self.shift = None
-            self.tau = -cfg.alpha * float(target.mean())
-            self.LWH = (J.D**2 / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
-                        + self.tau * J.D)
+        self.calabi = cfg.kind == "calabi"
+        target = float(target.mean()) if self.calabi else target
+        self.H = _Hessian(jacobian(surf, m, angles), cfg.alpha * target * wa)
 
     def solve(self, c: float, r: np.ndarray) -> np.ndarray:
         """dy with (I - c J_F) dy = r, to CORRECTOR_RTOL."""
-        J, wa = self.J, self.wa
-        scale = wa if self.shift is None else wa / c
-        b = scale * r
-        stop = CORRECTOR_RTOL * float(np.abs(b).max())
-        if self.shift is None:
-            return _pcg(lambda p: wa * p + c * J.apply(J.apply(p) / wa + self.tau * p), wa + c * self.LWH, b, stop)[0]
-        return _shifted_solve(J, self.shift - scale, b, stop)[0]
+        H, wa = self.H, self.wa
+        if not self.calabi:
+            b = wa / c * r
+            return H.solve(b, CORRECTOR_RTOL * float(np.abs(b).max()), wa / c)[0]
+        # H's products take the stencil's diagonal HD = D - shift, and
+        # (L diag(w^-alpha) H)_ii = D_i HD_i / w_i^alpha + sum over the
+        # half-edges at i of B^2 / w^alpha at their other end, exact where no
+        # two edges join the same vertices; the preconditioner needs only a
+        # positive diagonal
+        J, HD, b = H.J, H.J.D - H.shift, wa * r
+        diag = J.D * HD / wa + np.bincount(J.ends, J.B2**2 / wa[J.cols], minlength=wa.size)
+        return _pcg(lambda p: wa * p + c * J.apply(J.apply(p, HD) / wa), wa + c * diag, b,
+                    CORRECTOR_RTOL * float(np.abs(b).max()))[0]
 
 
 class _StepFailure(RuntimeError):
@@ -661,9 +658,8 @@ def newton_solve(
     while residuals[-1] > tol and it < max_iter:
         stop = max(min(FORCING_MAX, residuals[-1]) * residuals[-1], TOL_FRACTION * tol,
                    PCG_RTOL * residuals[-1])
-        J, shift = jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u))
-        _certify(J, shift)
-        delta, cg_iters = _shifted_solve(J, shift, -g, stop)
+        H = _Hessian(jacobian(surf, m, angles), alpha * (target * np.exp(alpha * u)))
+        delta, cg_iters = H.solve(-g, stop)
         linsolve_iters.append(cg_iters)
         linsolve_stop.append(stop)
         flips.append(0)

@@ -421,23 +421,26 @@ class TestDifferentiationFormulas:
 
 class TestCorrector:
     @pytest.mark.parametrize("kind, alpha, target", [("yamabe", 1.0, -1.0), ("yamabe", 0.0, 0.2),
-                                                     ("calabi", 1.0, -1.0), ("calabi", 0.0, 0.2)])
+                                                     ("calabi", 1.0, -1.0), ("calabi", 0.0, 0.2),
+                                                     ("calabi", 1.0, "per-vertex")])
     def test_linear_solve_matches_dense_solve(self, genus2_perturbed, rng, monkeypatch, kind, alpha, target):
         # (I - c J_F) dy = r with J_F the flow's Jacobian frozen at u, the
         # terms that vanish with F_alpha - target dropped: with Newton's H =
         # L - alpha diag(target w^alpha), Yamabe -diag(w^-alpha) H, Calabi
-        # -diag(w^-alpha) L diag(w^-alpha) H (a constant target here)
+        # -diag(w^-alpha) L diag(w^-alpha) H; Calabi's H takes the mean
+        # target, so with a per-vertex target its J_F is approximate
         surf, m = genus2_perturbed
         u = rng.uniform(-0.1, 0.1, surf.vertex_count)
         apply_conformal(surf, m, u)
         make_delaunay(surf, m)
         angles = face_angles(surf, m)
-        cfg = FlowConfig(kind=kind, alpha=alpha, target=target)
-        t = np.full(surf.vertex_count, target)
+        n = surf.vertex_count
+        t = rng.uniform(-1.5, -0.5, n) if target == "per-vertex" else np.full(n, target)
+        cfg = FlowConfig(kind=kind, alpha=alpha, target=t)
         corrector = flows._Corrector(surf, m, cfg, t, angles)
         L = dense_jacobian(jacobian(surf, m, angles))
         w = np.exp(alpha * u)
-        H = L - np.diag(alpha * t * w)
+        H = L - np.diag(alpha * (t.mean() if kind == "calabi" else t) * w)
         if kind == "yamabe":
             JF = -H / w[:, None]
         else:
@@ -525,16 +528,25 @@ class TestCorrector:
         # trial's two
         assert run.records[1].maps == 3 and run.rhs_evals == 4
 
+    @staticmethod
+    def _uncertified_corrector(kind):
+        surf = genus2(3, 3)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        make_delaunay(surf, m)
+        cfg = FlowConfig(kind=kind, alpha=1.0, target=5.0)
+        with pytest.raises(NewtonError, match="not certified positive definite"):
+            flows._Corrector(surf, m, cfg, np.full(surf.vertex_count, 5.0), face_angles(surf, m))
+
     def test_uncertified_yamabe_system_refused_when_built(self):
         # alpha * target > 0 moves H's diagonal below the off-diagonal sums;
         # H's certificate covers every step-size coefficient, so it is made
         # once, where the Jacobian is built, before any solve
-        surf = genus2(3, 3)
-        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
-        make_delaunay(surf, m)
-        cfg = FlowConfig(kind="yamabe", alpha=1.0, target=5.0)
-        with pytest.raises(NewtonError, match="not certified positive definite"):
-            flows._Corrector(surf, m, cfg, np.full(surf.vertex_count, 5.0), face_angles(surf, m))
+        self._uncertified_corrector("yamabe")
+
+    def test_uncertified_calabi_system_refused_when_built(self):
+        # Calabi's system is L diag(w^-alpha) H plus a positive diagonal, on
+        # the same H, so the same certificate refuses it when built
+        self._uncertified_corrector("calabi")
 
 
 class TestRejectedTrials:
@@ -709,7 +721,7 @@ class TestNewton:
         J = jacobian(surf, m, face_angles(surf, m))
         shift = alpha * target * np.exp(alpha * u)
         g = curvature(surf, m) - target * np.exp(alpha * u)
-        delta, iters = flows._shifted_solve(J, shift, -g, 0.0)
+        delta, iters = flows._Hessian(J, shift).solve(-g, 0.0)
         dense = np.linalg.solve(dense_jacobian(J) - np.diag(shift), -g)
         assert iters >= 1
         assert np.linalg.norm(delta - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -724,8 +736,8 @@ class TestNewton:
         rhs = -(curvature(surf, m) + np.exp(u))
         stop = 1e-3 * np.abs(rhs).max()
         assert stop > flows.PCG_RTOL * np.abs(rhs).max()
-        x, iters = flows._shifted_solve(J, shift, rhs, stop)
-        _, exact_iters = flows._shifted_solve(J, shift, rhs, 0.0)
+        x, iters = flows._Hessian(J, shift).solve(rhs, stop)
+        _, exact_iters = flows._Hessian(J, shift).solve(rhs, 0.0)
         assert np.abs(J.apply(x) - shift * x - rhs).max() <= stop
         assert 1 <= iters < exact_iters
 
@@ -757,7 +769,7 @@ class TestNewton:
         assert np.allclose(J.apply(f, J.D - shift), H @ f, rtol=1e-13, atol=1e-13)
         rhs = rng.standard_normal(n)
         stop = 1e-4 * np.abs(rhs).max()
-        x, iters = flows._shifted_solve(J, shift, rhs, stop)
+        x, iters = flows._Hessian(J, shift).solve(rhs, stop)
         assert iters >= 1
         assert np.abs(H @ x - rhs).max() <= stop + 1e-12 * np.abs(rhs).max()
 
