@@ -27,13 +27,16 @@ status, steps, final_sup_err, u, the problem solved (kind, alpha and the
 per-vertex target) and the run's counters ``FLOW_COUNTERS``.  Newton logs have
 one record per iteration with keys iteration, sup_residual,
 linsolve_iters, linsolve_stop, step_length and flips, plus a terminal
-record with status, iterations, u, alpha and target.  linsolve_iters,
-linsolve_stop and step_length describe the step that led to the iterate,
-and are null for iteration 0: the conjugate-gradient iterations of its
-linear solve, the sup norm that solve's residual had to reach, and the
-line-search step length accepted.  flips counts the edge flips of the
-iteration's surgery: for iteration 0 those on entry and at the initial u,
-then those of every line-search trial that reached its u.
+record with status, iterations, u, alpha, target and the solve's counters
+``MAP_COUNTERS``: rhs_evals (the residual evaluations, the entry among
+them), entry_flips, path_flips (the flips of the later evaluations) and
+flip_rounds.  linsolve_iters, linsolve_stop and step_length describe the
+step that led to the iterate, and are null for iteration 0: the
+conjugate-gradient iterations of its linear solve, the sup norm that
+solve's residual had to reach, and the line-search step length accepted.
+flips counts the edge flips of the iteration's surgery: for iteration 0
+those on entry and at the initial u, then those of every line-search trial
+that reached its u, so entry_flips + path_flips is their sum.
 
 A flow that fails dumps its state to ``<path>.failed.phm``, a ``.phm`` file
 whose last line is the comment ``# failure: <reason>``.  A flip refused on
@@ -85,8 +88,10 @@ EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 EXIT_REGIME = 3
 
-# the FlowRun counters that the flow log's terminal record carries
-FLOW_COUNTERS = ("rhs_evals", "rejected", "entry_flips", "path_flips", "flip_rounds")
+# the counters that the terminal records of the Newton and flow logs carry:
+# the curvature map's, and the flow's rejected trials
+MAP_COUNTERS = ("rhs_evals", "entry_flips", "path_flips", "flip_rounds")
+FLOW_COUNTERS = MAP_COUNTERS + ("rejected",)
 
 
 class ParseError(ValueError):
@@ -372,6 +377,7 @@ def cmd_newton(args) -> int:
         _write_jsonl(args.log, records, {
             "status": status, "iterations": result.iterations, "u": list(result.state.u),
             "alpha": args.alpha, "target": target.tolist(),
+            **{key: getattr(result, key) for key in MAP_COUNTERS},
         })
     print(f"status {status}")
     print(f"iterations {result.iterations}")

@@ -15,11 +15,10 @@ one advance that flips the state Delaunay by isometric rounds and measures
 the first right-hand side or residual.
 
 ``FlowRun`` and ``NewtonResult`` give the map's counters over all of a
-solve's calls that returned: ``rhs_evals`` (``FlowRun`` only) counts the
-calls, the entry among them; ``entry_flips`` the entry's isometric flips;
-``path_flips`` the Ptolemy flips of the later calls (in ``NewtonResult``
-derived from its flips per iteration); ``flip_rounds`` the flip rounds of
-all calls; and ``max_flip_jump`` is the largest ``FlipEvent.k_jump``.
+solve's calls that returned: ``rhs_evals`` counts the calls, the entry among
+them; ``entry_flips`` the entry's isometric flips; ``path_flips`` the
+Ptolemy flips of the later calls; ``flip_rounds`` the flip rounds of all
+calls; and ``max_flip_jump`` is the largest ``FlipEvent.k_jump``.
 """
 
 from __future__ import annotations
@@ -53,20 +52,19 @@ __all__ = [
     "NewtonError",
 ]
 
-# the flows' step size starts at DT_INIT and stays at most DT_MAX; a step
-# whose local error passes its tolerance atol = max(STEP_ATOL, STEP_RTOL *
-# sup_err), sup_err being the last accepted record's, is rejected, and a
-# step size below DT_MIN after a rejection ends the run, as does |u| above
-# U_ABORT.  The relative term is pseudo-transient continuation's switched
-# evolution relaxation (Mulder and van Leer, J. Comput. Phys. 1985; Kelley
-# and Keyes, SIAM J. Numer. Anal. 1998); at STEP_RTOL = 1e-3 a run's
-# sup_err(t) stays within 1% of a trajectory run at STEP_ATOL = 1e-12 alone
-# while sup_err is above 1e-4
+# the flows' step size starts at DT_INIT; a step whose local error passes
+# its tolerance atol = max(STEP_ATOL, STEP_RTOL * sup_err), sup_err being
+# the last accepted record's, is rejected, and a step size below DT_MIN
+# after a rejection ends the run, as does |u| above U_ABORT.  The relative
+# term is pseudo-transient continuation's switched evolution relaxation
+# (Mulder and van Leer, J. Comput. Phys. 1985; Kelley and Keyes, SIAM J.
+# Numer. Anal. 1998); at STEP_RTOL = 1e-3 a run's sup_err(t) stays within
+# 1% of a trajectory run at STEP_ATOL = 1e-12 alone while sup_err is above
+# 1e-4
 STEP_ATOL = 1e-8
 STEP_RTOL = 1e-3
 DT_INIT = 0.1
 DT_MIN = 1e-9
-DT_MAX = 5.0
 U_ABORT = 50.0
 # the numerical differentiation formulas of orders 1 to NDF_MAX_ORDER
 # (Shampine and Reichelt, SIAM J. Sci. Comput. 18, 1997): order k is the
@@ -338,21 +336,18 @@ class _Hessian:
 class _Corrector:
     """The linear systems of the NDF corrector, (I - c J_F) dy = r, with the
     flow's Jacobian J_F frozen where this was built: L = ``jacobian`` from the
-    angles measured there and w^alpha = e^(alpha u) at its u, through
-    Newton's certified ``_Hessian`` H = L - alpha diag(target w^alpha); its
-    certificate, made once here, raises NewtonError where it fails.
+    angles measured there and w^alpha = e^(alpha u) at its u, through the
+    ``_Hessian`` H = L - alpha diag(target w^alpha), certified once, here.
 
     Yamabe: J_F = -diag(w^-alpha) H, so the system is (H + diag(w^alpha / c))
-    dy = w^alpha r / c, solved by ``_Hessian.solve``: H's certificate covers
-    every c > 0.  Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) H, the
-    terms that vanish with F_alpha - target dropped, so the system is
-    (diag(w^alpha) + c L diag(w^-alpha) H) dy = w^alpha r, symmetric
-    positive definite as H is, solved by ``_pcg`` on that product.  H takes
-    the mean target here, so with a per-vertex target J_F is approximate;
-    H's alpha term is kept, since without it, on a mode where L has
-    eigenvalue l and w^alpha = 1, the corrector's iterations contract by
-    c l tau / (1 + c l^2), tau = -alpha target, up to sqrt(c) tau / 2: too
-    slowly to converge once the step size is long.
+    dy = w^alpha r / c, solved by ``_Hessian.solve`` for every c > 0.
+    Calabi: J_F = -diag(w^-alpha) L diag(w^-alpha) H, the terms that vanish
+    with F_alpha - target dropped, so the system is (diag(w^alpha) + c L
+    diag(w^-alpha) H) dy = w^alpha r, symmetric positive definite as H is.
+    Its H takes the mean target, so J_F is approximate for a per-vertex
+    target.  Without H's alpha term, on a mode where L has eigenvalue l and
+    w^alpha = 1, the iterations would contract by c l tau / (1 + c l^2), tau
+    = -alpha target: too slowly to converge once the step size is long.
     """
 
     def __init__(self, surf: MarkedSurface, m: PHMetric, cfg: FlowConfig, target, angles):
@@ -421,8 +416,10 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     to converge otherwise is retried with a Jacobian built where it stopped,
     and then at half the step size.  After k + 1 equal steps the order moves
     by at most one, to that whose error estimate allows the longest next
-    step against atol, and h changes by at most STEP_GROW, to at most
-    DT_MAX.  Each record names the formula of its step and counts the maps
+    step against atol, and h changes by at most STEP_GROW, with no cap:
+    inside the regime the flow's linearisation at its end point has real
+    negative eigenvalues, on which the formulas are stable at any step
+    size.  Each record names the formula of its step and counts the maps
     since the previous record.
 
     A trial that raises is rejected and h halved.  ``advance_conformal``
@@ -461,7 +458,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
     try:
         f, F_a, K, angles, flips = rhs(u)
         M = F_a - target
-        t, h, energy, order, equal_steps = 0.0, min(DT_INIT, DT_MAX), 0.0, 1, 0
+        t, h, energy, order, equal_steps = 0.0, DT_INIT, 0.0, 1, 0
         record(0.0, flips, order)
         D = np.zeros((NDF_MAX_ORDER + 3, u.size))
         D[0], D[1] = u, h * f
@@ -553,7 +550,7 @@ def run_flow(surf: MarkedSurface, m: PHMetric, cfg: FlowConfig) -> FlowRun:
                 factors = [(atol / e) ** (1 / (order + j)) if e else math.inf for j, e in enumerate(errors)]
                 best = int(np.argmax(factors))
                 order += best - 1
-                factor = min(STEP_GROW, safety * factors[best], DT_MAX / h)
+                factor = min(STEP_GROW, safety * factors[best])
                 h *= factor
                 _rescale(D, order, factor)
                 equal_steps = 0
@@ -584,13 +581,10 @@ class NewtonResult:
     # those of the step's line search), and the curvature map's counters
     # (module docstring)
     flips: list = field(default_factory=list)
+    rhs_evals: int = 0
     entry_flips: int = 0
+    path_flips: int = 0
     flip_rounds: int = 0
-
-    @property
-    def path_flips(self) -> int:
-        """The Ptolemy flips of all residual evaluations."""
-        return sum(self.flips) - self.entry_flips
 
 
 def newton_solve(

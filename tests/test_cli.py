@@ -500,10 +500,14 @@ class TestCommands:
         write_phm(path, surf, m)
         expected = flows.newton_solve(*parse_phm(path), 0.0, 0.1)
         assert main(["newton", path, "--target-const", "0.1", "--log", str(log)]) == EXIT_OK
-        records = [json.loads(l) for l in open(log)][:-1]
+        *records, final = [json.loads(l) for l in open(log)]
         assert [r["flips"] for r in records] == expected.flips
         assert sum(expected.flips) == expected.entry_flips + expected.path_flips
         assert expected.entry_flips >= 1 and expected.path_flips >= 1
+        # the terminal record carries the solve's counters; each iterate
+        # took at least one residual evaluation
+        assert {key: final[key] for key in cli.MAP_COUNTERS} == {key: getattr(expected, key) for key in cli.MAP_COUNTERS}
+        assert final["rhs_evals"] >= final["iterations"] + 1 and final["flip_rounds"] >= 1
 
     def test_newton_non_finite_residual_is_a_failure(self, tmp_path, capsys, genus2_file):
         # --force lets a NaN alpha past the refusal; its residual is NaN, which
@@ -553,7 +557,7 @@ class TestCommands:
 
     def test_flow_failure_dump_carries_its_reason(self, tmp_path, capsys, monkeypatch):
         # inside the regime, with a first step far too long and no room to shrink it
-        for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
+        for name in ("DT_INIT", "DT_MIN"):
             monkeypatch.setattr(flows, name, 5.0)
         surf = genus2()
         path = str(tmp_path / "g.phm")

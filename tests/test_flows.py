@@ -206,17 +206,18 @@ class TestFlows:
         # on the unit grid_torus(3,3) the modes that limit alpha-Calabi's
         # step size start at zero and stay zero while the state is bitwise
         # symmetric; the same metric perturbed at rounding level excites
-        # them, and the step size must be the same in both runs; each runs to
-        # convergence, since after a fixed number of steps the two sit at
-        # different times of a step size still growing
-        largest = []
+        # them, and the step size must be the same in both runs.  After a
+        # fixed number of steps the two sit at different times of a step
+        # size still growing, so each is read at matching times t: the step
+        # size of its first record at or after t
+        sizes = []
         for spread in (0.0, 1e-14):
             surf = grid_torus(3, 3)
             m = perturbed_metric(surf, np.random.default_rng(0), spread=spread)
             run = run_flow(surf, m, FlowConfig(kind="calabi", alpha=0.0, target=0.1, max_steps=20000))
             assert run.converged
-            largest.append(max(r.dt for r in run.records[1:]))
-        assert abs(largest[0] / largest[1] - 1.0) <= 0.1
+            sizes.append([next(r.dt for r in run.records if r.t >= t) for t in (1, 2, 5, 10, 20)])
+        assert np.abs(np.divide(*sizes) - 1.0).max() <= 0.1
 
     def test_calabi_maps_on_grid_torus(self):
         # stiff: Dormand-Prince alone took 39294 maps, its hybrid with
@@ -238,8 +239,8 @@ class TestFlows:
         assert run.converged and run.rhs_evals <= 8875
 
     def test_calabi_maps_follow_the_residual(self):
-        # the step tolerance relative to sup_err, with DT_MAX 5, takes about
-        # 260 maps; STEP_ATOL alone with DT_MAX 0.5 took 1265
+        # the step tolerance relative to sup_err takes about 260 maps;
+        # STEP_ATOL alone with the step size capped at 0.5 took 1265
         surf = grid_torus(10, 10)
         m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
         run = run_flow(surf, m, FlowConfig(kind="calabi", alpha=0.0, target=0.1, max_steps=20000))
@@ -250,7 +251,8 @@ class TestFlows:
         # at alpha 1, target -1 the corrector's Jacobian needs its alpha
         # term: without it the corrector stalled at long step sizes, and 18
         # of these 20 runs ended max_steps with sup_err near 1e-9; the step
-        # tolerance STEP_ATOL alone with DT_MAX 0.5 took 16507 maps
+        # tolerance STEP_ATOL alone with the step size capped at 0.5 took
+        # 16507 maps
         maps = 0
         for seed in range(1, 21):
             surf = genus2(3, 3)
@@ -260,6 +262,20 @@ class TestFlows:
             maps += run.rhs_evals
         assert maps <= 16507 // 2
 
+    @pytest.mark.parametrize("kind, maps", [("yamabe", 157), ("calabi", 245)])
+    def test_per_vertex_target_reaches_newton(self, kind, maps):
+        # a target that is not constant, which alpha-Calabi's corrector takes
+        # by its mean, so its Jacobian is approximate; both flows still reach
+        # Newton's u, taking about ``maps`` maps
+        surf = genus2(3, 3)
+        m = perturbed_metric(surf, np.random.default_rng(1), spread=0.28)
+        target = np.full(surf.vertex_count, -1.0)
+        target[[0, 3]] = -2.0, -0.5
+        expected = newton_solve(*clone_state(surf, m), 1.0, target)
+        run = run_flow(surf, m, FlowConfig(kind=kind, alpha=1.0, target=target))
+        assert run.converged and run.rhs_evals <= 2 * maps
+        assert np.max(np.abs(run.final_u - expected.state.u)) <= 1e-9
+
     @staticmethod
     def _genus2_6x6_input():
         """The first input of the benchmark's flow-genus2 workload, seed 1."""
@@ -267,7 +283,8 @@ class TestFlows:
         return surf, perturbed_metric(surf, np.random.default_rng([1, 0]), spread=0.28)
 
     def test_yamabe_maps_follow_the_residual(self):
-        # about 180 maps; STEP_ATOL alone with DT_MAX 0.5 took 605
+        # about 180 maps; STEP_ATOL alone with the step size capped at 0.5
+        # took 605
         surf, m = self._genus2_6x6_input()
         expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
         run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
@@ -275,12 +292,15 @@ class TestFlows:
         assert np.max(np.abs(run.final_u - expected.state.u)) <= 1e-9
 
     def test_floor_alone_is_the_absolute_controller(self, monkeypatch):
-        # without the relative term and at the old cap, the controller is
-        # that of a tolerance STEP_ATOL alone, map for map
+        # without the relative term the controller is that of a tolerance
+        # STEP_ATOL alone, map for map: 609 maps, with the step size capped
+        # at 0.5 605
         monkeypatch.setattr(flows, "STEP_RTOL", 0.0)
-        monkeypatch.setattr(flows, "DT_MAX", 0.5)
-        run = run_flow(*self._genus2_6x6_input(), FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
-        assert run.converged and run.rhs_evals == 605
+        surf, m = self._genus2_6x6_input()
+        expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
+        run = run_flow(surf, m, FlowConfig(kind="yamabe", alpha=1.0, target=-1.0))
+        assert run.converged and run.rhs_evals == 609
+        assert np.max(np.abs(run.final_u - expected.state.u)) <= 1e-9
 
     def test_energy_monotone_along_descent(self, genus2_unit):
         surf, m = genus2_unit
@@ -611,7 +631,7 @@ class TestRejectedTrials:
     def test_dt_underflow_names_error_estimate(self, monkeypatch):
         surf = tetrahedron()
         m = perturbed_metric(surf, np.random.default_rng(0), spread=0.2)
-        for name in ("DT_INIT", "DT_MIN", "DT_MAX"):
+        for name in ("DT_INIT", "DT_MIN"):
             monkeypatch.setattr(flows, name, 0.1)
         monkeypatch.setattr(flows, "STEP_ATOL", 1e-300)
         monkeypatch.setattr(flows, "STEP_RTOL", 0.0)
@@ -623,7 +643,7 @@ class TestRejectedTrials:
     @pytest.mark.parametrize(
         "fixture, constants, reason",
         [
-            ("tetrahedron", {"DT_INIT": 0.1, "DT_MIN": 0.1, "DT_MAX": 0.1, "STEP_ATOL": 1e-300, "STEP_RTOL": 0.0},
+            ("tetrahedron", {"DT_INIT": 0.1, "DT_MIN": 0.1, "STEP_ATOL": 1e-300, "STEP_RTOL": 0.0},
              "dt underflow"),
             ("tetrahedron", {"U_ABORT": 1e-6}, "|u| exceeded"),
             # fails after 2 steps, the state on another triangulation than
