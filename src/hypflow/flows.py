@@ -6,13 +6,13 @@ method whose corrector solves its linear systems through the certified
 operator ``_Hessian`` that Newton's steps solve, by Jacobi-preconditioned
 conjugate gradients (``_pcg``); and a damped Newton iteration on the
 curvature equation whose line search accepts any decrease of the sup-norm
-residual.  Both evaluate the curvature
-map at u through one ``_CurvatureMap``: a call is ``advance_conformal``'s
-surgery at u, whose result depends on u alone, so neither solver follows a
-path between its points, and K is read from the angles that the surgery
-measured at u.  A solver's first call, at ``m.current_u``, is its entry:
-one advance that flips the state Delaunay by isometric rounds and measures
-the first right-hand side or residual.
+residual.  Both evaluate the curvature map at u through one
+``_CurvatureMap``: a call is ``advance_conformal``'s surgery at u, whose
+result depends on u alone, so neither solver follows a path between its
+points, and K is read from the angles that the surgery measured at u.  A
+solver's first call, at ``m.current_u``, is its entry: one advance that
+flips the state Delaunay by isometric rounds and measures the first
+right-hand side or residual.
 
 ``FlowRun`` and ``NewtonResult`` give the map's counters over all of a
 solve's calls that returned: ``rhs_evals`` counts the calls, the entry among

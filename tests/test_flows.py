@@ -293,8 +293,8 @@ class TestFlows:
 
     def test_floor_alone_is_the_absolute_controller(self, monkeypatch):
         # without the relative term the controller is that of a tolerance
-        # STEP_ATOL alone, map for map: 609 maps, with the step size capped
-        # at 0.5 605
+        # STEP_ATOL alone, map for map: 609 maps (605 when the step size was
+        # capped at 0.5)
         monkeypatch.setattr(flows, "STEP_RTOL", 0.0)
         surf, m = self._genus2_6x6_input()
         expected = newton_solve(*clone_state(surf, m), 1.0, -1.0)
