@@ -93,6 +93,9 @@ EXIT_REGIME = 3
 MAP_COUNTERS = ("rhs_evals", "entry_flips", "path_flips", "flip_rounds")
 FLOW_COUNTERS = MAP_COUNTERS + ("rejected",)
 
+# records that write_phm formats and writes at a time
+_WRITE_CHUNK = 4096
+
 
 class ParseError(ValueError):
     pass
@@ -100,14 +103,18 @@ class ParseError(ValueError):
 
 def parse_phm(path: str):
     """Parse a .phm file into (MarkedSurface, PHMetric): ``_records`` reads
-    the v, f and e records as arrays, which are then checked as arrays."""
-    text = _read_text(path)
-    if text.partition("\n")[0].split("#")[0].strip() != "phm 1":
-        raise ParseError(f"{path}:1: expected header 'phm 1'")
-    records = _records(path, text, {"v": (np.int64,), "f": (np.int64,) * 3, "e": (np.int64, np.int64, np.float64)},
-                       "unrecognized record {!r}", skip=1, once="v")
+    the v, f and e records as arrays, which are then checked as arrays.
+
+    The read's transient memory is the file's lines as Python strings,
+    about three times the file's size, beside the arrays of the records
+    read so far; the text and its bytes are freed around the split.  The
+    surface is then built, ``MarkedSurface``'s transients beside the face
+    array and the e records' columns.  On ``grid_torus(316, 316)`` (a 13 MB
+    file) the whole parse peaks at about 64 MB, in the read."""
+    records = _records(path, {"v": (np.int64,), "f": (np.int64,) * 3, "e": (np.int64, np.int64, np.float64)},
+                       "unrecognized record {!r}", header="phm 1", once="v")
     n = records["v"][1][0][0]
-    faces = np.stack(records["f"][1], axis=1)
+    faces = np.stack(records.pop("f")[1], axis=1)
     at, (i, j, length) = records["e"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # the first duplicate record or length out of range, in line order
@@ -139,11 +146,12 @@ def parse_phm(path: str):
     return surf, PHMetric(surf, length[np.argsort(slot)])
 
 
-def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, once: str = "") -> dict:
-    """The records of a text file by tag: for each tag of ``kinds``, the
-    1-based line numbers of its records and one array per column, of the
-    tag's column dtypes.  The first ``skip`` lines are not read, and each
-    tag in ``once`` must have exactly one record.
+def _records(path: str, kinds: dict, malformed: str, header: str = "", once: str = "") -> dict:
+    """The records of the text file at ``path`` by tag: for each tag of
+    ``kinds``, the 1-based line numbers of its records and one array per
+    column, of the tag's column dtypes.  A ``header`` must be the first
+    line, which is then not read as a record, and each tag in ``once`` must
+    have exactly one record.
 
     One vectorised pass over the bytes classifies each line by its first
     byte (an indented line by its first token, from ``str.split()``), and
@@ -154,11 +162,27 @@ def _records(path: str, text: str, kinds: dict, malformed: str, skip: int = 0, o
     whose lines loadtxt refuses is bisected for the line to name
     (``_first_failing``), so a refusal costs about two reads of its lines.
     """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+    if header and text.partition("\n")[0].split("#")[0].strip() != header:
+        raise ParseError(f"{path}:1: expected header {header!r}")
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    # first[k] is the first byte of line k, a newline if it is empty: line
+    # k > 0 starts after the k-th newline, the last one perhaps at the end
+    start = np.concatenate(([0], np.flatnonzero(b == 10) + 1))
+    inside = start < b.size
+    first = np.full(start.size, 10, dtype=np.uint8)
+    first[inside] = b[start[inside]]
+    if header:
+        first[0] = ord("#")
+    # the bytes go before the split and the text after it, so that the
+    # lines, the largest thing a read holds, are held alone
+    del b, start, inside
     lines = text.split("\n")
-    b = np.frombuffer(text.encode() + b"\n", dtype=np.uint8)
-    # first[k] is the first byte of line k, a newline if it is empty
-    first = b[np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))]
-    first[:skip] = ord("#")
+    del text
     known = np.zeros(256, dtype=bool)
     known[list(("".join(kinds) + "\n#").encode())] = True
     for k in np.flatnonzero(~known[first]).tolist():
@@ -232,12 +256,18 @@ def _loadtxt(rows: list, dtype):
 
 def write_phm(path: str, surf: MarkedSurface, m: PHMetric):
     """Write the state in the v1 format: faces in face order, then edges in
-    slot order, each length to 17 significant digits."""
+    slot order, each length to 17 significant digits.  Records are
+    formatted and written ``_WRITE_CHUNK`` at a time, so that the transient
+    memory a write holds is that of one chunk's numbers and text, whatever
+    the mesh's size."""
     with open(path, "w") as fh:
         fh.write(f"phm 1\nv {surf.vertex_count}\n")
-        fh.write("f %d %d %d\n" * surf.face_array.shape[0] % tuple(surf.face_array.ravel().tolist()))
-        records = chain.from_iterable(zip(*surf.ends.tolist(), m.length.tolist()))
-        fh.write("e %d %d %.17g\n" * m.length.size % tuple(records))
+        for a in range(0, surf.face_array.shape[0], _WRITE_CHUNK):
+            faces = surf.face_array[a:a + _WRITE_CHUNK]
+            fh.write("f %d %d %d\n" * faces.shape[0] % tuple(faces.ravel().tolist()))
+        for a in range(0, m.length.size, _WRITE_CHUNK):
+            ends, length = surf.ends[:, a:a + _WRITE_CHUNK], m.length[a:a + _WRITE_CHUNK]
+            fh.write("e %d %d %.17g\n" * length.size % tuple(chain.from_iterable(zip(*ends.tolist(), length.tolist()))))
 
 
 def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
@@ -246,7 +276,7 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     earlier one.  A ParseError names the first line that is no such record,
     else the first token that does not convert, else the first vertex out
     of range or value that is not finite."""
-    at, (i, value) = _records(path, _read_text(path), {"t": (np.int64, np.float64)}, "expected 't <i> <value>'")["t"]
+    at, (i, value) = _records(path, {"t": (np.int64, np.float64)}, "expected 't <i> <value>'")["t"]
     out_of_range = (i < 0) | (i >= n)
     bad = np.flatnonzero(out_of_range | ~np.isfinite(value))
     if bad.size:
@@ -257,14 +287,6 @@ def parse_vertex_values(path: str, n: int, default: float = 0.0) -> np.ndarray:
     out = np.full(n, float(default))
     out[i[last]] = value[last]
     return out
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def _write_jsonl(path: str, records, terminal: dict):

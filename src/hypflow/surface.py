@@ -69,12 +69,16 @@ def _pair_keys(lo: np.ndarray, hi: np.ndarray, vertex_count: int) -> np.ndarray:
 
 
 def _sort_half_edges(vertex_count: int, faces):
-    """``(face_array, pairs, order, errors)``: ``order`` the half-edges (3 f + c
+    """``(face_array, ends, order, errors)``: ``order`` the half-edges (3 f + c
     runs opposite corner c of face f) of the faces without a repeated vertex,
-    stably sorted by vertex pair so that each edge's two come together,
-    ``pairs`` their (lo, hi) ends, and ``errors`` empty for a closed oriented
-    surface: each pair twice, once each way; each vertex's corners one cycle;
-    the faces one connected component."""
+    stably sorted by vertex pair so that each edge's two come together, and
+    ``errors`` empty for a closed oriented surface: each pair twice, once each
+    way; each vertex's corners one cycle; the faces one connected component.
+    Without errors, ``ends`` (2, E) is the (lo, hi) pair of each edge in
+    sorted order; with errors, ``ends`` and ``order`` are None.
+
+    Each 3F-sized temporary is freed after its last read, so that at most
+    about seven such arrays are held at once, ``face_array`` among them."""
     try:
         F = np.array(faces, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -89,42 +93,64 @@ def _sort_half_edges(vertex_count: int, faces):
     errors += [f"face {fi} references vertex {F[fi, c]} out of range"
                for fi, c in np.argwhere(((F < 0) | (F >= vertex_count)) & ~rep[:, None]).tolist()]
     he = np.flatnonzero(np.repeat(~rep, 3))
-    s, t = F[:, [1, 2, 0]].ravel()[he], F[:, [2, 0, 1]].ravel()[he]
-    pairs = np.stack((np.minimum(s, t), np.maximum(s, t)))
+    s = F[:, [1, 2, 0]].ravel()[he]
+    t = F[:, [2, 0, 1]].ravel()[he]
+    pairs = np.empty((2, he.size), dtype=np.int64)
+    np.minimum(s, t, out=pairs[0])
+    np.maximum(s, t, out=pairs[1])
+    fwd = s < t
+    del s, t
     key = _pair_keys(*pairs, vertex_count)
     o = np.argsort(key, kind="stable")
-    order, pairs, key = he[o], pairs[:, o], key[o]
+    order = he[o]
+    del he
+    key = key[o]
+    pairs[0] = pairs[0, o]
+    pairs[1] = pairs[1, o]
+    fwd = fwd[o]
+    del o
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    count = np.diff(first, append=key.size)
-    n_fwd = np.add.reduceat((s < t)[o], first, dtype=np.int64) if first.size else first
+    del key
+    count = np.diff(first, append=order.size)
+    n_fwd = np.add.reduceat(fwd, first, dtype=np.int64) if first.size else first
     # a pair on more than two faces always has two of them the same way
     for kind, bad in (("boundary", count == 1), ("non-manifold", count > 2),
                       ("repeated directed", (count > 1) & ((count != 2) | (n_fwd != 1)))):
         errors += [f"{kind} edge {tuple(pairs[:, k].tolist())} on faces {(order[k:k + c] // 3).tolist()}"
                    for k, c in zip(first[bad].tolist(), count[bad].tolist())]
     if errors:
-        return F, pairs, order, errors
+        return F, None, None, errors
+    ends = np.ascontiguousarray(pairs[:, ::2])
+    del pairs, fwd, first, count, n_fwd
     # corner 3 f + c leaves its vertex along half-edge R[3 f + c]; R of that
     # half-edge's twin is the vertex's corner in the next face around it
     twin = np.empty_like(order)
     twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()
-    corners = np.arange(order.size)
-    R = corners.reshape(-1, 3)[:, [2, 0, 1]].ravel()
-    step, label = R[twin[R]], corners
+    R = np.arange(order.size).reshape(-1, 3)[:, [2, 0, 1]].ravel()
+    step = R[twin[R]]
+    del R
+    # the faces across each face's three edges, (3, F) with contiguous rows,
+    # which keeps the gather and the minimum over its rows below fast
+    across = np.ascontiguousarray(twin.reshape(-1, 3).T)
+    del twin
+    across //= 3
     # pointer doubling: each label becomes the least corner of its cycle
+    label = np.arange(order.size)
     for _ in range(int(np.bincount(F.ravel()).max()).bit_length()):
-        label, step = np.minimum(label, label[step]), step[step]
-    cycles = np.bincount(F.ravel()[label == corners], minlength=vertex_count)
+        np.minimum(label, label[step], out=label)
+        step = step[step]
+    del step
+    cycles = np.bincount(F.ravel()[label == np.arange(label.size)], minlength=vertex_count)
+    del label
     bad = np.flatnonzero(cycles != 1)
     if bad.size:
         errors.append(f"vertex {bad[0]} has {cycles[bad[0]]} link cycles, not 1 ({bad.size} such vertices)")
-        return F, pairs, order, errors
+        return F, None, None, errors
     # with every link one cycle, the surface's components are its faces'
     # components across the twins: hook each face's label to its least
     # neighbour's, then pointer-jump; labels only fall, and stop once each
-    # component carries its least face (``across`` is (3, F) with contiguous
-    # rows, which keeps the gather and the minimum over its rows fast)
-    across, label = np.ascontiguousarray(twin.reshape(-1, 3).T) // 3, np.arange(F.shape[0])
+    # component carries its least face
+    label = np.arange(F.shape[0])
     while not np.array_equal(hooked := np.minimum(label, label[across].min(axis=0)), label):
         label = hooked
         while not np.array_equal(jumped := label[label], label):
@@ -132,7 +158,8 @@ def _sort_half_edges(vertex_count: int, faces):
     roots = np.flatnonzero(label == np.arange(label.size))
     if roots.size > 1:
         errors.append(f"surface has {roots.size} connected components, not 1 (faces {roots.tolist()} in different ones)")
-    return F, pairs, order, errors
+        return F, None, None, errors
+    return F, ends, order, errors
 
 
 class MarkedSurface:
@@ -147,17 +174,20 @@ class MarkedSurface:
     and ``FE[f, c]`` the slot of the edge opposite corner c of face f.  Slots
     start in sorted vertex-pair order.  A flip rewrites its two faces and
     five edges in place, the new diagonal taking the flipped edge's slot.
+
+    Construction holds at most about seven whole-mesh int64 arrays of 3F
+    entries (the size of ``face_array``) at once, the four it keeps among
+    them: ``_sort_half_edges`` frees each temporary after its last read.
     """
 
     def __init__(self, vertex_count: int, faces):
         self.vertex_count = int(vertex_count)
-        self.face_array, pairs, order, errors = _sort_half_edges(self.vertex_count, faces)
+        self.face_array, self.ends, order, errors = _sort_half_edges(self.vertex_count, faces)
         if errors:
             raise SurfaceError("; ".join(errors))
-        self.ends = np.ascontiguousarray(pairs[:, ::2])
         self.edge_corners = order.reshape(-1, 2)
         self.FE = np.empty(self.face_array.shape, dtype=np.int64)
-        self.FE.ravel()[order] = np.arange(order.size) // 2
+        self.FE.ravel()[self.edge_corners] = np.arange(self.edge_corners.shape[0])[:, None]
 
     def copy(self) -> "MarkedSurface":
         s = object.__new__(MarkedSurface)

@@ -25,6 +25,11 @@ half-edge sort of ``hypflow.surface._sort_half_edges`` replaced, and the
 fixture builders, ``perturbed_lengths_by_dict`` and the line-wise
 ``write_phm_by_lines``/``parse_phm_by_lines`` build the benchmark's inputs
 the way the array code in ``hypflow.meshes`` and ``hypflow.cli`` replaced.
+``sort_half_edges_at_once`` and ``surface_arrays_at_once`` are that sort
+and the surface arrays built from it as written before each whole-mesh
+temporary was freed after its last read, and ``write_phm_at_once`` the
+``.phm`` writer that formatted every record through one format string; the
+library's must match them bit for bit.
 ``faces_of``, ``edges_of`` and ``edge_index_of`` read a surface's arrays
 as tuples.  ``decay_slope`` and ``max_principle`` read the paper's
 exponential decay and maximum principle off a flow run's step records.
@@ -33,6 +38,7 @@ None of it is used by the library.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -523,3 +529,82 @@ def parse_phm_by_lines(path: str) -> tuple:
             i, j = int(parts[1]), int(parts[2])
             lengths[(min(i, j), max(i, j))] = float(parts[3])
     return n, faces, lengths
+
+
+def sort_half_edges_at_once(vertex_count: int, faces):
+    """``(face_array, pairs, order, errors)`` of
+    ``hypflow.surface._sort_half_edges`` as written with every whole-mesh
+    temporary held to the end: ``pairs`` the (lo, hi) ends of each sorted
+    half-edge."""
+    try:
+        F = np.array(faces, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return None, None, None, [f"faces are not vertex triples: {exc}"]
+    if F.ndim != 2 or F.shape[1:] != (3,) or not F.size:
+        return F, None, None, [f"faces are not vertex triples: shape {F.shape}"]
+    if vertex_count > F.size:
+        return F, None, None, [f"{vertex_count} vertices for {F.size} face corners"]
+    rep = (F[:, 0] == F[:, 1]) | (F[:, 1] == F[:, 2]) | (F[:, 2] == F[:, 0])
+    errors = [f"face {fi} repeats a vertex: {tuple(F[fi].tolist())}" for fi in np.flatnonzero(rep).tolist()]
+    errors += [f"face {fi} references vertex {F[fi, c]} out of range"
+               for fi, c in np.argwhere(((F < 0) | (F >= vertex_count)) & ~rep[:, None]).tolist()]
+    he = np.flatnonzero(np.repeat(~rep, 3))
+    s, t = F[:, [1, 2, 0]].ravel()[he], F[:, [2, 0, 1]].ravel()[he]
+    pairs = np.stack((np.minimum(s, t), np.maximum(s, t)))
+    base = pairs[0].min(initial=0)
+    key = (pairs[0] - base) * (pairs[1].max(initial=vertex_count - 1) + 1 - base) + (pairs[1] - base)
+    o = np.argsort(key, kind="stable")
+    order, pairs, key = he[o], pairs[:, o], key[o]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=key.size)
+    n_fwd = np.add.reduceat((s < t)[o], first, dtype=np.int64) if first.size else first
+    for kind, bad in (("boundary", count == 1), ("non-manifold", count > 2),
+                      ("repeated directed", (count > 1) & ((count != 2) | (n_fwd != 1)))):
+        errors += [f"{kind} edge {tuple(pairs[:, k].tolist())} on faces {(order[k:k + c] // 3).tolist()}"
+                   for k, c in zip(first[bad].tolist(), count[bad].tolist())]
+    if errors:
+        return F, pairs, order, errors
+    twin = np.empty_like(order)
+    twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()
+    corners = np.arange(order.size)
+    R = corners.reshape(-1, 3)[:, [2, 0, 1]].ravel()
+    step, label = R[twin[R]], corners
+    for _ in range(int(np.bincount(F.ravel()).max()).bit_length()):
+        label, step = np.minimum(label, label[step]), step[step]
+    cycles = np.bincount(F.ravel()[label == corners], minlength=vertex_count)
+    bad = np.flatnonzero(cycles != 1)
+    if bad.size:
+        errors.append(f"vertex {bad[0]} has {cycles[bad[0]]} link cycles, not 1 ({bad.size} such vertices)")
+        return F, pairs, order, errors
+    across, label = np.ascontiguousarray(twin.reshape(-1, 3).T) // 3, np.arange(F.shape[0])
+    while not np.array_equal(hooked := np.minimum(label, label[across].min(axis=0)), label):
+        label = hooked
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    roots = np.flatnonzero(label == np.arange(label.size))
+    if roots.size > 1:
+        errors.append(f"surface has {roots.size} connected components, not 1 (faces {roots.tolist()} in different ones)")
+    return F, pairs, order, errors
+
+
+def surface_arrays_at_once(vertex_count: int, faces) -> dict:
+    """``face_array``, ``ends``, ``edge_corners`` and ``FE`` of
+    ``MarkedSurface(vertex_count, faces)`` from ``sort_half_edges_at_once``,
+    or its errors under ``errors`` alone."""
+    F, pairs, order, errors = sort_half_edges_at_once(vertex_count, faces)
+    if errors:
+        return {"errors": errors}
+    FE = np.empty(F.shape, dtype=np.int64)
+    FE.ravel()[order] = np.arange(order.size) // 2
+    return {"face_array": F, "ends": np.ascontiguousarray(pairs[:, ::2]), "edge_corners": order.reshape(-1, 2),
+            "FE": FE}
+
+
+def write_phm_at_once(path: str, surf, m) -> None:
+    """The v1 ``.phm`` file of a state, each record kind formatted through
+    one format string over all of its numbers."""
+    with open(path, "w") as fh:
+        fh.write(f"phm 1\nv {surf.vertex_count}\n")
+        fh.write("f %d %d %d\n" * surf.face_array.shape[0] % tuple(surf.face_array.ravel().tolist()))
+        records = chain.from_iterable(zip(*surf.ends.tolist(), m.length.tolist()))
+        fh.write("e %d %d %.17g\n" * m.length.size % tuple(records))

@@ -30,6 +30,7 @@ from reference import (
     grid_torus_faces_by_loop,
     parse_phm_by_lines,
     perturbed_lengths_by_dict,
+    write_phm_at_once,
     write_phm_by_lines,
 )
 
@@ -295,6 +296,68 @@ def test_bench_inputs_match_line_wise_reference(tmp_path, seed, mesh, size, spre
     for name in ("face_array", "ends", "edge_corners", "FE"):
         assert np.array_equal(getattr(surf, name), getattr(ref, name)), name
     assert np.array_equal(m.length, m_ref.length) and np.array_equal(m.lam, m_ref.lam)
+
+
+@pytest.mark.parametrize("size, seed", [((50, 50), 1), ((70, 60), 2)])
+def test_write_bitwise_that_at_once(tmp_path, size, seed):
+    # chunked records, lengths of every magnitude: the bytes of one format
+    # string over all of a kind's numbers
+    surf = grid_torus(*size)
+    rng = np.random.default_rng(seed)
+    m = PHMetric(surf, np.exp(rng.uniform(-5.0, 5.0, surf.ends.shape[1])))
+    assert surf.face_array.shape[0] > cli._WRITE_CHUNK and m.length.size > cli._WRITE_CHUNK
+    write_phm(str(tmp_path / "new.phm"), surf, m)
+    write_phm_at_once(str(tmp_path / "ref.phm"), surf, m)
+    assert (tmp_path / "new.phm").read_bytes() == (tmp_path / "ref.phm").read_bytes()
+
+
+def _transient_peak_mb(fn) -> float:
+    """The most memory, in MB, that tracemalloc sees allocated at once
+    during ``fn()`` beyond what was allocated before it, its result included.
+    NumPy reports its array buffers to tracemalloc, so the count is
+    deterministic."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetUpMemory:
+    # grid_torus(100, 100): F = 20000, one (F, 3) int64 array is 0.46 MB.
+    # Each bound lies between the peak of set-up that held every whole-mesh
+    # temporary to its function's end and the peak of the code as it is:
+    # construction 8.3 and 3.3 MB, write_phm 4.5 and 0.63 MB, parse_phm
+    # (construction included) 12.8 and 6.2 MB, and 9.0 MB with the text and
+    # its bytes held through the read
+    @pytest.fixture(scope="class")
+    def torus(self, tmp_path_factory):
+        surf = grid_torus(100, 100)
+        m = perturbed_metric(surf, np.random.default_rng(0), spread=0.02)
+        path = str(tmp_path_factory.mktemp("memory") / "torus100.phm")
+        write_phm(path, surf, m)
+        return surf, m, path
+
+    def test_construction(self, torus):
+        surf = torus[0]
+        faces = surf.face_array.copy()
+        assert _transient_peak_mb(lambda: MarkedSurface(surf.vertex_count, faces)) < 4.5
+
+    def test_write(self, torus, tmp_path):
+        surf, m, _ = torus
+        assert _transient_peak_mb(lambda: write_phm(str(tmp_path / "w.phm"), surf, m)) < 1.0
+
+    def test_parse(self, torus):
+        assert _transient_peak_mb(lambda: parse_phm(torus[2])) < 7.5
+
+    def test_write_does_not_grow_with_the_mesh(self, torus, tmp_path):
+        # 2500 and 10000 vertices, both over one chunk of records: the peaks
+        # differ by less than one chunk's numbers as int64 and float64
+        small = grid_torus(50, 50)
+        states = ((small, perturbed_metric(small, np.random.default_rng(0), spread=0.02)), torus[:2])
+        peaks = [_transient_peak_mb(lambda: write_phm(str(tmp_path / "w.phm"), *state)) for state in states]
+        assert abs(peaks[1] - peaks[0]) < 3 * 8 * cli._WRITE_CHUNK / 2**20
 
 
 class TestCommands:

@@ -45,12 +45,59 @@ from reference import (
     make_delaunay,
     perturbed_lengths_by_dict,
     scaled_length,
+    surface_arrays_at_once,
     tri_angles,
 )
 
 
 # the reference's message for a repeated directed edge ends "or non-manifold edge"
 ERROR_KINDS = ("does not have 3", "repeats a vertex", "out of range", "repeated", "boundary edge", "non-manifold edge (")
+
+
+CORRUPTIONS = ("drop", "reverse", "duplicate", "out of range", "repeat")
+
+
+def _corrupted(surf, kind: str, rng) -> list:
+    """The faces of ``surf`` as lists, one of them corrupted by ``kind``."""
+    faces = surf.face_array.tolist()
+    n = surf.vertex_count
+    fi = int(rng.integers(len(faces)))
+    if kind == "drop":
+        del faces[fi]
+    elif kind == "reverse":
+        faces[fi].reverse()
+    elif kind == "duplicate":
+        faces.insert(int(rng.integers(len(faces) + 1)), list(faces[fi]))
+    elif kind == "out of range":
+        faces[fi][rng.integers(3)] = int(rng.choice([-1 - rng.integers(3), n + rng.integers(3)]))
+    else:
+        c = rng.integers(3)
+        faces[fi][c] = faces[fi][(c + 1) % 3]
+    return faces
+
+
+# (vertex count, faces) of the refusal tests below, and of corrupted fixtures
+MALFORMED_FACES = [
+    lambda: (3, [(0, 1, 2)]),
+    lambda: (4, [(0, 1, 2), (0, 1, 3)]),
+    lambda: (3, [(0, 0, 1)]),
+    lambda: (2, [(0, 1, 5)]),
+    lambda: (4, []),
+    lambda: (4, [(0, 1, 2, 3)]),
+    lambda: (4, [(0, 1, 2), (1, 2)]),
+    lambda: (4, [("a", 1, 2)]),
+    lambda: (11, faces_of(grid_torus(3, 3))),
+    lambda: (5, faces_of(tetrahedron())),
+    lambda: (7, np.concatenate((tetrahedron().face_array, tetrahedron().face_array + 3))),
+    lambda: (24, np.concatenate((genus2(3, 3).face_array, grid_torus(3, 3).face_array + 15))),
+    lambda: (100, [(0, 1, 2)] * 40),
+] + [
+    lambda builder=builder, kind=kind, seed=seed: (
+        (surf := builder()).vertex_count, _corrupted(surf, kind, np.random.default_rng(seed)))
+    for builder in (lambda: genus2(3, 3), lambda: grid_torus(4, 4))
+    for kind in CORRUPTIONS
+    for seed in (11, 12)
+]
 
 
 class TestCombinatorics:
@@ -114,25 +161,13 @@ class TestCombinatorics:
             MarkedSurface(n, faces)
 
     @pytest.mark.parametrize("builder", [lambda: genus2(3, 3), lambda: grid_torus(4, 4)])
-    @pytest.mark.parametrize("kind", ["drop", "reverse", "duplicate", "out of range", "repeat"])
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
     def test_matches_per_face_reference_on_corrupted_faces(self, builder, kind):
         surf = builder()
         n = surf.vertex_count
         rng = np.random.default_rng(11)
         for _ in range(15):
-            faces = surf.face_array.tolist()
-            fi = int(rng.integers(len(faces)))
-            if kind == "drop":
-                del faces[fi]
-            elif kind == "reverse":
-                faces[fi].reverse()
-            elif kind == "duplicate":
-                faces.insert(int(rng.integers(len(faces) + 1)), list(faces[fi]))
-            elif kind == "out of range":
-                faces[fi][rng.integers(3)] = int(rng.choice([-1 - rng.integers(3), n + rng.integers(3)]))
-            else:
-                c = rng.integers(3)
-                faces[fi][c] = faces[fi][(c + 1) % 3]
+            faces = _corrupted(surf, kind, rng)
             errs, ref = _sort_half_edges(n, faces)[3], combinatorics_by_faces(n, faces)
             kinds = {k for k in ERROR_KINDS for e in ref if k in e}
             assert kinds and kinds == {k for k in ERROR_KINDS for e in errs if k in e}
@@ -141,6 +176,26 @@ class TestCombinatorics:
     def test_non_triples_rejected(self, faces):
         errs = _sort_half_edges(4, faces)[3]
         assert len(errs) == 1 and "not vertex triples" in errs[0]
+
+    @pytest.mark.parametrize("builder", [
+        tetrahedron, octahedron, lambda: grid_torus(3, 3), lambda: grid_torus(20, 20),
+        lambda: grid_torus(100, 100), lambda: genus2(3, 3), lambda: genus2(6, 6),
+    ])
+    def test_arrays_bitwise_those_of_the_sort_at_once(self, builder):
+        # the sort frees each whole-mesh temporary after its last read; the
+        # surface must not change by one bit, nor its dtypes and shapes
+        surf = builder()
+        faces = surf.face_array.copy()
+        built = MarkedSurface(surf.vertex_count, faces)
+        ref = surface_arrays_at_once(surf.vertex_count, faces)
+        for name, array in ref.items():
+            got = getattr(built, name)
+            assert got.dtype == array.dtype and got.shape == array.shape and np.array_equal(got, array), name
+
+    @pytest.mark.parametrize("case", MALFORMED_FACES)
+    def test_errors_those_of_the_sort_at_once(self, case):
+        vertex_count, faces = case()
+        assert _sort_half_edges(vertex_count, faces)[3] == surface_arrays_at_once(vertex_count, faces)["errors"]
 
     def test_bad_surface_rejected_at_construction(self):
         with pytest.raises(SurfaceError):
